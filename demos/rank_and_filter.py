@@ -23,7 +23,7 @@ corpus = (
 profile = load_profile("suc-mamba")
 lexicons = load_lexicon_set()
 
-sentences = parse_conllu(corpus)
+sentences = list(parse_conllu(corpus))
 text_by_id = {s.id: s.text for s in sentences}
 assessments = [
     detect_all(apply_profile(s, profile), lexicons) for s in sentences

@@ -8,9 +8,11 @@ One executable, five modes::
     solosent --mode eval   --input sentences.conllu --gold gold.tsv
     solosent --mode fetch  --config korp.conf --output fetched.conllu
 
-Records go to --output (default stdout) as JSON lines or TSV.  Output is
-byte-deterministic for a given input: sentences may be assessed by a
-worker pool (--jobs), but records are always written in input order.
+Records go to --output (default stdout) as JSON lines or TSV.  Sentences
+are read and assessed one at a time, in input order and in one thread, so
+output is byte-deterministic for a given input; assess and filter write
+each record as soon as it is made.  --jobs is accepted for compatibility
+and changes nothing.
 
 Exit codes: 0 success, 1 input problem, 2 configuration problem.
 """
@@ -18,16 +20,17 @@ Exit codes: 0 success, 1 input problem, 2 configuration problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import concordance
-from .assessment import Assessment, filter_assessments, rank_assessments
+from .assessment import Assessment, rank_assessments
 from .config import detector_config_from_mapping, read_config_file
 from .conllu import ParseError, parse_conllu, serialize_conllu
 from .detectors import ConfigError, DetectorConfig, detect_all
@@ -82,13 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="include a rationale with every detection",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for assessment"
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; assessment runs in one thread",
     )
     return parser
-
-
-def _fraction_to_number(value: Fraction) -> float:
-    return float(value)
 
 
 def _assessment_record(assessment: Assessment, explain: bool) -> dict:
@@ -97,7 +99,7 @@ def _assessment_record(assessment: Assessment, explain: bool) -> dict:
         entry: dict = {
             "theme": d.theme.value,
             "tokens": list(d.token_indices),
-            "weight": _fraction_to_number(d.weight),
+            "weight": float(d.weight),
         }
         if explain:
             entry["rationale"] = d.rationale
@@ -105,7 +107,7 @@ def _assessment_record(assessment: Assessment, explain: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "id": assessment.sentence_id,
-        "score": _fraction_to_number(assessment.score),
+        "score": float(assessment.score),
         "context_independent": assessment.context_independent,
         "detections": detections,
     }
@@ -118,7 +120,7 @@ def _assessment_tsv_row(assessment: Assessment) -> str:
     return "\t".join(
         (
             assessment.sentence_id,
-            str(_fraction_to_number(assessment.score)),
+            str(float(assessment.score)),
             "true" if assessment.context_independent else "false",
             themes if themes else "-",
         )
@@ -126,7 +128,7 @@ def _assessment_tsv_row(assessment: Assessment) -> str:
 
 
 def _write_assessments(
-    assessments: Sequence[Assessment], fmt: str, explain: bool, out
+    assessments: Iterable[Assessment], fmt: str, explain: bool, out
 ) -> None:
     if fmt == "jsonl":
         for assessment in assessments:
@@ -143,7 +145,7 @@ def _write_assessments(
 
 def _report_record(report: EvalReport, rates: ThemeRateReport) -> dict:
     def number(value: Optional[Fraction]):
-        return _fraction_to_number(value) if value is not None else None
+        return float(value) if value is not None else None
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -194,46 +196,56 @@ def _load_resources(args) -> tuple[DetectorConfig, LexiconSet, object]:
     return detector_config, lexicons, profile
 
 
-def _read_sentences(path: Optional[str]):
+@contextlib.contextmanager
+def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
+    """The lines of --input, a UTF-8 file or ``-`` for stdin, without a BOM.
+
+    Entering checks that the input exists, so callers enter it before they
+    open any output.  Undecodable input becomes an InputError naming it.
+    """
     if not path:
         raise InputError("this mode needs --input")
     if path == "-":
-        return parse_conllu(sys.stdin.read())
-    file_path = Path(path)
-    if not file_path.is_file():
+        lines, name = sys.stdin, "stdin"
+        if isinstance(lines, io.TextIOWrapper):
+            # decode like a file: the locale's setting lets invalid bytes
+            # through as surrogates under the C and POSIX locales
+            lines.reconfigure(encoding="utf-8-sig", errors="strict")
+    elif not Path(path).is_file():
         raise InputError(f"input file not found: {path}")
-    return parse_conllu(file_path.read_text(encoding="utf-8"))
+    else:
+        lines, name = open(path, encoding="utf-8-sig"), path
+    try:
+        yield lines
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name}: not valid UTF-8 ({exc.reason})") from None
+    finally:
+        if lines is not sys.stdin:
+            lines.close()
 
 
 def _assess_sentences(
-    sentences, profile, lexicons: LexiconSet, config: DetectorConfig, jobs: int
-) -> list[Assessment]:
+    sentences, profile, lexicons: LexiconSet, config: DetectorConfig
+) -> Iterator[Assessment]:
+    """Assess each sentence as it arrives; unmapped tags are reported at the end."""
     coverage = CoverageCounter()
-    annotated = [apply_profile(s, profile, coverage) for s in sentences]
+    for sentence in sentences:
+        yield detect_all(apply_profile(sentence, profile, coverage), lexicons, config)
     if coverage.total:
         print(f"warning: unmapped tags: {coverage.summary()}", file=sys.stderr)
-
-    def worker(sentence) -> Assessment:
-        return detect_all(sentence, lexicons, config)
-
-    if jobs <= 1:
-        return [worker(s) for s in annotated]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        # map preserves input order regardless of completion order
-        return list(pool.map(worker, annotated))
 
 
 def _open_output(path: Optional[str]):
     if path:
         return open(path, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 def run(args) -> int:
-    detector_config, lexicons, profile = _load_resources(args)
-
     if args.mode == "fetch":
         mapping = read_config_file(args.config) if args.config else {}
+        # nothing here reads the detector keys, but a misspelt one is still an error
+        detector_config_from_mapping(mapping)
         settings = concordance.settings_from_mapping(mapping, os.environ)
         transport = concordance.UrllibTransport()
         collected = []
@@ -255,70 +267,47 @@ def run(args) -> int:
                     "dependency annotation",
                     file=sys.stderr,
                 )
-            sentences, page_issues = concordance.to_sentences(result.hits, profile)
+            sentences, page_issues = concordance.normalize_hits(result.hits)
             collected.extend(sentences)
             issues.extend(page_issues)
         for issue in issues:
             print(f"warning: {issue.sentence_id}: {issue.message}", file=sys.stderr)
-        out = _open_output(args.output)
-        try:
-            plain = [
-                # AnnotatedSentence back to raw rows for CoNLL-U output
-                _annotated_to_sentence(s)
-                for s in collected
-            ]
-            out.write(serialize_conllu(plain))
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        with _open_output(args.output) as out:
+            out.write(serialize_conllu(collected))
         return 0
 
-    sentences = _read_sentences(args.input)
-    assessments = _assess_sentences(
-        sentences, profile, lexicons, detector_config, args.jobs
-    )
-
+    detector_config, lexicons, profile = _load_resources(args)
     if args.mode == "eval":
         if not args.gold:
             raise ConfigError("eval mode needs --gold")
         gold = read_gold_file(args.gold)
-        predictions = {a.sentence_id: a.themes for a in assessments}
-        report = evaluate(predictions, gold)
-        rates = theme_rates(assessments)
-        out = _open_output(args.output)
-        try:
-            if args.format == "jsonl":
-                out.write(json.dumps(_report_record(report, rates), ensure_ascii=False))
-                out.write("\n")
-            else:
-                out.write(render_eval_table(report))
-                out.write("\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return 0
 
-    if args.mode == "filter":
-        assessments = filter_assessments(assessments)
-    elif args.mode == "rank":
-        assessments = rank_assessments(assessments)
-    out = _open_output(args.output)
-    try:
-        _write_assessments(assessments, args.format, args.explain, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _open_input(args.input) as lines:
+        assessments = _assess_sentences(
+            parse_conllu(lines), profile, lexicons, detector_config
+        )
+        if args.mode == "eval":
+            assessments = list(assessments)
+            predictions = {a.sentence_id: a.themes for a in assessments}
+            report = evaluate(predictions, gold)
+            rates = theme_rates(assessments)
+            with _open_output(args.output) as out:
+                if args.format == "jsonl":
+                    out.write(
+                        json.dumps(_report_record(report, rates), ensure_ascii=False)
+                    )
+                else:
+                    out.write(render_eval_table(report))
+                out.write("\n")
+            return 0
+
+        if args.mode == "filter":
+            assessments = (a for a in assessments if a.context_independent)
+        elif args.mode == "rank":
+            assessments = rank_assessments(assessments)
+        with _open_output(args.output) as out:
+            _write_assessments(assessments, args.format, args.explain, out)
     return 0
-
-
-def _annotated_to_sentence(annotated):
-    from .model import Sentence
-
-    return Sentence(
-        id=annotated.id,
-        tokens=tuple(t.token for t in annotated.tokens),
-        source=annotated.source,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

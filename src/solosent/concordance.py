@@ -19,7 +19,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence, Union
+from typing import Mapping, Optional, Protocol, Sequence
 
 from .detectors import ConfigError
 from .model import Sentence, SourceRef, StructureError, Token, validate_tokens
@@ -237,18 +237,16 @@ class IngestIssue:
     message: str
 
 
-def to_sentences(
+def normalize_hits(
     hits: Sequence[ConcordanceHit],
-    profile: TagsetProfile,
-    coverage: Optional[CoverageCounter] = None,
-):
-    """Normalize hits into annotated sentences.
+) -> tuple[list[Sentence], list[IngestIssue]]:
+    """Normalize hits into raw sentences, as the CoNLL-U reader gives them.
 
     Sentence ids are ``corpus:position``, unique per hit.  Hits whose head
     values do not form a tree (cycles, out-of-range heads) are excluded
     and reported, never fatal.  Returns (sentences, issues).
     """
-    sentences = []
+    sentences: list[Sentence] = []
     issues: list[IngestIssue] = []
     for hit in hits:
         sentence_id = f"{hit.corpus}:{hit.position}"
@@ -278,8 +276,22 @@ def to_sentences(
             tokens=tokens,
             source=SourceRef(corpus=hit.corpus),
         )
-        sentences.append(apply_profile(sentence, profile, coverage))
+        sentences.append(sentence)
     return sentences, issues
+
+
+def to_sentences(
+    hits: Sequence[ConcordanceHit],
+    profile: TagsetProfile,
+    coverage: Optional[CoverageCounter] = None,
+):
+    """Normalize hits into annotated sentences, ready for the detectors.
+
+    Like ``normalize_hits``, with ``profile`` applied to every sentence.
+    Returns (sentences, issues).
+    """
+    sentences, issues = normalize_hits(hits)
+    return [apply_profile(s, profile, coverage) for s in sentences], issues
 
 
 @dataclass(frozen=True)
@@ -353,6 +365,7 @@ __all__ = [
     "UrllibTransport",
     "build_request",
     "fetch_page",
+    "normalize_hits",
     "settings_from_mapping",
     "to_sentences",
 ]

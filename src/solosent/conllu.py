@@ -14,7 +14,7 @@ Both LF and CRLF line endings are accepted.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .model import Sentence, StructureError, Token, validate_tokens
 
@@ -34,19 +34,19 @@ class ParseError(Exception):
         self.line_number = line_number
 
 
-def _finish_sentence(
-    sentence_id: str, rows: list[Token], out: list[Sentence]
-) -> None:
-    validate_tokens(sentence_id, tuple(rows))
-    out.append(Sentence(id=sentence_id, tokens=tuple(rows)))
+def _finish_sentence(sentence_id: str, rows: list[Token]) -> Sentence:
+    tokens = tuple(rows)
+    validate_tokens(sentence_id, tokens)
+    return Sentence(id=sentence_id, tokens=tokens)
 
 
-def parse_conllu(source: Union[str, Iterable[str]]) -> list[Sentence]:
-    """Parse a CoNLL-U character stream into Sentence values.
+def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
+    """Parse a CoNLL-U character stream into Sentence values, one at a time.
 
     ``source`` may be a string or any iterable of lines (e.g. an open text
-    file).  Sentence ids come from ``# sent_id = ...`` comments when present
-    and are synthesized as ``s1``, ``s2``, ... otherwise.
+    file).  A sentence is yielded once its block is complete and valid,
+    before the next line is read.  Sentence ids come from ``# sent_id = ...``
+    comments when present and are synthesized as ``s1``, ``s2``, ... otherwise.
 
     Raises ParseError for malformed lines and StructureError for token
     lists that do not form a tree (cyclic heads, gaps in the indices).
@@ -56,7 +56,6 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> list[Sentence]:
     else:
         lines = source
 
-    sentences: list[Sentence] = []
     rows: list[Token] = []
     sent_id: str | None = None
     ordinal = 0
@@ -68,7 +67,7 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> list[Sentence]:
         line = raw_line.rstrip("\r\n")
         if not line.strip():
             if rows:
-                _finish_sentence(block_id(), rows, sentences)
+                yield _finish_sentence(block_id(), rows)
                 rows = []
                 sent_id = None
             continue
@@ -110,8 +109,7 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> list[Sentence]:
         rows.append(token)
 
     if rows:
-        _finish_sentence(block_id(), rows, sentences)
-    return sentences
+        yield _finish_sentence(block_id(), rows)
 
 
 def serialize_conllu(sentences: Iterable[Sentence]) -> str:

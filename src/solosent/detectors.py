@@ -622,6 +622,18 @@ def detect_ceq_answer(
     return []
 
 
+# Each implemented theme's rule, called as rule(sentence, lexicons).
+_RULES = {
+    Theme.INCOMPLETE: lambda s, lex: detect_incomplete(s),
+    Theme.IMPLICIT_ANAPHORA: lambda s, lex: detect_implicit_anaphora(s),
+    Theme.PRONOMINAL_ANAPHORA: detect_pronominal_anaphora,
+    Theme.ADVERBIAL_ANAPHORA: detect_adverbial_anaphora,
+    Theme.DISCOURSE_CONNECTIVE: lambda s, lex: detect_discourse_connective(s),
+    Theme.STRUCTURAL_CONNECTIVE: detect_structural_connective,
+    Theme.CLOSED_QUESTION_ANSWER: detect_ceq_answer,
+}
+
+
 def detect_all(
     sentence: AnnotatedSentence,
     lexicons: LexiconSet,
@@ -639,22 +651,9 @@ def detect_all(
     for theme in IMPLEMENTED_THEMES:
         if theme not in config.enabled:
             continue
-        if theme is Theme.INCOMPLETE:
-            found = detect_incomplete(sentence)
-        elif theme is Theme.IMPLICIT_ANAPHORA:
-            found = detect_implicit_anaphora(sentence)
-        elif theme is Theme.PRONOMINAL_ANAPHORA:
-            found = detect_pronominal_anaphora(sentence, lexicons)
-        elif theme is Theme.ADVERBIAL_ANAPHORA:
-            found = detect_adverbial_anaphora(sentence, lexicons)
-        elif theme is Theme.DISCOURSE_CONNECTIVE:
-            found = detect_discourse_connective(sentence)
-        elif theme is Theme.STRUCTURAL_CONNECTIVE:
-            found = detect_structural_connective(sentence, lexicons)
-        else:
-            found = detect_ceq_answer(sentence, lexicons)
-        override = config.weight_for(theme)
-        if override != ONE:
+        found = _RULES[theme](sentence, lexicons)
+        override = config.weights.get(theme)
+        if override is not None:
             found = [replace(d, weight=d.weight * override) for d in found]
         detections.extend(found)
     return make_assessment(sentence.id, detections)

@@ -45,16 +45,15 @@ class LexiconSet:
     """Everything lexical the detection rules need, loaded and validated.
 
     ``anaphoric_pronouns`` is the effective set: the pronoun file plus all
-    demonstratives.  ``warnings`` carries load-time degradations and is
-    excluded from equality.
+    demonstratives.  The non-anaphoric person pronouns are only checked
+    against it: lemmas on both lists add a warning.  ``warnings`` carries
+    load-time degradations and is excluded from equality.
     """
 
     weather_verbs: frozenset[str]
     anaphoric_adverbs: dict[str, AdverbType]
     paired_conjunctions: frozenset[tuple[str, str]]
     yes_no_interjections: frozenset[str]
-    demonstrative_pronouns: frozenset[str]
-    nonanaphoric_person_pronouns: frozenset[str]
     anaphoric_pronouns: frozenset[str]
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
@@ -106,10 +105,6 @@ class _Directory:
         if not entry.is_file():
             return None
         return entry.read_text(encoding="utf-8")
-
-
-def default_lexicon_directory() -> _Directory:
-    return _Directory(None)
 
 
 def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
@@ -176,8 +171,6 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
         anaphoric_adverbs=adverbs,
         paired_conjunctions=frozenset(pairs),
         yes_no_interjections=interjections,
-        demonstrative_pronouns=demonstratives,
-        nonanaphoric_person_pronouns=nonanaphoric,
         anaphoric_pronouns=anaphoric,
         warnings=tuple(warnings),
     )

@@ -43,7 +43,7 @@ def ud_fixture_text():
 
 @pytest.fixture(scope="session")
 def fixture_sentences(fixture_text):
-    return parse_conllu(fixture_text)
+    return list(parse_conllu(fixture_text))
 
 
 @pytest.fixture(scope="session")

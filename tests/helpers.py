@@ -36,7 +36,7 @@ def conllu_block(rows: str, sent_id: str = "s1") -> str:
 
 
 def parse_one(rows: str, sent_id: str = "s1") -> Sentence:
-    sentences = parse_conllu(conllu_block(rows, sent_id))
+    sentences = list(parse_conllu(conllu_block(rows, sent_id)))
     assert len(sentences) == 1
     return sentences[0]
 

@@ -167,6 +167,13 @@ class TestEval:
         assert code == 2
         assert "--gold" in err
 
+    def test_gold_checked_before_input_is_read(self, capsys, tmp_path):
+        path = tmp_path / "bad.conllu"
+        path.write_text("1\tonly-two\tcolumns\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "--mode", "eval", "--input", str(path))
+        assert code == 2
+        assert "--gold" in err
+
     def test_missing_gold_file(self, capsys, corpus_path):
         code, _, err = run_cli(
             capsys,
@@ -267,6 +274,50 @@ class TestErrorPaths:
         assert code == 1
         assert "error" in err
 
+    def test_missing_input_leaves_output_alone(self, capsys, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_text("earlier run\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "assess", "--input", "/nope/x.conllu", "--output", str(target),
+        )
+        assert code == 1
+        assert "not found" in err
+        assert target.read_text(encoding="utf-8") == "earlier run\n"
+
+    def test_leading_bom_in_file(self, capsys, tmp_path, corpus_path, fixture_text):
+        path = tmp_path / "bom.conllu"
+        path.write_text("\ufeff" + fixture_text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "--mode", "assess", "--input", str(path))
+        assert code == 0
+        _, plain, _ = run_cli(capsys, "--mode", "assess", "--input", corpus_path)
+        assert out == plain
+
+    def test_leading_bom_on_stdin(self, capsys, monkeypatch, corpus_path, fixture_text):
+        data = "\ufeff".encode("utf-8") + fixture_text.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, _ = run_cli(capsys, "--mode", "assess", "--input", "-")
+        assert code == 0
+        _, plain, _ = run_cli(capsys, "--mode", "assess", "--input", corpus_path)
+        assert out == plain
+
+    def test_invalid_utf8_is_a_one_line_error(self, capsys, tmp_path, fixture_text):
+        path = tmp_path / "latin1.conllu"
+        path.write_bytes(fixture_text.encode("utf-8") + "\n1\tå\n".encode("latin-1"))
+        code, _, err = run_cli(capsys, "--mode", "assess", "--input", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "UTF-8" in err
+
+    def test_invalid_utf8_on_stdin(self, capsys, monkeypatch, fixture_text):
+        data = fixture_text.encode("utf-8") + "\n1\tå\n".encode("latin-1")
+        # the errors handler Python gives stdin under the C or POSIX locale
+        stdin = io.TextIOWrapper(io.BytesIO(data), "utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run_cli(capsys, "--mode", "assess", "--input", "-")
+        assert code == 1
+        assert err.startswith("error: stdin: ") and err.count("\n") == 1
+
     def test_bad_profile(self, capsys, corpus_path):
         code, _, err = run_cli(
             capsys,
@@ -353,7 +404,7 @@ class TestFetch:
         )
         assert code == 0
         assert "skipped 1 hit" in err
-        sentences = parse_conllu(target.read_text(encoding="utf-8"))
+        sentences = list(parse_conllu(target.read_text(encoding="utf-8")))
         assert [s.id for s in sentences] == ["SUC3:1041"]
         assert sentences[0].text == "Det regnar ."
         assert len(transport.urls) == 1
@@ -374,6 +425,23 @@ class TestFetch:
         (record,) = jsonl_records(out)
         assert record["id"] == "SUC3:1041"
         assert record["context_independent"] is True
+
+    def test_fetch_does_not_load_lexicons(self, capsys, monkeypatch, tmp_path):
+        transport = FakeTransport(FETCH_PAGE)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        broken = tmp_path / "lexicons"
+        broken.mkdir()
+        (broken / "weather_verbs.txt").write_text("regna\tväder\n", encoding="utf-8")
+        target = tmp_path / "fetched.conllu"
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "fetch",
+            "--config", self.write_config(tmp_path),
+            "--lexicons", str(broken),
+            "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_text(encoding="utf-8").startswith("# sent_id = SUC3:1041\n")
 
     def test_fetch_needs_endpoint(self, capsys, tmp_path):
         conf = tmp_path / "korp.conf"

@@ -10,7 +10,7 @@ ROW2 = "2\tkom\tkomma\tVB\t_\tPRT|AKT\t0\tROOT\t_\t_"
 
 class TestParse:
     def test_bundled_fixture(self, fixture_text):
-        sentences = parse_conllu(fixture_text)
+        sentences = list(parse_conllu(fixture_text))
         assert [s.id for s in sentences] == [f"t{i:02d}" for i in range(1, 13)]
         assert sentences[0].text == "'' piper hon och alla skrattar ."
         assert len(sentences[11]) == 11
@@ -22,15 +22,15 @@ class TestParse:
 
     def test_sent_id_comment_wins(self):
         text = f"# sent_id = named\n{ROW}\n{ROW2}\n"
-        assert parse_conllu(text)[0].id == "named"
+        assert list(parse_conllu(text))[0].id == "named"
 
     def test_accepts_iterable_of_lines(self):
         lines = [f"{ROW}\n", f"{ROW2}\n"]
-        assert parse_conllu(lines)[0].text == "Hon kom"
+        assert list(parse_conllu(lines))[0].text == "Hon kom"
 
     def test_crlf(self):
         text = f"{ROW}\r\n{ROW2}\r\n\r\n"
-        assert len(parse_conllu(text)) == 1
+        assert len(list(parse_conllu(text))) == 1
 
     def test_skips_multiword_ranges_and_empty_nodes(self):
         text = (
@@ -38,41 +38,50 @@ class TestParse:
             f"{ROW}\n{ROW2}\n"
             "2.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n"
         )
-        s = parse_conllu(text)[0]
+        s = list(parse_conllu(text))[0]
         assert [t.form for t in s] == ["Hon", "kom"]
 
     def test_underscore_feats_become_empty(self):
-        s = parse_conllu(f"{ROW}\n{ROW2}\n")[0]
+        s = list(parse_conllu(f"{ROW}\n{ROW2}\n"))[0]
         assert s.token(2).feats == "PRT|AKT"
-        assert parse_conllu("1\tx\tx\tNN\t_\t_\t0\tSS\t_\t_\n")[0].token(1).feats == ""
+        assert list(parse_conllu("1\tx\tx\tNN\t_\t_\t0\tSS\t_\t_\n"))[0].token(1).feats == ""
 
     def test_comments_ignored(self):
         text = f"# text = Hon kom\n{ROW}\n{ROW2}\n"
-        assert len(parse_conllu(text)[0]) == 2
+        assert len(list(parse_conllu(text))[0]) == 2
+
+    def test_yields_a_sentence_before_reading_past_it(self):
+        def lines():
+            yield f"{ROW}\n"
+            yield f"{ROW2}\n"
+            yield "\n"
+            raise AssertionError("read past the first sentence's blank line")
+
+        assert next(parse_conllu(lines())).text == "Hon kom"
 
 
 class TestParseErrors:
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="line 1") as info:
-            parse_conllu("1\tx\tx\n")
+            list(parse_conllu("1\tx\tx\n"))
         assert info.value.line_number == 1
 
     def test_bad_token_id(self):
         with pytest.raises(ParseError, match="token id"):
-            parse_conllu("x\tx\tx\tNN\t_\t_\t0\tSS\t_\t_\n")
+            list(parse_conllu("x\tx\tx\tNN\t_\t_\t0\tSS\t_\t_\n"))
 
     def test_bad_head(self):
         with pytest.raises(ParseError, match="head"):
-            parse_conllu("1\tx\tx\tNN\t_\t_\tzero\tSS\t_\t_\n")
+            list(parse_conllu("1\tx\tx\tNN\t_\t_\tzero\tSS\t_\t_\n"))
 
     def test_self_heading_token(self):
         with pytest.raises(ParseError, match="head itself"):
-            parse_conllu("1\tx\tx\tNN\t_\t_\t1\tSS\t_\t_\n")
+            list(parse_conllu("1\tx\tx\tNN\t_\t_\t1\tSS\t_\t_\n"))
 
     def test_line_number_counts_comments(self):
         text = f"# one\n# two\n{ROW}\nbroken\n"
         with pytest.raises(ParseError) as info:
-            parse_conllu(text)
+            list(parse_conllu(text))
         assert info.value.line_number == 4
 
     def test_cyclic_heads_are_a_structure_error(self):
@@ -81,12 +90,12 @@ class TestParseErrors:
             "2\tb\tb\tNN\t_\t_\t1\tSS\t_\t_\n"
         )
         with pytest.raises(StructureError, match="cyclic"):
-            parse_conllu(text)
+            list(parse_conllu(text))
 
     def test_index_gap_is_a_structure_error(self):
         text = f"{ROW}\n3\tx\tx\tNN\t_\t_\t1\tSS\t_\t_\n"
         with pytest.raises(StructureError, match="contiguous"):
-            parse_conllu(text)
+            list(parse_conllu(text))
 
 
 class TestSerialize:
@@ -94,10 +103,10 @@ class TestSerialize:
         assert serialize_conllu([]) == ""
 
     def test_round_trip_on_fixture(self, fixture_text, fixture_sentences):
-        assert parse_conllu(serialize_conllu(fixture_sentences)) == fixture_sentences
+        assert list(parse_conllu(serialize_conllu(fixture_sentences))) == fixture_sentences
 
     def test_emits_sent_id_and_underscores(self):
-        s = parse_conllu(f"{ROW}\n{ROW2}\n")[0]
+        s = list(parse_conllu(f"{ROW}\n{ROW2}\n"))[0]
         text = serialize_conllu([s])
         assert text.startswith("# sent_id = s1\n")
         assert "\t_\tUTR|SIN|DEF\t" in text
@@ -137,4 +146,4 @@ def sentences(draw):
 @given(st.lists(sentences(), max_size=5))
 def test_round_trip_is_identity(batch):
     # ids may repeat across generated sentences; round-trip does not care
-    assert parse_conllu(serialize_conllu(batch)) == batch
+    assert list(parse_conllu(serialize_conllu(batch))) == batch
