@@ -14,7 +14,9 @@ output is byte-deterministic for a given input; assess and filter write
 each record as soon as it is made.  --jobs is accepted for compatibility
 and changes nothing.
 
-Exit codes: 0 success, 1 input problem, 2 configuration problem.
+Exit codes: 0 success, 1 input problem, 2 configuration problem, 141 when
+stdout is closed early (as in ``| head``): the run stops quietly, with the
+status a shell reports for a filter killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -317,7 +319,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     try:
-        return run(args)
+        status = run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: keep the interpreter's final flush from failing too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, ProfileError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,10 @@ _NAMESPACES = ("enable.", "weight.", "fetch.")
 def read_config_file(path: Union[str, Path]) -> dict[str, str]:
     """Read a flat config file into an ordered key-value mapping."""
     mapping: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:

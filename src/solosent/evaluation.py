@@ -39,7 +39,10 @@ def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
     records: list[GoldRecord] = []
     seen: set[str] = set()
     names = {t.value: t for t in Theme}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GoldDataError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.rstrip()
         if not line or line.lstrip().startswith("#"):

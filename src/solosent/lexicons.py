@@ -80,47 +80,28 @@ def _simple_set(rows: list[tuple[str, ...]], filename: str) -> frozenset[str]:
     return frozenset(row[0] for row in rows)
 
 
-class _Directory:
-    """Uniform read access to a filesystem path or the bundled package data."""
-
-    def __init__(self, location: Union[str, Path, None]) -> None:
-        if location is None:
-            self._traversable = resources.files("solosent").joinpath(
-                "data", "lexicons", "sv"
-            )
-            self._path = None
-            self.label = "bundled sv lexicons"
-        else:
-            self._traversable = None
-            self._path = Path(location)
-            self.label = str(location)
-
-    def read(self, filename: str) -> Union[str, None]:
-        if self._path is not None:
-            candidate = self._path / filename
-            if not candidate.is_file():
-                return None
-            return candidate.read_text(encoding="utf-8")
-        entry = self._traversable.joinpath(filename)
-        if not entry.is_file():
-            return None
-        return entry.read_text(encoding="utf-8")
-
-
 def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
     """Load a lexicon directory; None loads the bundled Swedish defaults.
 
     Raises LexiconError for files that exist but do not follow the format.
     Files that are absent load as empty sets, each noted in ``warnings``.
     """
-    source = _Directory(directory)
+    if directory is None:
+        root = resources.files("solosent").joinpath("data", "lexicons", "sv")
+        label = "bundled sv lexicons"
+    else:
+        root, label = Path(directory), str(directory)
     warnings: list[str] = []
 
     def rows_for(filename: str) -> list[tuple[str, ...]]:
-        text = source.read(filename)
-        if text is None:
-            warnings.append(f"{source.label}: {filename} missing, using empty set")
+        entry = root.joinpath(filename)
+        if not entry.is_file():
+            warnings.append(f"{label}: {filename} missing, using empty set")
             return []
+        try:
+            text = entry.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise LexiconError(f"{entry}: not valid UTF-8 ({exc.reason})") from None
         return _read_rows(text, filename)
 
     weather = _simple_set(rows_for(WEATHER_VERBS_FILE), WEATHER_VERBS_FILE)
@@ -162,7 +143,7 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
     overlap = anaphoric & nonanaphoric
     if overlap:
         warnings.append(
-            f"{source.label}: lemmas listed both anaphoric and non-anaphoric: "
+            f"{label}: lemmas listed both anaphoric and non-anaphoric: "
             + ", ".join(sorted(overlap))
         )
 

@@ -29,7 +29,7 @@ completeness report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -81,10 +81,10 @@ REQUIRED_RELATIONS = frozenset(
 OPTIONAL_RELATIONS = frozenset(Relation) - REQUIRED_RELATIONS - {Relation.OTHER}
 
 _FEATURE_FIELDS = {
-    "gender": ("gender", Gender),
-    "number": ("number", Number),
-    "verb_form": ("verb_form", VerbForm),
-    "definiteness": ("definiteness", Definiteness),
+    "gender": Gender,
+    "number": Number,
+    "verb_form": VerbForm,
+    "definiteness": Definiteness,
 }
 
 
@@ -93,44 +93,33 @@ class ProfileError(Exception):
 
 
 @dataclass(frozen=True)
-class FeatureRule:
-    """One morphology decoding rule: POS pattern + feats atom -> field value.
+class TagsetProfile:
+    """A complete mapping from one tagset onto the abstract vocabulary,
+    resolved when the profile is loaded.
 
-    ``pos`` and ``atom`` may be ``*`` to match anything.  Rules apply in
-    file order and later rules override earlier ones for the same field,
-    which is how e.g. a participle marking beats a tense marking.
+    ``category_of_pos`` maps a raw POS tag to its Category, or to None for
+    a ``delimiter`` tag whose category is decided by the token's form.
+    ``feature_rules`` holds ``(pos_pattern, atom, field, value)`` rows in
+    file order; ``*`` matches anything and later rows win.  apply_profile
+    decodes each distinct (POS, FEATS) pair once and keeps the result in a
+    private cache that takes no part in equality.
     """
 
-    pos: str
-    atom: str
-    fieldname: str
-    value: object
-
-    def matches(self, raw_pos: str, atoms: frozenset[str]) -> bool:
-        if self.pos != "*" and self.pos != raw_pos:
-            return False
-        return self.atom == "*" or self.atom in atoms
-
-
-@dataclass(frozen=True)
-class TagsetProfile:
-    """A complete mapping from one tagset onto the abstract vocabulary."""
-
     name: str
-    category_of_pos: dict[str, str]
+    category_of_pos: dict[str, Optional[Category]]
     relation_of_deprel: dict[str, Relation]
-    feature_rules: tuple[FeatureRule, ...]
+    feature_rules: tuple[tuple[str, str, str, object], ...]
     modal_lemmas: frozenset[str]
     warnings: tuple[str, ...] = field(default=(), compare=False)
+    _features: dict[tuple[str, str], MorphFeatures] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def category_for(self, pos: str, form: str) -> Optional[Category]:
         """Abstract category for a raw POS tag, or None when unknown."""
-        target = self.category_of_pos.get(pos)
-        if target is None:
+        if pos not in self.category_of_pos:
             return None
-        if target == DELIMITER_BY_FORM:
-            return classify_delimiter_form(form)
-        return Category(target)
+        return self.category_of_pos[pos] or classify_delimiter_form(form)
 
     def relation_for(self, deprel: str) -> Optional[Relation]:
         """Abstract relation for a raw deprel, or None when unknown."""
@@ -140,10 +129,21 @@ class TagsetProfile:
         """Decode a raw feats string for a token with the given raw POS."""
         atoms = frozenset(a for a in feats.split("|") if a) if feats else frozenset()
         values: dict[str, object] = {}
-        for rule in self.feature_rules:
-            if rule.matches(pos, atoms):
-                values[rule.fieldname] = rule.value
-        return MorphFeatures(**values) if values else MorphFeatures()
+        for pos_pattern, atom, fieldname, value in self.feature_rules:
+            if pos_pattern in ("*", pos) and (atom == "*" or atom in atoms):
+                values[fieldname] = value
+        return MorphFeatures(**values)
+
+    def _token_features(self, pos: str, feats: str) -> MorphFeatures:
+        """decode_features, decoded once per pair, with no verb form unless
+        the POS maps to verb (a delimiter decided by form never does)."""
+        features = self._features.get((pos, feats))
+        if features is None:
+            features = self.decode_features(pos, feats)
+            if self.category_of_pos.get(pos) is not Category.VERB:
+                features = replace(features, verb_form=VerbForm.UNSPECIFIED)
+            self._features[pos, feats] = features
+        return features
 
 
 def classify_delimiter_form(form: str) -> Category:
@@ -157,11 +157,11 @@ def classify_delimiter_form(form: str) -> Category:
 
 def _parse_profile_text(text: str, origin: str) -> TagsetProfile:
     name: Optional[str] = None
-    category_of_pos: dict[str, str] = {}
+    category_of_pos: dict[str, Optional[Category]] = {}
     relation_of_deprel: dict[str, Relation] = {}
-    feature_rules: list[FeatureRule] = []
+    feature_rules: list[tuple[str, str, str, object]] = []
     modal_lemmas: set[str] = set()
-    valid_categories = {c.value for c in Category} | {DELIMITER_BY_FORM}
+    valid_categories = {c.value: c for c in Category} | {DELIMITER_BY_FORM: None}
     valid_relations = {r.value: r for r in Relation}
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
@@ -180,7 +180,7 @@ def _parse_profile_text(text: str, origin: str) -> TagsetProfile:
                 raise ProfileError(f"{where}: pos takes a raw tag and a category")
             if fields[2] not in valid_categories:
                 raise ProfileError(f"{where}: unknown category {fields[2]!r}")
-            category_of_pos[fields[1]] = fields[2]
+            category_of_pos[fields[1]] = valid_categories[fields[2]]
         elif kind == "deprel":
             if len(fields) != 3:
                 raise ProfileError(f"{where}: deprel takes a raw label and a relation")
@@ -195,14 +195,13 @@ def _parse_profile_text(text: str, origin: str) -> TagsetProfile:
             fieldname, _, valuename = fields[3].partition("=")
             if fieldname not in _FEATURE_FIELDS:
                 raise ProfileError(f"{where}: unknown feature field {fieldname!r}")
-            attr, enum_type = _FEATURE_FIELDS[fieldname]
             try:
-                value = enum_type(valuename)
+                value = _FEATURE_FIELDS[fieldname](valuename)
             except ValueError:
                 raise ProfileError(
                     f"{where}: bad value {valuename!r} for {fieldname}"
                 ) from None
-            feature_rules.append(FeatureRule(fields[1], fields[2], attr, value))
+            feature_rules.append((fields[1], fields[2], fieldname, value))
         elif kind == "modal":
             if len(fields) != 2:
                 raise ProfileError(f"{where}: modal takes exactly one lemma")
@@ -213,14 +212,9 @@ def _parse_profile_text(text: str, origin: str) -> TagsetProfile:
     if name is None:
         raise ProfileError(f"{origin}: profile has no name directive")
 
-    reachable_categories: set[Category] = set()
-    for target in category_of_pos.values():
-        if target == DELIMITER_BY_FORM:
-            reachable_categories.update(
-                {Category.MAJOR_DELIMITER, Category.MINOR_DELIMITER}
-            )
-        else:
-            reachable_categories.add(Category(target))
+    reachable_categories = set(category_of_pos.values())
+    if None in reachable_categories:
+        reachable_categories |= {Category.MAJOR_DELIMITER, Category.MINOR_DELIMITER}
     missing_categories = REQUIRED_CATEGORIES - reachable_categories
     reachable_relations = set(relation_of_deprel.values())
     missing_relations = REQUIRED_RELATIONS - reachable_relations
@@ -251,19 +245,23 @@ def load_profile(name_or_path: Union[str, Path]) -> TagsetProfile:
     """Load a bundled profile by name, or any profile from a file path."""
     text_name = str(name_or_path)
     if text_name in BUNDLED_PROFILES:
-        text = (
-            resources.files("solosent")
-            .joinpath("data", "profiles", f"{text_name}.profile")
-            .read_text(encoding="utf-8")
+        source = resources.files("solosent").joinpath(
+            "data", "profiles", f"{text_name}.profile"
         )
-        return _parse_profile_text(text, origin=f"bundled profile {text_name}")
-    path = Path(name_or_path)
-    if not path.is_file():
-        raise ProfileError(
-            f"no bundled profile or readable file named {text_name!r} "
-            f"(bundled: {', '.join(BUNDLED_PROFILES)})"
-        )
-    return _parse_profile_text(path.read_text(encoding="utf-8"), origin=str(path))
+        origin = f"bundled profile {text_name}"
+    else:
+        source = Path(name_or_path)
+        origin = str(source)
+        if not source.is_file():
+            raise ProfileError(
+                f"no bundled profile or readable file named {text_name!r} "
+                f"(bundled: {', '.join(BUNDLED_PROFILES)})"
+            )
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{origin}: not valid UTF-8 ({exc.reason})") from None
+    return _parse_profile_text(text, origin)
 
 
 @dataclass
@@ -312,20 +310,12 @@ def apply_profile(
             relation = Relation.OTHER
             if coverage is not None:
                 coverage.unknown_deprel[token.deprel] += 1
-        features = profile.decode_features(token.pos, token.feats)
-        if category is not Category.VERB and features.verb_form is not VerbForm.UNSPECIFIED:
-            features = MorphFeatures(
-                gender=features.gender,
-                number=features.number,
-                verb_form=VerbForm.UNSPECIFIED,
-                definiteness=features.definiteness,
-            )
         annotated.append(
             AnnotatedToken(
                 token=token,
                 category=category,
                 relation=relation,
-                features=features,
+                features=profile._token_features(token.pos, token.feats),
                 is_modal=category is Category.VERB
                 and token.lemma.lower() in profile.modal_lemmas,
             )
@@ -341,7 +331,6 @@ def apply_profile(
 __all__ = [
     "BUNDLED_PROFILES",
     "CoverageCounter",
-    "FeatureRule",
     "ProfileError",
     "TagsetProfile",
     "apply_profile",

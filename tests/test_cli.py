@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from importlib.resources import files
 
 import pytest
 
 from solosent import concordance
 from solosent.cli import main
 from solosent.conllu import parse_conllu
+from synthcorpus import big_corpus_conllu
 
 CLEAN_IDS = ["t08", "t09", "t10", "t11", "t12"]
 
@@ -338,6 +344,81 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", "bogus"])
         assert excinfo.value.code == 2
+
+
+def _assert_one_line_utf8_error(capsys, path, code, *argv):
+    status, _, err = run_cli(capsys, *argv)
+    assert status == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "UTF-8" in err
+
+
+class TestInvalidUtf8InOtherReaders:
+    """A single byte that is not UTF-8 in any file the CLI reads is a one-line error."""
+
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xe5")
+        return path
+
+    def test_gold(self, capsys, corpus_path, bad_file):
+        _assert_one_line_utf8_error(
+            capsys, bad_file, 1,
+            "--mode", "eval", "--input", corpus_path, "--gold", str(bad_file),
+        )
+
+    def test_config(self, capsys, corpus_path, bad_file):
+        _assert_one_line_utf8_error(
+            capsys, bad_file, 2,
+            "--mode", "assess", "--input", corpus_path, "--config", str(bad_file),
+        )
+
+    def test_profile(self, capsys, corpus_path, bad_file):
+        _assert_one_line_utf8_error(
+            capsys, bad_file, 2,
+            "--mode", "assess", "--input", corpus_path, "--profile", str(bad_file),
+        )
+
+    def test_lexicon(self, capsys, corpus_path, tmp_path, bad_file):
+        directory = tmp_path / "lexicons"
+        shutil.copytree(files("solosent").joinpath("data", "lexicons", "sv"), directory)
+        target = directory / "weather_verbs.txt"
+        target.write_bytes(bad_file.read_bytes())
+        _assert_one_line_utf8_error(
+            capsys, target, 2,
+            "--mode", "assess", "--input", corpus_path, "--lexicons", str(directory),
+        )
+
+
+class TestClosedStdout:
+    """Writing into a pipe nobody reads ends the run quietly with status 141."""
+
+    def run_into_closed_pipe(self, input_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "solosent", "--mode", "assess",
+                 "--input", str(input_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
+    def test_fixture(self, corpus_path):
+        completed = self.run_into_closed_pipe(corpus_path)
+        assert completed.stderr == b""
+        assert completed.returncode == 141
+
+    def test_large_input(self, tmp_path):
+        path = tmp_path / "big.conllu"
+        path.write_text(big_corpus_conllu(2_000), encoding="utf-8")
+        completed = self.run_into_closed_pipe(path)
+        assert completed.stderr == b""
+        assert completed.returncode == 141
 
 
 FETCH_PAGE = {

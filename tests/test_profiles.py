@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import annotate, parse_one
 from solosent.model import (
@@ -7,12 +8,15 @@ from solosent.model import (
     Gender,
     Number,
     Relation,
+    Sentence,
+    Token,
     VerbForm,
 )
 from solosent.profiles import (
     BUNDLED_PROFILES,
     CoverageCounter,
     ProfileError,
+    TagsetProfile,
     apply_profile,
     classify_delimiter_form,
     load_profile,
@@ -239,3 +243,76 @@ class TestApplyProfile:
     def test_modal_lemma_case_insensitive(self, suc):
         s = annotate("Skulle Skola VB PRT|AKT 0 ROOT")
         assert s.token(1).is_modal
+
+
+class TestCompiledProfile:
+    def test_each_pos_feats_pair_decoded_once(self, monkeypatch, fixture_sentences):
+        calls = []
+        decode = TagsetProfile.decode_features
+
+        def counting(self, pos, feats):
+            calls.append((pos, feats))
+            return decode(self, pos, feats)
+
+        monkeypatch.setattr(TagsetProfile, "decode_features", counting)
+        profile = load_profile("suc-mamba")
+        for sentence in fixture_sentences:
+            apply_profile(sentence, profile)
+        pairs = {(t.pos, t.feats) for s in fixture_sentences for t in s.tokens}
+        assert sorted(calls) == sorted(pairs)
+        assert len(pairs) < sum(len(s.tokens) for s in fixture_sentences)
+
+    @pytest.mark.parametrize("first", ["VERB", "ADJ"])
+    def test_pos_is_part_of_the_decoded_pair(self, first):
+        profile = load_profile("ud")
+        expected = {"VERB": VerbForm.PARTICIPLE, "ADJ": VerbForm.UNSPECIFIED}
+        order = [first, "ADJ" if first == "VERB" else "VERB"]
+        for pos in order:
+            token = apply_profile(
+                parse_one(f"läsande läsa {pos} Tense=Pres|VerbForm=Part 0 root"),
+                profile,
+            ).token(1)
+            assert token.features.verb_form is expected[pos]
+
+
+_SHARED = {name: load_profile(name) for name in BUNDLED_PROFILES}
+
+
+@st.composite
+def _profile_and_sentences(draw):
+    name = draw(st.sampled_from(BUNDLED_PROFILES))
+    profile = _SHARED[name]
+    atoms = sorted({atom for _, atom, _, _ in profile.feature_rules} - {"*"})
+    pos = st.sampled_from(sorted(profile.category_of_pos) + ["ZZ", "x"])
+    deprel = st.sampled_from(sorted(profile.relation_of_deprel) + ["QQ"])
+    feats = st.lists(st.sampled_from(atoms + ["Odd=1"]), max_size=4).map("|".join)
+    form = st.sampled_from([".", ",", "?", "(", "hus", "kan"])
+    lemma = st.sampled_from(sorted(profile.modal_lemmas)[:3] + ["hus", "Kunna"])
+    sentences = []
+    for number in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 6))
+        tokens = tuple(
+            Token(
+                index=i,
+                form=draw(form),
+                lemma=draw(lemma),
+                pos=draw(pos),
+                deprel=draw(deprel),
+                head=0 if i == 1 else 1,
+                feats=draw(feats),
+            )
+            for i in range(1, size + 1)
+        )
+        sentences.append(Sentence(id=f"s{number}", tokens=tokens))
+    return name, sentences
+
+
+@given(_profile_and_sentences())
+def test_shared_profile_matches_a_fresh_one(case):
+    name, sentences = case
+    for sentence in sentences:
+        shared_coverage, fresh_coverage = CoverageCounter(), CoverageCounter()
+        shared = apply_profile(sentence, _SHARED[name], shared_coverage)
+        fresh = apply_profile(sentence, load_profile(name), fresh_coverage)
+        assert shared == fresh
+        assert shared_coverage == fresh_coverage
