@@ -184,11 +184,16 @@ def _report_record(report: EvalReport, rates: ThemeRateReport) -> dict:
     }
 
 
+def _read_config(path: Optional[str]) -> dict[str, str]:
+    if not path:
+        return {}
+    if not Path(path).is_file():
+        raise ConfigError(f"--config {path}: no such file")
+    return read_config_file(path)
+
+
 def _load_resources(args) -> tuple[DetectorConfig, LexiconSet, object]:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping = read_config_file(args.config)
-    detector_config = detector_config_from_mapping(mapping)
+    detector_config = detector_config_from_mapping(_read_config(args.config))
     profile_name = args.profile or detector_config.profile_name
     lexicon_dir = args.lexicons or detector_config.lexicon_dir
     profile = load_profile(profile_name)
@@ -245,7 +250,7 @@ def _open_output(path: Optional[str]):
 
 def run(args) -> int:
     if args.mode == "fetch":
-        mapping = read_config_file(args.config) if args.config else {}
+        mapping = _read_config(args.config)
         # nothing here reads the detector keys, but a misspelt one is still an error
         detector_config_from_mapping(mapping)
         settings = concordance.settings_from_mapping(mapping, os.environ)

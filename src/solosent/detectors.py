@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .assessment import Assessment, make_assessment
 from .lexicons import LexiconSet
@@ -202,12 +202,22 @@ def _is_finite_verb(sentence: AnnotatedSentence, token: AnnotatedToken) -> bool:
     return True
 
 
-def _count_finite_verbs(sentence: AnnotatedSentence) -> int:
-    return sum(1 for t in sentence.tokens if _is_finite_verb(sentence, t))
+class _ClauseCounts(NamedTuple):
+    """Counts three rules share; detect_all takes them once per sentence."""
+
+    finite_verbs: int
+    conjuncts: int
 
 
-def _count_conjunct_tokens(sentence: AnnotatedSentence) -> int:
-    return sum(1 for t in sentence.tokens if t.relation is Relation.CONJUNCT)
+def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
+    finite_verbs = conjuncts = 0
+    for t in sentence.tokens:
+        # most tokens are not verbs: test that before paying for the call
+        if t.category is Category.VERB and _is_finite_verb(sentence, t):
+            finite_verbs += 1
+        if t.relation is Relation.CONJUNCT:
+            conjuncts += 1
+    return _ClauseCounts(finite_verbs, conjuncts)
 
 
 def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
@@ -279,8 +289,14 @@ def detect_implicit_anaphora(sentence: AnnotatedSentence) -> list[ThemeDetection
     (ordinary or logical) exists, unless the main verb is an imperative,
     which needs no subject.
     """
+    return _implicit_anaphora(sentence, _clause_counts(sentence))
+
+
+def _implicit_anaphora(
+    sentence: AnnotatedSentence, counts: _ClauseCounts
+) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
-    if _count_finite_verbs(sentence) == 0:
+    if counts.finite_verbs == 0:
         lone_modals = [
             t.form
             for t in sentence.tokens
@@ -398,8 +414,7 @@ def detect_pronominal_anaphora(
     candidates, since the reference may then be resolvable in place.
     """
     detections: list[ThemeDetection] = []
-    for token in sentence.tokens:
-        lemma = token.lemma.lower()
+    for token, lemma in zip(sentence.tokens, sentence.lower_lemmas):
         if lemma not in lexicons.anaphoric_pronouns:
             continue
         if token.category is not Category.PRONOUN:
@@ -441,8 +456,7 @@ def detect_adverbial_anaphora(
     determiner before it or by the adverb itself relating as determiner.
     """
     detections: list[ThemeDetection] = []
-    for token in sentence.tokens:
-        lemma = token.lemma.lower()
+    for token, lemma in zip(sentence.tokens, sentence.lower_lemmas):
         adverb_type = lexicons.anaphoric_adverbs.get(lemma)
         if adverb_type is None or token.category is not Category.ADVERB:
             continue
@@ -472,12 +486,6 @@ def detect_adverbial_anaphora(
     return detections
 
 
-def _coordinate_clause_count(sentence: AnnotatedSentence) -> int:
-    # Conjunct-relation tokens mark second and later conjuncts, so k of
-    # them imply k+1 coordinated units.
-    return max(_count_finite_verbs(sentence), _count_conjunct_tokens(sentence) + 1)
-
-
 def detect_discourse_connective(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     """AdvAnaphora2: conjunctional adverbials linking to prior discourse.
 
@@ -486,7 +494,15 @@ def detect_discourse_connective(sentence: AnnotatedSentence) -> list[ThemeDetect
     adverbial then links those) or an overt conjunction or subjunction
     stands beside it, as a sibling or as a sibling of its head.
     """
-    if _coordinate_clause_count(sentence) >= 2:
+    return _discourse_connective(sentence, _clause_counts(sentence))
+
+
+def _discourse_connective(
+    sentence: AnnotatedSentence, counts: _ClauseCounts
+) -> list[ThemeDetection]:
+    # Conjunct-relation tokens mark second and later conjuncts, so k of
+    # them imply k+1 coordinated units.
+    if max(counts.finite_verbs, counts.conjuncts + 1) >= 2:
         return []
     detections: list[ThemeDetection] = []
     for token in sentence.tokens:
@@ -518,7 +534,7 @@ def detect_discourse_connective(sentence: AnnotatedSentence) -> list[ThemeDetect
 def _completed_pair_present(
     sentence: AnnotatedSentence, lexicons: LexiconSet, lemma: str
 ) -> bool:
-    lemmas = [t.lemma.lower() for t in sentence.tokens]
+    lemmas = sentence.lower_lemmas
     for first, second in lexicons.paired_conjunctions:
         if lemma not in (first, second):
             continue
@@ -538,6 +554,12 @@ def detect_structural_connective(
     eller), and for a sentence-initial conjunction, unless the sentence
     carries at least two clauses or conjuncts for it to join.
     """
+    return _structural_connective(sentence, lexicons, _clause_counts(sentence))
+
+
+def _structural_connective(
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
+) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
     root = _root_token(sentence)
     if (
@@ -557,7 +579,7 @@ def detect_structural_connective(
     if (
         first is not None
         and first.category is Category.CONJUNCTION
-        and max(_count_finite_verbs(sentence), _count_conjunct_tokens(sentence)) < 2
+        and max(counts.finite_verbs, counts.conjuncts) < 2
         and all(d.token_indices != (first.index,) for d in detections)
     ):
         detections.append(
@@ -622,16 +644,18 @@ def detect_ceq_answer(
     return []
 
 
-# Each implemented theme's rule, called as rule(sentence, lexicons).
+# Each implemented theme's rule, called as rule(sentence, lexicons, counts).
 _RULES = {
-    Theme.INCOMPLETE: lambda s, lex: detect_incomplete(s),
-    Theme.IMPLICIT_ANAPHORA: lambda s, lex: detect_implicit_anaphora(s),
-    Theme.PRONOMINAL_ANAPHORA: detect_pronominal_anaphora,
-    Theme.ADVERBIAL_ANAPHORA: detect_adverbial_anaphora,
-    Theme.DISCOURSE_CONNECTIVE: lambda s, lex: detect_discourse_connective(s),
-    Theme.STRUCTURAL_CONNECTIVE: detect_structural_connective,
-    Theme.CLOSED_QUESTION_ANSWER: detect_ceq_answer,
+    Theme.INCOMPLETE: lambda s, lex, counts: detect_incomplete(s),
+    Theme.IMPLICIT_ANAPHORA: lambda s, lex, counts: _implicit_anaphora(s, counts),
+    Theme.PRONOMINAL_ANAPHORA: lambda s, lex, counts: detect_pronominal_anaphora(s, lex),
+    Theme.ADVERBIAL_ANAPHORA: lambda s, lex, counts: detect_adverbial_anaphora(s, lex),
+    Theme.DISCOURSE_CONNECTIVE: lambda s, lex, counts: _discourse_connective(s, counts),
+    Theme.STRUCTURAL_CONNECTIVE: _structural_connective,
+    Theme.CLOSED_QUESTION_ANSWER: lambda s, lex, counts: detect_ceq_answer(s, lex),
 }
+
+_DEFAULT_CONFIG = DetectorConfig()
 
 
 def detect_all(
@@ -646,12 +670,13 @@ def detect_all(
     overrides from the config scale each detection's default weight.
     """
     if config is None:
-        config = DetectorConfig()
+        config = _DEFAULT_CONFIG
+    counts = _clause_counts(sentence)
     detections: list[ThemeDetection] = []
     for theme in IMPLEMENTED_THEMES:
         if theme not in config.enabled:
             continue
-        found = _RULES[theme](sentence, lexicons)
+        found = _RULES[theme](sentence, lexicons, counts)
         override = config.weights.get(theme)
         if override is not None:
             found = [replace(d, weight=d.weight * override) for d in found]

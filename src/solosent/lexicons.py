@@ -7,7 +7,8 @@ it are reconstructions assembled from standard grammar descriptions, not
 copies of any particular resource (see the data files for notes).
 
 Missing optional files degrade to empty sets and are recorded as warnings
-on the loaded LexiconSet, so a partial directory still loads.
+on the loaded LexiconSet, so a partial directory still loads; a directory
+that does not exist is an error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class AdverbType(str, Enum):
 
 
 class LexiconError(Exception):
-    """A lexicon file exists but cannot be interpreted."""
+    """A lexicon directory is missing, or a file in it cannot be interpreted."""
 
 
 WEATHER_VERBS_FILE = "weather_verbs.txt"
@@ -83,14 +84,18 @@ def _simple_set(rows: list[tuple[str, ...]], filename: str) -> frozenset[str]:
 def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
     """Load a lexicon directory; None loads the bundled Swedish defaults.
 
-    Raises LexiconError for files that exist but do not follow the format.
-    Files that are absent load as empty sets, each noted in ``warnings``.
+    Raises LexiconError for a path that is not a directory and for files
+    that exist but do not follow the format.  Files that are absent load as
+    empty sets, each noted in ``warnings``.
     """
     if directory is None:
         root = resources.files("solosent").joinpath("data", "lexicons", "sv")
         label = "bundled sv lexicons"
     else:
         root, label = Path(directory), str(directory)
+        if not root.is_dir():
+            reason = "is not a directory" if root.exists() else "does not exist"
+            raise LexiconError(f"lexicon directory {label} {reason}")
     warnings: list[str] = []
 
     def rows_for(filename: str) -> list[tuple[str, ...]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -249,7 +250,15 @@ class AnnotatedToken:
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    """A sentence whose tokens carry abstract categories and relations."""
+    """A sentence whose tokens carry abstract categories and relations.
+
+    The tree queries read a per-instance index of each token's dependents,
+    built on first use by one pass over the tokens, as are the root tuple
+    and the lowercased lemmas.  That relies on the tokens never changing
+    after construction.  The index is keyed by the heads as they are, so
+    hand-built sentences with out-of-range or cyclic heads answer exactly
+    as a scan of the tokens would.
+    """
 
     id: str
     tokens: tuple[AnnotatedToken, ...]
@@ -273,6 +282,31 @@ class AnnotatedSentence:
     def text(self) -> str:
         return " ".join(t.form for t in self.tokens)
 
+    @cached_property
+    def lower_lemmas(self) -> tuple[str, ...]:
+        """Each token's lemma, lowercased, in surface order."""
+        return tuple(t.token.lemma.lower() for t in self.tokens)
+
+    @cached_property
+    def _dependents(self) -> dict[int, tuple[AnnotatedToken, ...]]:
+        """Tokens by the head they name, each group in surface order."""
+        groups: dict[int, list[AnnotatedToken]] = {}
+        for t in self.tokens:
+            head = t.token.head
+            if head in groups:
+                groups[head].append(t)
+            else:
+                groups[head] = [t]
+        return {head: tuple(group) for head, group in groups.items()}
+
+    @cached_property
+    def _roots(self) -> tuple[AnnotatedToken, ...]:
+        return tuple(
+            t
+            for t in self.tokens
+            if t.token.head == 0 or t.relation is Relation.ROOT
+        )
+
     def head_token(self, index: int) -> Optional[AnnotatedToken]:
         """The governing token, or None for roots and out-of-range heads."""
         head = self.tokens[index - 1].head
@@ -282,31 +316,31 @@ class AnnotatedSentence:
 
     def children(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens directly governed by the token at ``index``."""
-        return tuple(t for t in self.tokens if t.head == index)
+        return self._dependents.get(index, ())
 
     def siblings(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens sharing a head with the token at ``index``, itself excluded."""
         head = self.tokens[index - 1].head
-        return tuple(t for t in self.tokens if t.head == head and t.index != index)
+        return tuple(t for t in self._dependents[head] if t.index != index)
 
     def descendants(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Every token in the subtree under ``index``, in surface order."""
+        dependents = self._dependents
         inside = {index}
         frontier = [index]
         while frontier:
-            current = frontier.pop()
-            for child in self.children(current):
+            for child in dependents.get(frontier.pop(), ()):
                 if child.index not in inside:
                     inside.add(child.index)
                     frontier.append(child.index)
+        if len(inside) == 1:
+            return ()
         inside.discard(index)
         return tuple(t for t in self.tokens if t.index in inside)
 
     def root_tokens(self) -> tuple[AnnotatedToken, ...]:
         """Tokens that act as the dependency root (relation root or head 0)."""
-        return tuple(
-            t for t in self.tokens if t.head == 0 or t.relation is Relation.ROOT
-        )
+        return self._roots
 
 
 MISSING_ROOT = "missing_root"

@@ -101,8 +101,9 @@ class TagsetProfile:
     a ``delimiter`` tag whose category is decided by the token's form.
     ``feature_rules`` holds ``(pos_pattern, atom, field, value)`` rows in
     file order; ``*`` matches anything and later rows win.  apply_profile
-    decodes each distinct (POS, FEATS) pair once and keeps the result in a
-    private cache that takes no part in equality.
+    reads a private table, filled on first sight and taking no part in
+    equality, that holds one ``(category, features)`` row per distinct
+    (POS, FEATS) pair, so each pair is decoded once.
     """
 
     name: str
@@ -111,7 +112,7 @@ class TagsetProfile:
     feature_rules: tuple[tuple[str, str, str, object], ...]
     modal_lemmas: frozenset[str]
     warnings: tuple[str, ...] = field(default=(), compare=False)
-    _features: dict[tuple[str, str], MorphFeatures] = field(
+    _rows: dict[tuple[str, str], tuple[object, MorphFeatures]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -134,16 +135,23 @@ class TagsetProfile:
                 values[fieldname] = value
         return MorphFeatures(**values)
 
-    def _token_features(self, pos: str, feats: str) -> MorphFeatures:
-        """decode_features, decoded once per pair, with no verb form unless
-        the POS maps to verb (a delimiter decided by form never does)."""
-        features = self._features.get((pos, feats))
-        if features is None:
-            features = self.decode_features(pos, feats)
-            if self.category_of_pos.get(pos) is not Category.VERB:
-                features = replace(features, verb_form=VerbForm.UNSPECIFIED)
-            self._features[pos, feats] = features
-        return features
+    def _row(self, pos: str, feats: str) -> tuple[object, MorphFeatures]:
+        """Decode a (POS, FEATS) pair the table lacks and add its row.
+
+        The row's category is a Category, DELIMITER_BY_FORM for a tag
+        decided by form, or None for an unknown tag.  Its features carry no
+        verb form unless the POS maps to verb (a delimiter decided by form
+        never does).
+        """
+        if pos in self.category_of_pos:
+            category = self.category_of_pos[pos] or DELIMITER_BY_FORM
+        else:
+            category = None
+        features = self.decode_features(pos, feats)
+        if category is not Category.VERB:
+            features = replace(features, verb_form=VerbForm.UNSPECIFIED)
+        row = self._rows[pos, feats] = (category, features)
+        return row
 
 
 def classify_delimiter_form(form: str) -> Category:
@@ -298,25 +306,31 @@ def apply_profile(
     dropped for tokens whose category is not verb, so downstream rules can
     trust that pairing.
     """
+    rows = profile._rows
+    relations = profile.relation_of_deprel
     annotated: list[AnnotatedToken] = []
     for token in sentence.tokens:
-        category = profile.category_for(token.pos, token.form)
-        if category is None:
+        category, features = rows.get((token.pos, token.feats)) or profile._row(
+            token.pos, token.feats
+        )
+        if category is DELIMITER_BY_FORM:
+            category = classify_delimiter_form(token.form)
+        elif category is None:
             category = Category.OTHER
             if coverage is not None:
                 coverage.unknown_pos[token.pos] += 1
-        relation = profile.relation_for(token.deprel)
+        relation = relations.get(token.deprel)
         if relation is None:
             relation = Relation.OTHER
             if coverage is not None:
                 coverage.unknown_deprel[token.deprel] += 1
         annotated.append(
             AnnotatedToken(
-                token=token,
-                category=category,
-                relation=relation,
-                features=profile._token_features(token.pos, token.feats),
-                is_modal=category is Category.VERB
+                token,
+                category,
+                relation,
+                features,
+                category is Category.VERB
                 and token.lemma.lower() in profile.modal_lemmas,
             )
         )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -239,6 +240,44 @@ class TestConfigFlag:
         themes = {d["theme"] for d in by_id["t03"]["detections"]}
         assert themes == {"StructConn"}
 
+    def test_missing_config_file(self, capsys, corpus_path):
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "assess", "--input", corpus_path,
+            "--config", "/nonexistent.conf",
+        )
+        assert code == 2
+        assert err == "error: --config /nonexistent.conf: no such file\n"
+
+    def test_missing_lexicon_directory(self, capsys, corpus_path, tmp_path):
+        missing = tmp_path / "no-such-dir"
+        code, out, err = run_cli(
+            capsys,
+            "--mode", "assess", "--input", corpus_path, "--lexicons", str(missing),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: lexicon directory {missing} does not exist\n"
+
+    def test_lexicon_path_not_a_directory(self, capsys, corpus_path):
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "assess", "--input", corpus_path, "--lexicons", corpus_path,
+        )
+        assert code == 2
+        assert err == f"error: lexicon directory {corpus_path} is not a directory\n"
+
+    def test_missing_lexicon_directory_from_config(self, capsys, corpus_path, tmp_path):
+        missing = tmp_path / "no-such-dir"
+        conf = tmp_path / "solosent.conf"
+        conf.write_text(f"lexicons = {missing}\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "assess", "--input", corpus_path, "--config", str(conf),
+        )
+        assert code == 2
+        assert err == f"error: lexicon directory {missing} does not exist\n"
+
     def test_unknown_key(self, capsys, corpus_path, tmp_path):
         conf = tmp_path / "solosent.conf"
         conf.write_text("wieght.PNAnaphora = 2\n", encoding="utf-8")
@@ -419,6 +458,47 @@ class TestClosedStdout:
         completed = self.run_into_closed_pipe(path)
         assert completed.stderr == b""
         assert completed.returncode == 141
+
+
+# sha256 of `assess --explain` output on each input, in each format
+OUTPUT_DIGESTS = {
+    ("fixture", "jsonl"): "1c677c2e0f7b105b0b0ef05a23edd170ea320ef97b223a95594fdf8a62f3ec9b",
+    ("fixture", "tsv"): "7bc587e9703ff6f890d3fa11e4ecb6d62b3b0f00e8df7829a7e0a7ba7d87c720",
+    ("ud_fixture", "jsonl"): "3eb44de0e554bd2a2ec9f0effe6a0e032209533cdf5df55a6bc945a6ec375e65",
+    ("ud_fixture", "tsv"): "f394bdc6017421e37452f6fd31f9acfd0e7cfbe15cbc10d777beda540ca595b0",
+    ("big_corpus_2000", "jsonl"): "2f5525803b5f1bb039f73acb3ce5040f398b64b20bcf6d004ce39e6f3dc1e237",
+    ("big_corpus_2000", "tsv"): "6bf57e1c96abf7af01d53a0d24afa36058218130f170b1ecbe750611b4da2757",
+}
+
+
+class TestOutputDigests:
+    """`assess --explain` writes byte for byte what it wrote before the tree
+    index and the compiled profile table, on both bundled fixtures (the UD
+    one under --profile ud) and on big_corpus_conllu(2_000).
+
+    To refresh after a change meant to alter the output: check the new
+    output by hand, run this class, and copy the digest each failure
+    message reports into OUTPUT_DIGESTS.
+    """
+
+    @pytest.mark.parametrize("name, fmt", sorted(OUTPUT_DIGESTS))
+    def test_output_bytes(self, capsys, tmp_path, name, fmt):
+        fixtures = files("solosent.data.fixtures")
+        if name == "fixture":
+            argv = ["--input", str(fixtures.joinpath("sv_examples.conllu"))]
+        elif name == "ud_fixture":
+            argv = ["--input", str(fixtures.joinpath("sv_examples_ud.conllu")),
+                    "--profile", "ud"]
+        else:
+            path = tmp_path / "big.conllu"
+            path.write_text(big_corpus_conllu(2_000), encoding="utf-8")
+            argv = ["--input", str(path)]
+        code, out, _ = run_cli(
+            capsys, "--mode", "assess", "--explain", "--format", fmt, *argv
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == OUTPUT_DIGESTS[name, fmt], f"new digest: {digest}"
 
 
 FETCH_PAGE = {

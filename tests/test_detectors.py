@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -810,3 +811,70 @@ class TestWeightRuleProperty:
             expected = HALF if matching > 0 else ONE
             assert pronoun_detections[0].weight == expected
             assert count_antecedent_candidates(s, len(s) - 1) == matching
+
+
+# --- work per sentence, counted rather than timed --------------------------
+
+_FLAT_PATTERN = [
+    "den den PN UTR|SIN|DEF 2 SS",
+    "där där AB _ 2 RA",
+    "dock dock AB _ 2 +A",
+    "springer springa VB PRS|AKT 2 CJ",
+    "hus hus NN NEU|SIN|IND 2 OO",
+]
+
+
+def _flat_tree_rows(size):
+    """A sentence-initial conjunction, a modal root and everything else
+    hanging off that root, so every rule that asks about the tree asks."""
+    rows = ["Och och KN _ 2 ++", "Kan kunna VB PRS|AKT 0 ROOT"]
+    while len(rows) < size - 1:
+        rows.append(_FLAT_PATTERN[len(rows) % len(_FLAT_PATTERN)])
+    rows.append(". . MAD _ 2 IP")
+    return "\n".join(rows)
+
+
+class TestWorkPerSentence:
+    """One detect_all asks the finite-verb test at most once per token and
+    builds the children index at most once per sentence, whatever its size."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        from solosent import detectors, model
+
+        counts = {"finite": Counter(), "index": 0}
+        is_finite = detectors._is_finite_verb
+
+        def counting_is_finite(sentence, token):
+            counts["finite"][token.index] += 1
+            return is_finite(sentence, token)
+
+        index = model.AnnotatedSentence.__dict__["_dependents"]
+        build = index.func
+
+        def counting_build(sentence):
+            counts["index"] += 1
+            return build(sentence)
+
+        monkeypatch.setattr(detectors, "_is_finite_verb", counting_is_finite)
+        monkeypatch.setattr(index, "func", counting_build)
+        return counts
+
+    def assert_one_pass(self, work, sentence, lex):
+        work["finite"].clear()
+        work["index"] = 0
+        detect_all(sentence, lex)
+        assert max(work["finite"].values(), default=0) <= 1, sentence.id
+        assert work["index"] <= 1, sentence.id
+
+    def test_flat_160_token_tree(self, work, lex):
+        sentence = annotate(_flat_tree_rows(160), "flat160")
+        assert len(sentence) == 160
+        self.assert_one_pass(work, sentence, lex)
+        assert work["index"] == 1 and len(work["finite"]) > 1
+
+    def test_fixture_sentences(self, work, fixture_sentences, suc, lex):
+        from solosent.profiles import apply_profile
+
+        for s in fixture_sentences:
+            self.assert_one_pass(work, apply_profile(s, suc), lex)

@@ -103,3 +103,15 @@ class TestCustomDirectory:
         )
         lexicons = load_lexicon_set(tmp_path)
         assert any("den" in w and "both" in w for w in lexicons.warnings)
+
+
+class TestDirectoryMustExist:
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(LexiconError, match="does not exist"):
+            load_lexicon_set(tmp_path / "missing")
+
+    def test_file_is_not_a_directory(self, tmp_path):
+        path = tmp_path / "weather_verbs.txt"
+        path.write_text("regna\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match="is not a directory"):
+            load_lexicon_set(path)

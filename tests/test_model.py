@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import annotate, parse_one
 from solosent.model import (
@@ -168,3 +169,87 @@ class TestValidateStructure:
     def test_multiple_roots(self):
         issues = validate_structure(self.build(tok(1, 0), tok(2, 0)))
         assert [(i.kind, i.count) for i in issues] == [(MULTIPLE_ROOTS, 2)]
+
+
+# --- tree queries against a naive scan ----------------------------------
+
+
+def _children_by_scan(s, index):
+    return tuple(t for t in s.tokens if t.head == index)
+
+
+def _siblings_by_scan(s, index):
+    head = s.tokens[index - 1].head
+    return tuple(t for t in s.tokens if t.head == head and t.index != index)
+
+
+def _descendants_by_scan(s, index):
+    inside, frontier = {index}, [index]
+    while frontier:
+        for child in _children_by_scan(s, frontier.pop()):
+            if child.index not in inside:
+                inside.add(child.index)
+                frontier.append(child.index)
+    inside.discard(index)
+    return tuple(t for t in s.tokens if t.index in inside)
+
+
+def _roots_by_scan(s):
+    return tuple(t for t in s.tokens if t.head == 0 or t.relation is Relation.ROOT)
+
+
+_BY_SCAN = {
+    "children": _children_by_scan,
+    "siblings": _siblings_by_scan,
+    "descendants": _descendants_by_scan,
+    "root_tokens": lambda s, index: _roots_by_scan(s),
+}
+
+
+@st.composite
+def _hand_built_sentences(draw):
+    """Sentences with any heads a Token accepts: several roots, heads past
+    the end and cycles included, as no parser would produce them."""
+    n = draw(st.integers(1, 9))
+    tokens = []
+    for i in range(1, n + 1):
+        head = draw(st.integers(0, n + 2).filter(lambda h: h != i))
+        relation = draw(st.sampled_from([Relation.ROOT, Relation.SUBJECT, Relation.OTHER]))
+        tokens.append(AnnotatedToken(tok(i, head), Category.NOUN, relation))
+    return AnnotatedSentence(id="h", tokens=tuple(tokens), profile="test")
+
+
+@st.composite
+def _sentence_and_queries(draw):
+    s = draw(_hand_built_sentences())
+    n = len(s.tokens)
+    query = st.one_of(
+        st.tuples(st.sampled_from(["children", "descendants"]), st.integers(0, n + 2)),
+        st.tuples(st.just("siblings"), st.integers(1, n)),
+        st.tuples(st.just("root_tokens"), st.just(0)),
+    )
+    return s, draw(st.lists(query, min_size=1, max_size=8))
+
+
+def _fresh(s):
+    return AnnotatedSentence(id=s.id, tokens=s.tokens, profile=s.profile)
+
+
+def _ask(s, name, index):
+    method = getattr(s, name)
+    return method() if name == "root_tokens" else method(index)
+
+
+@given(_sentence_and_queries())
+def test_tree_queries_match_a_scan_in_any_order(case):
+    s, queries = case
+    expected = [_BY_SCAN[name](s, index) for name, index in queries]
+    forward = _fresh(s)
+    for (name, index), want in zip(queries, expected):
+        assert _ask(forward, name, index) == want
+        assert _ask(forward, name, index) == want
+    backward = _fresh(s)
+    for (name, index), want in reversed(list(zip(queries, expected))):
+        assert _ask(backward, name, index) == want
+    assert forward == backward == s
+    assert hash(forward) == hash(s)
