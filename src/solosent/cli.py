@@ -208,7 +208,8 @@ def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
     """The lines of --input, a UTF-8 file or ``-`` for stdin, without a BOM.
 
     Entering checks that the input exists, so callers enter it before they
-    open any output.  Undecodable input becomes an InputError naming it.
+    open any output.  Undecodable input, a malformed row and a sentence
+    that is not a tree become an InputError naming the input (and the line).
     """
     if not path:
         raise InputError("this mode needs --input")
@@ -226,6 +227,10 @@ def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
         yield lines
     except UnicodeDecodeError as exc:
         raise InputError(f"{name}: not valid UTF-8 ({exc.reason})") from None
+    except ParseError as exc:
+        raise InputError(f"{name}: {exc}") from None
+    except StructureError as exc:
+        raise InputError(f"{name}: line {exc.line_number}: {exc}") from None
     finally:
         if lines is not sys.stdin:
             lines.close()
@@ -336,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ProfileError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ParseError, StructureError, GoldDataError, OSError) as exc:
+    except (InputError, GoldDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -252,15 +252,7 @@ def normalize_hits(
         sentence_id = f"{hit.corpus}:{hit.position}"
         try:
             tokens = tuple(
-                Token(
-                    index=i,
-                    form=t.form,
-                    lemma=t.lemma,
-                    pos=t.pos,
-                    deprel=t.deprel,
-                    head=int(t.head),
-                    feats=t.feats,
-                )
+                Token(i, t.form, t.lemma, t.pos, t.deprel, int(t.head), t.feats)
                 for i, t in enumerate(hit.tokens, start=1)
             )
         except ValueError as exc:

@@ -19,9 +19,6 @@ from typing import Iterable, Iterator, Union
 from .model import Sentence, StructureError, Token, validate_tokens
 
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
-_TOKEN_ID_RE = re.compile(r"^\d+$")
-_RANGE_ID_RE = re.compile(r"^\d+-\d+$")
-_EMPTY_NODE_ID_RE = re.compile(r"^\d+\.\d+$")
 
 COLUMN_COUNT = 10
 
@@ -34,9 +31,13 @@ class ParseError(Exception):
         self.line_number = line_number
 
 
-def _finish_sentence(sentence_id: str, rows: list[Token]) -> Sentence:
+def _finish_sentence(sentence_id: str, rows: list[Token], line_number: int) -> Sentence:
     tokens = tuple(rows)
-    validate_tokens(sentence_id, tokens)
+    try:
+        validate_tokens(sentence_id, tokens)
+    except StructureError as exc:
+        exc.line_number = line_number
+        raise
     return Sentence(id=sentence_id, tokens=tokens)
 
 
@@ -49,7 +50,9 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
     comments when present and are synthesized as ``s1``, ``s2``, ... otherwise.
 
     Raises ParseError for malformed lines and StructureError for token
-    lists that do not form a tree (cyclic heads, gaps in the indices).
+    lists that do not form a tree (cyclic heads, gaps in the indices); the
+    StructureError's ``line_number`` is that of the sentence's first token
+    row.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -59,6 +62,7 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
     rows: list[Token] = []
     sent_id: str | None = None
     ordinal = 0
+    first_line = 0
 
     def block_id() -> str:
         return sent_id if sent_id is not None else f"s{ordinal}"
@@ -67,7 +71,7 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
         line = raw_line.rstrip("\r\n")
         if not line.strip():
             if rows:
-                yield _finish_sentence(block_id(), rows)
+                yield _finish_sentence(block_id(), rows, first_line)
                 rows = []
                 sent_id = None
             continue
@@ -83,33 +87,38 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
                 f"expected {COLUMN_COUNT} tab-separated columns, got {len(columns)}",
             )
         token_id = columns[0]
-        if _RANGE_ID_RE.match(token_id) or _EMPTY_NODE_ID_RE.match(token_id):
-            continue
-        if not _TOKEN_ID_RE.match(token_id):
+        # isdecimal() accepts exactly the digits \d matches in a str
+        if not token_id.isdecimal():
+            # a multiword range N-M or an empty node N.M is skipped
+            first, _, last = token_id.replace(".", "-", 1).partition("-")
+            if first.isdecimal() and last.isdecimal():
+                continue
             raise ParseError(line_number, f"unintelligible token id {token_id!r}")
         if not rows:
             ordinal += 1
-        if not _TOKEN_ID_RE.match(columns[6]):
+            first_line = line_number
+        head = columns[6]
+        if not head.isdecimal():
             raise ParseError(
-                line_number, f"head must be a non-negative integer, got {columns[6]!r}"
+                line_number, f"head must be a non-negative integer, got {head!r}"
             )
-        feats = columns[5] if columns[5] != "_" else ""
+        feats = columns[5]
         try:
             token = Token(
-                index=int(token_id),
-                form=columns[1],
-                lemma=columns[2],
-                pos=columns[3],
-                deprel=columns[7],
-                head=int(columns[6]),
-                feats=feats,
+                int(token_id),
+                columns[1],
+                columns[2],
+                columns[3],
+                columns[7],
+                int(head),
+                feats if feats != "_" else "",
             )
         except ValueError as exc:
             raise ParseError(line_number, str(exc)) from exc
         rows.append(token)
 
     if rows:
-        yield _finish_sentence(block_id(), rows)
+        yield _finish_sentence(block_id(), rows, first_line)
 
 
 def serialize_conllu(sentences: Iterable[Sentence]) -> str:

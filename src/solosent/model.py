@@ -105,20 +105,27 @@ NO_FEATURES = MorphFeatures()
 
 
 class StructureError(Exception):
-    """A token list does not form a well-shaped dependency graph."""
+    """A token list does not form a well-shaped dependency graph.
+
+    A reader that knows where the sentence starts sets ``line_number``.
+    """
 
     def __init__(self, sentence_id: str, message: str) -> None:
         super().__init__(f"sentence {sentence_id!r}: {message}")
         self.sentence_id = sentence_id
+        self.line_number: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     """One token of a parsed sentence, raw annotations preserved.
 
     ``head`` is the 1-based index of the governing token, 0 for the root.
     ``feats`` is the raw morphology string exactly as the source had it;
     decoding into MorphFeatures happens when a profile is applied.
+
+    Fields live in slots and the constructor stores them directly, since a
+    corpus builds one Token per row and fetch mode keeps them all.
     """
 
     index: int
@@ -129,15 +136,41 @@ class Token:
     head: int
     feats: str = ""
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if self.head < 0:
-            raise ValueError(f"token head must be >= 0, got {self.head}")
-        if self.head == self.index:
-            raise ValueError(f"token {self.index} may not head itself")
-        if not self.form:
-            raise ValueError(f"token {self.index} has an empty form")
+    def __init__(
+        self,
+        index: int,
+        form: str,
+        lemma: str,
+        pos: str,
+        deprel: str,
+        head: int,
+        feats: str = "",
+    ) -> None:
+        if index < 1:
+            raise ValueError(f"token index must be >= 1, got {index}")
+        if head < 0:
+            raise ValueError(f"token head must be >= 0, got {head}")
+        if head == index:
+            raise ValueError(f"token {index} may not head itself")
+        if not form:
+            raise ValueError(f"token {index} has an empty form")
+        _set_index(self, index)
+        _set_form(self, form)
+        _set_lemma(self, lemma)
+        _set_pos(self, pos)
+        _set_deprel(self, deprel)
+        _set_head(self, head)
+        _set_feats(self, feats)
+
+
+# the slot descriptors' setters, which a frozen class's __setattr__ refuses
+_set_index = Token.index.__set__
+_set_form = Token.form.__set__
+_set_lemma = Token.lemma.__set__
+_set_pos = Token.pos.__set__
+_set_deprel = Token.deprel.__set__
+_set_head = Token.head.__set__
+_set_feats = Token.feats.__set__
 
 
 @dataclass(frozen=True)
@@ -152,8 +185,10 @@ def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
     """Reject token lists that break the sentence-level invariants.
 
     Checks that indices are contiguous from 1, that every head points at an
-    existing token (or 0), and that following head links never loops.  Used
-    by the parsers; directly constructed Sentence values may skip it.
+    existing token (or 0), and that following head links never loops; a
+    loop is reported through the first token, in index order, whose chain
+    never reaches 0.  Used by the parsers; directly constructed Sentence
+    values may skip it.
     """
     if not tokens:
         raise StructureError(sentence_id, "no tokens")
@@ -170,16 +205,23 @@ def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
                 sentence_id,
                 f"token {token.index} has head {token.head} outside the sentence",
             )
+    # rooted[i]: token i's chain is known to reach 0.  Each walk stops at
+    # the first such token and marks its path, so every token is walked
+    # through once; a walk longer than n steps has met a loop.
+    rooted = [False] * (n + 1)
+    rooted[0] = True
     for token in tokens:
-        seen = set()
+        path = []
         current = token.index
-        while current != 0:
-            if current in seen:
+        while not rooted[current]:
+            if len(path) == n:
                 raise StructureError(
                     sentence_id, f"cyclic head chain through token {token.index}"
                 )
-            seen.add(current)
+            path.append(current)
             current = tokens[current - 1].head
+        for index in path:
+            rooted[index] = True
 
 
 @dataclass(frozen=True)
@@ -213,7 +255,7 @@ class Sentence:
         return " ".join(t.form for t in self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AnnotatedToken:
     """A token plus the abstract annotations a profile assigned to it."""
 
@@ -222,6 +264,20 @@ class AnnotatedToken:
     relation: Relation
     features: MorphFeatures = NO_FEATURES
     is_modal: bool = False
+
+    def __init__(
+        self,
+        token: Token,
+        category: Category,
+        relation: Relation,
+        features: MorphFeatures = NO_FEATURES,
+        is_modal: bool = False,
+    ) -> None:
+        _set_token(self, token)
+        _set_category(self, category)
+        _set_relation(self, relation)
+        _set_features(self, features)
+        _set_is_modal(self, is_modal)
 
     @property
     def index(self) -> int:
@@ -246,6 +302,14 @@ class AnnotatedToken:
     @property
     def head(self) -> int:
         return self.token.head
+
+
+# the slot setters of AnnotatedToken, used as those of Token are
+_set_token = AnnotatedToken.token.__set__
+_set_category = AnnotatedToken.category.__set__
+_set_relation = AnnotatedToken.relation.__set__
+_set_features = AnnotatedToken.features.__set__
+_set_is_modal = AnnotatedToken.is_modal.__set__
 
 
 @dataclass(frozen=True)

@@ -385,6 +385,45 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
 
 
+CYCLIC_SECOND_SENTENCE = (
+    "# sent_id = a\n"
+    "1\tHon\thon\tPN\t_\t_\t2\tSS\t_\t_\n"
+    "2\tkom\tkomma\tVB\t_\t_\t0\tROOT\t_\t_\n"
+    "\n"
+    "# sent_id = b\n"
+    "1-2\tdetta\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "1\tdet\tden\tPN\t_\t_\t2\tSS\t_\t_\n"
+    "2\tta\tta\tVB\t_\t_\t1\tROOT\t_\t_\n"
+)
+NINE_COLUMNS = "1\tHon\thon\tPN\t_\t_\t0\tROOT\t_\n"
+
+
+class TestInputErrorsNameFileAndLine:
+    """A bad sentence or row is one line naming the input and a line number:
+    for a structure error, the sentence's first token row."""
+
+    CASES = [
+        (CYCLIC_SECOND_SENTENCE,
+         "line 7: sentence 'b': cyclic head chain through token 1"),
+        (NINE_COLUMNS, "line 1: expected 10 tab-separated columns, got 9"),
+    ]
+
+    @pytest.mark.parametrize("text, message", CASES, ids=["cyclic", "nine_columns"])
+    def test_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.conllu"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "--mode", "assess", "--input", str(path))
+        assert code == 1
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", CASES, ids=["cyclic", "nine_columns"])
+    def test_stdin(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_cli(capsys, "--mode", "filter", "--input", "-")
+        assert code == 1
+        assert err == f"error: stdin: {message}\n"
+
+
 def _assert_one_line_utf8_error(capsys, path, code, *argv):
     status, _, err = run_cli(capsys, *argv)
     assert status == code
@@ -471,6 +510,72 @@ OUTPUT_DIGESTS = {
 }
 
 
+def _korp_hit(position, rows):
+    """A Korp hit from (word, dephead, deprel) rows; lemma and tags follow."""
+    return {
+        "corpus": "SUC3",
+        "match": {"position": position},
+        "tokens": [
+            {
+                "word": word, "lemma": word.lower() or "_", "pos": "NN",
+                "msd": "UTR|SIN|IND", "ref": str(i), "dephead": head,
+                "deprel": deprel,
+            }
+            for i, (word, head, deprel) in enumerate(rows, start=1)
+        ],
+    }
+
+
+# three fetched pages: two valid trees, then a 2-cycle, a tree hanging off a
+# cycle beside a valid subtree, an out-of-range, a non-integer, a self and a
+# negative head, all reported by normalize_hits, and an empty form, which
+# fetch_page skips
+FETCH_DIGEST_PAGES = [
+    {"kwic": [
+        _korp_hit("1", [("Det", "2", "SS"), ("regnar", "0", "ROOT"), (".", "2", "IP")]),
+        _korp_hit("2", [("Han", "2", "SS"), ("kom", "1", "ROOT")]),
+        _korp_hit("3", [
+            ("Hon", "2", "SS"), ("sov", "0", "ROOT"), ("och", "4", "++"),
+            ("han", "5", "SS"), ("vakade", "4", "CJ"),
+        ]),
+    ]},
+    {"kwic": [
+        _korp_hit("4", [("Vi", "0", "ROOT"), ("gick", "7", "SS")]),
+        _korp_hit("5", [("Ni", "x", "SS"), ("gick", "0", "ROOT")]),
+        _korp_hit("6", [("", "0", "ROOT")]),
+    ]},
+    {"kwic": [
+        _korp_hit("7", [
+            ("Sedan", "2", "RA"), ("somnade", "0", "ROOT"), ("alla", "2", "SS"),
+        ]),
+        _korp_hit("8", [("Jag", "1", "ROOT")]),
+        _korp_hit("9", [("Du", "-1", "SS"), ("ler", "0", "ROOT")]),
+    ]},
+]
+
+
+class PagedTransport:
+    """Answers the n-th request with the n-th payload."""
+
+    def __init__(self, payloads):
+        self.payloads = payloads
+        self.urls = []
+
+    def get(self, url):
+        self.urls.append(url)
+        payload = self.payloads[len(self.urls) - 1]
+        return concordance.TransportReply(
+            status=200, body=json.dumps(payload).encode("utf-8")
+        )
+
+
+# sha256 of the --output file and of stderr of a fetch of FETCH_DIGEST_PAGES
+FETCH_DIGESTS = (
+    "2e38c7939786e1be29ca511ae9f201af3fcb1e6d5f1a738983d304e34977b829",
+    "5de5a675b071a91a88445db55c23517a680bc7d033e5dd82cfee8b82b3caee3e",
+)
+
+
 class TestOutputDigests:
     """`assess --explain` writes byte for byte what it wrote before the tree
     index and the compiled profile table, on both bundled fixtures (the UD
@@ -499,6 +604,30 @@ class TestOutputDigests:
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == OUTPUT_DIGESTS[name, fmt], f"new digest: {digest}"
+
+    def test_fetch_bytes(self, capsys, monkeypatch, tmp_path):
+        transport = PagedTransport(FETCH_DIGEST_PAGES)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        conf = tmp_path / "korp.conf"
+        conf.write_text(
+            "fetch.endpoint = https://example.invalid/korp\n"
+            'fetch.cqp = [pos="VB"]\n'
+            "fetch.corpora = SUC3\n"
+            "fetch.page_size = 3\n"
+            "fetch.pages = 3\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "fetched.conllu"
+        code, _, err = run_cli(
+            capsys, "--mode", "fetch", "--config", str(conf), "--output", str(target)
+        )
+        assert code == 0
+        assert len(transport.urls) == 3
+        digests = (
+            hashlib.sha256(target.read_bytes()).hexdigest(),
+            hashlib.sha256(err.encode("utf-8")).hexdigest(),
+        )
+        assert digests == FETCH_DIGESTS, f"new digests: {digests}"
 
 
 FETCH_PAGE = {

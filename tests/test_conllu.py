@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from solosent.conllu import ParseError, parse_conllu, serialize_conllu
 from solosent.model import Sentence, StructureError, Token
@@ -147,3 +149,61 @@ def sentences(draw):
 def test_round_trip_is_identity(batch):
     # ids may repeat across generated sentences; round-trip does not care
     assert list(parse_conllu(serialize_conllu(batch))) == batch
+
+
+# --- token id and head classification against the regexes it replaced -----
+
+_TOKEN_ID_RE = re.compile(r"^\d+$")
+_RANGE_ID_RE = re.compile(r"^\d+-\d+$")
+_EMPTY_NODE_ID_RE = re.compile(r"^\d+\.\d+$")
+
+
+def _class_by_regex(token_id, head):
+    if _RANGE_ID_RE.match(token_id) or _EMPTY_NODE_ID_RE.match(token_id):
+        return "skipped", None
+    if not _TOKEN_ID_RE.match(token_id):
+        return "bad id", f"line 1: unintelligible token id {token_id!r}"
+    if not _TOKEN_ID_RE.match(head):
+        return "bad head", f"line 1: head must be a non-negative integer, got {head!r}"
+    return "token", None
+
+
+def _class_by_parser(token_id, head):
+    line = f"{token_id}\tx\tx\tNN\t_\t_\t{head}\tSS\t_\t_"
+    try:
+        sentences = list(parse_conllu([line]))
+    except ParseError as exc:
+        message = str(exc)
+        if "unintelligible token id" in message:
+            return "bad id", message
+        if "head must be a non-negative integer" in message:
+            return "bad head", message
+        return "token", None
+    except StructureError:
+        return "token", None
+    return ("token", None) if sentences else ("skipped", None)
+
+
+# column text without tabs or line breaks: a number, two numbers around a
+# separator, or anything; U+0663 and U+FF17 are decimal digits, U+00B2 and
+# U+2167 numeric characters that are not
+_NUMBER = st.text(
+    st.sampled_from("0179\u0663\uff17\u00b2\u2167"), min_size=1, max_size=3
+)
+_COLUMN = st.one_of(
+    _NUMBER,
+    st.tuples(
+        _NUMBER,
+        st.sampled_from(["-", ".", "--", ".-", "..", " ", "x", "\r"]),
+        _NUMBER,
+        st.sampled_from(["", "-", ".", "1"]),
+    ).map("".join),
+    st.text(st.characters(blacklist_characters="\t\n"), max_size=8),
+)
+
+
+@settings(max_examples=500)
+@given(_COLUMN, _COLUMN)
+def test_id_and_head_classification_matches_the_regexes(token_id, head):
+    assume(not token_id.startswith("#"))
+    assert _class_by_parser(token_id, head) == _class_by_regex(token_id, head)

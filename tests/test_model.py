@@ -1,3 +1,7 @@
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +51,121 @@ class TestToken:
         t = tok(1, 0)
         with pytest.raises(AttributeError):
             t.form = "y"
+
+
+TOKEN_MESSAGES = [
+    # (index, head, form), then the message; the first failing check wins
+    ((0, 0, "x"), "token index must be >= 1, got 0"),
+    ((0, -1, ""), "token index must be >= 1, got 0"),
+    ((1, -1, "x"), "token head must be >= 0, got -1"),
+    ((2, -2, ""), "token head must be >= 0, got -2"),
+    ((3, 3, "x"), "token 3 may not head itself"),
+    ((3, 3, ""), "token 3 may not head itself"),
+    ((1, 0, ""), "token 1 has an empty form"),
+]
+
+
+class TestTokenContract:
+    """Token and AnnotatedToken behave as the frozen dataclasses they are."""
+
+    TOKEN = Token(2, "Hon", "hon", "PN", "SS", 3, "UTR|SIN|DEF")
+    ANNOTATED = AnnotatedToken(TOKEN, Category.PRONOUN, Relation.SUBJECT)
+
+    def test_token_value(self):
+        t = self.TOKEN
+        assert t == Token(index=2, form="Hon", lemma="hon", pos="PN",
+                          deprel="SS", head=3, feats="UTR|SIN|DEF")
+        assert t != Token(2, "Hon", "hon", "PN", "SS", 3)
+        assert Token(2, "Hon", "hon", "PN", "SS", 3).feats == ""
+        assert hash(t) == hash((2, "Hon", "hon", "PN", "SS", 3, "UTR|SIN|DEF"))
+        assert repr(t) == (
+            "Token(index=2, form='Hon', lemma='hon', pos='PN', deprel='SS', "
+            "head=3, feats='UTR|SIN|DEF')"
+        )
+
+    def test_annotated_token_value(self):
+        a = self.ANNOTATED
+        assert a == AnnotatedToken(token=self.TOKEN, category=Category.PRONOUN,
+                                   relation=Relation.SUBJECT,
+                                   features=NO_FEATURES, is_modal=False)
+        assert a != AnnotatedToken(self.TOKEN, Category.PRONOUN,
+                                   Relation.SUBJECT, NO_FEATURES, True)
+        assert hash(a) == hash(
+            (self.TOKEN, Category.PRONOUN, Relation.SUBJECT, NO_FEATURES, False)
+        )
+        assert repr(a) == (
+            f"AnnotatedToken(token={self.TOKEN!r}, category=<Category.PRONOUN: "
+            "'pronoun'>, relation=<Relation.SUBJECT: 'subject'>, "
+            f"features={NO_FEATURES!r}, is_modal=False)"
+        )
+        assert (a.index, a.form, a.lemma, a.pos, a.deprel, a.head) == (
+            2, "Hon", "hon", "PN", "SS", 3,
+        )
+
+    def test_fields_and_signatures(self):
+        assert [f.name for f in dataclasses.fields(Token)] == [
+            "index", "form", "lemma", "pos", "deprel", "head", "feats",
+        ]
+        assert [f.name for f in dataclasses.fields(AnnotatedToken)] == [
+            "token", "category", "relation", "features", "is_modal",
+        ]
+        empty = inspect.Parameter.empty
+        assert [
+            (p.name, p.default) for p in inspect.signature(Token).parameters.values()
+        ] == [
+            ("index", empty), ("form", empty), ("lemma", empty), ("pos", empty),
+            ("deprel", empty), ("head", empty), ("feats", ""),
+        ]
+        assert [
+            (p.name, p.default)
+            for p in inspect.signature(AnnotatedToken).parameters.values()
+        ] == [
+            ("token", empty), ("category", empty), ("relation", empty),
+            ("features", NO_FEATURES), ("is_modal", False),
+        ]
+
+    @pytest.mark.parametrize("name", ["index", "form", "head", "feats"])
+    def test_token_is_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.TOKEN, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(self.TOKEN, name)
+
+    @pytest.mark.parametrize("name", ["token", "category", "is_modal"])
+    def test_annotated_token_is_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.ANNOTATED, name, None)
+
+    def test_replace_runs_the_checks(self):
+        t = self.TOKEN
+        assert dataclasses.replace(t, head=0) == Token(2, "Hon", "hon", "PN", "SS", 0,
+                                                       "UTR|SIN|DEF")
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(t, head=t.index)
+        assert str(info.value) == "token 2 may not head itself"
+        a = dataclasses.replace(self.ANNOTATED, is_modal=True)
+        assert a.is_modal and a.token is t
+
+    @pytest.mark.parametrize("args, message", TOKEN_MESSAGES)
+    def test_check_messages(self, args, message):
+        index, head, form = args
+        with pytest.raises(ValueError) as positional:
+            Token(index, form, "x", "NN", "SS", head)
+        with pytest.raises(ValueError) as keyword:
+            Token(feats="", head=head, deprel="SS", pos="NN", lemma="x",
+                  form=form, index=index)
+        assert str(positional.value) == str(keyword.value) == message
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for value in (self.TOKEN, self.ANNOTATED):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert copy == value and repr(copy) == repr(value)
+
+    def test_no_instance_dict(self):
+        # tokens are kept by the thousand: each carries its fields in slots
+        assert not hasattr(self.TOKEN, "__dict__")
+        assert not hasattr(self.ANNOTATED, "__dict__")
 
 
 class TestValidateTokens:
@@ -253,3 +372,73 @@ def test_tree_queries_match_a_scan_in_any_order(case):
         assert _ask(backward, name, index) == want
     assert forward == backward == s
     assert hash(forward) == hash(s)
+
+
+# --- validate_tokens against the walk it replaced -------------------------
+
+
+def _validate_by_walk(sentence_id, tokens):
+    """validate_tokens as first written: every chain walked to the root."""
+    if not tokens:
+        raise StructureError(sentence_id, "no tokens")
+    for expected, token in enumerate(tokens, start=1):
+        if token.index != expected:
+            raise StructureError(
+                sentence_id,
+                f"token indices not contiguous: expected {expected}, got {token.index}",
+            )
+    n = len(tokens)
+    for token in tokens:
+        if token.head > n:
+            raise StructureError(
+                sentence_id,
+                f"token {token.index} has head {token.head} outside the sentence",
+            )
+    for token in tokens:
+        seen = set()
+        current = token.index
+        while current != 0:
+            if current in seen:
+                raise StructureError(
+                    sentence_id, f"cyclic head chain through token {token.index}"
+                )
+            seen.add(current)
+            current = tokens[current - 1].head
+
+
+@st.composite
+def _head_lists(draw):
+    """Token tuples of 1-40 tokens: trees with some heads redirected, which
+    makes cycles, several of them, with trees hanging off them; heads past
+    the end; and sometimes a gap in the ids."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * (n + 1)
+    for position, index in enumerate(order[1:], start=1):
+        heads[index] = order[draw(st.integers(0, position - 1))]
+    for index, head in draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(0, n + 2)), max_size=6
+    )):
+        heads[index] = head if head != index else 0
+    indices = list(range(1, n + 1))
+    if draw(st.integers(0, 4)) == 0:
+        start = draw(st.integers(0, n - 1))
+        shift = draw(st.integers(1, 3))
+        indices[start:] = [i + shift for i in indices[start:]]
+    return tuple(
+        tok(i, heads[position] if heads[position] != i else 0)
+        for position, i in enumerate(indices, start=1)
+    )
+
+
+def _outcome(check, tokens):
+    try:
+        check("h", tokens)
+    except StructureError as exc:
+        return type(exc), str(exc), exc.sentence_id
+    return None
+
+
+@given(_head_lists())
+def test_validate_tokens_matches_the_full_walk(tokens):
+    assert _outcome(validate_tokens, tokens) == _outcome(_validate_by_walk, tokens)
