@@ -11,8 +11,13 @@ One executable, five modes::
 Records go to --output (default stdout) as JSON lines or TSV.  Sentences
 are read and assessed one at a time, in input order and in one thread, so
 output is byte-deterministic for a given input; assess and filter write
-each record as soon as it is made.  --jobs is accepted for compatibility
-and changes nothing.
+each record as soon as it is made, and fetch writes each page's sentences
+as CoNLL-U as soon as the page arrives.  --jobs is accepted for
+compatibility and changes nothing.
+
+--input is any readable path (a file, a FIFO, /dev/fd/N) or - for stdin.
+An --output file is replaced only when the run succeeds; on stdout, a run
+that fails leaves what it wrote before the error.
 
 Exit codes: 0 success, 1 input problem, 2 configuration problem, 141 when
 stdout is closed early (as in ``| head``): the run stops quietly, with the
@@ -23,13 +28,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import concordance
 from .assessment import Assessment, rank_assessments
@@ -219,10 +226,14 @@ def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
             # decode like a file: the locale's setting lets invalid bytes
             # through as surrogates under the C and POSIX locales
             lines.reconfigure(encoding="utf-8-sig", errors="strict")
-    elif not Path(path).is_file():
-        raise InputError(f"input file not found: {path}")
     else:
-        lines, name = open(path, encoding="utf-8-sig"), path
+        # any readable path: a regular file, a FIFO, /dev/fd/N
+        try:
+            lines, name = open(path, encoding="utf-8-sig"), path
+        except FileNotFoundError:
+            raise InputError(f"input file not found: {path}") from None
+        except IsADirectoryError:
+            raise InputError(f"input is a directory: {path}") from None
     try:
         yield lines
     except UnicodeDecodeError as exc:
@@ -247,21 +258,59 @@ def _assess_sentences(
         print(f"warning: unmapped tags: {coverage.summary()}", file=sys.stderr)
 
 
-def _open_output(path: Optional[str]):
-    if path:
-        return open(path, "w", encoding="utf-8", newline="\n")
-    return contextlib.nullcontext(sys.stdout)
+@contextlib.contextmanager
+def _open_output(path: Optional[str]) -> Iterator[TextIO]:
+    """Where the run writes: stdout, or --output, replaced only on success.
+
+    A regular file, or a path that does not exist yet, is written through
+    a temporary file beside it that replaces the target when the run ends
+    without an error; a failed run deletes it, so an earlier file stays as
+    it was and no partial one is left.  The new file gets the mode
+    ``open(path, "w")`` would leave.  Any other existing path (/dev/stdout,
+    a FIFO) is written to directly.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    try:
+        existing = os.stat(target)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        return
+    if existing is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as out:
+            if existing is not None:
+                os.fchmod(fd, stat.S_IMODE(existing.st_mode))
+            yield out
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
-def run(args) -> int:
-    if args.mode == "fetch":
-        mapping = _read_config(args.config)
-        # nothing here reads the detector keys, but a misspelt one is still an error
-        detector_config_from_mapping(mapping)
-        settings = concordance.settings_from_mapping(mapping, os.environ)
-        transport = concordance.UrllibTransport()
-        collected = []
-        issues = []
+def _fetch(args) -> int:
+    """Fetch the configured pages and write each as CoNLL-U when it arrives."""
+    mapping = _read_config(args.config)
+    # nothing here reads the detector keys, but a misspelt one is still an error
+    detector_config_from_mapping(mapping)
+    settings = concordance.settings_from_mapping(mapping, os.environ)
+    transport = concordance.UrllibTransport()
+    issues = []
+    with _open_output(args.output) as out:
+        wrote = False
         for page in range(settings.pages):
             query = concordance.ConcordanceQuery(
                 query_expression=settings.query_expression,
@@ -280,13 +329,24 @@ def run(args) -> int:
                     file=sys.stderr,
                 )
             sentences, page_issues = concordance.normalize_hits(result.hits)
-            collected.extend(sentences)
             issues.extend(page_issues)
-        for issue in issues:
-            print(f"warning: {issue.sentence_id}: {issue.message}", file=sys.stderr)
-        with _open_output(args.output) as out:
-            out.write(serialize_conllu(collected))
-        return 0
+            text = serialize_conllu(sentences)
+            # blocks are joined by one blank line, across pages as within one
+            if text:
+                if wrote:
+                    out.write("\n")
+                out.write(text)
+                wrote = True
+            # hold one page at a time: drop this one before the next request
+            del result, sentences, text
+    for issue in issues:
+        print(f"warning: {issue.sentence_id}: {issue.message}", file=sys.stderr)
+    return 0
+
+
+def run(args) -> int:
+    if args.mode == "fetch":
+        return _fetch(args)
 
     detector_config, lexicons, profile = _load_resources(args)
     if args.mode == "eval":

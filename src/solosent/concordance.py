@@ -15,9 +15,7 @@ CoNLL-U reader produces, so everything downstream is source-agnostic.
 from __future__ import annotations
 
 import json
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -113,12 +111,19 @@ class Transport(Protocol):
 
 
 class UrllibTransport:
-    """Stdlib-backed transport used outside tests."""
+    """Stdlib-backed transport used outside tests.
+
+    The network stack (``urllib.request``, ``http.client``) is imported on
+    the first request, so modes that never fetch do not load it.
+    """
 
     def __init__(self, timeout: float = 30.0) -> None:
         self.timeout = timeout
 
     def get(self, url: str) -> TransportReply:
+        import urllib.error
+        import urllib.request
+
         try:
             with urllib.request.urlopen(url, timeout=self.timeout) as response:
                 return TransportReply(status=response.status, body=response.read())
@@ -206,7 +211,9 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
         raise ServiceError(reply.status, f"concordance request failed ({request.url})")
     try:
         payload = json.loads(reply.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer too long to
+        # convert; RecursionError an array or object nested too deep
         raise DecodeError(f"response body is not JSON: {exc}") from exc
     if not isinstance(payload, dict) or "kwic" not in payload:
         raise DecodeError("response JSON has no 'kwic' member")

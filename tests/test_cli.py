@@ -3,15 +3,17 @@ import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from importlib.resources import files
 
 import pytest
 
 from solosent import concordance
 from solosent.cli import main
-from solosent.conllu import parse_conllu
+from solosent.conllu import parse_conllu, serialize_conllu
 from synthcorpus import big_corpus_conllu
 
 CLEAN_IDS = ["t08", "t09", "t10", "t11", "t12"]
@@ -330,6 +332,29 @@ class TestErrorPaths:
         assert "not found" in err
         assert target.read_text(encoding="utf-8") == "earlier run\n"
 
+    def test_bad_sentence_midway_leaves_output_alone(
+        self, capsys, tmp_path, fixture_text
+    ):
+        path = tmp_path / "in.conllu"
+        path.write_text(fixture_text + "\n1\tonly-two\n", encoding="utf-8")
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = directory / "out.jsonl"
+        target.write_text("earlier run\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", "assess", "--input", str(path), "--output", str(target)
+        )
+        assert code == 1
+        assert "expected 10 tab-separated columns" in err
+        assert target.read_bytes() == b"earlier run\n"
+        assert os.listdir(directory) == ["out.jsonl"]
+
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--mode", "assess", "--input", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: input is a directory: {tmp_path}\n"
+
     def test_leading_bom_in_file(self, capsys, tmp_path, corpus_path, fixture_text):
         path = tmp_path / "bom.conllu"
         path.write_text("\ufeff" + fixture_text, encoding="utf-8")
@@ -396,6 +421,46 @@ CYCLIC_SECOND_SENTENCE = (
     "2\tta\tta\tVB\t_\t_\t1\tROOT\t_\t_\n"
 )
 NINE_COLUMNS = "1\tHon\thon\tPN\t_\t_\t0\tROOT\t_\n"
+
+
+def _feed(path, text):
+    """Write text into a FIFO or pipe from another thread, as a producer would."""
+
+    def write():
+        with open(path, "w", encoding="utf-8") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+class TestInputIsAnyReadablePath:
+    """--input reads FIFOs and /dev/fd/N (process substitution) like files."""
+
+    def assert_same_records(self, capsys, corpus_path, argv_path, writer):
+        code, out, err = run_cli(capsys, "--mode", "assess", "--input", argv_path)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert (code, err) == (0, "")
+        _, expected, _ = run_cli(capsys, "--mode", "assess", "--input", corpus_path)
+        assert jsonl_records(out) == jsonl_records(expected)
+
+    def test_fifo(self, capsys, tmp_path, corpus_path, fixture_text):
+        fifo = tmp_path / "sentences.fifo"
+        os.mkfifo(fifo)
+        writer = _feed(fifo, fixture_text)
+        self.assert_same_records(capsys, corpus_path, str(fifo), writer)
+
+    def test_dev_fd(self, capsys, corpus_path, fixture_text):
+        read_end, write_end = os.pipe()
+        writer = _feed(write_end, fixture_text)
+        try:
+            self.assert_same_records(
+                capsys, corpus_path, f"/dev/fd/{read_end}", writer
+            )
+        finally:
+            os.close(read_end)
 
 
 class TestInputErrorsNameFileAndLine:
@@ -755,3 +820,232 @@ class TestFetch:
         )
         assert code == 0
         assert transport.urls[0].startswith("https://elsewhere.invalid/api?")
+
+
+def _write_paged_config(tmp_path):
+    """A config that fetches the three FETCH_DIGEST_PAGES."""
+    conf = tmp_path / "korp.conf"
+    conf.write_text(
+        "fetch.endpoint = https://example.invalid/korp\n"
+        'fetch.cqp = [pos="VB"]\n'
+        "fetch.corpora = SUC3\n"
+        "fetch.page_size = 3\n"
+        "fetch.pages = 3\n",
+        encoding="utf-8",
+    )
+    return str(conf)
+
+
+def _fetched_conllu(payloads):
+    """What fetch writes for these pages, rendered in one piece."""
+    sentences = []
+    for payload in payloads:
+        request = concordance.build_request(
+            concordance.ConcordanceQuery("[word]", ("SUC3",)), "https://x.invalid/"
+        )
+        result = concordance.fetch_page(request, PagedTransport([payload]))
+        sentences += concordance.normalize_hits(result.hits)[0]
+    return serialize_conllu(sentences)
+
+
+class WatchingTransport(PagedTransport):
+    """A PagedTransport that notes what stdout holds before each request."""
+
+    def __init__(self, payloads, stdout):
+        super().__init__(payloads)
+        self.stdout = stdout
+        self.written_before = []
+
+    def get(self, url):
+        self.written_before.append(self.stdout.getvalue())
+        return super().get(url)
+
+
+class FailingTransport(PagedTransport):
+    """A PagedTransport whose second request fails the given way."""
+
+    def __init__(self, payloads, failure):
+        super().__init__(payloads)
+        self.failure = failure
+
+    def get(self, url):
+        if len(self.urls) == 1:
+            self.urls.append(url)
+            if self.failure == "unreachable":
+                raise concordance.TransportError(f"cannot reach {url}: refused")
+            return concordance.TransportReply(status=500, body=b"boom")
+        return super().get(url)
+
+
+class TestFetchStreams:
+    def test_each_page_written_before_the_next_request(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        transport = WatchingTransport(FETCH_DIGEST_PAGES, stdout)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        code = main(["--mode", "fetch", "--config", _write_paged_config(tmp_path)])
+        assert code == 0
+        # page 1 holds one tree, page 2 none, page 3 one
+        assert transport.written_before == [
+            _fetched_conllu(FETCH_DIGEST_PAGES[:k]) for k in range(3)
+        ]
+        assert "# sent_id = SUC3:1\n" in transport.written_before[1]
+        assert stdout.getvalue() == _fetched_conllu(FETCH_DIGEST_PAGES)
+        digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+        assert digest == FETCH_DIGESTS[0]
+
+    def test_empty_fetch_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        empty = [{"kwic": []}] * 3
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: PagedTransport(empty))
+        code, out, err = run_cli(
+            capsys, "--mode", "fetch", "--config", _write_paged_config(tmp_path)
+        )
+        assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("failure", ["unreachable", "http_500"])
+class TestFetchFailure:
+    """A fetch that fails on page 2 never leaves a partial --output file."""
+
+    def fetch(self, capsys, monkeypatch, tmp_path, failure, *argv):
+        transport = FailingTransport(FETCH_DIGEST_PAGES, failure)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        code, out, err = run_cli(
+            capsys, "--mode", "fetch", "--config", _write_paged_config(tmp_path), *argv
+        )
+        assert code == 1
+        assert len(transport.urls) == 2
+        assert err.splitlines()[-1].startswith("error: ")
+        return out
+
+    def test_earlier_file_untouched(self, capsys, monkeypatch, tmp_path, failure):
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = directory / "fetched.conllu"
+        target.write_text("earlier run\n", encoding="utf-8")
+        self.fetch(capsys, monkeypatch, tmp_path, failure, "--output", str(target))
+        assert target.read_bytes() == b"earlier run\n"
+        assert os.listdir(directory) == ["fetched.conllu"]
+
+    def test_no_file_left(self, capsys, monkeypatch, tmp_path, failure):
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = directory / "fetched.conllu"
+        self.fetch(capsys, monkeypatch, tmp_path, failure, "--output", str(target))
+        assert os.listdir(directory) == []
+
+    def test_stdout_holds_the_pages_before_the_error(
+        self, capsys, monkeypatch, tmp_path, failure
+    ):
+        out = self.fetch(capsys, monkeypatch, tmp_path, failure)
+        assert out == _fetched_conllu(FETCH_DIGEST_PAGES[:1])
+
+
+class TestFetchOutputFile:
+    def fetch(self, capsys, monkeypatch, tmp_path, target):
+        transport = PagedTransport(FETCH_DIGEST_PAGES)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        return run_cli(
+            capsys,
+            "--mode", "fetch", "--config", _write_paged_config(tmp_path),
+            "--output", str(target),
+        )
+
+    @pytest.mark.parametrize(
+        "earlier_mode", [None, 0o600, 0o664], ids=["new", "0600", "0664"]
+    )
+    def test_replaces_file_with_the_mode_open_gives(
+        self, capsys, monkeypatch, tmp_path, earlier_mode
+    ):
+        """The new file has the mode `open(path, "w")` leaves: the earlier
+        file's, or 0o666 less the umask for a new one."""
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target, reference = directory / "fetched.conllu", tmp_path / "reference"
+        old_umask = os.umask(0o027)
+        try:
+            if earlier_mode is not None:
+                for path in (target, reference):
+                    path.write_text("earlier run\n", encoding="utf-8")
+                    path.chmod(earlier_mode)
+            open(reference, "w").close()
+            code, _, _ = self.fetch(capsys, monkeypatch, tmp_path, target)
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        assert target.read_text(encoding="utf-8") == _fetched_conllu(FETCH_DIGEST_PAGES)
+        assert os.listdir(directory) == ["fetched.conllu"]
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(
+            reference.stat().st_mode
+        )
+
+    def test_writes_through_a_symlink(self, capsys, monkeypatch, tmp_path):
+        real = tmp_path / "real.conllu"
+        real.write_text("earlier run\n", encoding="utf-8")
+        link = tmp_path / "link.conllu"
+        link.symlink_to(real)
+        code, _, _ = self.fetch(capsys, monkeypatch, tmp_path, link)
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == _fetched_conllu(FETCH_DIGEST_PAGES)
+
+    def test_fifo_written_directly(self, capsys, monkeypatch, tmp_path):
+        fifo = tmp_path / "fetched.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as pipe:
+                received.append(pipe.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, _, _ = self.fetch(capsys, monkeypatch, tmp_path, fifo)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == [_fetched_conllu(FETCH_DIGEST_PAGES)]
+
+    def test_unwritable_file_untouched(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "fetched.conllu"
+        target.write_text("earlier run\n", encoding="utf-8")
+        target.chmod(0o444)
+        # the check must not depend on who runs the test: root may write anything
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        code, _, err = self.fetch(capsys, monkeypatch, tmp_path, target)
+        assert code == 1
+        assert err.endswith(f"Permission denied: '{target}'\n")
+        assert target.read_bytes() == b"earlier run\n"
+
+    def test_missing_directory_names_the_output(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "no" / "fetched.conllu"
+        code, _, err = self.fetch(capsys, monkeypatch, tmp_path, target)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert os.listdir(tmp_path) == ["korp.conf"]
+
+
+class TestNetworkStackLoadedOnlyToFetch:
+    """Modes that never fetch do not import urllib.request or http.client."""
+
+    @pytest.mark.parametrize("run", ["import", "assess"])
+    def test_not_in_sys_modules(self, tmp_path, corpus_path, run):
+        call = ""
+        if run == "assess":
+            argv = ["--mode", "assess", "--input", corpus_path,
+                    "--output", str(tmp_path / "out.jsonl")]
+            call = f"assert main({argv!r}) == 0"
+        script = (
+            "import sys\n"
+            "from solosent.cli import main\n"
+            f"{call}\n"
+            "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "[]\n"

@@ -1,14 +1,21 @@
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solosent.concordance import (
     ConcordanceQuery,
     DecodeError,
     ServiceError,
+    TransportError,
     TransportReply,
+    UrllibTransport,
     build_request,
     fetch_page,
+    normalize_hits,
     settings_from_mapping,
     to_sentences,
 )
@@ -191,6 +198,54 @@ class TestFetchPage:
         transport = CannedTransport(body=b'{"kwic": [], "hits": "many"}')
         assert fetch_page(simple_request(), transport).total_hits is None
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"1" * 5000, b"[" * 100_000, b'{"kwic": [' + b"[" * 100_000 + b"]}"],
+        ids=["integer_too_long", "nested_too_deep", "hit_nested_too_deep"],
+    )
+    def test_hostile_json_raises_decode_error(self, body):
+        with pytest.raises(DecodeError, match="not JSON"):
+            fetch_page(simple_request(), CannedTransport(body=body))
+
+
+class TestUrllibTransport:
+    """The stdlib transport, which imports the network stack on first use,
+    against a server on loopback."""
+
+    @pytest.fixture
+    def endpoint(self, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 - http.server naming
+                status, body = (200, b'{"kwic": []}') if self.path == "/ok" else (500, b"boom")
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        yield f"http://127.0.0.1:{server.server_port}"
+        server.shutdown()
+        server.server_close()
+
+    def test_replies_with_status_and_body(self, endpoint):
+        transport = UrllibTransport(timeout=10)
+        assert transport.get(endpoint + "/ok") == TransportReply(200, b'{"kwic": []}')
+        assert transport.get(endpoint + "/fail") == TransportReply(500, b"boom")
+
+    def test_unreachable_service(self):
+        with socket.socket() as probe:  # a loopback port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(TransportError, match="cannot reach"):
+            UrllibTransport(timeout=10).get(f"http://127.0.0.1:{port}/")
+
 
 class TestToSentences:
     def test_hit_becomes_annotated_sentence(self, suc):
@@ -260,6 +315,66 @@ class TestToSentences:
         transport = CannedTransport(body=page_body([odd]))
         to_sentences(fetch_page(simple_request(), transport).hits, suc, coverage)
         assert coverage.unknown_pos["ZZ"] == 1
+
+
+# Korp-shaped pages with arbitrary JSON in place of the kwic list, a hit,
+# its tokens, match and corpus, and any token field; plus any JSON and any bytes
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["", "0", "1", "2", "-1", "x", " 1", "1.0", "\u0663"]),
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_TEXT = st.one_of(st.text(min_size=1, max_size=4), _JSON)
+_HEAD = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "-1", "x", " 2", "\u0661"]),
+    st.integers(min_value=-1, max_value=4),
+    _JSON,
+)
+_TOKEN = st.fixed_dictionaries(
+    {"word": _TEXT, "deprel": _TEXT, "dephead": _HEAD},
+    optional={key: _TEXT for key in ("lemma", "pos", "msd", "ref")},
+)
+_HIT = st.fixed_dictionaries(
+    {"tokens": st.lists(_TOKEN, max_size=5) | _JSON},
+    optional={
+        "corpus": _JSON,
+        "match": st.fixed_dictionaries({"position": _JSON}) | _JSON,
+    },
+)
+_PAGE = st.fixed_dictionaries(
+    {"kwic": st.lists(_HIT | _JSON, max_size=4) | _JSON},
+    optional={"hits": _JSON},
+)
+_BODY = st.one_of(
+    _PAGE.map(lambda page: json.dumps(page).encode("utf-8")),
+    _JSON.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BODY)
+def test_fetch_decoder_fails_only_with_decode_error(body):
+    """Whatever a service answers with 200, fetch_page either gives hits or
+    raises DecodeError, and normalize_hits turns every hit it gives into a
+    sentence or an IngestIssue without raising."""
+    try:
+        result = fetch_page(simple_request(), CannedTransport(body=body))
+    except DecodeError:
+        return
+    sentences, issues = normalize_hits(result.hits)
+    assert len(sentences) + len(issues) == len(result.hits)
 
 
 class TestSettings:
