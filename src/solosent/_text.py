@@ -1,0 +1,50 @@
+"""The one reader of text: --input and stdin, CoNLL-U strings and every file.
+
+Strict UTF-8, one leading BOM dropped, lines split at LF, CRLF and CR only
+and each ending in "\\n": what open() does with encoding="utf-8-sig".
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from typing import Callable, Iterator, Optional, TextIO
+
+Error = Callable[[str], Exception]
+
+
+def string_lines(text: str) -> TextIO:
+    """The lines of a string, split as a file's are."""
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None)
+
+
+@contextlib.contextmanager
+def open_lines(source, error: Error, name: Optional[str] = None) -> Iterator[TextIO]:
+    """The lines of a path or a stream, decoded as they are read.
+
+    A stream is left open, and stdin's bytes are decoded here, not by the
+    locale.  Bytes that are not UTF-8 raise ``error("<name>: not valid
+    UTF-8 (<reason>)")``.
+    """
+    stream = getattr(source, "buffer", source)
+    if isinstance(stream, io.TextIOBase):  # a StringIO: no bytes under the text
+        lines, owned = string_lines(stream.read()), True
+    else:
+        owned = not hasattr(stream, "read")
+        binary = open(source, "rb") if owned else stream
+        lines = io.TextIOWrapper(binary, encoding="utf-8-sig")
+    try:
+        yield lines
+    except UnicodeDecodeError as exc:
+        raise error(f"{name or source}: not valid UTF-8 ({exc.reason})") from None
+    finally:
+        if owned:
+            lines.close()
+        else:
+            lines.detach()
+
+
+def read_lines(source, error: Error, name: Optional[str] = None) -> list[str]:
+    """Every line of a file, without its line end."""
+    with open_lines(source, error, name) as lines:
+        return [line.rstrip("\n") for line in lines]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import io
 import json
 import os
 import stat
@@ -39,6 +38,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import concordance
+from ._text import open_lines
 from .assessment import Assessment, rank_assessments
 from .config import detector_config_from_mapping, read_config_file
 from .conllu import ParseError, parse_conllu, serialize_conllu
@@ -220,31 +220,21 @@ def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
     """
     if not path:
         raise InputError("this mode needs --input")
-    if path == "-":
-        lines, name = sys.stdin, "stdin"
-        if isinstance(lines, io.TextIOWrapper):
-            # decode like a file: the locale's setting lets invalid bytes
-            # through as surrogates under the C and POSIX locales
-            lines.reconfigure(encoding="utf-8-sig", errors="strict")
-    else:
-        # any readable path: a regular file, a FIFO, /dev/fd/N
+    source, name = (sys.stdin, "stdin") if path == "-" else (path, path)
+    with contextlib.ExitStack() as stack:
         try:
-            lines, name = open(path, encoding="utf-8-sig"), path
+            # any readable path: a regular file, a FIFO, /dev/fd/N
+            lines = stack.enter_context(open_lines(source, InputError, name))
         except FileNotFoundError:
             raise InputError(f"input file not found: {path}") from None
         except IsADirectoryError:
             raise InputError(f"input is a directory: {path}") from None
-    try:
-        yield lines
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{name}: not valid UTF-8 ({exc.reason})") from None
-    except ParseError as exc:
-        raise InputError(f"{name}: {exc}") from None
-    except StructureError as exc:
-        raise InputError(f"{name}: line {exc.line_number}: {exc}") from None
-    finally:
-        if lines is not sys.stdin:
-            lines.close()
+        try:
+            yield lines
+        except ParseError as exc:
+            raise InputError(f"{name}: {exc}") from None
+        except StructureError as exc:
+            raise InputError(f"{name}: line {exc.line_number}: {exc}") from None
 
 
 def _assess_sentences(

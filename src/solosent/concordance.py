@@ -163,10 +163,22 @@ class FetchResult:
     total_hits: Optional[int] = None
 
 
-_TOKEN_REQUIRED = ("word", "deprel", "dephead")
+def _field_text(value, integer: bool = False) -> Optional[str]:
+    """A JSON string as it is, a non-bool integer as digits when allowed, else None."""
+    if isinstance(value, str):
+        return value
+    if integer and isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return None
 
 
 def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit]:
+    """The hit in ``item``, or None when its fields are missing or of the wrong type.
+
+    Token fields are strings (``dephead`` may be an integer); ``word``,
+    ``deprel`` and ``dephead`` are required and non-empty, while a null
+    ``pos``, ``lemma`` or ``msd`` counts as absent.
+    """
     tokens_raw = item.get("tokens")
     if not isinstance(tokens_raw, list) or not tokens_raw:
         return None
@@ -174,35 +186,33 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     for entry in tokens_raw:
         if not isinstance(entry, Mapping):
             return None
-        if any(key not in entry or entry[key] in (None, "") for key in _TOKEN_REQUIRED):
-            return None
-        tokens.append(
-            HitToken(
-                form=str(entry["word"]),
-                pos=str(entry.get("pos", "")),
-                deprel=str(entry["deprel"]),
-                head=str(entry["dephead"]),
-                lemma=str(entry.get("lemma", "_")),
-                feats=str(entry.get("msd", "")),
-            )
+        form = _field_text(entry.get("word"))
+        deprel = _field_text(entry.get("deprel"))
+        head = _field_text(entry.get("dephead"), integer=True)
+        pos, lemma, feats = (
+            default if entry.get(key) is None else _field_text(entry[key])
+            for key, default in (("pos", ""), ("lemma", "_"), ("msd", ""))
         )
+        if not (form and deprel and head) or None in (pos, lemma, feats):
+            return None
+        tokens.append(HitToken(form, pos, deprel, head, lemma, feats))
     match = item.get("match")
     if isinstance(match, Mapping) and "position" in match:
-        position = str(match["position"])
+        position = _field_text(match["position"], integer=True)
     else:
         position = str(fallback_position)
-    return ConcordanceHit(
-        corpus=str(item.get("corpus", "unknown")),
-        position=position,
-        tokens=tuple(tokens),
-    )
+    corpus = _field_text(item.get("corpus", "unknown"))
+    if position is None or corpus is None:
+        return None
+    return ConcordanceHit(corpus=corpus, position=position, tokens=tuple(tokens))
 
 
 def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     """Execute one page request and parse the hits.
 
-    Hits whose tokens lack dependency annotation are skipped and counted,
-    not fatal: concordance corpora mix parsed and unparsed material.
+    Hits whose tokens lack dependency annotation, or whose fields have the
+    wrong JSON type, are skipped and counted, not fatal: concordance
+    corpora mix parsed and unparsed material.
     Non-2xx answers raise ServiceError with the status; undecodable bodies
     raise DecodeError.
     """
@@ -338,12 +348,16 @@ def settings_from_mapping(
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
+    page_size = integer("fetch.page_size", DEFAULT_PAGE_SIZE)
+    pages = integer("fetch.pages", 1)
+    if pages < 0:
+        raise ConfigError(f"fetch.pages must be >= 0, got {pages}")
     return ConcordanceSettings(
         endpoint=endpoint,
         query_expression=expression,
         corpora=corpora,
-        page_size=integer("fetch.page_size", DEFAULT_PAGE_SIZE),
-        pages=integer("fetch.pages", 1),
+        page_size=page_size,
+        pages=pages,
         api_key=mapping.get("fetch.api_key"),
     )
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
 
+from ._text import read_lines
 from .detectors import IMPLEMENTED_THEMES, ConfigError, DetectorConfig, Theme
 
 _TRUE = {"true", "yes", "on", "1"}
@@ -24,11 +25,7 @@ _NAMESPACES = ("enable.", "weight.", "fetch.")
 def read_config_file(path: Union[str, Path]) -> dict[str, str]:
     """Read a flat config file into an ordered key-value mapping."""
     mapping: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(read_lines(path, ConfigError), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

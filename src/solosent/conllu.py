@@ -8,7 +8,8 @@ with a non-universal tagset simply carry its tags in the UPOS slot, since
 a tagset profile interprets them later anyway.
 
 Multiword-token ranges (``3-4``) and empty nodes (``3.1``) are skipped.
-Both LF and CRLF line endings are accepted.
+A string is split into lines as a file is: after one leading BOM, at LF,
+CRLF and CR only.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Union
 
+from ._text import string_lines
 from .model import Sentence, StructureError, Token, validate_tokens
 
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
@@ -45,19 +47,17 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
     """Parse a CoNLL-U character stream into Sentence values, one at a time.
 
     ``source`` may be a string or any iterable of lines (e.g. an open text
-    file).  A sentence is yielded once its block is complete and valid,
-    before the next line is read.  Sentence ids come from ``# sent_id = ...``
-    comments when present and are synthesized as ``s1``, ``s2``, ... otherwise.
+    file, whose lines are taken as they come).  A sentence is yielded once
+    its block is complete and valid, before the next line is read.
+    Sentence ids come from ``# sent_id = ...`` comments when present and
+    are synthesized as ``s1``, ``s2``, ... otherwise.
 
     Raises ParseError for malformed lines and StructureError for token
     lists that do not form a tree (cyclic heads, gaps in the indices); the
     StructureError's ``line_number`` is that of the sentence's first token
     row.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
+    lines = string_lines(source) if isinstance(source, str) else source
 
     rows: list[Token] = []
     sent_id: str | None = None

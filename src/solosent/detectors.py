@@ -535,13 +535,13 @@ def _completed_pair_present(
     sentence: AnnotatedSentence, lexicons: LexiconSet, lemma: str
 ) -> bool:
     lemmas = sentence.lower_lemmas
-    for first, second in lexicons.paired_conjunctions:
-        if lemma not in (first, second):
-            continue
-        for i, candidate in enumerate(lemmas):
-            if candidate == first and second in lemmas[i + 1 :]:
-                return True
-    return False
+    # whatever follows a later first member also follows the earliest one
+    return any(
+        lemma in (first, second)
+        and first in lemmas
+        and second in lemmas[lemmas.index(first) + 1 :]
+        for first, second in lexicons.paired_conjunctions
+    )
 
 
 def detect_structural_connective(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from ._text import read_lines
 from .assessment import Assessment
 from .detectors import IMPLEMENTED_THEMES, Theme
 
@@ -39,11 +40,7 @@ def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
     records: list[GoldRecord] = []
     seen: set[str] = set()
     names = {t.value: t for t in Theme}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise GoldDataError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(read_lines(path, GoldDataError), start=1):
         line = raw_line.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue

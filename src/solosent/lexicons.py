@@ -19,6 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Union
 
+from ._text import read_lines
+
 
 @unique
 class AdverbType(str, Enum):
@@ -59,9 +61,9 @@ class LexiconSet:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _read_rows(text: str, filename: str) -> list[tuple[str, ...]]:
+def _read_rows(lines: list[str], filename: str) -> list[tuple[str, ...]]:
     rows: list[tuple[str, ...]] = []
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(lines, start=1):
         line = raw_line.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
@@ -103,11 +105,7 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
         if not entry.is_file():
             warnings.append(f"{label}: {filename} missing, using empty set")
             return []
-        try:
-            text = entry.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise LexiconError(f"{entry}: not valid UTF-8 ({exc.reason})") from None
-        return _read_rows(text, filename)
+        return _read_rows(read_lines(entry, LexiconError), filename)
 
     weather = _simple_set(rows_for(WEATHER_VERBS_FILE), WEATHER_VERBS_FILE)
     interjections = _simple_set(

@@ -34,6 +34,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
+from ._text import read_lines
 from .model import (
     AnnotatedSentence,
     AnnotatedToken,
@@ -163,7 +164,7 @@ def classify_delimiter_form(form: str) -> Category:
     return Category.OTHER
 
 
-def _parse_profile_text(text: str, origin: str) -> TagsetProfile:
+def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
     name: Optional[str] = None
     category_of_pos: dict[str, Optional[Category]] = {}
     relation_of_deprel: dict[str, Relation] = {}
@@ -172,7 +173,7 @@ def _parse_profile_text(text: str, origin: str) -> TagsetProfile:
     valid_categories = {c.value: c for c in Category} | {DELIMITER_BY_FORM: None}
     valid_relations = {r.value: r for r in Relation}
 
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -265,11 +266,7 @@ def load_profile(name_or_path: Union[str, Path]) -> TagsetProfile:
                 f"no bundled profile or readable file named {text_name!r} "
                 f"(bundled: {', '.join(BUNDLED_PROFILES)})"
             )
-    try:
-        text = source.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProfileError(f"{origin}: not valid UTF-8 ({exc.reason})") from None
-    return _parse_profile_text(text, origin)
+    return _parse_profile(read_lines(source, ProfileError, origin), origin)
 
 
 @dataclass

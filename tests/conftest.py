@@ -1,4 +1,6 @@
+import os
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,13 @@ from solosent.lexicons import load_lexicon_set
 from solosent.profiles import apply_profile
 
 FIXTURES = files("solosent.data.fixtures")
+
+# tests that run ``python -m solosent`` find the package the tests import,
+# also under a plain ``python -m pytest``
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -807,6 +807,31 @@ class TestFetch:
         assert code == 2
         assert "endpoint" in err
 
+    def test_negative_pages_is_a_config_error(self, capsys, monkeypatch, tmp_path):
+        transport = FakeTransport(FETCH_PAGE)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        conf = self.write_config(tmp_path)
+        with open(conf, "a", encoding="utf-8") as f:
+            f.write("fetch.pages = -2\n")
+        code, out, err = run_cli(capsys, "--mode", "fetch", "--config", conf)
+        assert (code, out) == (2, "")
+        assert err == "error: fetch.pages must be >= 0, got -2\n"
+        assert transport.urls == []
+
+    def test_wrongly_typed_hit_is_skipped(self, capsys, monkeypatch, tmp_path):
+        wrong = {
+            "corpus": "SUC3",
+            "tokens": [{"word": ["Det"], "deprel": True, "pos": None, "dephead": 0}],
+        }
+        page = dict(FETCH_PAGE, kwic=[FETCH_PAGE["kwic"][0], wrong])
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: FakeTransport(page))
+        code, out, err = run_cli(
+            capsys, "--mode", "fetch", "--config", self.write_config(tmp_path)
+        )
+        assert code == 0
+        assert err == "warning: skipped 1 hit(s) without dependency annotation\n"
+        assert [s.id for s in parse_conllu(out)] == ["SUC3:1041"]
+
     def test_env_endpoint_override(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
         monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)

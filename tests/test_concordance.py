@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from solosent.concordance import (
     ConcordanceQuery,
     DecodeError,
+    HitToken,
     ServiceError,
     TransportError,
     TransportReply,
@@ -169,6 +170,60 @@ class TestFetchPage:
         result = fetch_page(simple_request(), transport)
         assert len(result.hits) == 1
         assert result.skipped == 3
+
+    def test_fields_of_the_wrong_json_type_skip_the_hit(self):
+        # once written as 1\t['Det']\t_\tNone\t_\t_\t0\tTrue\t_\t_
+        wrong = {
+            "corpus": "SUC3",
+            "tokens": [{"word": ["Det"], "deprel": True, "pos": None, "dephead": "0"}],
+        }
+        result = fetch_page(
+            simple_request(), CannedTransport(body=page_body([WEATHER_HIT, wrong]))
+        )
+        assert [hit.position for hit in result.hits] == ["1041"]
+        assert result.skipped == 1
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("tokens", 0, "word"), 7),
+            (("tokens", 0, "deprel"), ["SS"]),
+            (("tokens", 0, "dephead"), True),
+            (("tokens", 0, "dephead"), 2.0),
+            (("tokens", 0, "lemma"), 5),
+            (("tokens", 0, "pos"), {"tag": "PN"}),
+            (("tokens", 0, "msd"), False),
+            (("corpus",), ["SUC3"]),
+            (("corpus",), None),
+            (("match", "position"), {"p": 1}),
+            (("match", "position"), None),
+        ],
+    )
+    def test_each_field_type_is_checked(self, path, value):
+        hit = json.loads(json.dumps(WEATHER_HIT))
+        *parents, key = path
+        target = hit
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        result = fetch_page(simple_request(), CannedTransport(body=page_body([hit])))
+        assert (result.hits, result.skipped) == ((), 1)
+
+    def test_null_optional_fields_count_as_absent(self):
+        token = {"word": "Regnar", "deprel": "ROOT", "dephead": 0,
+                 "pos": None, "lemma": None, "msd": None}
+        hit = {"corpus": "SUC3", "match": {"position": 7}, "tokens": [token]}
+        result = fetch_page(simple_request(), CannedTransport(body=page_body([hit])))
+        assert result.skipped == 0
+        (parsed,) = result.hits
+        assert parsed.position == "7"
+        assert parsed.tokens[0] == HitToken("Regnar", "", "ROOT", "0", "_", "")
+        absent = {"word": "Regnar", "deprel": "ROOT", "dephead": "0"}
+        result = fetch_page(
+            simple_request(),
+            CannedTransport(body=page_body([dict(hit, tokens=[absent])])),
+        )
+        assert result.hits[0].tokens == parsed.tokens
 
     def test_http_error_raises(self):
         transport = CannedTransport(status=500, body=b"boom")
@@ -423,6 +478,15 @@ class TestSettings:
             settings_from_mapping(
                 {"fetch.endpoint": ENDPOINT, "fetch.cqp": "x"}, {}
             )
+
+    def test_negative_pages_rejected(self):
+        mapping = dict(self.FULL, **{"fetch.pages": "-2"})
+        with pytest.raises(ConfigError, match="fetch.pages must be >= 0, got -2"):
+            settings_from_mapping(mapping, {})
+
+    def test_zero_pages_allowed(self):
+        mapping = dict(self.FULL, **{"fetch.pages": "0"})
+        assert settings_from_mapping(mapping, {}).pages == 0
 
     def test_bad_integer_rejected(self):
         mapping = dict(self.FULL, **{"fetch.pages": "three"})

@@ -207,3 +207,31 @@ _COLUMN = st.one_of(
 def test_id_and_head_classification_matches_the_regexes(token_id, head):
     assume(not token_id.startswith("#"))
     assert _class_by_parser(token_id, head) == _class_by_regex(token_id, head)
+
+
+# --- any text: the parser fails only with its own errors -------------------
+
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+_ANY_TEXT = st.builds(
+    lambda bom, pieces: ("\ufeff" if bom else "") + "".join(pieces),
+    st.booleans(),
+    st.lists(
+        st.one_of(
+            st.text(max_size=6),
+            st.sampled_from(_BREAKS + ["\t", "\t_", "#", "0", "1", "2", "1-2", "1.1"]),
+            st.sampled_from([ROW, ROW2]),
+        ),
+        max_size=30,
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANY_TEXT)
+def test_any_text_raises_only_parse_or_structure_errors(text):
+    try:
+        for sentence in parse_conllu(text):
+            assert isinstance(sentence, Sentence)
+    except (ParseError, StructureError):
+        pass

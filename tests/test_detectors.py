@@ -3,8 +3,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import annotate
+from helpers import SUC, annotate
 from solosent.detectors import (
     IMPLEMENTED_THEMES,
     ConfigError,
@@ -20,7 +21,15 @@ from solosent.detectors import (
     detect_pronominal_anaphora,
     detect_structural_connective,
 )
-from solosent.model import AnnotatedSentence, AnnotatedToken, Category, Relation, Token
+from solosent.model import (
+    AnnotatedSentence,
+    AnnotatedToken,
+    Category,
+    Relation,
+    Sentence,
+    Token,
+)
+from solosent.profiles import apply_profile
 from synthcorpus import single_theme_corpus
 
 ONE = Fraction(1)
@@ -588,6 +597,32 @@ class TestStructuralConnective:
         )
         assert len(detect_structural_connective(s, lex)) == 1
 
+    def test_repeated_first_member_completes_pair(self, lex):
+        # eller follows both antingen: the pair is complete once
+        s = annotate(
+            "Antingen antingen KN _ 0 ROOT\n"
+            "stannar stanna VB PRS|AKT 1 CJ\n"
+            "han han PN UTR|SIN|DEF 2 SS\n"
+            "antingen antingen KN _ 6 ++\n"
+            "eller eller KN _ 1 ++\n"
+            "går gå VB PRS|AKT 5 CJ\n"
+            ". . MAD _ 1 IP"
+        )
+        assert detect_structural_connective(s, lex) == []
+
+    def test_second_member_before_repeated_first_fires(self, lex):
+        # the only eller comes before every antingen: the root is half a pair
+        s = annotate(
+            "Hon hon PN UTR|SIN|DEF 5 SS\n"
+            "eller eller KN _ 5 ++\n"
+            "antingen antingen KN _ 5 ++\n"
+            "stannar stanna VB PRS|AKT 5 CJ\n"
+            "antingen antingen KN _ 0 ROOT\n"
+            ". . MAD _ 5 IP"
+        )
+        detections = detect_structural_connective(s, lex)
+        assert [d.token_indices for d in detections] == [(5,)]
+
     def test_initial_conjunction_with_two_conjuncts_exempt(self, lex):
         s = annotate(
             "Och och KN _ 3 ++\n"
@@ -774,6 +809,51 @@ class TestDetectAll:
             for d in detect_all(s, lex).detections:
                 assert list(d.token_indices) == sorted(d.token_indices)
                 assert all(1 <= i <= len(s) for i in d.token_indices)
+
+
+# --- verdicts see the tree, never the sentence id -------------------------
+
+_WORDS = [
+    ("den", "den", "PN", "UTR|SIN|DEF"), ("det", "det", "PN", "NEU|SIN|DEF"),
+    ("hon", "hon", "PN", "UTR|SIN|DEF"), ("där", "där", "AB", ""),
+    ("då", "då", "AB", ""), ("dock", "dock", "AB", ""), ("Och", "och", "KN", ""),
+    ("men", "men", "KN", ""), ("antingen", "antingen", "KN", ""),
+    ("eller", "eller", "KN", ""), ("Ja", "ja", "IN", ""), ("att", "att", "IE", ""),
+    ("som", "som", "HP", ""), ("regnar", "regna", "VB", "PRS|AKT"),
+    ("kan", "kunna", "VB", "PRS|AKT"), ("sova", "sova", "VB", "INF|AKT"),
+    ("hus", "hus", "NN", "NEU|SIN|IND"), ("Anna", "Anna", "PM", ""),
+    (".", ".", "MAD", ""), (",", ",", "MID", ""),
+]
+_DEPRELS = ["SS", "OO", "TA", "RA", "++", "CJ", "+A", "DT", "VG", "IM", "ES", "IP"]
+
+
+@st.composite
+def _trees(draw):
+    """Tokens of any tree shape: each token after the root, in a random
+    order, hangs off one placed before it."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for k, index in enumerate(order[1:], start=1):
+        heads[index] = order[draw(st.integers(min_value=0, max_value=k - 1))]
+    tokens = []
+    for index in range(1, n + 1):
+        form, lemma, pos, feats = draw(st.sampled_from(_WORDS))
+        deprel = "ROOT" if heads[index] == 0 else draw(st.sampled_from(_DEPRELS))
+        tokens.append(Token(index, form, lemma, pos, deprel, heads[index], feats))
+    return tuple(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(), st.text(min_size=1, max_size=8), st.text(min_size=1, max_size=8))
+def test_verdict_does_not_depend_on_sentence_id(lex, tokens, first_id, second_id):
+    first, second = (
+        detect_all(apply_profile(Sentence(id=sid, tokens=tokens), SUC), lex)
+        for sid in (first_id, second_id)
+    )
+    assert (first.sentence_id, second.sentence_id) == (first_id, second_id)
+    assert first.detections == second.detections
+    assert first.score == second.score
 
 
 class TestDetectorConfig:
