@@ -18,20 +18,29 @@ def string_lines(text: str) -> TextIO:
     return io.StringIO(text.removeprefix("\ufeff"), newline=None)
 
 
+_OPEN_FAILURES = {FileNotFoundError: "no such file", IsADirectoryError: "is a directory"}
+
+
 @contextlib.contextmanager
 def open_lines(source, error: Error, name: Optional[str] = None) -> Iterator[TextIO]:
     """The lines of a path or a stream, decoded as they are read.
 
-    A stream is left open, and stdin's bytes are decoded here, not by the
-    locale.  Bytes that are not UTF-8 raise ``error("<name>: not valid
-    UTF-8 (<reason>)")``.
+    A path that cannot be opened raises ``error("<name>: no such file")``,
+    ``"<name>: is a directory"`` or ``"<name>: cannot open (<reason>)"``.  A
+    stream is left open, and stdin's bytes are decoded here, not by the
+    locale.  Bytes that are not UTF-8 raise ``error("<name>: not valid UTF-8
+    (<reason>)")``.
     """
     stream = getattr(source, "buffer", source)
     if isinstance(stream, io.TextIOBase):  # a StringIO: no bytes under the text
         lines, owned = string_lines(stream.read()), True
     else:
         owned = not hasattr(stream, "read")
-        binary = open(source, "rb") if owned else stream
+        try:
+            binary = open(source, "rb") if owned else stream
+        except OSError as exc:  # any readable path: a file, a FIFO, /dev/fd/N
+            reason = _OPEN_FAILURES.get(type(exc), f"cannot open ({exc.strerror})")
+            raise error(f"{name or source}: {reason}") from None
         lines = io.TextIOWrapper(binary, encoding="utf-8-sig")
     try:
         yield lines

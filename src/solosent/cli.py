@@ -15,7 +15,8 @@ each record as soon as it is made, and fetch writes each page's sentences
 as CoNLL-U as soon as the page arrives.  --jobs is accepted for
 compatibility and changes nothing.
 
---input is any readable path (a file, a FIFO, /dev/fd/N) or - for stdin.
+Every file flag takes any readable path (a file, a FIFO, /dev/fd/N), and
+--input - reads stdin.  With stderr closed, warnings and errors are dropped.
 An --output file is replaced only when the run succeeds; on stdout, a run
 that fails leaves what it wrote before the error.
 
@@ -34,7 +35,6 @@ import os
 import stat
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import concordance
@@ -191,22 +191,26 @@ def _report_record(report: EvalReport, rates: ThemeRateReport) -> dict:
     }
 
 
-def _read_config(path: Optional[str]) -> dict[str, str]:
-    if not path:
-        return {}
-    if not Path(path).is_file():
-        raise ConfigError(f"--config {path}: no such file")
-    return read_config_file(path)
+def _say(line: str) -> None:
+    """Print a line on stderr; with stderr closed, drop it."""
+    if sys.stderr is not None:  # None when fd 2 was closed at start-up
+        with contextlib.suppress(OSError, ValueError):
+            print(line, file=sys.stderr)
+
+
+def _warn(message: str) -> None:
+    _say(f"warning: {message}")
 
 
 def _load_resources(args) -> tuple[DetectorConfig, LexiconSet, object]:
-    detector_config = detector_config_from_mapping(_read_config(args.config))
+    mapping = read_config_file(args.config) if args.config else {}
+    detector_config = detector_config_from_mapping(mapping)
     profile_name = args.profile or detector_config.profile_name
     lexicon_dir = args.lexicons or detector_config.lexicon_dir
     profile = load_profile(profile_name)
     lexicons = load_lexicon_set(lexicon_dir)
     for warning in lexicons.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        _warn(warning)
     return detector_config, lexicons, profile
 
 
@@ -214,21 +218,17 @@ def _load_resources(args) -> tuple[DetectorConfig, LexiconSet, object]:
 def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
     """The lines of --input, a UTF-8 file or ``-`` for stdin, without a BOM.
 
-    Entering checks that the input exists, so callers enter it before they
-    open any output.  Undecodable input, a malformed row and a sentence
-    that is not a tree become an InputError naming the input (and the line).
+    Entering opens the input, so callers enter it before they open any
+    output.  An input that cannot be opened or decoded, a malformed row and
+    a sentence that is not a tree become an InputError naming the input
+    (and the line).
     """
     if not path:
         raise InputError("this mode needs --input")
     source, name = (sys.stdin, "stdin") if path == "-" else (path, path)
-    with contextlib.ExitStack() as stack:
-        try:
-            # any readable path: a regular file, a FIFO, /dev/fd/N
-            lines = stack.enter_context(open_lines(source, InputError, name))
-        except FileNotFoundError:
-            raise InputError(f"input file not found: {path}") from None
-        except IsADirectoryError:
-            raise InputError(f"input is a directory: {path}") from None
+    if source is None:
+        raise InputError("stdin: not open")
+    with open_lines(source, InputError, name) as lines:
         try:
             yield lines
         except ParseError as exc:
@@ -245,7 +245,7 @@ def _assess_sentences(
     for sentence in sentences:
         yield detect_all(apply_profile(sentence, profile, coverage), lexicons, config)
     if coverage.total:
-        print(f"warning: unmapped tags: {coverage.summary()}", file=sys.stderr)
+        _warn(f"unmapped tags: {coverage.summary()}")
 
 
 @contextlib.contextmanager
@@ -293,7 +293,7 @@ def _open_output(path: Optional[str]) -> Iterator[TextIO]:
 
 def _fetch(args) -> int:
     """Fetch the configured pages and write each as CoNLL-U when it arrives."""
-    mapping = _read_config(args.config)
+    mapping = read_config_file(args.config) if args.config else {}
     # nothing here reads the detector keys, but a misspelt one is still an error
     detector_config_from_mapping(mapping)
     settings = concordance.settings_from_mapping(mapping, os.environ)
@@ -313,10 +313,8 @@ def _fetch(args) -> int:
             )
             result = concordance.fetch_page(request, transport)
             if result.skipped:
-                print(
-                    f"warning: skipped {result.skipped} hit(s) without "
-                    "dependency annotation",
-                    file=sys.stderr,
+                _warn(
+                    f"skipped {result.skipped} hit(s) without dependency annotation"
                 )
             sentences, page_issues = concordance.normalize_hits(result.hits)
             issues.extend(page_issues)
@@ -330,7 +328,7 @@ def _fetch(args) -> int:
             # hold one page at a time: drop this one before the next request
             del result, sentences, text
     for issue in issues:
-        print(f"warning: {issue.sentence_id}: {issue.message}", file=sys.stderr)
+        _warn(f"{issue.sentence_id}: {issue.message}")
     return 0
 
 
@@ -376,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
+        _say("error: --jobs must be at least 1")
         return 2
     try:
         status = run(args)
@@ -389,17 +387,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.close(devnull)
         return 141
     except (ConfigError, ProfileError, LexiconError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
-    except (InputError, GoldDataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        InputError,
+        GoldDataError,
+        OSError,
         concordance.TransportError,
         concordance.ServiceError,
         concordance.DecodeError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 1
 
 

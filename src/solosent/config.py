@@ -31,14 +31,14 @@ def read_config_file(path: Union[str, Path]) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(
-                f"{path} line {line_number}: expected key = value, got {raw_line!r}"
+                f"{path}: line {line_number}: expected key = value, got {raw_line!r}"
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"{path} line {line_number}: empty key or value")
+            raise ConfigError(f"{path}: line {line_number}: empty key or value")
         if key in mapping:
-            raise ConfigError(f"{path} line {line_number}: duplicate key {key!r}")
+            raise ConfigError(f"{path}: line {line_number}: duplicate key {key!r}")
         mapping[key] = value
     return mapping
 

@@ -47,12 +47,12 @@ def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
         fields = line.split("\t")
         if len(fields) != 2:
             raise GoldDataError(
-                f"{path} line {line_number}: expected id<TAB>themes, got {raw_line!r}"
+                f"{path}: line {line_number}: expected id<TAB>themes, got {raw_line!r}"
             )
         sentence_id, theme_field = fields[0].strip(), fields[1].strip()
         if sentence_id in seen:
             raise GoldDataError(
-                f"{path} line {line_number}: duplicate sentence id {sentence_id!r}"
+                f"{path}: line {line_number}: duplicate sentence id {sentence_id!r}"
             )
         seen.add(sentence_id)
         themes: set[Theme] = set()
@@ -61,7 +61,7 @@ def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
                 name = name.strip()
                 if name not in names:
                     raise GoldDataError(
-                        f"{path} line {line_number}: unknown theme {name!r}"
+                        f"{path}: line {line_number}: unknown theme {name!r}"
                     )
                 themes.add(names[name])
         records.append(GoldRecord(sentence_id=sentence_id, themes=frozenset(themes)))

@@ -6,9 +6,9 @@ ignored.  A bundled Swedish directory provides defaults; the word lists in
 it are reconstructions assembled from standard grammar descriptions, not
 copies of any particular resource (see the data files for notes).
 
-Missing optional files degrade to empty sets and are recorded as warnings
-on the loaded LexiconSet, so a partial directory still loads; a directory
-that does not exist is an error.
+Absent files degrade to empty sets and are recorded as warnings on the
+loaded LexiconSet, so a partial directory still loads; a directory that
+does not exist, and a file in it that cannot be read, are errors.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ DEMONSTRATIVE_PRONOUNS_FILE = "demonstrative_pronouns.txt"
 NONANAPHORIC_PERSON_PRONOUNS_FILE = "nonanaphoric_person_pronouns.txt"
 ANAPHORIC_PRONOUNS_FILE = "anaphoric_pronouns.txt"
 
+_LIST_FAILURES = {FileNotFoundError: "does not exist", NotADirectoryError: "is not a directory"}
+
 
 @dataclass(frozen=True)
 class LexiconSet:
@@ -61,85 +63,75 @@ class LexiconSet:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _read_rows(lines: list[str], filename: str) -> list[tuple[str, ...]]:
-    rows: list[tuple[str, ...]] = []
-    for line_number, raw_line in enumerate(lines, start=1):
+def _read_rows(path) -> list[tuple[str, tuple[str, ...]]]:
+    """The entries of a lexicon file, each with ``<path>: line N`` for errors."""
+    rows: list[tuple[str, tuple[str, ...]]] = []
+    for line_number, raw_line in enumerate(read_lines(path, LexiconError), start=1):
         line = raw_line.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
+        where = f"{path}: line {line_number}"
         fields = tuple(f.strip() for f in line.split("\t"))
         if any(not f for f in fields):
-            raise LexiconError(
-                f"{filename} line {line_number}: empty field in {raw_line!r}"
-            )
-        rows.append(tuple(f.lower() for f in fields))
+            raise LexiconError(f"{where}: empty field in {raw_line!r}")
+        rows.append((where, tuple(f.lower() for f in fields)))
     return rows
 
 
-def _simple_set(rows: list[tuple[str, ...]], filename: str) -> frozenset[str]:
-    for row in rows:
+def _simple_set(rows: list[tuple[str, tuple[str, ...]]]) -> frozenset[str]:
+    for where, row in rows:
         if len(row) != 1:
-            raise LexiconError(f"{filename}: expected one lemma per line, got {row!r}")
-    return frozenset(row[0] for row in rows)
+            raise LexiconError(f"{where}: expected one lemma per line, got {row!r}")
+    return frozenset(row[0] for _, row in rows)
 
 
 def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
     """Load a lexicon directory; None loads the bundled Swedish defaults.
 
-    Raises LexiconError for a path that is not a directory and for files
-    that exist but do not follow the format.  Files that are absent load as
-    empty sets, each noted in ``warnings``.
+    Raises LexiconError for a path that is not a directory, and for a file
+    in it that cannot be read or does not follow the format.  Files that
+    are absent load as empty sets, each noted in ``warnings``.
     """
     if directory is None:
         root = resources.files("solosent").joinpath("data", "lexicons", "sv")
         label = "bundled sv lexicons"
     else:
         root, label = Path(directory), str(directory)
-        if not root.is_dir():
-            reason = "is not a directory" if root.exists() else "does not exist"
-            raise LexiconError(f"lexicon directory {label} {reason}")
+    try:
+        present = {entry.name for entry in root.iterdir()}
+    except OSError as exc:
+        reason = _LIST_FAILURES.get(type(exc), f"cannot be read ({exc.strerror})")
+        raise LexiconError(f"lexicon directory {label} {reason}") from None
     warnings: list[str] = []
 
-    def rows_for(filename: str) -> list[tuple[str, ...]]:
-        entry = root.joinpath(filename)
-        if not entry.is_file():
+    def rows_for(filename: str) -> list[tuple[str, tuple[str, ...]]]:
+        if filename not in present:
             warnings.append(f"{label}: {filename} missing, using empty set")
             return []
-        return _read_rows(read_lines(entry, LexiconError), filename)
+        return _read_rows(root.joinpath(filename))
 
-    weather = _simple_set(rows_for(WEATHER_VERBS_FILE), WEATHER_VERBS_FILE)
-    interjections = _simple_set(
-        rows_for(YES_NO_INTERJECTIONS_FILE), YES_NO_INTERJECTIONS_FILE
-    )
-    demonstratives = _simple_set(
-        rows_for(DEMONSTRATIVE_PRONOUNS_FILE), DEMONSTRATIVE_PRONOUNS_FILE
-    )
-    nonanaphoric = _simple_set(
-        rows_for(NONANAPHORIC_PERSON_PRONOUNS_FILE), NONANAPHORIC_PERSON_PRONOUNS_FILE
-    )
-    pronoun_base = _simple_set(rows_for(ANAPHORIC_PRONOUNS_FILE), ANAPHORIC_PRONOUNS_FILE)
+    weather = _simple_set(rows_for(WEATHER_VERBS_FILE))
+    interjections = _simple_set(rows_for(YES_NO_INTERJECTIONS_FILE))
+    demonstratives = _simple_set(rows_for(DEMONSTRATIVE_PRONOUNS_FILE))
+    nonanaphoric = _simple_set(rows_for(NONANAPHORIC_PERSON_PRONOUNS_FILE))
+    pronoun_base = _simple_set(rows_for(ANAPHORIC_PRONOUNS_FILE))
 
     adverbs: dict[str, AdverbType] = {}
-    for row in rows_for(ANAPHORIC_ADVERBS_FILE):
+    for where, row in rows_for(ANAPHORIC_ADVERBS_FILE):
         if len(row) != 2:
-            raise LexiconError(
-                f"{ANAPHORIC_ADVERBS_FILE}: expected lemma<TAB>type, got {row!r}"
-            )
+            raise LexiconError(f"{where}: expected lemma<TAB>type, got {row!r}")
         lemma, type_name = row
         try:
             adverbs[lemma] = AdverbType(type_name)
         except ValueError:
             raise LexiconError(
-                f"{ANAPHORIC_ADVERBS_FILE}: unknown adverb type {type_name!r} "
-                f"for {lemma!r}"
+                f"{where}: unknown adverb type {type_name!r} for {lemma!r}"
             ) from None
 
     pairs: set[tuple[str, str]] = set()
-    for row in rows_for(PAIRED_CONJUNCTIONS_FILE):
+    for where, row in rows_for(PAIRED_CONJUNCTIONS_FILE):
         if len(row) != 2:
-            raise LexiconError(
-                f"{PAIRED_CONJUNCTIONS_FILE}: expected first<TAB>second, got {row!r}"
-            )
+            raise LexiconError(f"{where}: expected first<TAB>second, got {row!r}")
         pairs.add((row[0], row[1]))
 
     anaphoric = pronoun_base | demonstratives

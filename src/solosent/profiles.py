@@ -179,7 +179,7 @@ def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
             continue
         fields = line.split()
         kind = fields[0]
-        where = f"{origin} line {line_number}"
+        where = f"{origin}: line {line_number}"
         if kind == "name":
             if len(fields) != 2:
                 raise ProfileError(f"{where}: name takes exactly one value")
@@ -250,23 +250,23 @@ def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
     )
 
 
+def _unreadable_path(message: str) -> ProfileError:
+    """A path that cannot be read may be a mistyped bundled name."""
+    return ProfileError(f"{message} (bundled profiles: {', '.join(BUNDLED_PROFILES)})")
+
+
 def load_profile(name_or_path: Union[str, Path]) -> TagsetProfile:
-    """Load a bundled profile by name, or any profile from a file path."""
+    """Load a bundled profile by name, or any profile from a readable path."""
     text_name = str(name_or_path)
     if text_name in BUNDLED_PROFILES:
         source = resources.files("solosent").joinpath(
             "data", "profiles", f"{text_name}.profile"
         )
-        origin = f"bundled profile {text_name}"
+        origin, error = f"bundled profile {text_name}", ProfileError
     else:
-        source = Path(name_or_path)
-        origin = str(source)
-        if not source.is_file():
-            raise ProfileError(
-                f"no bundled profile or readable file named {text_name!r} "
-                f"(bundled: {', '.join(BUNDLED_PROFILES)})"
-            )
-    return _parse_profile(read_lines(source, ProfileError, origin), origin)
+        source = origin = text_name
+        error = _unreadable_path
+    return _parse_profile(read_lines(source, error, origin), origin)
 
 
 @dataclass

@@ -249,7 +249,7 @@ class TestConfigFlag:
             "--config", "/nonexistent.conf",
         )
         assert code == 2
-        assert err == "error: --config /nonexistent.conf: no such file\n"
+        assert err == "error: /nonexistent.conf: no such file\n"
 
     def test_missing_lexicon_directory(self, capsys, corpus_path, tmp_path):
         missing = tmp_path / "no-such-dir"
@@ -312,7 +312,7 @@ class TestErrorPaths:
             capsys, "--mode", "assess", "--input", "/nope/x.conllu"
         )
         assert code == 1
-        assert "not found" in err
+        assert err == "error: /nope/x.conllu: no such file\n"
 
     def test_unparsable_input(self, capsys, tmp_path):
         path = tmp_path / "bad.conllu"
@@ -329,7 +329,7 @@ class TestErrorPaths:
             "--mode", "assess", "--input", "/nope/x.conllu", "--output", str(target),
         )
         assert code == 1
-        assert "not found" in err
+        assert err == "error: /nope/x.conllu: no such file\n"
         assert target.read_text(encoding="utf-8") == "earlier run\n"
 
     def test_bad_sentence_midway_leaves_output_alone(
@@ -353,7 +353,7 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "--mode", "assess", "--input", str(tmp_path))
         assert code == 1
         assert out == ""
-        assert err == f"error: input is a directory: {tmp_path}\n"
+        assert err == f"error: {tmp_path}: is a directory\n"
 
     def test_leading_bom_in_file(self, capsys, tmp_path, corpus_path, fixture_text):
         path = tmp_path / "bom.conllu"
@@ -562,6 +562,46 @@ class TestClosedStdout:
         completed = self.run_into_closed_pipe(path)
         assert completed.stderr == b""
         assert completed.returncode == 141
+
+
+def _run_with_closed_fd(redirect, *argv):
+    """Run the CLI in a shell that closes one of its streams, e.g. ``<&-``."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh",
+         sys.executable, "-m", "solosent", *map(str, argv)],
+        stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+    )
+
+
+class TestClosedStdin:
+    def test_is_one_line_input_error(self):
+        completed = _run_with_closed_fd("<&-", "--mode", "assess", "--input", "-")
+        assert completed.returncode == 1
+        assert (completed.stdout, completed.stderr) == (b"", b"error: stdin: not open\n")
+
+
+class TestClosedStderr:
+    """With stderr closed, warnings are dropped and errors keep their exit code;
+    neither ends up on stdout."""
+
+    def test_warnings_are_dropped(self, tmp_path, corpus_path):
+        directory = tmp_path / "lexicons"
+        shutil.copytree(files("solosent").joinpath("data", "lexicons", "sv"), directory)
+        (directory / "weather_verbs.txt").unlink()
+        argv = ("--mode", "assess", "--input", corpus_path, "--lexicons", directory)
+        quiet = _run_with_closed_fd("2>/dev/null", *argv)
+        closed = _run_with_closed_fd("2>&-", *argv)
+        assert quiet.returncode == 0 and len(jsonl_records(quiet.stdout)) == 12
+        assert (closed.returncode, closed.stdout) == (0, quiet.stdout)
+
+    def test_errors_keep_their_code(self, tmp_path, corpus_path):
+        missing = tmp_path / "missing.conllu"
+        closed = _run_with_closed_fd("2>&-", "--mode", "assess", "--input", missing)
+        assert (closed.returncode, closed.stdout) == (1, b"")
+        closed = _run_with_closed_fd(
+            "2>&-", "--mode", "assess", "--input", corpus_path, "--config", missing
+        )
+        assert (closed.returncode, closed.stdout) == (2, b"")
 
 
 # sha256 of `assess --explain` output on each input, in each format

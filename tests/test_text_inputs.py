@@ -1,16 +1,20 @@
-"""Every text input is read by one rule: strict UTF-8, one leading BOM
-dropped, lines split at LF, CRLF and CR only.
+"""Every text input is opened and read by one rule: any readable path,
+strict UTF-8, one leading BOM dropped, lines split at LF, CRLF and CR only.
 
 A file with a BOM gives what the same file without one gives, and a
 CoNLL-U text gives the same sentences through --input FILE, --input -
-and parse_conllu(str), whatever its line ends.
+and parse_conllu(str), whatever its line ends.  Every file flag takes a
+FIFO or /dev/fd/N as it takes a file, and a path that cannot be opened is
+one line naming it, with the exit code of its kind.
 """
 
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from importlib.resources import files
 
 import pytest
@@ -213,3 +217,154 @@ def test_string_and_input_file_read_alike(text):
             read = str(exc)[len(prefix):]
     assert _parsed(text) == read
 
+
+
+def _feed(path, data):
+    """Write data into a FIFO or a pipe from another thread, as a producer would."""
+
+    def write():
+        with open(path, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+LEXICON_FILE = "anaphoric_pronouns.txt"
+BUNDLED_NAMES = " (bundled profiles: suc-mamba, ud)"
+
+
+class TestOpenRule:
+    """Each file the CLI reads, opened through a missing path, a directory, a
+    FIFO and /dev/fd/N.  The lexicon file stands in a copy of the bundled
+    directory: "missing" is a dangling link there, since an absent lexicon
+    file is only a warning, and /dev/fd/N is reached through a link."""
+
+    KINDS = ["input", "gold", "config", "profile", "lexicon"]
+    CODES = {"input": 1, "gold": 1, "config": 2, "profile": 2, "lexicon": 2}
+
+    @pytest.fixture
+    def setup(self, tmp_path, fixture_text, fixture_gold_text):
+        corpus = write(tmp_path / "sentences.conllu", fixture_text)
+        shutil.copytree(BUNDLED_LEXICONS, tmp_path / "lexicons")
+        assess = ["--mode", "assess", "--explain", "--input", corpus]
+        return {
+            "input": (
+                fixture_text, lambda p: ["--mode", "assess", "--explain", "--input", p]
+            ),
+            "gold": (
+                fixture_gold_text,
+                lambda p: ["--mode", "eval", "--input", corpus, "--gold", p],
+            ),
+            "config": (
+                "weight.PNAnaphora = 1/2\nenable.IncompSent = false\n",
+                lambda p: assess + ["--config", p],
+            ),
+            "profile": (
+                files("solosent").joinpath("data", "profiles", "suc-mamba.profile")
+                .read_text("utf-8"),
+                lambda p: assess + ["--profile", p],
+            ),
+            "lexicon": (
+                BUNDLED_LEXICONS.joinpath(LEXICON_FILE).read_text("utf-8"),
+                lambda p: assess + ["--lexicons", tmp_path / "lexicons"],
+            ),
+        }
+
+    def slot(self, tmp_path, kind):
+        """Where the file of this kind goes."""
+        if kind == "lexicon":
+            path = tmp_path / "lexicons" / LEXICON_FILE
+            path.unlink()
+            return path
+        return tmp_path / f"{kind}-file"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_cannot_open(self, capsys, tmp_path, setup, kind, case):
+        path = self.slot(tmp_path, kind)
+        if case == "missing" and kind == "lexicon":
+            path.symlink_to(tmp_path / "nowhere")
+        elif case == "directory":
+            path.mkdir()
+        reason = "no such file" if case == "missing" else "is a directory"
+        suffix = BUNDLED_NAMES if kind == "profile" else ""
+        _, argv = setup[kind]
+        assert run_cli(capsys, *argv(path)) == (
+            self.CODES[kind], "", f"error: {path}: {reason}{suffix}\n"
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", ["fifo", "dev_fd"])
+    def test_reads_like_a_file(self, capsys, tmp_path, setup, kind, case):
+        text, argv = setup[kind]
+        path = self.slot(tmp_path, kind)
+        write(path, text)
+        expected = run_cli(capsys, *argv(path))
+        assert expected[0] == 0 and expected[1]
+        path.unlink()
+        read_end = None
+        if case == "fifo":
+            os.mkfifo(path)
+            writer = _feed(path, text.encode("utf-8"))
+        else:
+            read_end, write_end = os.pipe()
+            writer = _feed(write_end, text.encode("utf-8"))
+            if kind == "lexicon":
+                path.symlink_to(f"/dev/fd/{read_end}")
+            else:
+                path = f"/dev/fd/{read_end}"
+        try:
+            assert run_cli(capsys, *argv(path)) == expected
+        finally:
+            writer.join(timeout=60)
+            if read_end is not None:
+                os.close(read_end)
+        assert not writer.is_alive()
+
+
+class TestLineErrorsNamePathAndLine:
+    """A bad line in any file is one error line, ``<path>: line N: ...``,
+    as it is for --input."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, fixture_text):
+        return write(tmp_path / "sentences.conllu", fixture_text)
+
+    def test_config(self, capsys, tmp_path, corpus):
+        path = write(tmp_path / "bad.conf", "profile = ud\nprofile\n")
+        assert run_cli(
+            capsys, "--mode", "assess", "--input", corpus, "--config", path
+        ) == (2, "", f"error: {path}: line 2: expected key = value, got 'profile'\n")
+
+    def test_gold(self, capsys, tmp_path, corpus):
+        path = write(tmp_path / "bad.gold", "# gold\nt01\tIncompSent\nt02\tNoTheme\n")
+        assert run_cli(
+            capsys, "--mode", "eval", "--input", corpus, "--gold", path
+        ) == (1, "", f"error: {path}: line 3: unknown theme 'NoTheme'\n")
+
+    def test_profile(self, capsys, tmp_path, corpus):
+        path = write(tmp_path / "bad.profile", "name p\npos NN noun\nposs NN noun\n")
+        assert run_cli(
+            capsys, "--mode", "assess", "--input", corpus, "--profile", path
+        ) == (2, "", f"error: {path}: line 3: unknown directive 'poss'\n")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("weather_verbs.txt", "regna\nsnöa\tväder\n",
+         "line 2: expected one lemma per line, got ('snöa', 'väder')"),
+        ("anaphoric_adverbs.txt", "# adverbs\ndär\n",
+         "line 2: expected lemma<TAB>type, got ('där',)"),
+        ("anaphoric_adverbs.txt", "där\tlocative\nså\tmodal\n",
+         "line 2: unknown adverb type 'modal' for 'så'"),
+        ("paired_conjunctions.txt", "\n\nbåde\n",
+         "line 3: expected first<TAB>second, got ('både',)"),
+        ("yes_no_interjections.txt", "ja\n\tnej\n", "line 2: empty field in '\\tnej'"),
+    ], ids=["one_lemma", "lemma_type", "adverb_type", "pair", "empty_field"])
+    def test_lexicon(self, capsys, tmp_path, corpus, name, text, message):
+        directory = tmp_path / "lexicons"
+        shutil.copytree(BUNDLED_LEXICONS, directory)
+        write(directory / name, text)
+        assert run_cli(
+            capsys, "--mode", "assess", "--input", corpus, "--lexicons", directory
+        ) == (2, "", f"error: {directory / name}: {message}\n")
