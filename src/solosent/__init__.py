@@ -19,73 +19,97 @@ Typical use::
         print(verdict.sentence_id, verdict.score, sorted(t.value for t in verdict.themes))
 """
 
-from .assessment import (
-    Assessment,
-    filter_assessments,
-    make_assessment,
-    rank_assessments,
-    score,
-)
-from .concordance import (
-    ConcordanceHit,
-    ConcordanceQuery,
-    ConcordanceSettings,
-    FetchResult,
-    RequestSpec,
-    build_request,
-    fetch_page,
-    to_sentences,
-)
-from .conllu import ParseError, parse_conllu, serialize_conllu
-from .detectors import (
-    ConfigError,
-    DetectorConfig,
-    IMPLEMENTED_THEMES,
-    Theme,
-    ThemeDetection,
-    count_antecedent_candidates,
-    detect_adverbial_anaphora,
-    detect_all,
-    detect_ceq_answer,
-    detect_discourse_connective,
-    detect_implicit_anaphora,
-    detect_incomplete,
-    detect_pronominal_anaphora,
-    detect_structural_connective,
-)
-from .evaluation import (
-    EvalReport,
-    GoldRecord,
-    ThemeMetrics,
-    ThemeRateReport,
-    evaluate,
-    read_gold_file,
-    theme_rates,
-)
-from .lexicons import AdverbType, LexiconSet, load_lexicon_set
-from .model import (
-    AnnotatedSentence,
-    AnnotatedToken,
-    Category,
-    Definiteness,
-    Gender,
-    MorphFeatures,
-    Number,
-    Relation,
-    Sentence,
-    SourceRef,
-    StructureError,
-    StructuralIssue,
-    Token,
-    VerbForm,
-    validate_structure,
-)
-from .profiles import (
-    CoverageCounter,
-    ProfileError,
-    TagsetProfile,
-    apply_profile,
-    load_profile,
-)
+import importlib
 
+# each public name, by the submodule that defines it; a name is imported
+# with its submodule on first use, so ``import solosent.cli`` loads only
+# what the mode it runs needs
+_EXPORTS = {
+    "assessment": (
+        "Assessment",
+        "filter_assessments",
+        "make_assessment",
+        "rank_assessments",
+        "score",
+    ),
+    "concordance": (
+        "ConcordanceHit",
+        "ConcordanceQuery",
+        "ConcordanceSettings",
+        "FetchResult",
+        "RequestSpec",
+        "build_request",
+        "fetch_page",
+        "to_sentences",
+    ),
+    "conllu": ("ParseError", "parse_conllu", "serialize_conllu"),
+    "detectors": (
+        "ConfigError",
+        "DetectorConfig",
+        "IMPLEMENTED_THEMES",
+        "Theme",
+        "ThemeDetection",
+        "count_antecedent_candidates",
+        "detect_adverbial_anaphora",
+        "detect_all",
+        "detect_ceq_answer",
+        "detect_discourse_connective",
+        "detect_implicit_anaphora",
+        "detect_incomplete",
+        "detect_pronominal_anaphora",
+        "detect_structural_connective",
+    ),
+    "evaluation": (
+        "EvalReport",
+        "GoldRecord",
+        "ThemeMetrics",
+        "ThemeRateReport",
+        "evaluate",
+        "read_gold_file",
+        "theme_rates",
+    ),
+    "lexicons": ("AdverbType", "LexiconSet", "load_lexicon_set"),
+    "model": (
+        "AnnotatedSentence",
+        "AnnotatedToken",
+        "Category",
+        "Definiteness",
+        "Gender",
+        "MorphFeatures",
+        "Number",
+        "Relation",
+        "Sentence",
+        "SourceRef",
+        "StructureError",
+        "StructuralIssue",
+        "Token",
+        "VerbForm",
+        "validate_structure",
+    ),
+    "profiles": (
+        "CoverageCounter",
+        "ProfileError",
+        "TagsetProfile",
+        "apply_profile",
+        "load_profile",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_SOURCE]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -35,26 +35,19 @@ import os
 import stat
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import concordance
 from ._text import open_lines
 from .assessment import Assessment, rank_assessments
 from .config import detector_config_from_mapping, read_config_file
 from .conllu import ParseError, parse_conllu, serialize_conllu
 from .detectors import ConfigError, DetectorConfig, detect_all
-from .evaluation import (
-    EvalReport,
-    GoldDataError,
-    ThemeRateReport,
-    evaluate,
-    read_gold_file,
-    render_eval_table,
-    theme_rates,
-)
 from .lexicons import LexiconError, LexiconSet, load_lexicon_set
 from .model import StructureError
 from .profiles import CoverageCounter, ProfileError, apply_profile, load_profile
+
+if TYPE_CHECKING:
+    from .evaluation import EvalReport, ThemeRateReport
 
 SCHEMA_VERSION = 1
 
@@ -64,6 +57,27 @@ FORMATS = ("jsonl", "tsv")
 
 class InputError(Exception):
     """Anything wrong with the data the user pointed us at."""
+
+
+# evaluation's names, bound here on first use so that only eval mode imports
+# the module; _eval reaches them as attributes of this module, which is also
+# where the per-layer tracer (bench/tracing.py) wraps them
+_EVALUATION = (
+    "GoldDataError",
+    "evaluate",
+    "read_gold_file",
+    "render_eval_table",
+    "theme_rates",
+)
+
+
+def __getattr__(name: str):
+    if name not in _EVALUATION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    value = globals()[name] = getattr(evaluation, name)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,6 +262,12 @@ def _assess_sentences(
         _warn(f"unmapped tags: {coverage.summary()}")
 
 
+_OUTPUT_FAILURES = {
+    FileNotFoundError: "no such directory",
+    IsADirectoryError: "is a directory",
+}
+
+
 @contextlib.contextmanager
 def _open_output(path: Optional[str]) -> Iterator[TextIO]:
     """Where the run writes: stdout, or --output, replaced only on success.
@@ -258,28 +278,36 @@ def _open_output(path: Optional[str]) -> Iterator[TextIO]:
     it was and no partial one is left.  The new file gets the mode
     ``open(path, "w")`` would leave.  Any other existing path (/dev/stdout,
     a FIFO) is written to directly.
+
+    A path that cannot be opened raises ``InputError("<path>: no such
+    directory")``, ``"<path>: is a directory"`` or ``"<path>: cannot open
+    (<reason>)"``.
     """
     if not path:
         yield sys.stdout
         return
     target = os.path.realpath(path)
+    direct = None
     try:
-        existing = os.stat(target)
-    except FileNotFoundError:
-        existing = None
-    if existing is not None and not stat.S_ISREG(existing.st_mode):
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            yield out
-        return
-    if existing is not None and not os.access(target, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    try:
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            existing = os.stat(target)
+        except FileNotFoundError:
+            existing = None
+        if existing is not None and not stat.S_ISREG(existing.st_mode):
+            direct = open(path, "w", encoding="utf-8", newline="\n")
+        elif existing is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        else:
+            directory, name = os.path.split(target)
+            temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        exc.filename = path
-        raise
+        reason = _OUTPUT_FAILURES.get(type(exc), f"cannot open ({exc.strerror})")
+        raise InputError(f"{path}: {reason}") from None
+    if direct is not None:
+        with direct:
+            yield direct
+        return
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as out:
             if existing is not None:
@@ -293,6 +321,8 @@ def _open_output(path: Optional[str]) -> Iterator[TextIO]:
 
 def _fetch(args) -> int:
     """Fetch the configured pages and write each as CoNLL-U when it arrives."""
+    from . import concordance  # only fetch mode needs it
+
     mapping = read_config_file(args.config) if args.config else {}
     # nothing here reads the detector keys, but a misspelt one is still an error
     detector_config_from_mapping(mapping)
@@ -311,7 +341,14 @@ def _fetch(args) -> int:
             request = concordance.build_request(
                 query, settings.endpoint, settings.api_key
             )
-            result = concordance.fetch_page(request, transport)
+            try:
+                result = concordance.fetch_page(request, transport)
+            except (
+                concordance.TransportError,
+                concordance.ServiceError,
+                concordance.DecodeError,
+            ) as exc:
+                raise InputError(str(exc)) from None
             if result.skipped:
                 _warn(
                     f"skipped {result.skipped} hit(s) without dependency annotation"
@@ -332,35 +369,43 @@ def _fetch(args) -> int:
     return 0
 
 
+def _eval(args, detector_config: DetectorConfig, lexicons: LexiconSet, profile) -> int:
+    """Assess the input and write one report of it against the --gold labels."""
+    if not args.gold:
+        raise ConfigError("eval mode needs --gold")
+    this = sys.modules[__name__]  # evaluation's names resolve through __getattr__
+    try:
+        gold = this.read_gold_file(args.gold)
+        with _open_input(args.input) as lines:
+            assessments = list(
+                _assess_sentences(parse_conllu(lines), profile, lexicons, detector_config)
+            )
+        predictions = {a.sentence_id: a.themes for a in assessments}
+        report = this.evaluate(predictions, gold)
+    except this.GoldDataError as exc:
+        raise InputError(str(exc)) from None
+    rates = this.theme_rates(assessments)
+    with _open_output(args.output) as out:
+        if args.format == "jsonl":
+            out.write(json.dumps(_report_record(report, rates), ensure_ascii=False))
+        else:
+            out.write(this.render_eval_table(report))
+        out.write("\n")
+    return 0
+
+
 def run(args) -> int:
     if args.mode == "fetch":
         return _fetch(args)
 
     detector_config, lexicons, profile = _load_resources(args)
     if args.mode == "eval":
-        if not args.gold:
-            raise ConfigError("eval mode needs --gold")
-        gold = read_gold_file(args.gold)
+        return _eval(args, detector_config, lexicons, profile)
 
     with _open_input(args.input) as lines:
         assessments = _assess_sentences(
             parse_conllu(lines), profile, lexicons, detector_config
         )
-        if args.mode == "eval":
-            assessments = list(assessments)
-            predictions = {a.sentence_id: a.themes for a in assessments}
-            report = evaluate(predictions, gold)
-            rates = theme_rates(assessments)
-            with _open_output(args.output) as out:
-                if args.format == "jsonl":
-                    out.write(
-                        json.dumps(_report_record(report, rates), ensure_ascii=False)
-                    )
-                else:
-                    out.write(render_eval_table(report))
-                out.write("\n")
-            return 0
-
         if args.mode == "filter":
             assessments = (a for a in assessments if a.context_independent)
         elif args.mode == "rank":
@@ -389,14 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ProfileError, LexiconError) as exc:
         _say(f"error: {exc}")
         return 2
-    except (
-        InputError,
-        GoldDataError,
-        OSError,
-        concordance.TransportError,
-        concordance.ServiceError,
-        concordance.DecodeError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
 

@@ -1082,15 +1082,22 @@ class TestFetchOutputFile:
         monkeypatch.setattr(os, "access", lambda path, mode: False)
         code, _, err = self.fetch(capsys, monkeypatch, tmp_path, target)
         assert code == 1
-        assert err.endswith(f"Permission denied: '{target}'\n")
+        assert err == f"error: {target}: cannot open (Permission denied)\n"
         assert target.read_bytes() == b"earlier run\n"
 
     def test_missing_directory_names_the_output(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "no" / "fetched.conllu"
         code, _, err = self.fetch(capsys, monkeypatch, tmp_path, target)
         assert code == 1
-        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert err == f"error: {target}: no such directory\n"
         assert os.listdir(tmp_path) == ["korp.conf"]
+
+    def test_directory_is_named(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        code, _, err = self.fetch(capsys, monkeypatch, tmp_path, target)
+        assert (code, err) == (1, f"error: {target}: is a directory\n")
+        assert os.listdir(target) == []
 
 
 class TestNetworkStackLoadedOnlyToFetch:
@@ -1114,3 +1121,64 @@ class TestNetworkStackLoadedOnlyToFetch:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == "[]\n"
+
+
+def _solosent_modules_after(script):
+    """The solosent modules a fresh interpreter holds after ``script``."""
+    script += (
+        "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'solosent']))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    return set(json.loads(completed.stdout))
+
+
+class TestSubmodulesLoadedPerMode:
+    """Each mode imports only the modules it runs: concordance for fetch,
+    evaluation for eval."""
+
+    def run_main(self, *argv):
+        return _solosent_modules_after(
+            f"from solosent.cli import main\nassert main({list(map(str, argv))!r}) == 0"
+        )
+
+    def test_import_loads_the_core_only(self):
+        assert _solosent_modules_after("import solosent.cli") == {
+            "solosent", "solosent._text", "solosent.assessment", "solosent.cli",
+            "solosent.config", "solosent.conllu", "solosent.detectors",
+            "solosent.lexicons", "solosent.model", "solosent.profiles",
+        }
+
+    @pytest.mark.parametrize("mode", ["assess", "filter", "rank"])
+    def test_assessing_modes(self, tmp_path, corpus_path, mode):
+        loaded = self.run_main(
+            "--mode", mode, "--input", corpus_path, "--output", tmp_path / "out"
+        )
+        assert "solosent.detectors" in loaded
+        assert not loaded & {"solosent.concordance", "solosent.evaluation"}
+
+    def test_eval(self, tmp_path, corpus_path, gold_path):
+        loaded = self.run_main(
+            "--mode", "eval", "--input", corpus_path, "--gold", gold_path,
+            "--output", tmp_path / "out",
+        )
+        assert "solosent.evaluation" in loaded
+        assert "solosent.concordance" not in loaded
+
+    def test_fetch(self, tmp_path):
+        conf = tmp_path / "korp.conf"
+        conf.write_text(
+            "fetch.endpoint = https://example.invalid/korp\n"
+            "fetch.cqp = []\n"
+            "fetch.corpora = SUC3\n"
+            "fetch.pages = 0\n",
+            encoding="utf-8",
+        )
+        loaded = self.run_main(
+            "--mode", "fetch", "--config", conf, "--output", tmp_path / "out"
+        )
+        assert "solosent.concordance" in loaded
+        assert "solosent.evaluation" not in loaded

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SUC, annotate
+from helpers import SUC, UD, annotate
+from solosent.assessment import Assessment
 from solosent.detectors import (
     IMPLEMENTED_THEMES,
     ConfigError,
@@ -828,9 +829,15 @@ _DEPRELS = ["SS", "OO", "TA", "RA", "++", "CJ", "+A", "DT", "VG", "IM", "ES", "I
 
 
 @st.composite
-def _trees(draw):
+def _trees(
+    draw,
+    words=st.sampled_from(_WORDS),
+    deprels=st.sampled_from(_DEPRELS),
+    root_deprels=st.just("ROOT"),
+):
     """Tokens of any tree shape: each token after the root, in a random
-    order, hangs off one placed before it."""
+    order, hangs off one placed before it.  ``words`` gives (form, lemma,
+    POS, FEATS) tuples."""
     n = draw(st.integers(min_value=1, max_value=12))
     order = draw(st.permutations(range(1, n + 1)))
     heads = {order[0]: 0}
@@ -838,8 +845,8 @@ def _trees(draw):
         heads[index] = order[draw(st.integers(min_value=0, max_value=k - 1))]
     tokens = []
     for index in range(1, n + 1):
-        form, lemma, pos, feats = draw(st.sampled_from(_WORDS))
-        deprel = "ROOT" if heads[index] == 0 else draw(st.sampled_from(_DEPRELS))
+        form, lemma, pos, feats = draw(words)
+        deprel = draw(root_deprels if heads[index] == 0 else deprels)
         tokens.append(Token(index, form, lemma, pos, deprel, heads[index], feats))
     return tuple(tokens)
 
@@ -854,6 +861,47 @@ def test_verdict_does_not_depend_on_sentence_id(lex, tokens, first_id, second_id
     assert (first.sentence_id, second.sentence_id) == (first_id, second_id)
     assert first.detections == second.detections
     assert first.score == second.score
+
+
+def _known_or_any(known, min_size=0):
+    """A value the profiles know, so the rules still fire, or any text."""
+    return st.one_of(
+        st.sampled_from(sorted(set(known))), st.text(min_size=min_size, max_size=8)
+    )
+
+
+_ANY_DEPRELS = _known_or_any([*_DEPRELS, "ROOT", "root", "nsubj", "cc"])
+_ANY_TREES = _trees(
+    words=st.tuples(*(
+        _known_or_any((word[field] for word in _WORDS), min_size=int(field == 0))
+        for field in range(4)
+    )),
+    deprels=_ANY_DEPRELS,
+    root_deprels=_ANY_DEPRELS,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _ANY_TREES,
+    st.sampled_from([SUC, UD]),
+    st.frozensets(
+        st.sampled_from(IMPLEMENTED_THEMES), max_size=len(IMPLEMENTED_THEMES) - 1
+    ),
+)
+def test_detect_all_is_total_on_any_valid_tree(lex, tokens, profile, enabled):
+    """Whatever text the lemma, POS, FEATS and deprel columns hold, a tree
+    gets an assessment, and only the enabled themes fire."""
+    assessment = detect_all(
+        apply_profile(Sentence(id="s", tokens=tokens), profile),
+        lex,
+        DetectorConfig(enabled=enabled),
+    )
+    assert isinstance(assessment, Assessment)
+    assert {d.theme for d in assessment.detections} <= enabled
+    for d in assessment.detections:
+        assert all(1 <= i <= len(tokens) for i in d.token_indices)
+    assert assessment.score == sum(d.weight for d in assessment.detections)
 
 
 class TestDetectorConfig:
