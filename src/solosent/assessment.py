@@ -35,11 +35,25 @@ def score(detections: Iterable["ThemeDetection"]) -> Fraction:
     return sum((d.weight for d in detections), Fraction(0))
 
 
+_ZERO = Fraction(0)
+
+
 def make_assessment(
     sentence_id: str, detections: Sequence["ThemeDetection"]
 ) -> Assessment:
+    """The assessment of a sentence with these detections.
+
+    Scored as score() would, but most sentences have no detection or one:
+    no detection scores a shared zero and one scores its own weight, so
+    only two or more detections pay for Fraction additions.
+    """
     detections = tuple(detections)
-    total = score(detections)
+    if detections:
+        total = detections[0].weight
+        for detection in detections[1:]:
+            total += detection.weight
+    else:
+        total = _ZERO
     return Assessment(
         sentence_id=sentence_id,
         detections=detections,

@@ -18,7 +18,8 @@ compatibility and changes nothing.
 Every file flag takes any readable path (a file, a FIFO, /dev/fd/N), and
 --input - reads stdin.  With stderr closed, warnings and errors are dropped.
 An --output file is replaced only when the run succeeds; on stdout, a run
-that fails leaves what it wrote before the error.
+that fails leaves what it wrote before the error.  A write that fails is
+an input problem that names --output or stdout.
 
 Exit codes: 0 success, 1 input problem, 2 configuration problem, 141 when
 stdout is closed early (as in ``| head``): the run stops quietly, with the
@@ -268,8 +269,37 @@ _OUTPUT_FAILURES = {
 }
 
 
+class _Output:
+    """A text stream whose failed writes name it.
+
+    A write, flush or close that fails raises ``InputError("<name>: cannot
+    write (<reason>)")``; a closed pipe stays a BrokenPipeError, which ends
+    the run quietly.
+    """
+
+    def __init__(self, stream: TextIO, name: str) -> None:
+        self._stream, self._name = stream, name
+
+    def _guarded(self, call, *args) -> None:
+        try:
+            call(*args)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise InputError(f"{self._name}: cannot write ({exc.strerror})") from None
+
+    def write(self, text: str) -> None:
+        self._guarded(self._stream.write, text)
+
+    def flush(self) -> None:
+        self._guarded(self._stream.flush)
+
+    def close(self) -> None:
+        self._guarded(self._stream.close)
+
+
 @contextlib.contextmanager
-def _open_output(path: Optional[str]) -> Iterator[TextIO]:
+def _open_output(path: Optional[str]) -> Iterator[_Output]:
     """Where the run writes: stdout, or --output, replaced only on success.
 
     A regular file, or a path that does not exist yet, is written through
@@ -281,10 +311,13 @@ def _open_output(path: Optional[str]) -> Iterator[TextIO]:
 
     A path that cannot be opened raises ``InputError("<path>: no such
     directory")``, ``"<path>: is a directory"`` or ``"<path>: cannot open
-    (<reason>)"``.
+    (<reason>)"``, and one that cannot be written ``"<path>: cannot write
+    (<reason>)"``, or ``"stdout: cannot write (<reason>)"``.
     """
     if not path:
-        yield sys.stdout
+        out = _Output(sys.stdout, "stdout")
+        yield out
+        out.flush()
         return
     target = os.path.realpath(path)
     direct = None
@@ -304,19 +337,23 @@ def _open_output(path: Optional[str]) -> Iterator[TextIO]:
     except OSError as exc:
         reason = _OUTPUT_FAILURES.get(type(exc), f"cannot open ({exc.strerror})")
         raise InputError(f"{path}: {reason}") from None
-    if direct is not None:
-        with direct:
-            yield direct
-        return
+    stream = direct if direct is not None else open(fd, "w", encoding="utf-8", newline="\n")
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as out:
-            if existing is not None:
-                os.fchmod(fd, stat.S_IMODE(existing.st_mode))
-            yield out
-        os.replace(temporary, target)
+        if direct is None and existing is not None:
+            os.fchmod(fd, stat.S_IMODE(existing.st_mode))
+        out = _Output(stream, path)
+        yield out
+        out.close()
     except BaseException:
-        os.unlink(temporary)
+        # the error that ended the run is the one to report, not the
+        # failure to flush what was left of its output
+        with contextlib.suppress(OSError):
+            stream.close()
+        if direct is None:
+            os.unlink(temporary)
         raise
+    if direct is None:
+        os.replace(temporary, target)
 
 
 def _fetch(args) -> int:
@@ -422,9 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _say("error: --jobs must be at least 1")
         return 2
     try:
-        status = run(args)
-        sys.stdout.flush()
-        return status
+        return run(args)
     except BrokenPipeError:
         # the reader is gone: keep the interpreter's final flush from failing too
         devnull = os.open(os.devnull, os.O_WRONLY)

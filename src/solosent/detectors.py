@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .assessment import Assessment, make_assessment
 from .lexicons import LexiconSet
@@ -52,8 +53,6 @@ from .model import (
     Number,
     Relation,
     VerbForm,
-    MISSING_ROOT,
-    validate_structure,
 )
 
 ONE = Fraction(1)
@@ -230,7 +229,7 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     Starting with a digit is fine.
     """
     detections: list[ThemeDetection] = []
-    if any(issue.kind == MISSING_ROOT for issue in validate_structure(sentence)):
+    if not sentence.root_tokens():
         detections.append(
             ThemeDetection(
                 theme=Theme.INCOMPLETE,
@@ -412,9 +411,21 @@ def detect_pronominal_anaphora(
     weather verb, or a som-relative right after the pronoun or inside its
     subtree.  The weight halves when the sentence itself offers antecedent
     candidates, since the reference may then be resolvable in place.
+
+    The candidates are counted as count_antecedent_candidates counts them,
+    from running tallies: the tokens left of each reported pronoun are
+    tallied once, carried on from the previous one, so the count costs
+    one pass over the sentence, not one per pronoun.
     """
+    tokens = sentence.tokens
+    # nouns and proper nouns tallied so far, by (gender, number): one of
+    # them, which stands for the others in the compatibility test, and
+    # how many there are
+    nouns: dict[tuple[Gender, Number], list] = {}
+    marked_infinitive = False  # an infinitive marker under a verb was tallied
+    tallied = 0
     detections: list[ThemeDetection] = []
-    for token, lemma in zip(sentence.tokens, sentence.lower_lemmas):
+    for token, lemma in zip(tokens, sentence.lower_lemmas):
         if lemma not in lexicons.anaphoric_pronouns:
             continue
         if token.category is not Category.PRONOUN:
@@ -427,7 +438,23 @@ def detect_pronominal_anaphora(
                 continue
         if _followed_by_som_relative(sentence, token):
             continue
-        candidates = count_antecedent_candidates(sentence, token.index)
+        for left in tokens[tallied : token.index - 1]:
+            category = left.category
+            if category is Category.NOUN or category is Category.PROPER_NOUN:
+                cell = (left.features.gender, left.features.number)
+                if cell in nouns:
+                    nouns[cell][1] += 1
+                else:
+                    nouns[cell] = [left, 1]
+            elif category is Category.INFINITIVE_MARKER and not marked_infinitive:
+                head = sentence.head_token(left.index)
+                marked_infinitive = head is not None and head.category is Category.VERB
+        tallied = token.index - 1
+        candidates = sum(
+            count for noun, count in nouns.values() if _features_compatible(token, noun)
+        )
+        if marked_infinitive and lemma == "det":
+            candidates += 1
         weight = HALF if candidates > 0 else ONE
         detections.append(
             ThemeDetection(
@@ -658,6 +685,13 @@ _RULES = {
 _DEFAULT_CONFIG = DetectorConfig()
 
 
+# one entry per subset of the implemented themes
+@lru_cache(maxsize=2 ** len(IMPLEMENTED_THEMES))
+def _rule_plan(enabled: frozenset[Theme]) -> tuple[tuple[Theme, Callable], ...]:
+    """The enabled themes' rules, in theme order."""
+    return tuple((theme, _RULES[theme]) for theme in IMPLEMENTED_THEMES if theme in enabled)
+
+
 def detect_all(
     sentence: AnnotatedSentence,
     lexicons: LexiconSet,
@@ -671,16 +705,17 @@ def detect_all(
     """
     if config is None:
         config = _DEFAULT_CONFIG
+    # the weights are read on every call: they are a mapping the caller owns
+    weights = config.weights
     counts = _clause_counts(sentence)
     detections: list[ThemeDetection] = []
-    for theme in IMPLEMENTED_THEMES:
-        if theme not in config.enabled:
-            continue
-        found = _RULES[theme](sentence, lexicons, counts)
-        override = config.weights.get(theme)
-        if override is not None:
-            found = [replace(d, weight=d.weight * override) for d in found]
-        detections.extend(found)
+    for theme, rule in _rule_plan(config.enabled):
+        found = rule(sentence, lexicons, counts)
+        if found:
+            override = weights.get(theme) if weights else None
+            if override is not None:
+                found = [replace(d, weight=d.weight * override) for d in found]
+            detections.extend(found)
     return make_assessment(sentence.id, detections)
 
 

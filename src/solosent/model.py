@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -312,16 +311,36 @@ _set_features = AnnotatedToken.features.__set__
 _set_is_modal = AnnotatedToken.is_modal.__set__
 
 
+class _TreeIndex:
+    """One part of an AnnotatedSentence's tree index, built on first read.
+
+    A non-data descriptor that takes no lock: the first read builds the
+    whole index into the instance dict, which shadows the descriptor from
+    then on.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, sentence, owner: Optional[type] = None):
+        if sentence is None:
+            return self
+        sentence._build_tree_index()
+        return sentence.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class AnnotatedSentence:
     """A sentence whose tokens carry abstract categories and relations.
 
-    The tree queries read a per-instance index of each token's dependents,
-    built on first use by one pass over the tokens, as are the root tuple
-    and the lowercased lemmas.  That relies on the tokens never changing
-    after construction.  The index is keyed by the heads as they are, so
-    hand-built sentences with out-of-range or cyclic heads answer exactly
-    as a scan of the tokens would.
+    The tree queries read a per-instance index: each token's dependents,
+    the root tuple and the lowercased lemmas.  The first query of any of
+    them builds all three in one pass over the tokens and stores them in
+    the instance dict, where later reads find them directly, with no lock;
+    a sentence nothing queries never builds it.  That relies on the tokens
+    never changing after construction.  The index is keyed by the heads as
+    they are, so hand-built sentences with out-of-range or cyclic heads
+    answer exactly as a scan of the tokens would.
     """
 
     id: str
@@ -346,30 +365,31 @@ class AnnotatedSentence:
     def text(self) -> str:
         return " ".join(t.form for t in self.tokens)
 
-    @cached_property
-    def lower_lemmas(self) -> tuple[str, ...]:
-        """Each token's lemma, lowercased, in surface order."""
-        return tuple(t.token.lemma.lower() for t in self.tokens)
+    # the tree index, each part built with the others on first read
+    lower_lemmas = _TreeIndex()  # each token's lemma, lowercased, in surface order
+    _dependents = _TreeIndex()  # tokens by the head they name, each group in surface order
+    _roots = _TreeIndex()  # tokens with relation root or head 0, in surface order
 
-    @cached_property
-    def _dependents(self) -> dict[int, tuple[AnnotatedToken, ...]]:
-        """Tokens by the head they name, each group in surface order."""
+    def _build_tree_index(self) -> None:
+        """Build every part of the tree index in one pass over the tokens."""
+        lemmas = []
         groups: dict[int, list[AnnotatedToken]] = {}
+        roots = []
         for t in self.tokens:
-            head = t.token.head
-            if head in groups:
-                groups[head].append(t)
-            else:
+            token = t.token
+            lemmas.append(token.lemma.lower())
+            head = token.head
+            group = groups.get(head)
+            if group is None:
                 groups[head] = [t]
-        return {head: tuple(group) for head, group in groups.items()}
-
-    @cached_property
-    def _roots(self) -> tuple[AnnotatedToken, ...]:
-        return tuple(
-            t
-            for t in self.tokens
-            if t.token.head == 0 or t.relation is Relation.ROOT
-        )
+            else:
+                group.append(t)
+            if head == 0 or t.relation is Relation.ROOT:
+                roots.append(t)
+        index = self.__dict__
+        index["lower_lemmas"] = tuple(lemmas)
+        index["_dependents"] = {head: tuple(group) for head, group in groups.items()}
+        index["_roots"] = tuple(roots)
 
     def head_token(self, index: int) -> Optional[AnnotatedToken]:
         """The governing token, or None for roots and out-of-range heads."""

@@ -564,6 +564,72 @@ class TestClosedStdout:
         assert completed.returncode == 141
 
 
+def _big_input(tmp_path):
+    path = tmp_path / "big.conllu"
+    path.write_text(big_corpus_conllu(2_000), encoding="utf-8")
+    return path
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFailedWriteNamesItsTarget:
+    """A write that fails is a one-line error naming --output or stdout.
+
+    The fixture's output fails when it is flushed at the end of the run,
+    the large input's while the run writes."""
+
+    @pytest.fixture(params=["fixture", "large"])
+    def input_path(self, request, corpus_path, tmp_path):
+        return corpus_path if request.param == "fixture" else _big_input(tmp_path)
+
+    def test_output_file(self, input_path):
+        completed = subprocess.run(
+            [sys.executable, "-m", "solosent", "--mode", "assess",
+             "--input", str(input_path), "--output", "/dev/full"],
+            capture_output=True, timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == b""
+        assert completed.stderr == (
+            b"error: /dev/full: cannot write (No space left on device)\n"
+        )
+
+    def test_stdout(self, input_path):
+        with open("/dev/full", "wb") as full:
+            completed = subprocess.run(
+                [sys.executable, "-m", "solosent", "--mode", "assess",
+                 "--input", str(input_path)],
+                stdout=full, stderr=subprocess.PIPE, timeout=120,
+            )
+        assert completed.returncode == 1
+        assert completed.stderr == b"error: stdout: cannot write (No space left on device)\n"
+
+    def test_regular_file_stays_as_it_was(self, input_path, tmp_path):
+        """A file past the size limit fails to grow; the earlier file is
+        kept and the temporary file removed."""
+        import resource
+        import signal
+
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = directory / "out.jsonl"
+        target.write_text("earlier run\n", encoding="utf-8")
+
+        def limit_file_size():  # writes past 64 bytes fail with EFBIG
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+
+        completed = subprocess.run(
+            [sys.executable, "-m", "solosent", "--mode", "assess",
+             "--input", str(input_path), "--output", str(target)],
+            capture_output=True, timeout=120, preexec_fn=limit_file_size,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == f"error: {target}: cannot write (File too large)\n".encode()
+        assert target.read_text(encoding="utf-8") == "earlier run\n"
+        assert [p.name for p in directory.iterdir()] == ["out.jsonl"]
+
+
 def _run_with_closed_fd(redirect, *argv):
     """Run the CLI in a shell that closes one of its streams, e.g. ``<&-``."""
     return subprocess.run(

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SUC, UD, annotate
+from helpers import SUC, UD, annotate, parse_one
 from solosent.assessment import Assessment
 from solosent.detectors import (
     IMPLEMENTED_THEMES,
@@ -904,6 +905,100 @@ def test_detect_all_is_total_on_any_valid_tree(lex, tokens, profile, enabled):
     assert assessment.score == sum(d.weight for d in assessment.detections)
 
 
+_PUBLIC_DETECTORS = {
+    Theme.INCOMPLETE: lambda s, lex: detect_incomplete(s),
+    Theme.IMPLICIT_ANAPHORA: lambda s, lex: detect_implicit_anaphora(s),
+    Theme.PRONOMINAL_ANAPHORA: detect_pronominal_anaphora,
+    Theme.ADVERBIAL_ANAPHORA: detect_adverbial_anaphora,
+    Theme.DISCOURSE_CONNECTIVE: lambda s, lex: detect_discourse_connective(s),
+    Theme.STRUCTURAL_CONNECTIVE: detect_structural_connective,
+    Theme.CLOSED_QUESTION_ANSWER: detect_ceq_answer,
+}
+
+
+def _assessment_from_public_detectors(sentence, lex, enabled, weights):
+    """detect_all as its contract reads: the public detectors in theme
+    order, each scaled by its override, summed from Fraction(0)."""
+    detections = []
+    for theme in IMPLEMENTED_THEMES:
+        if theme in enabled:
+            for d in _PUBLIC_DETECTORS[theme](sentence, lex):
+                if theme in weights:
+                    d = replace(d, weight=d.weight * weights[theme])
+                detections.append(d)
+    return detections, sum((d.weight for d in detections), Fraction(0))
+
+
+def _assert_assessment(assessment, expected):
+    detections, total = expected
+    assert list(assessment.detections) == detections
+    assert assessment.score == total
+    assert type(assessment.score) is type(total) is Fraction
+    assert assessment.context_independent is (not detections)
+
+
+_WEIGHT_OVERRIDES = st.dictionaries(
+    st.sampled_from(IMPLEMENTED_THEMES),
+    st.fractions(min_value=Fraction(1, 16), max_value=8, max_denominator=16),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _ANY_TREES,
+    st.sampled_from([SUC, UD]),
+    st.frozensets(st.sampled_from(IMPLEMENTED_THEMES)),
+    _WEIGHT_OVERRIDES,
+    _WEIGHT_OVERRIDES,
+)
+def test_detect_all_equals_the_public_detectors(lex, tokens, profile, enabled, first, then):
+    """The rule plan and the cheap score change nothing: detect_all is the
+    public detectors in theme order, scaled and summed; and a weights
+    mapping changed after the config was used counts from the next call."""
+    sentence = apply_profile(Sentence(id="d", tokens=tokens), profile)
+    weights = dict(first)
+    config = DetectorConfig(enabled=enabled, weights=weights)
+    _assert_assessment(
+        detect_all(sentence, lex, config),
+        _assessment_from_public_detectors(sentence, lex, enabled, first),
+    )
+    weights.clear()
+    weights.update(then)
+    _assert_assessment(
+        detect_all(sentence, lex, config),
+        _assessment_from_public_detectors(sentence, lex, enabled, then),
+    )
+
+
+_ANTECEDENT_WORDS = [
+    ("den", "den", "PN", "UTR|SIN|DEF"), ("det", "det", "PN", "NEU|SIN|DEF"),
+    ("detta", "denna", "PN", "NEU|SIN|DEF"), ("dessa", "denna", "PN", "UTR/NEU|PLU|DEF"),
+    ("sådan", "sådan", "PN", "UTR|SIN|IND"), ("hon", "hon", "PN", "UTR|SIN|DEF"),
+    ("hus", "hus", "NN", "NEU|SIN|IND"), ("barnen", "barn", "NN", "NEU|PLU|DEF"),
+    ("bil", "bil", "NN", "UTR|SIN|IND"), ("bilar", "bil", "NN", "UTR|PLU|IND"),
+    ("folk", "folk", "NN", ""), ("Anna", "Anna", "PM", "UTR|SIN|IND"),
+    ("Stockholm", "Stockholm", "PM", ""), ("att", "att", "IE", ""),
+    ("läsa", "läsa", "VB", "INF|AKT"), ("sover", "sova", "VB", "PRS|AKT"),
+    ("ser", "se", "VB", "PRS|AKT"), ("och", "och", "KN", ""), (".", ".", "MAD", ""),
+]
+# det after an infinitive marker under a verb gets one more candidate:
+# weight those words up so that the case comes up often
+_ANTECEDENT_WORDS += [w for w in _ANTECEDENT_WORDS if w[0] in ("det", "att", "läsa", "sover", "ser")] * 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees(words=st.sampled_from(_ANTECEDENT_WORDS)))
+def test_reported_antecedent_counts_match_the_public_count(lex, tokens):
+    """The detector's running tallies count what count_antecedent_candidates
+    counts, pronoun by pronoun."""
+    sentence = apply_profile(Sentence(id="a", tokens=tokens), SUC)
+    for d in detect_pronominal_anaphora(sentence, lex):
+        (index,) = d.token_indices
+        count = count_antecedent_candidates(sentence, index)
+        assert f" with {count} antecedent candidate(s) " in d.rationale
+        assert d.weight == (HALF if count else ONE)
+
+
 class TestDetectorConfig:
     def test_reserved_theme_rejected(self):
         with pytest.raises(ConfigError, match="CDPC"):
@@ -963,46 +1058,72 @@ def _flat_tree_rows(size):
 
 
 class TestWorkPerSentence:
-    """One detect_all asks the finite-verb test at most once per token and
-    builds the children index at most once per sentence, whatever its size."""
+    """One apply_profile + detect_all asks the finite-verb test at most once
+    per token, builds the tree index exactly once per sentence and tests
+    antecedent features at most once per token, whatever its size."""
 
     @pytest.fixture
     def work(self, monkeypatch):
         from solosent import detectors, model
 
-        counts = {"finite": Counter(), "index": 0}
+        counts = {"finite": Counter(), "index": 0, "compatible": 0}
         is_finite = detectors._is_finite_verb
+        build = model.AnnotatedSentence._build_tree_index
+        compatible = detectors._features_compatible
 
         def counting_is_finite(sentence, token):
             counts["finite"][token.index] += 1
             return is_finite(sentence, token)
 
-        index = model.AnnotatedSentence.__dict__["_dependents"]
-        build = index.func
-
         def counting_build(sentence):
             counts["index"] += 1
-            return build(sentence)
+            build(sentence)
+
+        def counting_compatible(pronoun, noun):
+            counts["compatible"] += 1
+            return compatible(pronoun, noun)
 
         monkeypatch.setattr(detectors, "_is_finite_verb", counting_is_finite)
-        monkeypatch.setattr(index, "func", counting_build)
+        monkeypatch.setattr(model.AnnotatedSentence, "_build_tree_index", counting_build)
+        monkeypatch.setattr(detectors, "_features_compatible", counting_compatible)
         return counts
 
-    def assert_one_pass(self, work, sentence, lex):
+    def assert_one_pass(self, work, sentence, lex, profile=SUC):
         work["finite"].clear()
-        work["index"] = 0
-        detect_all(sentence, lex)
+        work["index"] = work["compatible"] = 0
+        detect_all(apply_profile(sentence, profile), lex)
         assert max(work["finite"].values(), default=0) <= 1, sentence.id
-        assert work["index"] <= 1, sentence.id
+        assert work["index"] == 1, sentence.id
+        assert work["compatible"] <= len(sentence), sentence.id
 
     def test_flat_160_token_tree(self, work, lex):
-        sentence = annotate(_flat_tree_rows(160), "flat160")
+        sentence = parse_one(_flat_tree_rows(160), "flat160")
         assert len(sentence) == 160
         self.assert_one_pass(work, sentence, lex)
-        assert work["index"] == 1 and len(work["finite"]) > 1
+        assert len(work["finite"]) > 1
+
+    def test_flat_640_token_tree_counts_antecedents_in_one_pass(self, work, lex):
+        sentence = parse_one(_flat_tree_rows(640), "flat640")
+        assert len(sentence) == 640
+        self.assert_one_pass(work, sentence, lex)
+        assert work["compatible"] > 0
 
     def test_fixture_sentences(self, work, fixture_sentences, suc, lex):
-        from solosent.profiles import apply_profile
-
         for s in fixture_sentences:
-            self.assert_one_pass(work, apply_profile(s, suc), lex)
+            self.assert_one_pass(work, s, lex, suc)
+
+    def test_sentence_nothing_queries_builds_no_index(self, work, suc):
+        from solosent.concordance import ConcordanceHit, HitToken, to_sentences
+
+        hit = ConcordanceHit(
+            corpus="SUC3",
+            position="1041",
+            tokens=(
+                HitToken("Det", "PN", "SS", "2", "det", "NEU|SIN|DEF"),
+                HitToken("regnar", "VB", "ROOT", "0", "regna", "PRS|AKT"),
+                HitToken(".", "MAD", "IP", "2", "."),
+            ),
+        )
+        (sentence,), issues = to_sentences((hit,), suc)
+        assert issues == [] and len(sentence) == 3
+        assert work["index"] == 0
