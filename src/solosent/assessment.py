@@ -30,30 +30,27 @@ class Assessment:
         return frozenset(d.theme for d in self.detections)
 
 
-def score(detections: Iterable["ThemeDetection"]) -> Fraction:
-    """Sum of detection weights, as an exact rational."""
-    return sum((d.weight for d in detections), Fraction(0))
-
-
 _ZERO = Fraction(0)
+
+
+def score(detections: Iterable["ThemeDetection"]) -> Fraction:
+    """Sum of detection weights, as an exact rational.
+
+    Most sentences have no detection or one: no detection scores a shared
+    zero and one scores its own weight, so only two or more detections pay
+    for Fraction additions.
+    """
+    total = None
+    for detection in detections:
+        total = detection.weight if total is None else total + detection.weight
+    return _ZERO if total is None else total
 
 
 def make_assessment(
     sentence_id: str, detections: Sequence["ThemeDetection"]
 ) -> Assessment:
-    """The assessment of a sentence with these detections.
-
-    Scored as score() would, but most sentences have no detection or one:
-    no detection scores a shared zero and one scores its own weight, so
-    only two or more detections pay for Fraction additions.
-    """
     detections = tuple(detections)
-    if detections:
-        total = detections[0].weight
-        for detection in detections[1:]:
-            total += detection.weight
-    else:
-        total = _ZERO
+    total = score(detections)
     return Assessment(
         sentence_id=sentence_id,
         detections=detections,

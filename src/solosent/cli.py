@@ -269,6 +269,17 @@ _OUTPUT_FAILURES = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point fd 1 at the null device after a write to stdout failed.
+
+    The bytes that failed stay in stdout's buffer; without this the
+    interpreter's final flush would fail on them too.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 class _Output:
     """A text stream whose failed writes name it.
 
@@ -286,6 +297,8 @@ class _Output:
         except BrokenPipeError:
             raise
         except OSError as exc:
+            if self._stream is sys.stdout:
+                _discard_stdout()
             raise InputError(f"{self._name}: cannot write ({exc.strerror})") from None
 
     def write(self, text: str) -> None:
@@ -461,10 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return run(args)
     except BrokenPipeError:
-        # the reader is gone: keep the interpreter's final flush from failing too
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
         return 141
     except (ConfigError, ProfileError, LexiconError) as exc:
         _say(f"error: {exc}")

@@ -118,6 +118,8 @@ class DetectorConfig:
     lexicon_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # any set will do; the rule plan is cached on the frozen one
+        object.__setattr__(self, "enabled", frozenset(self.enabled))
         if Theme.CONCEPT_PROPERTIES in self.enabled:
             raise ConfigError(
                 "theme CDPC is a reserved identifier without an implementation "

@@ -33,6 +33,23 @@ class TestScore:
         assert total == Fraction(3, 2)
         assert isinstance(total, Fraction)
 
+    @given(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 16), max_value=8, max_denominator=16),
+            max_size=5,
+        )
+    )
+    def test_equals_the_plain_sum(self, weights):
+        """Any number of detections, given as a list or a generator."""
+        expected = sum(weights, Fraction(0))
+        for detections in (
+            [detection(w) for w in weights],
+            (detection(w) for w in weights),
+        ):
+            total = score(detections)
+            assert total == expected
+            assert type(total) is Fraction
+
 
 class TestMakeAssessment:
     def test_independent_iff_no_detections(self):

@@ -1015,6 +1015,18 @@ class TestDetectorConfig:
     def test_default_enables_all_implemented(self):
         assert DetectorConfig().enabled == frozenset(IMPLEMENTED_THEMES)
 
+    def test_enabled_may_be_any_set(self, by_id, lex):
+        """A plain set or a list enables the same themes as a frozenset."""
+        themes = [Theme.INCOMPLETE, Theme.PRONOMINAL_ANAPHORA]
+        expected = DetectorConfig(enabled=frozenset(themes))
+        for enabled in (set(themes), themes):
+            config = DetectorConfig(enabled=enabled)
+            assert config.enabled == frozenset(themes)
+            for sentence in by_id.values():
+                assert detect_all(sentence, lex, config) == detect_all(
+                    sentence, lex, expected
+                )
+
 
 class TestWeightRuleProperty:
     def test_randomized_pronoun_sentences(self, lex):
