@@ -14,9 +14,10 @@ Typical use::
 
     profile = load_profile("suc-mamba")
     lexicons = load_lexicon_set()
-    for sentence in parse_conllu(open("corpus.conllu", encoding="utf-8-sig")):
-        verdict = detect_all(apply_profile(sentence, profile), lexicons)
-        print(verdict.sentence_id, verdict.score, sorted(t.value for t in verdict.themes))
+    with open("corpus.conllu", encoding="utf-8-sig") as f:
+        for sentence in parse_conllu(f):
+            verdict = detect_all(apply_profile(sentence, profile), lexicons)
+            print(verdict.sentence_id, verdict.score, sorted(t.value for t in verdict.themes))
 """
 
 import importlib

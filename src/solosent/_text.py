@@ -21,15 +21,32 @@ def string_lines(text: str) -> TextIO:
 _OPEN_FAILURES = {FileNotFoundError: "no such file", IsADirectoryError: "is a directory"}
 
 
+def _read(lines: TextIO, error: Error, name: str) -> Iterator[str]:
+    """The lines as they are read; a failure to read one raises ``error``.
+
+    Only the reads are guarded: an exception raised where the lines are
+    used, such as a write to a closed stdout, passes through unchanged.
+    """
+    try:
+        yield from lines
+    except UnicodeDecodeError as exc:
+        raise error(f"{name}: not valid UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise error(f"{name}: cannot read ({exc.strerror})") from None
+
+
 @contextlib.contextmanager
-def open_lines(source, error: Error, name: Optional[str] = None) -> Iterator[TextIO]:
+def open_lines(
+    source, error: Error, name: Optional[str] = None
+) -> Iterator[Iterator[str]]:
     """The lines of a path or a stream, decoded as they are read.
 
     A path that cannot be opened raises ``error("<name>: no such file")``,
     ``"<name>: is a directory"`` or ``"<name>: cannot open (<reason>)"``.  A
     stream is left open, and stdin's bytes are decoded here, not by the
     locale.  Bytes that are not UTF-8 raise ``error("<name>: not valid UTF-8
-    (<reason>)")``.
+    (<reason>)")``, and a read that fails once the path is open raises
+    ``error("<name>: cannot read (<reason>)")``.
     """
     stream = getattr(source, "buffer", source)
     if isinstance(stream, io.TextIOBase):  # a StringIO: no bytes under the text
@@ -43,9 +60,7 @@ def open_lines(source, error: Error, name: Optional[str] = None) -> Iterator[Tex
             raise error(f"{name or source}: {reason}") from None
         lines = io.TextIOWrapper(binary, encoding="utf-8-sig")
     try:
-        yield lines
-    except UnicodeDecodeError as exc:
-        raise error(f"{name or source}: not valid UTF-8 ({exc.reason})") from None
+        yield _read(lines, error, name or source)
     finally:
         if owned:
             lines.close()

@@ -28,7 +28,7 @@ MAX_PAGE_SIZE = 1000
 
 
 class TransportError(Exception):
-    """The service could not be reached at all."""
+    """The service could not be reached, or its reply could not be read."""
 
 
 class ServiceError(Exception):
@@ -121,16 +121,24 @@ class UrllibTransport:
         self.timeout = timeout
 
     def get(self, url: str) -> TransportReply:
+        import http.client
         import urllib.error
         import urllib.request
 
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
-                return TransportReply(status=response.status, body=response.read())
+            response = urllib.request.urlopen(url, timeout=self.timeout)
         except urllib.error.HTTPError as exc:
-            return TransportReply(status=exc.code, body=exc.read())
+            response = exc  # an error status still has a reply to read
         except (urllib.error.URLError, OSError) as exc:
             raise TransportError(f"cannot reach {url}: {exc}") from exc
+        except http.client.HTTPException as exc:
+            raise TransportError(f"cannot read the reply from {url}: {exc}") from exc
+        with response:
+            try:
+                body = response.read()
+            except (http.client.HTTPException, OSError) as exc:
+                raise TransportError(f"cannot read the reply from {url}: {exc}") from exc
+        return TransportReply(status=response.status, body=body)
 
 
 @dataclass(frozen=True)

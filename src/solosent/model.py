@@ -9,6 +9,7 @@ AnnotatedToken/AnnotatedSentence values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Iterator, Optional
@@ -124,7 +125,7 @@ class Token:
     decoding into MorphFeatures happens when a profile is applied.
 
     Fields live in slots and the constructor stores them directly, since a
-    corpus builds one Token per row and fetch mode keeps them all.
+    corpus builds one Token per row.
     """
 
     index: int
@@ -223,8 +224,35 @@ def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
             rooted[index] = True
 
 
+class _TokenSequence:
+    """What Sentence and AnnotatedSentence share: tokens indexed from 1.
+
+    A subclass is a frozen dataclass with a ``tokens`` field.  This base is
+    not a dataclass, so it adds no field and leaves each constructor as its
+    subclass declares it; it has no ``__slots__``, so a subclass keeps its
+    instance dict.
+    """
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.tokens)
+
+    def token(self, index: int):
+        """Return the token with the given 1-based index."""
+        return self.tokens[index - 1]
+
+    @property
+    def text(self) -> str:
+        return " ".join(t.form for t in self.tokens)
+
+
 @dataclass(frozen=True)
-class Sentence:
+class Sentence(_TokenSequence):
     """A dependency-parsed sentence with raw annotations.
 
     ``source`` is provenance metadata and deliberately excluded from
@@ -236,22 +264,10 @@ class Sentence:
     tokens: tuple[Token, ...]
     source: Optional[SourceRef] = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
-
-    def token(self, index: int) -> Token:
-        """Return the token with the given 1-based index."""
-        return self.tokens[index - 1]
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.form for t in self.tokens)
+def _token_field(name: str) -> property:
+    """A read-only view of ``token.<name>``; a read runs no Python frame."""
+    return property(operator.attrgetter(f"token.{name}"), doc=f"``token.{name}``")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -278,29 +294,12 @@ class AnnotatedToken:
         _set_features(self, features)
         _set_is_modal(self, is_modal)
 
-    @property
-    def index(self) -> int:
-        return self.token.index
-
-    @property
-    def form(self) -> str:
-        return self.token.form
-
-    @property
-    def lemma(self) -> str:
-        return self.token.lemma
-
-    @property
-    def pos(self) -> str:
-        return self.token.pos
-
-    @property
-    def deprel(self) -> str:
-        return self.token.deprel
-
-    @property
-    def head(self) -> int:
-        return self.token.head
+    index = _token_field("index")
+    form = _token_field("form")
+    lemma = _token_field("lemma")
+    pos = _token_field("pos")
+    deprel = _token_field("deprel")
+    head = _token_field("head")
 
 
 # the slot setters of AnnotatedToken, used as those of Token are
@@ -330,7 +329,7 @@ class _TreeIndex:
 
 
 @dataclass(frozen=True)
-class AnnotatedSentence:
+class AnnotatedSentence(_TokenSequence):
     """A sentence whose tokens carry abstract categories and relations.
 
     The tree queries read a per-instance index: each token's dependents,
@@ -347,23 +346,6 @@ class AnnotatedSentence:
     tokens: tuple[AnnotatedToken, ...]
     profile: str
     source: Optional[SourceRef] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[AnnotatedToken]:
-        return iter(self.tokens)
-
-    def token(self, index: int) -> AnnotatedToken:
-        """Return the token with the given 1-based index."""
-        return self.tokens[index - 1]
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.form for t in self.tokens)
 
     # the tree index, each part built with the others on first read
     lower_lemmas = _TreeIndex()  # each token's lemma, lowercased, in surface order
@@ -444,8 +426,8 @@ def validate_structure(sentence: AnnotatedSentence) -> list[StructuralIssue]:
 
     Sentences built by the parsers always have a head-0 token, so
     missing_root only shows up for sentences assembled by hand or from
-    degraded external data; the incomplete-sentence detector consumes it
-    either way.
+    degraded external data.  The incomplete-sentence detector tests
+    ``root_tokens()`` itself and does not call this.
     """
     roots = sentence.root_tokens()
     if not roots:

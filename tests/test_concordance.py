@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solosent.cli import main
 from solosent.concordance import (
     ConcordanceQuery,
     DecodeError,
@@ -274,9 +275,16 @@ class TestUrllibTransport:
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 - http.server naming
-                status, body = (200, b'{"kwic": []}') if self.path == "/ok" else (500, b"boom")
+                path = self.path.partition("?")[0]
+                if path == "/garbage":  # not an HTTP status line
+                    self.wfile.write(b"garbage\r\n\r\n")
+                    return
+                ok = path == "/ok" or path.startswith("/ok/")
+                status, body = (200, b'{"kwic": []}') if ok else (500, b"boom")
                 self.send_response(status)
-                self.send_header("Content-Length", str(len(body)))
+                # a /short reply promises more bytes than it sends, then closes
+                length = 1000 if path.endswith("/short") else len(body)
+                self.send_header("Content-Length", str(length))
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -293,6 +301,39 @@ class TestUrllibTransport:
         transport = UrllibTransport(timeout=10)
         assert transport.get(endpoint + "/ok") == TransportReply(200, b'{"kwic": []}')
         assert transport.get(endpoint + "/fail") == TransportReply(500, b"boom")
+
+    @pytest.mark.parametrize("path, read", [("/ok/short", 12), ("/fail/short", 4)])
+    def test_truncated_reply(self, endpoint, path, read):
+        url = endpoint + path
+        with pytest.raises(TransportError) as info:
+            UrllibTransport(timeout=10).get(url)
+        assert str(info.value) == (
+            f"cannot read the reply from {url}: "
+            f"IncompleteRead({read} bytes read, {1000 - read} more expected)"
+        )
+
+    def test_reply_that_is_not_http(self, endpoint):
+        url = endpoint + "/garbage"
+        with pytest.raises(TransportError, match=f"cannot read the reply from {url}: "):
+            UrllibTransport(timeout=10).get(url)
+
+    def test_truncated_reply_is_one_error_line(self, endpoint, capsys, tmp_path):
+        conf = tmp_path / "fetch.conf"
+        conf.write_text(
+            f"fetch.endpoint = {endpoint}/ok/short\n"
+            'fetch.cqp = [pos="VB"]\n'
+            "fetch.corpora = SUC3\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "fetched.conllu"
+        target.write_text("earlier run\n", encoding="utf-8")
+        code = main(["--mode", "fetch", "--config", str(conf), "--output", str(target)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read the reply from {endpoint}/ok/short?")
+        assert err.endswith(": IncompleteRead(12 bytes read, 988 more expected)\n")
+        assert err.count("\n") == 1
+        assert target.read_bytes() == b"earlier run\n"
 
     def test_unreachable_service(self):
         with socket.socket() as probe:  # a loopback port nothing listens on

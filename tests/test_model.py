@@ -214,6 +214,31 @@ class TestSentence:
         assert isinstance(s.tokens, tuple)
 
 
+def _sentence(tokens, source=None):
+    return Sentence(id="s", tokens=list(tokens), source=source)
+
+
+def _annotated_sentence(tokens, source=None):
+    annotated = [AnnotatedToken(t, Category.NOUN, Relation.OTHER) for t in tokens]
+    return AnnotatedSentence(id="s", tokens=annotated, profile="test", source=source)
+
+
+@pytest.mark.parametrize("build", [_sentence, _annotated_sentence])
+def test_both_sentence_types_are_token_sequences(build):
+    raw = (tok(1, 2, "Hon"), tok(2, 0, "kom"), tok(3, 2, "hem"))
+    s = build(raw)  # from a list
+    assert isinstance(s.tokens, tuple)
+    assert len(s) == 3
+    assert list(s) == list(s.tokens)
+    assert [t.form for t in s] == ["Hon", "kom", "hem"]
+    assert [s.token(i) for i in (1, 2, 3)] == list(s.tokens)
+    assert s.token(2).index == 2
+    assert s.text == "Hon kom hem"
+    elsewhere = build(raw, source=SourceRef(corpus="talbanken", document="d1"))
+    assert s == elsewhere and hash(s) == hash(elsewhere)
+    assert s != build(raw[:2])
+
+
 class TestMorphFeatures:
     def test_defaults_unspecified(self):
         assert NO_FEATURES.gender is Gender.UNSPECIFIED

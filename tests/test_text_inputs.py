@@ -5,9 +5,11 @@ A file with a BOM gives what the same file without one gives, and a
 CoNLL-U text gives the same sentences through --input FILE, --input -
 and parse_conllu(str), whatever its line ends.  Every file flag takes a
 FIFO or /dev/fd/N as it takes a file, and a path that cannot be opened is
-one line naming it, with the exit code of its kind.
+one line naming it, with the exit code of its kind, as is a path whose
+read fails once it is open.
 """
 
+import errno
 import io
 import os
 import shutil
@@ -20,6 +22,7 @@ from importlib.resources import files
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solosent._text import open_lines
 from solosent.cli import InputError, _open_input, main
 from solosent.conllu import ParseError, parse_conllu
 from solosent.lexicons import load_lexicon_set
@@ -235,11 +238,20 @@ LEXICON_FILE = "anaphoric_pronouns.txt"
 BUNDLED_NAMES = " (bundled profiles: suc-mamba, ud)"
 
 
+# opens like any file, but reading its first page fails with EIO
+UNREADABLE = "/proc/self/mem"
+CANNOT_READ = f"cannot read ({os.strerror(errno.EIO)})"
+needs_unreadable = pytest.mark.skipif(
+    not os.path.exists(UNREADABLE), reason=f"needs {UNREADABLE}"
+)
+
+
 class TestOpenRule:
     """Each file the CLI reads, opened through a missing path, a directory, a
-    FIFO and /dev/fd/N.  The lexicon file stands in a copy of the bundled
-    directory: "missing" is a dangling link there, since an absent lexicon
-    file is only a warning, and /dev/fd/N is reached through a link."""
+    FIFO, /dev/fd/N and a path whose read fails once it is open.  The lexicon
+    file stands in a copy of the bundled directory: "missing" is a dangling
+    link there, since an absent lexicon file is only a warning, and /dev/fd/N
+    and the unreadable path are reached through a link."""
 
     KINDS = ["input", "gold", "config", "profile", "lexicon"]
     CODES = {"input": 1, "gold": 1, "config": 2, "profile": 2, "lexicon": 2}
@@ -294,6 +306,35 @@ class TestOpenRule:
         assert run_cli(capsys, *argv(path)) == (
             self.CODES[kind], "", f"error: {path}: {reason}{suffix}\n"
         )
+
+    @needs_unreadable
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_read_fails_after_open(self, capsys, tmp_path, setup, kind):
+        path = UNREADABLE
+        if kind == "lexicon":
+            path = self.slot(tmp_path, kind)
+            path.symlink_to(UNREADABLE)
+        suffix = BUNDLED_NAMES if kind == "profile" else ""
+        _, argv = setup[kind]
+        assert run_cli(capsys, *argv(path)) == (
+            self.CODES[kind], "", f"error: {path}: {CANNOT_READ}{suffix}\n"
+        )
+
+    @needs_unreadable
+    def test_stdin_read_fails(self, capsys, monkeypatch):
+        with open(UNREADABLE, "rb") as stream:
+            monkeypatch.setattr(sys, "stdin", stream)
+            assert run_cli(capsys, "--mode", "assess", "--input", "-") == (
+                1, "", f"error: stdin: {CANNOT_READ}\n"
+            )
+
+    def test_errors_where_the_lines_are_used_pass_through(self, tmp_path):
+        # only reads are guarded: a closed stdout inside the block stays itself
+        path = write(tmp_path / "sentences.conllu", "x\n")
+        with pytest.raises(BrokenPipeError):
+            with open_lines(str(path), InputError) as lines:
+                for _ in lines:
+                    raise BrokenPipeError
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("case", ["fifo", "dev_fd"])
