@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Iterator, Optional
+from typing import Generic, Iterator, Optional, TypeVar
 
 
 @unique
@@ -224,7 +224,10 @@ def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
             rooted[index] = True
 
 
-class _TokenSequence:
+_T = TypeVar("_T")
+
+
+class _TokenSequence(Generic[_T]):
     """What Sentence and AnnotatedSentence share: tokens indexed from 1.
 
     A subclass is a frozen dataclass with a ``tokens`` field.  This base is
@@ -239,10 +242,10 @@ class _TokenSequence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[_T]:
         return iter(self.tokens)
 
-    def token(self, index: int):
+    def token(self, index: int) -> _T:
         """Return the token with the given 1-based index."""
         return self.tokens[index - 1]
 
@@ -252,7 +255,7 @@ class _TokenSequence:
 
 
 @dataclass(frozen=True)
-class Sentence(_TokenSequence):
+class Sentence(_TokenSequence[Token]):
     """A dependency-parsed sentence with raw annotations.
 
     ``source`` is provenance metadata and deliberately excluded from
@@ -329,7 +332,7 @@ class _TreeIndex:
 
 
 @dataclass(frozen=True)
-class AnnotatedSentence(_TokenSequence):
+class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     """A sentence whose tokens carry abstract categories and relations.
 
     The tree queries read a per-instance index: each token's dependents,
