@@ -26,9 +26,12 @@ def _read(lines: TextIO, error: Error, name: str) -> Iterator[str]:
 
     Only the reads are guarded: an exception raised where the lines are
     used, such as a write to a closed stdout, passes through unchanged.
+    A plain loop, not ``yield from``: closing this generator must not close
+    a stream that open_lines has already detached.
     """
     try:
-        yield from lines
+        for line in lines:
+            yield line
     except UnicodeDecodeError as exc:
         raise error(f"{name}: not valid UTF-8 ({exc.reason})") from None
     except OSError as exc:

@@ -27,6 +27,7 @@ from solosent.cli import InputError, _open_input, main
 from solosent.conllu import ParseError, parse_conllu
 from solosent.lexicons import load_lexicon_set
 from solosent.model import StructureError
+from synthcorpus import big_corpus_conllu
 
 FIXTURES = files("solosent.data.fixtures")
 BUNDLED_LEXICONS = files("solosent").joinpath("data", "lexicons", "sv")
@@ -167,6 +168,36 @@ class TestLineEnds:
         )
         assert (completed.returncode, completed.stderr) == (0, b"")
         assert completed.stdout == expected.encode("utf-8")
+
+
+class TestStdinPipeStopsCleanly:
+    """A run that stops partway through a piped stdin says what stopped it
+    and nothing more: no later complaint about the stream it left open."""
+
+    def test_bad_line(self, fixture_text):
+        lines = fixture_text.splitlines(keepends=True)
+        lines[2] = "not a row\n"
+        completed = subprocess.run(
+            [sys.executable, "-m", "solosent", "--mode", "assess", "--input", "-"],
+            input="".join(lines).encode("utf-8"), capture_output=True, timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == (
+            b"error: stdin: line 3: expected 10 tab-separated columns, got 1\n"
+        )
+
+    def test_closed_stdout(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "solosent", "--mode", "assess", "--input", "-"],
+                input=big_corpus_conllu(2_000).encode("utf-8"),
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (completed.returncode, completed.stderr) == (141, b"")
 
 
 # Characters str.splitlines() breaks at beside LF and CR; a line keeps them
