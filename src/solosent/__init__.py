@@ -82,10 +82,8 @@ _EXPORTS = {
         "Sentence",
         "SourceRef",
         "StructureError",
-        "StructuralIssue",
         "Token",
         "VerbForm",
-        "validate_structure",
     ),
     "profiles": (
         "CoverageCounter",

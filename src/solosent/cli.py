@@ -117,6 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _score(assessment: Assessment) -> float:
+    """The score as written; weights that sum past the float range are a ConfigError."""
+    try:
+        return float(assessment.score)
+    except OverflowError:
+        raise ConfigError(
+            f"sentence {assessment.sentence_id!r}: score is too large for a float"
+        ) from None
+
+
 def _assessment_record(assessment: Assessment, explain: bool) -> dict:
     detections = []
     for d in assessment.detections:
@@ -131,7 +141,7 @@ def _assessment_record(assessment: Assessment, explain: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "id": assessment.sentence_id,
-        "score": float(assessment.score),
+        "score": _score(assessment),
         "context_independent": assessment.context_independent,
         "detections": detections,
     }
@@ -144,7 +154,7 @@ def _assessment_tsv_row(assessment: Assessment) -> str:
     return "\t".join(
         (
             assessment.sentence_id,
-            str(float(assessment.score)),
+            str(_score(assessment)),
             "true" if assessment.context_independent else "false",
             themes if themes else "-",
         )
@@ -430,7 +440,12 @@ def _eval(args, detector_config: DetectorConfig, lexicons: LexiconSet, profile) 
             assessments = list(
                 _assess_sentences(parse_conllu(lines), profile, lexicons, detector_config)
             )
-        predictions = {a.sentence_id: a.themes for a in assessments}
+        predictions = {}
+        for a in assessments:
+            if a.sentence_id in predictions:
+                name = "stdin" if args.input == "-" else args.input
+                raise InputError(f"{name}: duplicate sentence id {a.sentence_id!r}")
+            predictions[a.sentence_id] = a.themes
         report = this.evaluate(predictions, gold)
     except this.GoldDataError as exc:
         raise InputError(str(exc)) from None

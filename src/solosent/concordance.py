@@ -15,6 +15,7 @@ CoNLL-U reader produces, so everything downstream is source-agnostic.
 from __future__ import annotations
 
 import json
+import re
 import urllib.parse
 from dataclasses import dataclass
 from typing import Mapping, Optional, Protocol, Sequence
@@ -171,21 +172,31 @@ class FetchResult:
     total_hits: Optional[int] = None
 
 
+# what a CoNLL-U field cannot carry: a column or line break, or a lone
+# surrogate, which has no UTF-8 encoding
+_UNWRITABLE = re.compile("[\t\n\r\ud800-\udfff]")
+
+
 def _field_text(value, integer: bool = False) -> Optional[str]:
-    """A JSON string as it is, a non-bool integer as digits when allowed, else None."""
+    """A JSON string as it is, a non-bool integer as digits when allowed, else None.
+
+    A string that holds what CoNLL-U cannot carry is None too.
+    """
     if isinstance(value, str):
-        return value
+        return None if _UNWRITABLE.search(value) else value
     if integer and isinstance(value, int) and not isinstance(value, bool):
         return str(value)
     return None
 
 
 def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit]:
-    """The hit in ``item``, or None when its fields are missing or of the wrong type.
+    """The hit in ``item``, or None when any of its fields is unusable.
 
     Token fields are strings (``dephead`` may be an integer); ``word``,
     ``deprel`` and ``dephead`` are required and non-empty, while a null
-    ``pos``, ``lemma`` or ``msd`` counts as absent.
+    ``pos``, ``lemma`` or ``msd`` counts as absent.  A string that CoNLL-U
+    cannot carry is unusable too, and so is a sentence id,
+    ``corpus:position``, that starts or ends with whitespace.
     """
     tokens_raw = item.get("tokens")
     if not isinstance(tokens_raw, list) or not tokens_raw:
@@ -212,6 +223,9 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     corpus = _field_text(item.get("corpus", "unknown"))
     if position is None or corpus is None:
         return None
+    # the reader drops whitespace around a sent_id
+    if corpus[:1].isspace() or position[-1:].isspace():
+        return None
     return ConcordanceHit(corpus=corpus, position=position, tokens=tuple(tokens))
 
 
@@ -219,8 +233,9 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     """Execute one page request and parse the hits.
 
     Hits whose tokens lack dependency annotation, or whose fields have the
-    wrong JSON type, are skipped and counted, not fatal: concordance
-    corpora mix parsed and unparsed material.
+    wrong JSON type or cannot be written as CoNLL-U, are skipped and
+    counted, not fatal: concordance corpora mix parsed and unparsed
+    material.
     Non-2xx answers raise ServiceError with the status; undecodable bodies
     raise DecodeError.
     """

@@ -36,6 +36,7 @@ it are rejected, so nobody mistakes silence for a verdict.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from fractions import Fraction
@@ -130,9 +131,9 @@ class DetectorConfig:
                 raise ConfigError(
                     f"weight for {theme.value} must be positive, got {weight}"
                 )
-
-    def weight_for(self, theme: Theme) -> Fraction:
-        return self.weights.get(theme, ONE)
+            # scores are written as floats
+            if not weight <= sys.float_info.max:
+                raise ConfigError(f"weight for {theme.value} is too large for a float")
 
 
 # Characters that may wrap the real start of a sentence: quotes, brackets
@@ -188,14 +189,12 @@ def _in_verb_group(sentence: AnnotatedSentence, token: AnnotatedToken) -> bool:
 
 
 def _is_finite_verb(sentence: AnnotatedSentence, token: AnnotatedToken) -> bool:
-    """Finite verb test, with the modal restriction.
+    """Finite verb test for a token of category verb, with the modal restriction.
 
     A verb is finite when its form is present, past or imperative.  A
     modal only counts inside a verb group: a finite modal with no verb
     above or below it means the lexical verb was elided.
     """
-    if token.category is not Category.VERB:
-        return False
     if token.features.verb_form not in FINITE_VERB_FORMS:
         return False
     if token.is_modal and not _in_verb_group(sentence, token):
@@ -213,7 +212,6 @@ class _ClauseCounts(NamedTuple):
 def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
     finite_verbs = conjuncts = 0
     for t in sentence.tokens:
-        # most tokens are not verbs: test that before paying for the call
         if t.category is Category.VERB and _is_finite_verb(sentence, t):
             finite_verbs += 1
         if t.relation is Relation.CONJUNCT:
@@ -386,15 +384,11 @@ def count_antecedent_candidates(
 def _followed_by_som_relative(
     sentence: AnnotatedSentence, pronoun: AnnotatedToken
 ) -> bool:
-    nxt = (
-        sentence.token(pronoun.index + 1)
-        if pronoun.index < len(sentence.tokens)
-        else None
-    )
-    if nxt is not None and nxt.lemma.lower() == "som":
+    lemmas = sentence.lower_lemmas
+    if pronoun.index < len(lemmas) and lemmas[pronoun.index] == "som":
         return True
     for descendant in sentence.descendants(pronoun.index):
-        if descendant.lemma.lower() == "som" and descendant.relation in (
+        if lemmas[descendant.index - 1] == "som" and descendant.relation in (
             Relation.RELATIVE_CLAUSE_MARKER,
             Relation.SUBORDINATOR,
         ):
@@ -419,7 +413,7 @@ def detect_pronominal_anaphora(
     tallied once, carried on from the previous one, so the count costs
     one pass over the sentence, not one per pronoun.
     """
-    tokens = sentence.tokens
+    tokens, lemmas = sentence.tokens, sentence.lower_lemmas
     # nouns and proper nouns tallied so far, by (gender, number): one of
     # them, which stands for the others in the compatibility test, and
     # how many there are
@@ -427,7 +421,7 @@ def detect_pronominal_anaphora(
     marked_infinitive = False  # an infinitive marker under a verb was tallied
     tallied = 0
     detections: list[ThemeDetection] = []
-    for token, lemma in zip(tokens, sentence.lower_lemmas):
+    for token, lemma in zip(tokens, lemmas):
         if lemma not in lexicons.anaphoric_pronouns:
             continue
         if token.category is not Category.PRONOUN:
@@ -436,7 +430,7 @@ def detect_pronominal_anaphora(
             continue
         if lemma == "det":
             verb = _nearest_verb_ancestor(sentence, token)
-            if verb is not None and verb.lemma.lower() in lexicons.weather_verbs:
+            if verb is not None and lemmas[verb.index - 1] in lexicons.weather_verbs:
                 continue
         if _followed_by_som_relative(sentence, token):
             continue
@@ -485,7 +479,8 @@ def detect_adverbial_anaphora(
     determiner before it or by the adverb itself relating as determiner.
     """
     detections: list[ThemeDetection] = []
-    for token, lemma in zip(sentence.tokens, sentence.lower_lemmas):
+    lemmas = sentence.lower_lemmas
+    for token, lemma in zip(sentence.tokens, lemmas):
         adverb_type = lexicons.anaphoric_adverbs.get(lemma)
         if adverb_type is None or token.category is not Category.ADVERB:
             continue
@@ -493,7 +488,7 @@ def detect_adverbial_anaphora(
         for child in sentence.children(token.index):
             if child.relation is not Relation.ADVERBIAL:
                 continue
-            child_type = lexicons.anaphoric_adverbs.get(child.lemma.lower())
+            child_type = lexicons.anaphoric_adverbs.get(lemmas[child.index - 1])
             if child_type is None or child_type is adverb_type:
                 specified = True
                 break
@@ -561,9 +556,10 @@ def _discourse_connective(
 
 
 def _completed_pair_present(
-    sentence: AnnotatedSentence, lexicons: LexiconSet, lemma: str
+    sentence: AnnotatedSentence, lexicons: LexiconSet, root: AnnotatedToken
 ) -> bool:
     lemmas = sentence.lower_lemmas
+    lemma = lemmas[root.index - 1]
     # whatever follows a later first member also follows the earliest one
     return any(
         lemma in (first, second)
@@ -594,7 +590,7 @@ def _structural_connective(
     if (
         root is not None
         and root.category is Category.CONJUNCTION
-        and not _completed_pair_present(sentence, lexicons, root.lemma.lower())
+        and not _completed_pair_present(sentence, lexicons, root)
     ):
         detections.append(
             ThemeDetection(
@@ -643,7 +639,7 @@ def detect_ceq_answer(
     candidate = tokens[offset]
     if (
         candidate.category is Category.INTERJECTION
-        and candidate.lemma.lower() in lexicons.yes_no_interjections
+        and sentence.lower_lemmas[offset] in lexicons.yes_no_interjections
     ):
         return [
             ThemeDetection(

@@ -410,31 +410,3 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     def root_tokens(self) -> tuple[AnnotatedToken, ...]:
         """Tokens that act as the dependency root (relation root or head 0)."""
         return self._roots
-
-
-MISSING_ROOT = "missing_root"
-MULTIPLE_ROOTS = "multiple_roots"
-
-
-@dataclass(frozen=True)
-class StructuralIssue:
-    """A sentence-level defect found by validate_structure."""
-
-    kind: str
-    count: int = 0
-
-
-def validate_structure(sentence: AnnotatedSentence) -> list[StructuralIssue]:
-    """Report root defects: no root at all, or more than one.
-
-    Sentences built by the parsers always have a head-0 token, so
-    missing_root only shows up for sentences assembled by hand or from
-    degraded external data.  The incomplete-sentence detector tests
-    ``root_tokens()`` itself and does not call this.
-    """
-    roots = sentence.root_tokens()
-    if not roots:
-        return [StructuralIssue(MISSING_ROOT)]
-    if len(roots) > 1:
-        return [StructuralIssue(MULTIPLE_ROOTS, count=len(roots))]
-    return []

@@ -171,6 +171,23 @@ class TestEval:
         assert "micro avg" in out
         assert "PNAnaphora" in out
 
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_repeated_input_id(
+        self, capsys, monkeypatch, tmp_path, gold_path, fixture_text, stdin
+    ):
+        twice = fixture_text + "\n" + fixture_text
+        path = tmp_path / "twice.conllu"
+        path.write_text(twice, encoding="utf-8")
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(twice))
+        name = "stdin" if stdin else str(path)
+        code, out, err = run_cli(
+            capsys,
+            "--mode", "eval", "--input", "-" if stdin else str(path), "--gold", gold_path,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {name}: duplicate sentence id 't01'\n"
+
     def test_gold_required(self, capsys, corpus_path):
         code, _, err = run_cli(capsys, "--mode", "eval", "--input", corpus_path)
         assert code == 2
@@ -213,6 +230,34 @@ class TestConfigFlag:
         )
         by_id = {r["id"]: r for r in jsonl_records(out)}
         assert by_id["t03"]["score"] == 3.0
+
+    @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
+    def test_weight_too_large_for_a_float(self, capsys, corpus_path, tmp_path, mode):
+        conf = tmp_path / "solosent.conf"
+        conf.write_text("weight.PNAnaphora = 1e400\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", *mode, "--input", corpus_path, "--config", str(conf)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: weight for PNAnaphora is too large for a float\n"
+
+    @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
+    def test_score_too_large_for_a_float(self, capsys, corpus_path, tmp_path, mode):
+        # t03 has one PNAnaphora and one StructConn detection
+        conf = tmp_path / "solosent.conf"
+        conf.write_text(
+            "weight.PNAnaphora = 1e308\nweight.StructConn = 1e308\n", encoding="utf-8"
+        )
+        target = tmp_path / "out"
+        target.write_text("earlier\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", *mode, "--input", corpus_path, "--config", str(conf),
+            "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sentence 't03': score is too large for a float\n"
+        assert target.read_text(encoding="utf-8") == "earlier\n"
+        assert sorted(os.listdir(tmp_path)) == ["out", "sentences.conllu", "solosent.conf"]
 
     def test_profile_from_config(self, capsys, tmp_path, ud_fixture_text):
         conf = tmp_path / "solosent.conf"
@@ -937,6 +982,28 @@ class TestFetch:
         assert code == 0
         assert err == "warning: skipped 1 hit(s) without dependency annotation\n"
         assert [s.id for s in parse_conllu(out)] == ["SUC3:1041"]
+
+    def test_hit_conllu_cannot_carry_is_skipped(self, capsys, monkeypatch, tmp_path):
+        good = FETCH_PAGE["kwic"][0]
+        first, *rest = good["tokens"]
+        unwritable = [
+            dict(good, tokens=[dict(first, word="a\tb"), *rest]),
+            dict(good, corpus="Y\nZ"),
+            dict(good, tokens=[dict(first, word="\ud800"), *rest]),
+        ]
+        page = dict(FETCH_PAGE, kwic=[good, *unwritable])
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: FakeTransport(page))
+        target = tmp_path / "fetched.conllu"
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "fetch",
+            "--config", self.write_config(tmp_path),
+            "--output", str(target),
+        )
+        assert code == 0
+        assert err == "warning: skipped 3 hit(s) without dependency annotation\n"
+        text = target.read_text(encoding="utf-8")
+        assert [s.id for s in parse_conllu(text)] == ["SUC3:1041"]
 
     def test_env_endpoint_override(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)

@@ -21,7 +21,7 @@ from solosent.concordance import (
     settings_from_mapping,
     to_sentences,
 )
-from solosent.conllu import parse_conllu
+from solosent.conllu import parse_conllu, serialize_conllu
 from solosent.detectors import ConfigError
 from solosent.model import Category
 from solosent.profiles import CoverageCounter, apply_profile
@@ -178,11 +178,22 @@ class TestFetchPage:
             "corpus": "SUC3",
             "tokens": [{"word": ["Det"], "deprel": True, "pos": None, "dephead": "0"}],
         }
+        # text CoNLL-U cannot carry: once an 11-column row, a sent_id comment
+        # over two lines, a UnicodeEncodeError and ids the reader strips
+        first, *rest = WEATHER_HIT["tokens"]
+        unwritable = [
+            dict(WEATHER_HIT, tokens=[dict(first, word="a\tb"), *rest]),
+            dict(WEATHER_HIT, corpus="Y\nZ"),
+            dict(WEATHER_HIT, tokens=[dict(first, word="\ud800"), *rest]),
+            dict(WEATHER_HIT, corpus=" SUC3"),
+            dict(WEATHER_HIT, match={"position": "1041 "}),
+        ]
         result = fetch_page(
-            simple_request(), CannedTransport(body=page_body([WEATHER_HIT, wrong]))
+            simple_request(),
+            CannedTransport(body=page_body([WEATHER_HIT, wrong, *unwritable])),
         )
         assert [hit.position for hit in result.hits] == ["1041"]
-        assert result.skipped == 1
+        assert result.skipped == 1 + len(unwritable)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -448,8 +459,25 @@ _HIT = st.fixed_dictionaries(
         "match": st.fixed_dictionaries({"position": _JSON}) | _JSON,
     },
 )
+# any text, a lone surrogate too (JSON escapes it as \ud800)
+_STRING = st.text(st.characters(exclude_categories=()), min_size=1, max_size=4)
+# a hit whose fields all have the right JSON type, so most become sentences
+_TYPED_HIT = st.fixed_dictionaries(
+    {
+        "corpus": _STRING,
+        "match": st.fixed_dictionaries({"position": _STRING | st.integers(0, 9)}),
+        "tokens": st.lists(
+            st.fixed_dictionaries(
+                {"word": _STRING, "deprel": _STRING, "dephead": st.just(0)},
+                optional={key: _STRING for key in ("lemma", "pos", "msd")},
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    }
+)
 _PAGE = st.fixed_dictionaries(
-    {"kwic": st.lists(_HIT | _JSON, max_size=4) | _JSON},
+    {"kwic": st.lists(_TYPED_HIT, max_size=4) | st.lists(_HIT | _JSON, max_size=4) | _JSON},
     optional={"hits": _JSON},
 )
 _BODY = st.one_of(
@@ -464,13 +492,17 @@ _BODY = st.one_of(
 def test_fetch_decoder_fails_only_with_decode_error(body):
     """Whatever a service answers with 200, fetch_page either gives hits or
     raises DecodeError, and normalize_hits turns every hit it gives into a
-    sentence or an IngestIssue without raising."""
+    sentence or an IngestIssue without raising.  The sentences are written
+    as UTF-8 CoNLL-U that reads back to the same text."""
     try:
         result = fetch_page(simple_request(), CannedTransport(body=body))
     except DecodeError:
         return
     sentences, issues = normalize_hits(result.hits)
     assert len(sentences) + len(issues) == len(result.hits)
+    text = serialize_conllu(sentences)
+    text.encode("utf-8")
+    assert serialize_conllu(parse_conllu(text)) == text
 
 
 class TestSettings:

@@ -49,11 +49,11 @@ class TestDetectorConfigFromMapping:
             {"enable.IncompSent": "false", "weight.PNAnaphora": "0.5"}
         )
         assert Theme.INCOMPLETE not in config.enabled
-        assert config.weight_for(Theme.PRONOMINAL_ANAPHORA) == Fraction(1, 2)
+        assert config.weights[Theme.PRONOMINAL_ANAPHORA] == Fraction(1, 2)
 
     def test_rational_weight_syntax(self):
         config = detector_config_from_mapping({"weight.StructConn": "1/3"})
-        assert config.weight_for(Theme.STRUCTURAL_CONNECTIVE) == Fraction(1, 3)
+        assert config.weights[Theme.STRUCTURAL_CONNECTIVE] == Fraction(1, 3)
 
     def test_profile_and_lexicons_passed_through(self):
         config = detector_config_from_mapping(
@@ -81,6 +81,13 @@ class TestDetectorConfigFromMapping:
     def test_bad_weight_rejected(self):
         with pytest.raises(ConfigError, match="rational"):
             detector_config_from_mapping({"weight.IncompSent": "heavy"})
+
+    def test_weight_beyond_the_float_range_rejected(self):
+        assert detector_config_from_mapping({"weight.PNAnaphora": "1e308"})
+        with pytest.raises(
+            ConfigError, match="^weight for PNAnaphora is too large for a float$"
+        ):
+            detector_config_from_mapping({"weight.PNAnaphora": "1e400"})
 
     def test_reserved_theme_enable_rejected(self):
         with pytest.raises(ConfigError, match="CDPC"):

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 
 from helpers import annotate, parse_one
 from solosent.model import (
-    MISSING_ROOT,
-    MULTIPLE_ROOTS,
     NO_FEATURES,
     AnnotatedSentence,
     AnnotatedToken,
@@ -20,7 +18,6 @@ from solosent.model import (
     SourceRef,
     StructureError,
     Token,
-    validate_structure,
     validate_tokens,
 )
 
@@ -294,25 +291,6 @@ class TestTreeQueries:
     def test_root_tokens(self):
         s = annotate(TREE)
         assert [t.form for t in s.root_tokens()] == ["berodde"]
-
-
-class TestValidateStructure:
-    def build(self, *tokens):
-        annotated = tuple(
-            AnnotatedToken(t, Category.NOUN, Relation.OTHER) for t in tokens
-        )
-        return AnnotatedSentence(id="s", tokens=annotated, profile="test")
-
-    def test_clean_sentence_has_no_issues(self):
-        assert validate_structure(self.build(tok(1, 0), tok(2, 1))) == []
-
-    def test_missing_root(self):
-        issues = validate_structure(self.build(tok(1, 2), tok(2, 1)))
-        assert [i.kind for i in issues] == [MISSING_ROOT]
-
-    def test_multiple_roots(self):
-        issues = validate_structure(self.build(tok(1, 0), tok(2, 0)))
-        assert [(i.kind, i.count) for i in issues] == [(MULTIPLE_ROOTS, 2)]
 
 
 # --- tree queries against a naive scan ----------------------------------

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIXTURES
 from helpers import annotate, parse_one
+from solosent.cli import main
 from solosent.model import (
     Category,
     Definiteness,
@@ -197,6 +199,28 @@ class TestProfileText:
         path.write_text(text, encoding="utf-8")
         profile = load_profile(path)
         assert profile.decode_features("V", "pres").verb_form is VerbForm.SUPINE
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("name tiny again", "name takes exactly one value"),
+        ("pos N", "pos takes a raw tag and a category"),
+        ("deprel subj", "deprel takes a raw label and a relation"),
+        ("deprel subj subjekt", "unknown relation 'subjekt'"),
+        ("feat V pres", "feat takes a POS pattern, an atom and field=value"),
+        ("feat V pres tense=present", "unknown feature field 'tense'"),
+        ("modal kunna vilja", "modal takes exactly one lemma"),
+    ],
+)
+def test_grammar_error_names_file_and_line(capsys, tmp_path, line, message):
+    path = tmp_path / "bad.profile"
+    path.write_text(f"name tiny\n# the next line is wrong\n{line}\n", encoding="utf-8")
+    corpus = str(FIXTURES.joinpath("sv_examples.conllu"))
+    code = main(["--mode", "assess", "--input", corpus, "--profile", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: line 3: {message}\n"
 
 
 class TestApplyProfile:
