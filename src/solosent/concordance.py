@@ -282,14 +282,23 @@ def normalize_hits(
 ) -> tuple[list[Sentence], list[IngestIssue]]:
     """Normalize hits into raw sentences, as the CoNLL-U reader gives them.
 
-    Sentence ids are ``corpus:position``, unique per hit.  Hits whose head
-    values do not form a tree (cycles, out-of-range heads) are excluded
-    and reported, never fatal.  Returns (sentences, issues).
+    Sentence ids are ``corpus:position``, unique per hit.  A head is read
+    as the CoNLL-U reader reads one: decimal digits only, so ``"+1"``,
+    ``" 2 "`` and ``"1_0"`` are refused, not read as 1, 2 and 10.  Hits
+    with such a head, or whose heads do not form a tree (cycles,
+    out-of-range heads), are excluded and reported, never fatal.  Returns
+    (sentences, issues).
     """
     sentences: list[Sentence] = []
     issues: list[IngestIssue] = []
     for hit in hits:
         sentence_id = f"{hit.corpus}:{hit.position}"
+        bad = next((t.head for t in hit.tokens if not t.head.isdecimal()), None)
+        if bad is not None:
+            issues.append(
+                IngestIssue(sentence_id, f"head must be a non-negative integer, got {bad!r}")
+            )
+            continue
         try:
             tokens = tuple(
                 Token(i, t.form, t.lemma, t.pos, t.deprel, int(t.head), t.feats)

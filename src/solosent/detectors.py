@@ -48,9 +48,9 @@ from .lexicons import LexiconSet
 from .model import (
     FINITE_VERB_FORMS,
     AnnotatedSentence,
-    AnnotatedToken,
     Category,
     Gender,
+    MorphFeatures,
     Number,
     Relation,
     VerbForm,
@@ -138,7 +138,7 @@ class DetectorConfig:
 
 # Characters that may wrap the real start of a sentence: quotes, brackets
 # and dashes introducing reported speech.
-_WRAPPER_CHARS = frozenset("\"'`«»‘’“”()[]{}-–—")
+_WRAPPER_CHARS = "\"'`«»‘’“”()[]{}-–—"
 
 _DELIMITER_CATEGORIES = frozenset(
     {Category.MAJOR_DELIMITER, Category.MINOR_DELIMITER}
@@ -146,58 +146,60 @@ _DELIMITER_CATEGORIES = frozenset(
 
 
 def _is_wrapper_form(form: str) -> bool:
-    return bool(form) and all(ch in _WRAPPER_CHARS for ch in form)
+    return bool(form) and not form.strip(_WRAPPER_CHARS)
 
 
-def _first_content_token(sentence: AnnotatedSentence) -> Optional[AnnotatedToken]:
+# The rules read the sentence's columns and its tree index.  Tokens are
+# named by their 1-based index, as in the index and in the detections;
+# the columns are read at index - 1.
+
+
+def _first_content_index(sentence: AnnotatedSentence) -> Optional[int]:
     """The first token that is not a delimiter or a wrapper mark."""
-    for token in sentence.tokens:
-        if token.category in _DELIMITER_CATEGORIES:
+    for index, (category, token) in enumerate(
+        zip(sentence.categories, sentence.raw_tokens), start=1
+    ):
+        if category in _DELIMITER_CATEGORIES:
             continue
         if _is_wrapper_form(token.form):
             continue
-        return token
+        return index
     return None
 
 
-def _root_token(sentence: AnnotatedSentence) -> Optional[AnnotatedToken]:
-    roots = sentence.root_tokens()
+def _root_index(sentence: AnnotatedSentence) -> Optional[int]:
+    roots = sentence.roots
     return roots[0] if roots else None
 
 
-def _nearest_verb_ancestor(
-    sentence: AnnotatedSentence, token: AnnotatedToken
-) -> Optional[AnnotatedToken]:
-    seen = {token.index}
-    current = sentence.head_token(token.index)
-    while current is not None and current.index not in seen:
-        if current.category is Category.VERB:
-            return current
-        seen.add(current.index)
-        current = sentence.head_token(current.index)
-    return None
+def _governed_by_verb(sentence: AnnotatedSentence, index: int) -> bool:
+    """True when the token's head is a token of category verb."""
+    tokens = sentence.raw_tokens
+    head = tokens[index - 1].head
+    return 0 < head <= len(tokens) and sentence.categories[head - 1] is Category.VERB
 
 
-def _in_verb_group(sentence: AnnotatedSentence, token: AnnotatedToken) -> bool:
+def _in_verb_group(sentence: AnnotatedSentence, index: int) -> bool:
     """True when the token directly governs, or is governed by, a verb."""
-    head = sentence.head_token(token.index)
-    if head is not None and head.category is Category.VERB:
+    if _governed_by_verb(sentence, index):
         return True
+    categories = sentence.categories
     return any(
-        child.category is Category.VERB for child in sentence.children(token.index)
+        categories[child - 1] is Category.VERB
+        for child in sentence.dependents.get(index, ())
     )
 
 
-def _is_finite_verb(sentence: AnnotatedSentence, token: AnnotatedToken) -> bool:
+def _is_finite_verb(sentence: AnnotatedSentence, index: int) -> bool:
     """Finite verb test for a token of category verb, with the modal restriction.
 
     A verb is finite when its form is present, past or imperative.  A
     modal only counts inside a verb group: a finite modal with no verb
     above or below it means the lexical verb was elided.
     """
-    if token.features.verb_form not in FINITE_VERB_FORMS:
+    if sentence.features[index - 1].verb_form not in FINITE_VERB_FORMS:
         return False
-    if token.is_modal and not _in_verb_group(sentence, token):
+    if sentence.modal_flags[index - 1] and not _in_verb_group(sentence, index):
         return False
     return True
 
@@ -210,13 +212,11 @@ class _ClauseCounts(NamedTuple):
 
 
 def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
-    finite_verbs = conjuncts = 0
-    for t in sentence.tokens:
-        if t.category is Category.VERB and _is_finite_verb(sentence, t):
+    finite_verbs = 0
+    for index, category in enumerate(sentence.categories, start=1):
+        if category is Category.VERB and _is_finite_verb(sentence, index):
             finite_verbs += 1
-        if t.relation is Relation.CONJUNCT:
-            conjuncts += 1
-    return _ClauseCounts(finite_verbs, conjuncts)
+    return _ClauseCounts(finite_verbs, sentence.relations.count(Relation.CONJUNCT))
 
 
 def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
@@ -229,7 +229,7 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     Starting with a digit is fine.
     """
     detections: list[ThemeDetection] = []
-    if not sentence.root_tokens():
+    if not sentence.roots:
         detections.append(
             ThemeDetection(
                 theme=Theme.INCOMPLETE,
@@ -239,26 +239,25 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
             )
         )
 
-    tokens = sentence.tokens
+    tokens = sentence.raw_tokens
     start = 1 if tokens and _is_wrapper_form(tokens[0].form) else 0
-    for token in tokens[start:]:
-        first_char = next(
-            (ch for ch in token.form if ch.isalpha() or ch.isdigit()), None
-        )
+    for index in range(start + 1, len(tokens) + 1):
+        form = tokens[index - 1].form
+        first_char = next((ch for ch in form if ch.isalpha() or ch.isdigit()), None)
         if first_char is None:
             continue
         if first_char.islower():
             detections.append(
                 ThemeDetection(
                     theme=Theme.INCOMPLETE,
-                    token_indices=(token.index,),
+                    token_indices=(index,),
                     weight=ONE,
-                    rationale=f"sentence starts with lowercase {token.form!r}",
+                    rationale=f"sentence starts with lowercase {form!r}",
                 )
             )
         break
 
-    if not tokens or tokens[-1].category is not Category.MAJOR_DELIMITER:
+    if not tokens or sentence.categories[-1] is not Category.MAJOR_DELIMITER:
         tail = tokens[-1].form if tokens else ""
         detections.append(
             ThemeDetection(
@@ -271,13 +270,14 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     return detections
 
 
-def _main_verb(sentence: AnnotatedSentence) -> Optional[AnnotatedToken]:
-    root = _root_token(sentence)
-    if root is not None and root.category is Category.VERB:
+def _main_verb(sentence: AnnotatedSentence) -> Optional[int]:
+    categories = sentence.categories
+    root = _root_index(sentence)
+    if root is not None and categories[root - 1] is Category.VERB:
         return root
-    for token in sentence.tokens:
-        if token.category is Category.VERB:
-            return token
+    for index, category in enumerate(categories, start=1):
+        if category is Category.VERB:
+            return index
     return None
 
 
@@ -291,20 +291,35 @@ def detect_implicit_anaphora(sentence: AnnotatedSentence) -> list[ThemeDetection
     return _implicit_anaphora(sentence, _clause_counts(sentence))
 
 
+# An expletive fills the subject slot just as well: the check hunts for
+# gapped subjects, not for meaningless ones.
+_SUBJECT_RELATIONS = frozenset(
+    {Relation.SUBJECT, Relation.LOGICAL_SUBJECT, Relation.EXPLETIVE}
+)
+
+
 def _implicit_anaphora(
     sentence: AnnotatedSentence, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
     if counts.finite_verbs == 0:
-        lone_modals = [
-            t.form
-            for t in sentence.tokens
-            if t.category is Category.VERB
-            and t.is_modal
-            and t.features.verb_form in FINITE_VERB_FORMS
-        ]
-        if lone_modals:
-            rationale = f"no finite verb: modal {lone_modals[0]!r} stands alone"
+        lone_modal = next(
+            (
+                token.form
+                for token, category, modal, features in zip(
+                    sentence.raw_tokens,
+                    sentence.categories,
+                    sentence.modal_flags,
+                    sentence.features,
+                )
+                if category is Category.VERB
+                and modal
+                and features.verb_form in FINITE_VERB_FORMS
+            ),
+            None,
+        )
+        if lone_modal is not None:
+            rationale = f"no finite verb: modal {lone_modal!r} stands alone"
         else:
             rationale = "no finite verb"
         detections.append(
@@ -315,16 +330,12 @@ def _implicit_anaphora(
                 rationale=rationale,
             )
         )
-    # An expletive fills the subject slot just as well: the check hunts
-    # for gapped subjects, not for meaningless ones.
-    has_subject = any(
-        t.relation
-        in (Relation.SUBJECT, Relation.LOGICAL_SUBJECT, Relation.EXPLETIVE)
-        for t in sentence.tokens
-    )
-    if not has_subject:
+    if _SUBJECT_RELATIONS.isdisjoint(sentence.relations):
         main = _main_verb(sentence)
-        if main is None or main.features.verb_form is not VerbForm.IMPERATIVE:
+        if (
+            main is None
+            or sentence.features[main - 1].verb_form is not VerbForm.IMPERATIVE
+        ):
             detections.append(
                 ThemeDetection(
                     theme=Theme.IMPLICIT_ANAPHORA,
@@ -336,11 +347,11 @@ def _implicit_anaphora(
     return detections
 
 
-def _features_compatible(pronoun: AnnotatedToken, noun: AnnotatedToken) -> bool:
-    pg, ng = pronoun.features.gender, noun.features.gender
+def _features_compatible(pronoun: MorphFeatures, noun: MorphFeatures) -> bool:
+    pg, ng = pronoun.gender, noun.gender
     if Gender.UNSPECIFIED not in (pg, ng) and pg is not ng:
         return False
-    pn, nn = pronoun.features.number, noun.features.number
+    pn, nn = pronoun.number, noun.number
     if Number.UNSPECIFIED not in (pn, nn) and pn is not nn:
         return False
     return True
@@ -359,41 +370,103 @@ def count_antecedent_candidates(
 
     Raises ValueError when the index does not point at a pronoun.
     """
-    if pronoun_index < 1 or pronoun_index > len(sentence.tokens):
+    if pronoun_index < 1 or pronoun_index > len(sentence.raw_tokens):
         raise ValueError(f"no token at index {pronoun_index}")
-    pronoun = sentence.token(pronoun_index)
-    if pronoun.category is not Category.PRONOUN:
-        raise ValueError(
-            f"token {pronoun_index} ({pronoun.form!r}) is not a pronoun"
-        )
+    categories, features = sentence.categories, sentence.features
+    if categories[pronoun_index - 1] is not Category.PRONOUN:
+        form = sentence.raw_tokens[pronoun_index - 1].form
+        raise ValueError(f"token {pronoun_index} ({form!r}) is not a pronoun")
+    pronoun = features[pronoun_index - 1]
     count = 0
-    for token in sentence.tokens[: pronoun_index - 1]:
-        if token.category in (Category.NOUN, Category.PROPER_NOUN):
-            if _features_compatible(pronoun, token):
+    for index in range(1, pronoun_index):
+        if categories[index - 1] in (Category.NOUN, Category.PROPER_NOUN):
+            if _features_compatible(pronoun, features[index - 1]):
                 count += 1
-    if pronoun.lemma.lower() == "det":
-        for token in sentence.tokens[: pronoun_index - 1]:
-            if token.category is Category.INFINITIVE_MARKER:
-                head = sentence.head_token(token.index)
-                if head is not None and head.category is Category.VERB:
+    if sentence.lower_lemmas[pronoun_index - 1] == "det":
+        for index in range(1, pronoun_index):
+            if categories[index - 1] is Category.INFINITIVE_MARKER:
+                if _governed_by_verb(sentence, index):
                     count += 1
                     break
     return count
 
 
-def _followed_by_som_relative(
-    sentence: AnnotatedSentence, pronoun: AnnotatedToken
-) -> bool:
-    lemmas = sentence.lower_lemmas
-    if pronoun.index < len(lemmas) and lemmas[pronoun.index] == "som":
-        return True
-    for descendant in sentence.descendants(pronoun.index):
-        if lemmas[descendant.index - 1] == "som" and descendant.relation in (
-            Relation.RELATIVE_CLAUSE_MARKER,
-            Relation.SUBORDINATOR,
+_SOM_RELATIONS = (Relation.RELATIVE_CLAUSE_MARKER, Relation.SUBORDINATOR)
+
+
+class _TreePasses(NamedTuple):
+    """Answers for every token of a sentence whose heads form a tree."""
+
+    # the nearest verb above each token, by index, or 0 for none
+    verb_above: list[int]
+    # whether each token's subtree, the token excluded, holds a som-relative
+    som_below: list[bool]
+
+
+def _tree_passes(sentence: AnnotatedSentence) -> Optional[_TreePasses]:
+    """One top-down and one bottom-up pass over the tree, or None when the
+    heads do not form one (a cycle, or a head outside the sentence)."""
+    # every token index, each after its head; a token is reached from 0
+    # at most once, since it has one head
+    dependents = sentence.dependents
+    order = list(dependents.get(0, ()))
+    for index in order:
+        order.extend(dependents.get(index, ()))
+    if len(order) != len(sentence.raw_tokens):
+        return None
+    tokens, categories = sentence.raw_tokens, sentence.categories
+    lemmas, relations = sentence.lower_lemmas, sentence.relations
+    verb_above = [0] * (len(tokens) + 1)
+    for index in order:
+        head = tokens[index - 1].head
+        if head:
+            verb_above[index] = (
+                head if categories[head - 1] is Category.VERB else verb_above[head]
+            )
+    som_below = [False] * (len(tokens) + 1)
+    for index in reversed(order):
+        if som_below[index] or (
+            lemmas[index - 1] == "som" and relations[index - 1] in _SOM_RELATIONS
         ):
-            return True
-    return False
+            som_below[tokens[index - 1].head] = True
+    return _TreePasses(verb_above, som_below)
+
+
+def _nearest_verb_ancestor(
+    sentence: AnnotatedSentence, index: int, passes: Optional[_TreePasses]
+) -> int:
+    """The nearest verb above the token, or 0 for none.
+
+    A sentence whose heads are not a tree is walked up from the token,
+    stopping at a head out of range or at a token already seen.
+    """
+    if passes is not None:
+        return passes.verb_above[index]
+    tokens, categories = sentence.raw_tokens, sentence.categories
+    seen = {index}
+    current = tokens[index - 1].head
+    while 0 < current <= len(tokens) and current not in seen:
+        if categories[current - 1] is Category.VERB:
+            return current
+        seen.add(current)
+        current = tokens[current - 1].head
+    return 0
+
+
+def _som_relative_below(
+    sentence: AnnotatedSentence, index: int, passes: Optional[_TreePasses]
+) -> bool:
+    """Whether the token's subtree holds a som relative marker or subordinator.
+
+    A sentence whose heads are not a tree is searched from the token.
+    """
+    if passes is not None:
+        return passes.som_below[index]
+    lemmas, relations = sentence.lower_lemmas, sentence.relations
+    return any(
+        lemmas[i - 1] == "som" and relations[i - 1] in _SOM_RELATIONS
+        for i in sentence.descendant_indices(index)
+    )
 
 
 def detect_pronominal_anaphora(
@@ -408,46 +481,63 @@ def detect_pronominal_anaphora(
     subtree.  The weight halves when the sentence itself offers antecedent
     candidates, since the reference may then be resolvable in place.
 
-    The candidates are counted as count_antecedent_candidates counts them,
-    from running tallies: the tokens left of each reported pronoun are
-    tallied once, carried on from the previous one, so the count costs
-    one pass over the sentence, not one per pronoun.
+    When a pronoun needs the verb above it or a som-relative below it,
+    both are answered for every token at once, by one pass down and one
+    up the tree.  The candidates are counted as
+    count_antecedent_candidates counts them, from running tallies: the
+    tokens left of each reported pronoun are tallied once, carried on from
+    the previous one, so the count costs one pass over the sentence, not
+    one per pronoun.
     """
-    tokens, lemmas = sentence.tokens, sentence.lower_lemmas
-    # nouns and proper nouns tallied so far, by (gender, number): one of
-    # them, which stands for the others in the compatibility test, and
-    # how many there are
+    categories, relations = sentence.categories, sentence.relations
+    features, lemmas = sentence.features, sentence.lower_lemmas
+    if lexicons.anaphoric_pronouns.isdisjoint(lemmas):
+        return []
+    # the exemptions that look along the tree need a weather verb or a som
+    weather = not lexicons.weather_verbs.isdisjoint(lemmas)
+    som = "som" in lemmas
+    passes: Optional[_TreePasses] = None
+    passed = False  # the passes were tried; they stay None when the heads are no tree
+    # nouns and proper nouns tallied so far, by (gender, number): the
+    # features of one of them, which stands for the others in the
+    # compatibility test, and how many there are
     nouns: dict[tuple[Gender, Number], list] = {}
     marked_infinitive = False  # an infinitive marker under a verb was tallied
     tallied = 0
     detections: list[ThemeDetection] = []
-    for token, lemma in zip(tokens, lemmas):
+    for index, lemma in enumerate(lemmas, start=1):
         if lemma not in lexicons.anaphoric_pronouns:
             continue
-        if token.category is not Category.PRONOUN:
+        if categories[index - 1] is not Category.PRONOUN:
             continue
-        if token.relation is Relation.EXPLETIVE:
+        if relations[index - 1] is Relation.EXPLETIVE:
             continue
-        if lemma == "det":
-            verb = _nearest_verb_ancestor(sentence, token)
-            if verb is not None and lemmas[verb.index - 1] in lexicons.weather_verbs:
+        if not passed and (som or weather and lemma == "det"):
+            passes, passed = _tree_passes(sentence), True
+        if lemma == "det" and weather:
+            verb = _nearest_verb_ancestor(sentence, index, passes)
+            if verb and lemmas[verb - 1] in lexicons.weather_verbs:
                 continue
-        if _followed_by_som_relative(sentence, token):
+        if som and (
+            (index < len(lemmas) and lemmas[index] == "som")
+            or _som_relative_below(sentence, index, passes)
+        ):
             continue
-        for left in tokens[tallied : token.index - 1]:
-            category = left.category
+        for left in range(tallied + 1, index):
+            category = categories[left - 1]
             if category is Category.NOUN or category is Category.PROPER_NOUN:
-                cell = (left.features.gender, left.features.number)
+                noun = features[left - 1]
+                cell = (noun.gender, noun.number)
                 if cell in nouns:
                     nouns[cell][1] += 1
                 else:
-                    nouns[cell] = [left, 1]
+                    nouns[cell] = [noun, 1]
             elif category is Category.INFINITIVE_MARKER and not marked_infinitive:
-                head = sentence.head_token(left.index)
-                marked_infinitive = head is not None and head.category is Category.VERB
-        tallied = token.index - 1
+                marked_infinitive = _governed_by_verb(sentence, left)
+        tallied = index - 1
+        pronoun = features[index - 1]
         candidates = sum(
-            count for noun, count in nouns.values() if _features_compatible(token, noun)
+            count for noun, count in nouns.values() if _features_compatible(pronoun, noun)
         )
         if marked_infinitive and lemma == "det":
             candidates += 1
@@ -455,10 +545,10 @@ def detect_pronominal_anaphora(
         detections.append(
             ThemeDetection(
                 theme=Theme.PRONOMINAL_ANAPHORA,
-                token_indices=(token.index,),
+                token_indices=(index,),
                 weight=weight,
                 rationale=(
-                    f"anaphoric pronoun {token.form!r} with "
+                    f"anaphoric pronoun {sentence.raw_tokens[index - 1].form!r} with "
                     f"{candidates} antecedent candidate(s) to its left"
                 ),
             )
@@ -479,32 +569,38 @@ def detect_adverbial_anaphora(
     determiner before it or by the adverb itself relating as determiner.
     """
     detections: list[ThemeDetection] = []
-    lemmas = sentence.lower_lemmas
-    for token, lemma in zip(sentence.tokens, lemmas):
-        adverb_type = lexicons.anaphoric_adverbs.get(lemma)
-        if adverb_type is None or token.category is not Category.ADVERB:
+    categories, relations = sentence.categories, sentence.relations
+    lemmas, dependents = sentence.lower_lemmas, sentence.dependents
+    adverbs = lexicons.anaphoric_adverbs
+    if adverbs.keys().isdisjoint(lemmas):
+        return detections
+    for index, lemma in enumerate(lemmas, start=1):
+        adverb_type = adverbs.get(lemma)
+        if adverb_type is None or categories[index - 1] is not Category.ADVERB:
             continue
         specified = False
-        for child in sentence.children(token.index):
-            if child.relation is not Relation.ADVERBIAL:
+        for child in dependents.get(index, ()):
+            if relations[child - 1] is not Relation.ADVERBIAL:
                 continue
-            child_type = lexicons.anaphoric_adverbs.get(lemmas[child.index - 1])
+            child_type = adverbs.get(lemmas[child - 1])
             if child_type is None or child_type is adverb_type:
                 specified = True
                 break
         if specified:
             continue
-        previous = sentence.token(token.index - 1) if token.index > 1 else None
-        if previous is not None and previous.category is Category.DETERMINER:
+        if index > 1 and categories[index - 2] is Category.DETERMINER:
             continue
-        if token.relation is Relation.DETERMINER:
+        if relations[index - 1] is Relation.DETERMINER:
             continue
         detections.append(
             ThemeDetection(
                 theme=Theme.ADVERBIAL_ANAPHORA,
-                token_indices=(token.index,),
+                token_indices=(index,),
                 weight=ONE,
-                rationale=f"unspecified {adverb_type.value} adverb {token.form!r}",
+                rationale=(
+                    f"unspecified {adverb_type.value} adverb "
+                    f"{sentence.raw_tokens[index - 1].form!r}"
+                ),
             )
         )
     return detections
@@ -521,6 +617,18 @@ def detect_discourse_connective(sentence: AnnotatedSentence) -> list[ThemeDetect
     return _discourse_connective(sentence, _clause_counts(sentence))
 
 
+_CONNECTIVE_CATEGORIES = (Category.CONJUNCTION, Category.SUBJUNCTION)
+
+
+def _connective_beside(sentence: AnnotatedSentence, index: int) -> bool:
+    """True when a sibling of the token is a conjunction or subjunction."""
+    categories = sentence.categories
+    return any(
+        sibling != index and categories[sibling - 1] in _CONNECTIVE_CATEGORIES
+        for sibling in sentence.dependents[sentence.raw_tokens[index - 1].head]
+    )
+
+
 def _discourse_connective(
     sentence: AnnotatedSentence, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
@@ -529,26 +637,23 @@ def _discourse_connective(
     if max(counts.finite_verbs, counts.conjuncts + 1) >= 2:
         return []
     detections: list[ThemeDetection] = []
-    for token in sentence.tokens:
-        if token.relation is not Relation.CONJUNCTIONAL_ADVERBIAL:
+    tokens = sentence.raw_tokens
+    for index, relation in enumerate(sentence.relations, start=1):
+        if relation is not Relation.CONJUNCTIONAL_ADVERBIAL:
             continue
-        neighbours = list(sentence.siblings(token.index))
-        head = sentence.head_token(token.index)
-        if head is not None:
-            neighbours.extend(sentence.siblings(head.index))
-        if any(
-            n.category in (Category.CONJUNCTION, Category.SUBJUNCTION)
-            for n in neighbours
-        ):
+        if _connective_beside(sentence, index):
+            continue
+        head = tokens[index - 1].head
+        if 0 < head <= len(tokens) and _connective_beside(sentence, head):
             continue
         detections.append(
             ThemeDetection(
                 theme=Theme.DISCOURSE_CONNECTIVE,
-                token_indices=(token.index,),
+                token_indices=(index,),
                 weight=ONE,
                 rationale=(
-                    f"conjunctional adverbial {token.form!r} with no "
-                    "coordination inside the sentence"
+                    f"conjunctional adverbial {tokens[index - 1].form!r} "
+                    "with no coordination inside the sentence"
                 ),
             )
         )
@@ -556,10 +661,10 @@ def _discourse_connective(
 
 
 def _completed_pair_present(
-    sentence: AnnotatedSentence, lexicons: LexiconSet, root: AnnotatedToken
+    sentence: AnnotatedSentence, lexicons: LexiconSet, root: int
 ) -> bool:
     lemmas = sentence.lower_lemmas
-    lemma = lemmas[root.index - 1]
+    lemma = lemmas[root - 1]
     # whatever follows a later first member also follows the earliest one
     return any(
         lemma in (first, second)
@@ -586,34 +691,35 @@ def _structural_connective(
     sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
-    root = _root_token(sentence)
+    categories, tokens = sentence.categories, sentence.raw_tokens
+    root = _root_index(sentence)
     if (
         root is not None
-        and root.category is Category.CONJUNCTION
+        and categories[root - 1] is Category.CONJUNCTION
         and not _completed_pair_present(sentence, lexicons, root)
     ):
         detections.append(
             ThemeDetection(
                 theme=Theme.STRUCTURAL_CONNECTIVE,
-                token_indices=(root.index,),
+                token_indices=(root,),
                 weight=ONE,
-                rationale=f"conjunction {root.form!r} is the dependency root",
+                rationale=f"conjunction {tokens[root - 1].form!r} is the dependency root",
             )
         )
-    first = _first_content_token(sentence)
+    first = _first_content_index(sentence)
     if (
         first is not None
-        and first.category is Category.CONJUNCTION
+        and categories[first - 1] is Category.CONJUNCTION
         and max(counts.finite_verbs, counts.conjuncts) < 2
-        and all(d.token_indices != (first.index,) for d in detections)
+        and all(d.token_indices != (first,) for d in detections)
     ):
         detections.append(
             ThemeDetection(
                 theme=Theme.STRUCTURAL_CONNECTIVE,
-                token_indices=(first.index,),
+                token_indices=(first,),
                 weight=ONE,
                 rationale=(
-                    f"sentence-initial conjunction {first.form!r} with nothing "
+                    f"sentence-initial conjunction {tokens[first - 1].form!r} with nothing "
                     "to coordinate inside the sentence"
                 ),
             )
@@ -630,39 +736,42 @@ def detect_ceq_answer(
     one minor delimiter (dialogue dashes), or an adverb enclosed between
     minor delimiters ("– Gärna , ...").
     """
-    tokens = sentence.tokens
-    if not tokens:
+    categories = sentence.categories
+    if not categories:
         return []
-    offset = 1 if tokens[0].category is Category.MINOR_DELIMITER else 0
-    if len(tokens) <= offset:
+    offset = 1 if categories[0] is Category.MINOR_DELIMITER else 0
+    if len(categories) <= offset:
         return []
-    candidate = tokens[offset]
+    category = categories[offset]
     if (
-        candidate.category is Category.INTERJECTION
+        category is Category.INTERJECTION
         and sentence.lower_lemmas[offset] in lexicons.yes_no_interjections
     ):
         return [
             ThemeDetection(
                 theme=Theme.CLOSED_QUESTION_ANSWER,
-                token_indices=(candidate.index,),
+                token_indices=(offset + 1,),
                 weight=ONE,
-                rationale=f"sentence-initial yes/no interjection {candidate.form!r}",
+                rationale=(
+                    "sentence-initial yes/no interjection "
+                    f"{sentence.raw_tokens[offset].form!r}"
+                ),
             )
         ]
     if (
         offset == 1
-        and candidate.category is Category.ADVERB
-        and len(tokens) > 2
-        and tokens[2].category is Category.MINOR_DELIMITER
+        and category is Category.ADVERB
+        and len(categories) > 2
+        and categories[2] is Category.MINOR_DELIMITER
     ):
         return [
             ThemeDetection(
                 theme=Theme.CLOSED_QUESTION_ANSWER,
-                token_indices=(candidate.index,),
+                token_indices=(offset + 1,),
                 weight=ONE,
                 rationale=(
-                    f"sentence-initial adverb {candidate.form!r} enclosed "
-                    "between minor delimiters"
+                    f"sentence-initial adverb {sentence.raw_tokens[offset].form!r} "
+                    "enclosed between minor delimiters"
                 ),
             )
         ]

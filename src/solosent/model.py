@@ -4,15 +4,23 @@ Tokens arrive pre-annotated (POS, dependency relation, morphology) from an
 external parser; nothing in this package tags or parses raw text.  Raw tag
 strings are kept verbatim on each token.  A tagset profile (profiles.py) maps
 them onto the small abstract vocabulary the rules reason over, producing
-AnnotatedToken/AnnotatedSentence values.
+AnnotatedSentence values.
+
+An AnnotatedSentence is laid out in columns: it keeps the raw Token tuple
+and, parallel to it, one tuple per annotation (categories, relations,
+features, modal flags, lowercased lemmas), plus a tree index of
+token indices.  AnnotatedToken objects are views of one position in those
+columns, built on demand for the public API; the detectors read the
+columns and never build them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 from enum import Enum, unique
-from typing import Generic, Iterator, Optional, TypeVar
+from typing import Generic, Iterable, Iterator, Optional, TypeVar
 
 
 @unique
@@ -230,14 +238,9 @@ _T = TypeVar("_T")
 class _TokenSequence(Generic[_T]):
     """What Sentence and AnnotatedSentence share: tokens indexed from 1.
 
-    A subclass is a frozen dataclass with a ``tokens`` field.  This base is
-    not a dataclass, so it adds no field and leaves each constructor as its
-    subclass declares it; it has no ``__slots__``, so a subclass keeps its
-    instance dict.
+    A subclass has a ``tokens`` tuple.  This base has no ``__slots__``, so
+    a subclass keeps its instance dict.
     """
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -266,6 +269,9 @@ class Sentence(_TokenSequence[Token]):
     id: str
     tokens: tuple[Token, ...]
     source: Optional[SourceRef] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
 def _token_field(name: str) -> property:
@@ -313,100 +319,184 @@ _set_features = AnnotatedToken.features.__set__
 _set_is_modal = AnnotatedToken.is_modal.__set__
 
 
-class _TreeIndex:
-    """One part of an AnnotatedSentence's tree index, built on first read.
-
-    A non-data descriptor that takes no lock: the first read builds the
-    whole index into the instance dict, which shadows the descriptor from
-    then on.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, sentence, owner: Optional[type] = None):
-        if sentence is None:
-            return self
-        sentence._build_tree_index()
-        return sentence.__dict__[self.name]
+# the fields of an AnnotatedSentence, in the order _from_columns takes them
+_FIELDS = (
+    "id", "profile", "source", "raw_tokens", "categories", "relations",
+    "features", "modal_flags", "lower_lemmas", "dependents", "roots",
+)
 
 
-@dataclass(frozen=True)
 class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     """A sentence whose tokens carry abstract categories and relations.
 
-    The tree queries read a per-instance index: each token's dependents,
-    the root tuple and the lowercased lemmas.  The first query of any of
-    them builds all three in one pass over the tokens and stores them in
-    the instance dict, where later reads find them directly, with no lock;
-    a sentence nothing queries never builds it.  That relies on the tokens
-    never changing after construction.  The index is keyed by the heads as
-    they are, so hand-built sentences with out-of-range or cyclic heads
-    answer exactly as a scan of the tokens would.
+    Per-token data lives in columns, tuples in surface order, parallel to
+    ``raw_tokens``, the Sentence's own Token tuple, shared rather than
+    copied: ``categories``, ``relations``, ``features``, ``modal_flags``
+    and ``lower_lemmas`` (each lemma lowercased).  Next to them is the
+    tree index, in 1-based token indices: ``dependents`` maps each head a
+    token names to the tokens that name it, in surface order, and
+    ``roots`` holds the tokens with relation root or head 0.  A token's
+    index is its position: the token at index i is ``raw_tokens[i - 1]``.
+    All of it is read-only, as the sentence is.
+
+    ``tokens`` is a tuple of AnnotatedToken views of the columns, built on
+    its first read and cached in the instance dict.  The tree queries
+    answer with views; the detectors read the columns and the index, and
+    never build a view.
+
+    apply_profile fills the columns and the index in one loop.  A sentence
+    constructed from AnnotatedTokens derives the same columns and index
+    from them, so both kinds are read the same way.  The index is keyed by
+    the heads as they are, so hand-built sentences with out-of-range or
+    cyclic heads answer exactly as a scan of the tokens would.
+
+    Equality and the hash cover the id, the profile name and the columns,
+    which is to say the tokens; ``source`` is provenance and excluded, as
+    in Sentence.
     """
 
     id: str
-    tokens: tuple[AnnotatedToken, ...]
     profile: str
-    source: Optional[SourceRef] = field(default=None, compare=False)
+    source: Optional[SourceRef]
+    raw_tokens: tuple[Token, ...]
+    categories: tuple[Category, ...]
+    relations: tuple[Relation, ...]
+    features: tuple[MorphFeatures, ...]
+    modal_flags: tuple[bool, ...]
+    lower_lemmas: tuple[str, ...]
+    dependents: dict[int, tuple[int, ...]]
+    roots: tuple[int, ...]
 
-    # the tree index, each part built with the others on first read
-    lower_lemmas = _TreeIndex()  # each token's lemma, lowercased, in surface order
-    _dependents = _TreeIndex()  # tokens by the head they name, each group in surface order
-    _roots = _TreeIndex()  # tokens with relation root or head 0, in surface order
+    def __init__(
+        self,
+        id: str,
+        tokens: Iterable[AnnotatedToken],
+        profile: str,
+        source: Optional[SourceRef] = None,
+    ) -> None:
+        tokens = tuple(tokens)
+        raw_tokens = tuple(t.token for t in tokens)
+        relations = tuple(t.relation for t in tokens)
+        groups: dict[int, list[int]] = {}
+        for index, token in enumerate(raw_tokens, start=1):
+            groups.setdefault(token.head, []).append(index)
+        columns = (
+            id,
+            profile,
+            source,
+            raw_tokens,
+            tuple(t.category for t in tokens),
+            relations,
+            tuple(t.features for t in tokens),
+            tuple(t.is_modal for t in tokens),
+            tuple(t.lemma.lower() for t in raw_tokens),
+            {head: tuple(group) for head, group in groups.items()},
+            tuple(
+                index
+                for index, (token, relation) in enumerate(zip(raw_tokens, relations), start=1)
+                if token.head == 0 or relation is Relation.ROOT
+            ),
+        )
+        self.__dict__.update(zip(_FIELDS, columns), tokens=tokens)
 
-    def _build_tree_index(self) -> None:
-        """Build every part of the tree index in one pass over the tokens."""
-        lemmas = []
-        groups: dict[int, list[AnnotatedToken]] = {}
-        roots = []
-        for t in self.tokens:
-            token = t.token
-            lemmas.append(token.lemma.lower())
-            head = token.head
-            group = groups.get(head)
-            if group is None:
-                groups[head] = [t]
-            else:
-                group.append(t)
-            if head == 0 or t.relation is Relation.ROOT:
-                roots.append(t)
-        index = self.__dict__
-        index["lower_lemmas"] = tuple(lemmas)
-        index["_dependents"] = {head: tuple(group) for head, group in groups.items()}
-        index["_roots"] = tuple(roots)
+    @classmethod
+    def _from_columns(cls, *columns) -> AnnotatedSentence:
+        """A sentence holding the given fields, in the order of ``_FIELDS``,
+        made without running __init__."""
+        sentence = object.__new__(cls)
+        sentence.__dict__.update(zip(_FIELDS, columns))
+        return sentence
+
+    @cached_property
+    def tokens(self) -> tuple[AnnotatedToken, ...]:
+        """AnnotatedToken views of the columns, in surface order."""
+        return tuple(
+            map(
+                AnnotatedToken,
+                self.raw_tokens,
+                self.categories,
+                self.relations,
+                self.features,
+                self.modal_flags,
+            )
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.id,
+            self.raw_tokens,
+            self.categories,
+            self.relations,
+            self.features,
+            self.modal_flags,
+            self.profile,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(id={self.id!r}, tokens={self.tokens!r}, "
+            f"profile={self.profile!r}, source={self.source!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.raw_tokens)
+
+    @property
+    def text(self) -> str:
+        return " ".join(t.form for t in self.raw_tokens)
 
     def head_token(self, index: int) -> Optional[AnnotatedToken]:
         """The governing token, or None for roots and out-of-range heads."""
-        head = self.tokens[index - 1].head
-        if head < 1 or head > len(self.tokens):
+        head = self.raw_tokens[index - 1].head
+        if head < 1 or head > len(self.raw_tokens):
             return None
         return self.tokens[head - 1]
 
     def children(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens directly governed by the token at ``index``."""
-        return self._dependents.get(index, ())
+        tokens = self.tokens
+        return tuple(tokens[i - 1] for i in self.dependents.get(index, ()))
 
     def siblings(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens sharing a head with the token at ``index``, itself excluded."""
-        head = self.tokens[index - 1].head
-        return tuple(t for t in self._dependents[head] if t.index != index)
+        tokens = self.tokens
+        group = self.dependents[self.raw_tokens[index - 1].head]
+        return tuple(tokens[i - 1] for i in group if i != index)
 
-    def descendants(self, index: int) -> tuple[AnnotatedToken, ...]:
-        """Every token in the subtree under ``index``, in surface order."""
-        dependents = self._dependents
+    def descendant_indices(self, index: int) -> list[int]:
+        """The indices of every token in the subtree under ``index``, in
+        surface order; a walk that meets a token twice takes it once."""
+        dependents = self.dependents
         inside = {index}
         frontier = [index]
         while frontier:
             for child in dependents.get(frontier.pop(), ()):
-                if child.index not in inside:
-                    inside.add(child.index)
-                    frontier.append(child.index)
-        if len(inside) == 1:
-            return ()
+                if child not in inside:
+                    inside.add(child)
+                    frontier.append(child)
         inside.discard(index)
-        return tuple(t for t in self.tokens if t.index in inside)
+        return sorted(inside)
+
+    def descendants(self, index: int) -> tuple[AnnotatedToken, ...]:
+        """Every token in the subtree under ``index``, in surface order."""
+        tokens = self.tokens
+        return tuple(tokens[i - 1] for i in self.descendant_indices(index))
 
     def root_tokens(self) -> tuple[AnnotatedToken, ...]:
         """Tokens that act as the dependency root (relation root or head 0)."""
-        return self._roots
+        tokens = self.tokens
+        return tuple(tokens[i - 1] for i in self.roots)

@@ -37,7 +37,6 @@ from typing import Optional, Union
 from ._text import read_lines
 from .model import (
     AnnotatedSentence,
-    AnnotatedToken,
     Category,
     Definiteness,
     Gender,
@@ -302,12 +301,25 @@ def apply_profile(
     counted in ``coverage`` when one is passed.  Decoded verb forms are
     dropped for tokens whose category is not verb, so downstream rules can
     trust that pairing.
+
+    One loop over the tokens fills the result's columns and its tree
+    index; the result keeps ``sentence.tokens`` as its raw tokens and
+    builds no AnnotatedToken.
     """
     rows = profile._rows
-    relations = profile.relation_of_deprel
-    annotated: list[AnnotatedToken] = []
-    for token in sentence.tokens:
-        category, features = rows.get((token.pos, token.feats)) or profile._row(
+    relation_of = profile.relation_of_deprel
+    modal_lemmas = profile.modal_lemmas
+    verb = Category.VERB
+    root = Relation.ROOT
+    categories: list[Category] = []
+    relations: list[Relation] = []
+    features: list[MorphFeatures] = []
+    modal_flags: list[bool] = []
+    lower_lemmas: list[str] = []
+    dependents: dict[int, list[int]] = {}
+    roots: list[int] = []
+    for index, token in enumerate(sentence.tokens, start=1):
+        category, feature = rows.get((token.pos, token.feats)) or profile._row(
             token.pos, token.feats
         )
         if category is DELIMITER_BY_FORM:
@@ -316,26 +328,37 @@ def apply_profile(
             category = Category.OTHER
             if coverage is not None:
                 coverage.unknown_pos[token.pos] += 1
-        relation = relations.get(token.deprel)
+        relation = relation_of.get(token.deprel)
         if relation is None:
             relation = Relation.OTHER
             if coverage is not None:
                 coverage.unknown_deprel[token.deprel] += 1
-        annotated.append(
-            AnnotatedToken(
-                token,
-                category,
-                relation,
-                features,
-                category is Category.VERB
-                and token.lemma.lower() in profile.modal_lemmas,
-            )
-        )
-    return AnnotatedSentence(
-        id=sentence.id,
-        tokens=tuple(annotated),
-        profile=profile.name,
-        source=sentence.source,
+        lemma = token.lemma.lower()
+        head = token.head
+        categories.append(category)
+        relations.append(relation)
+        features.append(feature)
+        modal_flags.append(category is verb and lemma in modal_lemmas)
+        lower_lemmas.append(lemma)
+        group = dependents.get(head)
+        if group is None:
+            dependents[head] = [index]
+        else:
+            group.append(index)
+        if head == 0 or relation is root:
+            roots.append(index)
+    return AnnotatedSentence._from_columns(
+        sentence.id,
+        profile.name,
+        sentence.source,
+        sentence.tokens,
+        tuple(categories),
+        tuple(relations),
+        tuple(features),
+        tuple(modal_flags),
+        tuple(lower_lemmas),
+        {head: tuple(group) for head, group in dependents.items()},
+        tuple(roots),
     )
 
 

@@ -161,6 +161,33 @@ class TestEval:
         assert report["theme_rates"]["PNAnaphora"] == pytest.approx(200 / 12)
         assert report["any_theme_rate"] == pytest.approx(700 / 12)
 
+    def test_scores_count_gold_ids_and_rates_count_input_sentences(
+        self, capsys, tmp_path, corpus_path, fixture_gold_text
+    ):
+        """With gold labels for t07-t12 only, the scores and ``sentences``
+        cover those six, while the theme rates divide by all twelve input
+        sentences, as docs/formats.md says."""
+        gold = tmp_path / "half.gold"
+        gold.write_text(
+            "".join(
+                line + "\n"
+                for line in fixture_gold_text.splitlines()
+                if line.startswith(("t07", "t08", "t09", "t10", "t11", "t12"))
+            ),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            capsys, "--mode", "eval", "--input", corpus_path, "--gold", str(gold)
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["sentences"] == 6
+        pn = report["per_theme"]["PNAnaphora"]
+        assert (pn["tp"], pn["fp"], pn["fn"]) == (1, 0, 0)
+        assert report["multi_theme_rate"] == pytest.approx(1 / 6)
+        assert report["theme_rates"]["PNAnaphora"] == pytest.approx(200 / 12)
+        assert report["any_theme_rate"] == pytest.approx(700 / 12)
+
     def test_table_format(self, capsys, corpus_path, gold_path):
         _, out, _ = run_cli(
             capsys,
@@ -785,10 +812,12 @@ class PagedTransport:
         )
 
 
-# sha256 of the --output file and of stderr of a fetch of FETCH_DIGEST_PAGES
+# sha256 of the --output file and of stderr of a fetch of FETCH_DIGEST_PAGES;
+# in stderr, the non-integer and the negative head are reported in the
+# CoNLL-U reader's words ("head must be a non-negative integer, got 'x'")
 FETCH_DIGESTS = (
     "2e38c7939786e1be29ca511ae9f201af3fcb1e6d5f1a738983d304e34977b829",
-    "5de5a675b071a91a88445db55c23517a680bc7d033e5dd82cfee8b82b3caee3e",
+    "1a2f6d6a5aa2c402a30f2a6d196cf21082f7277e99e5fb58de4cd17d93ab6399",
 )
 
 
@@ -931,6 +960,26 @@ class TestFetch:
         (record,) = jsonl_records(out)
         assert record["id"] == "SUC3:1041"
         assert record["context_independent"] is True
+
+    def test_fetch_never_applies_a_profile(self, capsys, monkeypatch, tmp_path):
+        """Fetch writes the hits as read: no sentence gets annotation columns."""
+        from solosent import profiles
+
+        transport = FakeTransport(FETCH_PAGE)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        calls = []
+        for module in (profiles, concordance):
+            monkeypatch.setattr(module, "apply_profile", lambda *args: calls.append(args))
+        target = tmp_path / "fetched.conllu"
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "fetch",
+            "--config", self.write_config(tmp_path),
+            "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_text(encoding="utf-8").startswith("# sent_id = SUC3:1041\n")
+        assert calls == []
 
     def test_fetch_does_not_load_lexicons(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)

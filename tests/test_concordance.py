@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from solosent.cli import main
 from solosent.concordance import (
+    ConcordanceHit,
     ConcordanceQuery,
     DecodeError,
     HitToken,
+    IngestIssue,
     ServiceError,
     TransportError,
     TransportReply,
@@ -21,7 +23,7 @@ from solosent.concordance import (
     settings_from_mapping,
     to_sentences,
 )
-from solosent.conllu import parse_conllu, serialize_conllu
+from solosent.conllu import ParseError, parse_conllu, serialize_conllu
 from solosent.detectors import ConfigError
 from solosent.model import Category
 from solosent.profiles import CoverageCounter, apply_profile
@@ -408,6 +410,27 @@ class TestToSentences:
         )
         assert sentences == []
         assert issues[0].sentence_id == "SUC3:8"
+
+    @pytest.mark.parametrize("head", ["1_0", " 2 ", "+1", "-1"])
+    def test_head_read_as_the_conllu_reader_reads_it(self, head):
+        """int() would take these as 10, 2, 1 and -1; the first three would
+        make an ordinary tree of this 14-token hit."""
+        heads = ["0"] + ["1"] * 13
+        heads[1] = head
+        hit = ConcordanceHit(
+            corpus="SUC3",
+            position="12",
+            tokens=tuple(HitToken(f"w{i}", "NN", "SS", h, "w") for i, h in enumerate(heads)),
+        )
+        sentences, issues = normalize_hits([hit])
+        assert sentences == []
+        assert issues == [
+            IngestIssue("SUC3:12", f"head must be a non-negative integer, got {head!r}")
+        ]
+        row = f"1\tw\tw\tNN\t_\t_\t{head}\tSS\t_\t_\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(row))
+        assert str(info.value) == f"line 1: {issues[0].message}"
 
     def test_coverage_counter_sees_unknown_tags(self, suc):
         odd = {

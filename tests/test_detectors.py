@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import SUC, UD, annotate, parse_one
 from solosent.assessment import Assessment
+from solosent.conllu import parse_conllu
 from solosent.detectors import (
     IMPLEMENTED_THEMES,
     ConfigError,
@@ -29,6 +30,7 @@ from solosent.model import (
     Category,
     Relation,
     Sentence,
+    SourceRef,
     Token,
 )
 from solosent.profiles import apply_profile
@@ -970,6 +972,139 @@ def test_detect_all_equals_the_public_detectors(lex, tokens, profile, enabled, f
     )
 
 
+# --- the column layout ----------------------------------------------------
+
+_COLUMNS = (
+    "raw_tokens", "categories", "relations", "features", "modal_flags",
+    "lower_lemmas", "dependents", "roots",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TREES, st.sampled_from([SUC, UD]))
+def test_applied_sentence_equals_one_hand_built_from_its_views(lex, tokens, profile):
+    """apply_profile's one loop and the constructor's derivation from
+    AnnotatedTokens give the same sentence: columns, index, queries and
+    verdict."""
+    raw = Sentence(id="v", tokens=tokens, source=SourceRef(corpus="c"))
+    built = apply_profile(raw, profile)
+    assert built.raw_tokens is raw.tokens
+    hand = AnnotatedSentence(
+        id=built.id, tokens=built.tokens, profile=built.profile, source=built.source
+    )
+    assert built == hand and hash(built) == hash(hand)
+    for column in _COLUMNS:
+        assert getattr(built, column) == getattr(hand, column), column
+    n = len(tokens)
+    assert len(built) == len(hand) == n and built.text == hand.text
+    assert built.root_tokens() == hand.root_tokens()
+    for index in range(1, n + 1):
+        assert built.token(index) == hand.token(index)
+        assert built.head_token(index) == hand.head_token(index)
+        assert built.siblings(index) == hand.siblings(index)
+    for index in range(n + 3):
+        assert built.children(index) == hand.children(index)
+        assert built.descendants(index) == hand.descendants(index)
+    assert detect_all(built, lex) == detect_all(hand, lex)
+
+
+def test_detectors_build_no_annotated_token(monkeypatch, capsys, tmp_path, lex, fixture_sentences):
+    """detect_all reads columns, and the CLI never reads ``tokens``: not
+    one AnnotatedToken is built, --explain included."""
+    from importlib.resources import files
+
+    from solosent.cli import main
+
+    views = Counter()
+    init = AnnotatedToken.__init__
+
+    def counting_init(token, *args, **kwargs):
+        views["built"] += 1
+        init(token, *args, **kwargs)
+
+    monkeypatch.setattr(AnnotatedToken, "__init__", counting_init)
+    sentences = [
+        *fixture_sentences,
+        parse_one(_flat_tree_rows(160), "flat160"),
+        parse_one(_chain_tree_rows(40), "chain40"),
+    ]
+    for sentence in sentences:
+        detect_all(apply_profile(sentence, SUC), lex)
+    fixtures = files("solosent.data.fixtures")
+    for name, profile in (("sv_examples.conllu", "suc-mamba"), ("sv_examples_ud.conllu", "ud")):
+        source, out = fixtures.joinpath(name), tmp_path / f"{name}.jsonl"
+        argv = ["--mode", "assess", "--explain", "--profile", profile,
+                "--input", str(source), "--output", str(out)]
+        assert main(argv) == 0
+        records = out.read_text(encoding="utf-8").splitlines()
+        assert len(records) == len(list(parse_conllu(source.read_text(encoding="utf-8"))))
+    assert views["built"] == 0
+    # the counter counts: the views are built on the first read of tokens
+    sentence = apply_profile(sentences[0], SUC)
+    assert sentence.tokens == sentence.tokens
+    assert views["built"] == len(sentence)
+
+
+@st.composite
+def _any_heads(draw):
+    """Token tuples with any heads a Token accepts: several roots, heads
+    past the end and cycles, as no reader would give them."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    tokens = []
+    for index in range(1, n + 1):
+        head = draw(st.integers(0, n + 2).filter(lambda h, index=index: h != index))
+        form, lemma, pos, feats = draw(st.sampled_from(_WORDS))
+        deprel = draw(st.sampled_from([*_DEPRELS, "ROOT", "UK", "mark"]))
+        tokens.append(Token(index, form, lemma, pos, deprel, head, feats))
+    return tuple(tokens)
+
+
+def _verb_above_by_walk(s, index):
+    seen = {index}
+    current = s.head_token(index)
+    while current is not None and current.index not in seen:
+        if current.category is Category.VERB:
+            return current.index
+        seen.add(current.index)
+        current = s.head_token(current.index)
+    return 0
+
+
+def _som_below_by_walk(s, index):
+    return any(
+        t.lemma.lower() == "som"
+        and t.relation in (Relation.RELATIVE_CLAUSE_MARKER, Relation.SUBORDINATOR)
+        for t in s.descendants(index)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_trees(), _any_heads()), st.sampled_from([SUC, UD]))
+def test_tree_passes_answer_as_the_walks_do(tokens, profile):
+    """The passes answer the two tree questions as walks over the public
+    queries do; heads that are no tree, which validate_tokens would refuse,
+    get no passes and are walked, with the same answers."""
+    from solosent import detectors
+    from solosent.model import StructureError, validate_tokens
+
+    s = apply_profile(Sentence(id="h", tokens=tokens), profile)
+    passes = detectors._tree_passes(s)
+    try:
+        validate_tokens("h", tokens)
+    except StructureError:
+        assert passes is None
+    else:
+        assert passes is not None
+    for index in range(1, len(tokens) + 1):
+        for given_passes in (passes, None):
+            assert detectors._nearest_verb_ancestor(s, index, given_passes) == (
+                _verb_above_by_walk(s, index)
+            )
+            assert detectors._som_relative_below(s, index, given_passes) == (
+                _som_below_by_walk(s, index)
+            )
+
+
 _ANTECEDENT_WORDS = [
     ("den", "den", "PN", "UTR|SIN|DEF"), ("det", "det", "PN", "NEU|SIN|DEF"),
     ("detta", "denna", "PN", "NEU|SIN|DEF"), ("dessa", "denna", "PN", "UTR/NEU|PLU|DEF"),
@@ -1069,43 +1204,81 @@ def _flat_tree_rows(size):
     return "\n".join(rows)
 
 
+def _chain_tree_rows(size):
+    """A weather-verb root, then det and den in turn, each heading the
+    next, and a som at the bottom: every pronoun asks for the verb above
+    it and for a som-relative below it, over the whole chain."""
+    rows = ["Regnar regna VB PRS|AKT 0 ROOT"]
+    while len(rows) < size - 2:
+        word = "det det PN NEU|SIN|DEF" if len(rows) % 2 else "den den PN UTR|SIN|DEF"
+        rows.append(f"{word} {len(rows)} SS")
+    rows.append(f"som som AB _ {len(rows)} AA")
+    rows.append(". . MAD _ 1 IP")
+    return "\n".join(rows)
+
+
+class _CountingDict(dict):
+    """A dependents index that counts the lookups made in it."""
+
+    def __init__(self, items, counts):
+        super().__init__(items)
+        self.counts = counts
+
+    def get(self, key, default=None):
+        self.counts["lookups"] += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.counts["lookups"] += 1
+        return super().__getitem__(key)
+
+
 class TestWorkPerSentence:
     """One apply_profile + detect_all asks the finite-verb test at most once
-    per token, builds the tree index exactly once per sentence and tests
-    antecedent features at most once per token, whatever its size."""
+    per token, builds the columns and the tree index exactly once per
+    sentence, inside apply_profile, and tests antecedent features at most
+    once per token, whatever its size."""
 
     @pytest.fixture
     def work(self, monkeypatch):
         from solosent import detectors, model
 
-        counts = {"finite": Counter(), "index": 0, "compatible": 0}
+        counts = {"finite": Counter(), "index": 0, "init": 0, "compatible": 0}
         is_finite = detectors._is_finite_verb
-        build = model.AnnotatedSentence._build_tree_index
+        from_columns = model.AnnotatedSentence._from_columns.__func__
+        init = model.AnnotatedSentence.__init__
         compatible = detectors._features_compatible
 
-        def counting_is_finite(sentence, token):
-            counts["finite"][token.index] += 1
-            return is_finite(sentence, token)
+        def counting_is_finite(sentence, index):
+            counts["finite"][index] += 1
+            return is_finite(sentence, index)
 
-        def counting_build(sentence):
+        def counting_from_columns(cls, *columns):
             counts["index"] += 1
-            build(sentence)
+            return from_columns(cls, *columns)
+
+        def counting_init(sentence, *args, **kwargs):
+            counts["init"] += 1
+            init(sentence, *args, **kwargs)
 
         def counting_compatible(pronoun, noun):
             counts["compatible"] += 1
             return compatible(pronoun, noun)
 
         monkeypatch.setattr(detectors, "_is_finite_verb", counting_is_finite)
-        monkeypatch.setattr(model.AnnotatedSentence, "_build_tree_index", counting_build)
+        monkeypatch.setattr(
+            model.AnnotatedSentence, "_from_columns", classmethod(counting_from_columns)
+        )
+        monkeypatch.setattr(model.AnnotatedSentence, "__init__", counting_init)
         monkeypatch.setattr(detectors, "_features_compatible", counting_compatible)
         return counts
 
     def assert_one_pass(self, work, sentence, lex, profile=SUC):
         work["finite"].clear()
-        work["index"] = work["compatible"] = 0
+        work["index"] = work["init"] = work["compatible"] = 0
         detect_all(apply_profile(sentence, profile), lex)
         assert max(work["finite"].values(), default=0) <= 1, sentence.id
-        assert work["index"] == 1, sentence.id
+        assert (work["index"], work["init"]) == (1, 0), sentence.id
         assert work["compatible"] <= len(sentence), sentence.id
 
     def test_flat_160_token_tree(self, work, lex):
@@ -1124,18 +1297,32 @@ class TestWorkPerSentence:
         for s in fixture_sentences:
             self.assert_one_pass(work, s, lex, suc)
 
-    def test_sentence_nothing_queries_builds_no_index(self, work, suc):
-        from solosent.concordance import ConcordanceHit, HitToken, to_sentences
+    @pytest.mark.parametrize("size", [10, 40, 160, 640])
+    def test_chain_tree_visits_each_node_a_bounded_number_of_times(
+        self, work, lex, size
+    ):
+        """Head reads and index lookups, the steps of any walk up or down
+        the tree, stay within a fixed multiple of the token count."""
+        from solosent import model
 
-        hit = ConcordanceHit(
-            corpus="SUC3",
-            position="1041",
-            tokens=(
-                HitToken("Det", "PN", "SS", "2", "det", "NEU|SIN|DEF"),
-                HitToken("regnar", "VB", "ROOT", "0", "regna", "PRS|AKT"),
-                HitToken(".", "MAD", "IP", "2", "."),
-            ),
-        )
-        (sentence,), issues = to_sentences((hit,), suc)
-        assert issues == [] and len(sentence) == 3
-        assert work["index"] == 0
+        sentence = parse_one(_chain_tree_rows(size), f"chain{size}")
+        assert len(sentence) == size
+        self.assert_one_pass(work, sentence, lex)
+        annotated = apply_profile(sentence, SUC)
+        visits = Counter()
+        annotated.__dict__["dependents"] = _CountingDict(annotated.dependents, visits)
+        head = model.Token.__dict__["head"]
+
+        def counting_head(token):
+            visits["heads"] += 1
+            return head.__get__(token)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model.Token, "head", property(counting_head))
+            assessment = detect_all(annotated, lex)
+        assert visits["heads"] + visits["lookups"] <= 4 * size
+        # det under the weather verb is exempt; den is not, and has no
+        # antecedent candidate to its left
+        fired = [d for d in assessment.detections if d.theme is Theme.PRONOMINAL_ANAPHORA]
+        assert [d.token_indices for d in fired] == [(i,) for i in range(3, size - 2, 2)]
+        assert all(d.weight == ONE for d in fired)
