@@ -15,13 +15,14 @@ CoNLL-U reader produces, so everything downstream is source-agnostic.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import urllib.parse
 from dataclasses import dataclass
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .detectors import ConfigError
-from .model import Sentence, SourceRef, StructureError, Token, validate_tokens
+from .model import Sentence, SourceRef, StructureError, row_of, row_problem, validate_heads
 from .profiles import CoverageCounter, TagsetProfile, apply_profile
 
 DEFAULT_PAGE_SIZE = 25
@@ -142,7 +143,7 @@ class UrllibTransport:
         return TransportReply(status=response.status, body=body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HitToken:
     """One token of a hit, raw annotation strings as the service sent them."""
 
@@ -282,42 +283,42 @@ def normalize_hits(
 ) -> tuple[list[Sentence], list[IngestIssue]]:
     """Normalize hits into raw sentences, as the CoNLL-U reader gives them.
 
-    Sentence ids are ``corpus:position``, unique per hit.  A head is read
-    as the CoNLL-U reader reads one: decimal digits only, so ``"+1"``,
-    ``" 2 "`` and ``"1_0"`` are refused, not read as 1, 2 and 10.  Hits
-    with such a head, or whose heads do not form a tree (cycles,
-    out-of-range heads), are excluded and reported, never fatal.  Returns
-    (sentences, issues).
+    Sentence ids are ``corpus:position``, unique per hit.  Each hit is
+    transposed into the sentence's columns; an ``msd`` of ``_`` is no
+    features, as a FEATS of ``_`` is.  A head is read as the CoNLL-U
+    reader reads one: decimal digits only, so ``"+1"``, ``" 2 "`` and
+    ``"1_0"`` are refused, not read as 1, 2 and 10.  Hits with such a
+    head, a token that heads itself or has no form, or heads that do not
+    form a tree (cycles, out-of-range heads), are excluded and reported,
+    never fatal.  Returns (sentences, issues).
     """
     sentences: list[Sentence] = []
     issues: list[IngestIssue] = []
     for hit in hits:
         sentence_id = f"{hit.corpus}:{hit.position}"
-        bad = next((t.head for t in hit.tokens if not t.head.isdecimal()), None)
-        if bad is not None:
+        forms, lemmas, tags, deprels, heads, feats = (
+            tuple(zip(*map(row_of, hit.tokens))) or ((),) * 6
+        )
+        if not all(map(str.isdecimal, heads)):
+            bad = next(head for head in heads if not head.isdecimal())
             issues.append(
                 IngestIssue(sentence_id, f"head must be a non-negative integer, got {bad!r}")
             )
             continue
-        try:
-            tokens = tuple(
-                Token(i, t.form, t.lemma, t.pos, t.deprel, int(t.head), t.feats)
-                for i, t in enumerate(hit.tokens, start=1)
-            )
-        except ValueError as exc:
-            issues.append(IngestIssue(sentence_id, str(exc)))
+        heads = tuple(map(int, heads))
+        if "" in forms or any(map(operator.eq, heads, range(1, len(heads) + 1))):
+            problems = map(row_problem, range(1, len(heads) + 1), heads, forms)
+            issues.append(IngestIssue(sentence_id, next(filter(None, problems))))
             continue
         try:
-            validate_tokens(sentence_id, tokens)
+            validate_heads(sentence_id, heads)
         except StructureError as exc:
             issues.append(IngestIssue(sentence_id, str(exc)))
             continue
-        sentence = Sentence(
-            id=sentence_id,
-            tokens=tokens,
-            source=SourceRef(corpus=hit.corpus),
-        )
-        sentences.append(sentence)
+        if "_" in feats:
+            feats = tuple(f if f != "_" else "" for f in feats)
+        columns = forms, lemmas, tags, deprels, heads, feats
+        sentences.append(Sentence._from_columns(sentence_id, SourceRef(hit.corpus), *columns))
     return sentences, issues
 
 

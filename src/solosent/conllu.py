@@ -18,7 +18,7 @@ import re
 from typing import Iterable, Iterator, Union
 
 from ._text import string_lines
-from .model import Sentence, StructureError, Token, validate_tokens
+from .model import Sentence, StructureError, raw_columns, row_problem, validate_heads
 
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
 
@@ -33,14 +33,14 @@ class ParseError(Exception):
         self.line_number = line_number
 
 
-def _finish_sentence(sentence_id: str, rows: list[Token], line_number: int) -> Sentence:
-    tokens = tuple(rows)
+def _finish_sentence(sentence_id: str, rows: list[tuple], line_number: int) -> Sentence:
+    indices, *columns = zip(*rows)
     try:
-        validate_tokens(sentence_id, tokens)
+        validate_heads(sentence_id, columns[4], indices)
     except StructureError as exc:
         exc.line_number = line_number
         raise
-    return Sentence(id=sentence_id, tokens=tokens)
+    return Sentence._from_columns(sentence_id, None, *columns)
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
@@ -52,14 +52,15 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
     Sentence ids come from ``# sent_id = ...`` comments when present and
     are synthesized as ``s1``, ``s2``, ... otherwise.
 
-    Raises ParseError for malformed lines and StructureError for token
-    lists that do not form a tree (cyclic heads, gaps in the indices); the
-    StructureError's ``line_number`` is that of the sentence's first token
-    row.
+    Rows fill the sentence's raw columns; no Token is built.  A row is
+    checked as it is read (ParseError, naming its line, for a token id of
+    0, a token heading itself or an empty form, say), a block when it ends
+    (StructureError for gaps in the ids, heads outside the sentence and
+    cycles, its ``line_number`` that of the block's first token row).
     """
     lines = string_lines(source) if isinstance(source, str) else source
 
-    rows: list[Token] = []
+    rows: list[tuple] = []  # one (index, *raw columns) per token row
     sent_id: str | None = None
     ordinal = 0
     first_line = 0
@@ -102,20 +103,11 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
             raise ParseError(
                 line_number, f"head must be a non-negative integer, got {head!r}"
             )
-        feats = columns[5]
-        try:
-            token = Token(
-                int(token_id),
-                columns[1],
-                columns[2],
-                columns[3],
-                columns[7],
-                int(head),
-                feats if feats != "_" else "",
-            )
-        except ValueError as exc:
-            raise ParseError(line_number, str(exc)) from exc
-        rows.append(token)
+        index, head, form = int(token_id), int(head), columns[1]
+        if index < 1 or head == index or not form:
+            raise ParseError(line_number, row_problem(index, head, form))
+        feats = columns[5] if columns[5] != "_" else ""
+        rows.append((index, form, columns[2], columns[3], columns[7], head, feats))
 
     if rows:
         yield _finish_sentence(block_id(), rows, first_line)
@@ -131,27 +123,14 @@ def serialize_conllu(sentences: Iterable[Sentence]) -> str:
     blocks: list[str] = []
     for sentence in sentences:
         lines = [f"# sent_id = {sentence.id}"]
-        for t in sentence.tokens:
+        for index, form, lemma, tag, deprel, head, feats in zip(
+            range(1, len(sentence) + 1), *raw_columns(sentence)
+        ):
             lines.append(
-                "\t".join(
-                    (
-                        str(t.index),
-                        t.form,
-                        t.lemma,
-                        t.pos,
-                        "_",
-                        t.feats if t.feats else "_",
-                        str(t.head),
-                        t.deprel,
-                        "_",
-                        "_",
-                    )
-                )
+                f"{index}\t{form}\t{lemma}\t{tag}\t_\t{feats or '_'}\t{head}\t{deprel}\t_\t_"
             )
-        blocks.append("\n".join(lines))
-    if not blocks:
-        return ""
-    return "\n\n".join(blocks) + "\n"
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 __all__ = ["ParseError", "StructureError", "parse_conllu", "serialize_conllu"]

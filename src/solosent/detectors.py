@@ -156,12 +156,12 @@ def _is_wrapper_form(form: str) -> bool:
 
 def _first_content_index(sentence: AnnotatedSentence) -> Optional[int]:
     """The first token that is not a delimiter or a wrapper mark."""
-    for index, (category, token) in enumerate(
-        zip(sentence.categories, sentence.raw_tokens), start=1
+    for index, (category, form) in enumerate(
+        zip(sentence.categories, sentence.forms), start=1
     ):
         if category in _DELIMITER_CATEGORIES:
             continue
-        if _is_wrapper_form(token.form):
+        if _is_wrapper_form(form):
             continue
         return index
     return None
@@ -174,9 +174,9 @@ def _root_index(sentence: AnnotatedSentence) -> Optional[int]:
 
 def _governed_by_verb(sentence: AnnotatedSentence, index: int) -> bool:
     """True when the token's head is a token of category verb."""
-    tokens = sentence.raw_tokens
-    head = tokens[index - 1].head
-    return 0 < head <= len(tokens) and sentence.categories[head - 1] is Category.VERB
+    heads = sentence.heads
+    head = heads[index - 1]
+    return 0 < head <= len(heads) and sentence.categories[head - 1] is Category.VERB
 
 
 def _in_verb_group(sentence: AnnotatedSentence, index: int) -> bool:
@@ -239,10 +239,9 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
             )
         )
 
-    tokens = sentence.raw_tokens
-    start = 1 if tokens and _is_wrapper_form(tokens[0].form) else 0
-    for index in range(start + 1, len(tokens) + 1):
-        form = tokens[index - 1].form
+    forms = sentence.forms
+    start = 1 if forms and _is_wrapper_form(forms[0]) else 0
+    for index, form in enumerate(forms[start:], start=start + 1):
         first_char = next((ch for ch in form if ch.isalpha() or ch.isdigit()), None)
         if first_char is None:
             continue
@@ -257,8 +256,8 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
             )
         break
 
-    if not tokens or sentence.categories[-1] is not Category.MAJOR_DELIMITER:
-        tail = tokens[-1].form if tokens else ""
+    if not forms or sentence.categories[-1] is not Category.MAJOR_DELIMITER:
+        tail = forms[-1] if forms else ""
         detections.append(
             ThemeDetection(
                 theme=Theme.INCOMPLETE,
@@ -305,9 +304,9 @@ def _implicit_anaphora(
     if counts.finite_verbs == 0:
         lone_modal = next(
             (
-                token.form
-                for token, category, modal, features in zip(
-                    sentence.raw_tokens,
+                form
+                for form, category, modal, features in zip(
+                    sentence.forms,
                     sentence.categories,
                     sentence.modal_flags,
                     sentence.features,
@@ -370,11 +369,11 @@ def count_antecedent_candidates(
 
     Raises ValueError when the index does not point at a pronoun.
     """
-    if pronoun_index < 1 or pronoun_index > len(sentence.raw_tokens):
+    if pronoun_index < 1 or pronoun_index > len(sentence):
         raise ValueError(f"no token at index {pronoun_index}")
     categories, features = sentence.categories, sentence.features
     if categories[pronoun_index - 1] is not Category.PRONOUN:
-        form = sentence.raw_tokens[pronoun_index - 1].form
+        form = sentence.forms[pronoun_index - 1]
         raise ValueError(f"token {pronoun_index} ({form!r}) is not a pronoun")
     pronoun = features[pronoun_index - 1]
     count = 0
@@ -412,23 +411,23 @@ def _tree_passes(sentence: AnnotatedSentence) -> Optional[_TreePasses]:
     order = list(dependents.get(0, ()))
     for index in order:
         order.extend(dependents.get(index, ()))
-    if len(order) != len(sentence.raw_tokens):
+    heads, categories = sentence.heads, sentence.categories
+    if len(order) != len(heads):
         return None
-    tokens, categories = sentence.raw_tokens, sentence.categories
     lemmas, relations = sentence.lower_lemmas, sentence.relations
-    verb_above = [0] * (len(tokens) + 1)
+    verb_above = [0] * (len(heads) + 1)
     for index in order:
-        head = tokens[index - 1].head
+        head = heads[index - 1]
         if head:
             verb_above[index] = (
                 head if categories[head - 1] is Category.VERB else verb_above[head]
             )
-    som_below = [False] * (len(tokens) + 1)
+    som_below = [False] * (len(heads) + 1)
     for index in reversed(order):
         if som_below[index] or (
             lemmas[index - 1] == "som" and relations[index - 1] in _SOM_RELATIONS
         ):
-            som_below[tokens[index - 1].head] = True
+            som_below[heads[index - 1]] = True
     return _TreePasses(verb_above, som_below)
 
 
@@ -442,14 +441,14 @@ def _nearest_verb_ancestor(
     """
     if passes is not None:
         return passes.verb_above[index]
-    tokens, categories = sentence.raw_tokens, sentence.categories
+    heads, categories = sentence.heads, sentence.categories
     seen = {index}
-    current = tokens[index - 1].head
-    while 0 < current <= len(tokens) and current not in seen:
+    current = heads[index - 1]
+    while 0 < current <= len(heads) and current not in seen:
         if categories[current - 1] is Category.VERB:
             return current
         seen.add(current)
-        current = tokens[current - 1].head
+        current = heads[current - 1]
     return 0
 
 
@@ -548,7 +547,7 @@ def detect_pronominal_anaphora(
                 token_indices=(index,),
                 weight=weight,
                 rationale=(
-                    f"anaphoric pronoun {sentence.raw_tokens[index - 1].form!r} with "
+                    f"anaphoric pronoun {sentence.forms[index - 1]!r} with "
                     f"{candidates} antecedent candidate(s) to its left"
                 ),
             )
@@ -599,7 +598,7 @@ def detect_adverbial_anaphora(
                 weight=ONE,
                 rationale=(
                     f"unspecified {adverb_type.value} adverb "
-                    f"{sentence.raw_tokens[index - 1].form!r}"
+                    f"{sentence.forms[index - 1]!r}"
                 ),
             )
         )
@@ -625,7 +624,7 @@ def _connective_beside(sentence: AnnotatedSentence, index: int) -> bool:
     categories = sentence.categories
     return any(
         sibling != index and categories[sibling - 1] in _CONNECTIVE_CATEGORIES
-        for sibling in sentence.dependents[sentence.raw_tokens[index - 1].head]
+        for sibling in sentence.dependents[sentence.heads[index - 1]]
     )
 
 
@@ -637,14 +636,14 @@ def _discourse_connective(
     if max(counts.finite_verbs, counts.conjuncts + 1) >= 2:
         return []
     detections: list[ThemeDetection] = []
-    tokens = sentence.raw_tokens
+    heads = sentence.heads
     for index, relation in enumerate(sentence.relations, start=1):
         if relation is not Relation.CONJUNCTIONAL_ADVERBIAL:
             continue
         if _connective_beside(sentence, index):
             continue
-        head = tokens[index - 1].head
-        if 0 < head <= len(tokens) and _connective_beside(sentence, head):
+        head = heads[index - 1]
+        if 0 < head <= len(heads) and _connective_beside(sentence, head):
             continue
         detections.append(
             ThemeDetection(
@@ -652,7 +651,7 @@ def _discourse_connective(
                 token_indices=(index,),
                 weight=ONE,
                 rationale=(
-                    f"conjunctional adverbial {tokens[index - 1].form!r} "
+                    f"conjunctional adverbial {sentence.forms[index - 1]!r} "
                     "with no coordination inside the sentence"
                 ),
             )
@@ -691,7 +690,7 @@ def _structural_connective(
     sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
-    categories, tokens = sentence.categories, sentence.raw_tokens
+    categories, forms = sentence.categories, sentence.forms
     root = _root_index(sentence)
     if (
         root is not None
@@ -703,7 +702,7 @@ def _structural_connective(
                 theme=Theme.STRUCTURAL_CONNECTIVE,
                 token_indices=(root,),
                 weight=ONE,
-                rationale=f"conjunction {tokens[root - 1].form!r} is the dependency root",
+                rationale=f"conjunction {forms[root - 1]!r} is the dependency root",
             )
         )
     first = _first_content_index(sentence)
@@ -719,7 +718,7 @@ def _structural_connective(
                 token_indices=(first,),
                 weight=ONE,
                 rationale=(
-                    f"sentence-initial conjunction {tokens[first - 1].form!r} with nothing "
+                    f"sentence-initial conjunction {forms[first - 1]!r} with nothing "
                     "to coordinate inside the sentence"
                 ),
             )
@@ -754,7 +753,7 @@ def detect_ceq_answer(
                 weight=ONE,
                 rationale=(
                     "sentence-initial yes/no interjection "
-                    f"{sentence.raw_tokens[offset].form!r}"
+                    f"{sentence.forms[offset]!r}"
                 ),
             )
         ]
@@ -770,7 +769,7 @@ def detect_ceq_answer(
                 token_indices=(offset + 1,),
                 weight=ONE,
                 rationale=(
-                    f"sentence-initial adverb {sentence.raw_tokens[offset].form!r} "
+                    f"sentence-initial adverb {sentence.forms[offset]!r} "
                     "enclosed between minor delimiters"
                 ),
             )

@@ -2,25 +2,25 @@
 
 Tokens arrive pre-annotated (POS, dependency relation, morphology) from an
 external parser; nothing in this package tags or parses raw text.  Raw tag
-strings are kept verbatim on each token.  A tagset profile (profiles.py) maps
-them onto the small abstract vocabulary the rules reason over, producing
+strings are kept verbatim.  A tagset profile (profiles.py) maps them onto
+the small abstract vocabulary the rules reason over, producing
 AnnotatedSentence values.
 
-An AnnotatedSentence is laid out in columns: it keeps the raw Token tuple
-and, parallel to it, one tuple per annotation (categories, relations,
-features, modal flags, lowercased lemmas), plus a tree index of
-token indices.  AnnotatedToken objects are views of one position in those
-columns, built on demand for the public API; the detectors read the
-columns and never build them.
+Sentences are laid out in columns, as spaCy lays out its Doc: a Sentence
+holds one tuple per raw field, and an AnnotatedSentence shares those and
+adds one per annotation, plus a tree index of token indices.  Token and
+AnnotatedToken objects are views of one position in the columns, built on
+demand for the public API; the readers fill columns and the detectors
+read them, so neither builds a view.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from enum import Enum, unique
-from typing import Generic, Iterable, Iterator, Optional, TypeVar
+from typing import Generic, Iterable, Iterator, Optional, Sequence, TypeVar
 
 
 @unique
@@ -131,9 +131,6 @@ class Token:
     ``head`` is the 1-based index of the governing token, 0 for the root.
     ``feats`` is the raw morphology string exactly as the source had it;
     decoding into MorphFeatures happens when a profile is applied.
-
-    Fields live in slots and the constructor stores them directly, since a
-    corpus builds one Token per row.
     """
 
     index: int
@@ -154,14 +151,9 @@ class Token:
         head: int,
         feats: str = "",
     ) -> None:
-        if index < 1:
-            raise ValueError(f"token index must be >= 1, got {index}")
-        if head < 0:
-            raise ValueError(f"token head must be >= 0, got {head}")
-        if head == index:
-            raise ValueError(f"token {index} may not head itself")
-        if not form:
-            raise ValueError(f"token {index} has an empty form")
+        problem = row_problem(index, head, form)
+        if problem:
+            raise ValueError(problem)
         _set_index(self, index)
         _set_form(self, form)
         _set_lemma(self, lemma)
@@ -181,6 +173,20 @@ _set_head = Token.head.__set__
 _set_feats = Token.feats.__set__
 
 
+def row_problem(index: int, head: int, form: str) -> Optional[str]:
+    """What Token refuses in one row, in the words of its ValueError, or
+    None.  The readers ask only when a cheaper test of their own fails."""
+    if index < 1:
+        return f"token index must be >= 1, got {index}"
+    if head < 0:
+        return f"token head must be >= 0, got {head}"
+    if head == index:
+        return f"token {index} may not head itself"
+    if not form:
+        return f"token {index} has an empty form"
+    return None
+
+
 @dataclass(frozen=True)
 class SourceRef:
     """Provenance of a sentence: which corpus and, optionally, which document."""
@@ -189,61 +195,113 @@ class SourceRef:
     document: Optional[str] = None
 
 
-def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
-    """Reject token lists that break the sentence-level invariants.
+def validate_heads(
+    sentence_id: str, heads: Sequence[int], indices: Optional[Sequence[int]] = None
+) -> None:
+    """Reject a sentence's head column when it is not a tree.
 
-    Checks that indices are contiguous from 1, that every head points at an
-    existing token (or 0), and that following head links never loops; a
-    loop is reported through the first token, in index order, whose chain
-    never reaches 0.  Used by the parsers; directly constructed Sentence
-    values may skip it.
+    ``heads[i - 1]`` is the head of token i.  Checks, in this order, that
+    there are tokens, that ``indices`` (the ids a reader found, when it
+    passes them) run 1, 2, 3, ..., that every head is a token or 0, and
+    that following head links always reaches 0; a loop is reported
+    through the first token whose chain never does.
     """
-    if not tokens:
+    n = len(heads)
+    if not n:
         raise StructureError(sentence_id, "no tokens")
-    for expected, token in enumerate(tokens, start=1):
-        if token.index != expected:
-            raise StructureError(
-                sentence_id,
-                f"token indices not contiguous: expected {expected}, got {token.index}",
-            )
-    n = len(tokens)
-    for token in tokens:
-        if token.head > n:
-            raise StructureError(
-                sentence_id,
-                f"token {token.index} has head {token.head} outside the sentence",
-            )
-    # rooted[i]: token i's chain is known to reach 0.  Each walk stops at
-    # the first such token and marks its path, so every token is walked
-    # through once; a walk longer than n steps has met a loop.
-    rooted = [False] * (n + 1)
-    rooted[0] = True
-    for token in tokens:
-        path = []
-        current = token.index
-        while not rooted[current]:
-            if len(path) == n:
-                raise StructureError(
-                    sentence_id, f"cyclic head chain through token {token.index}"
-                )
-            path.append(current)
-            current = tokens[current - 1].head
-        for index in path:
-            rooted[index] = True
+    if indices is not None and tuple(indices) != tuple(range(1, n + 1)):
+        expected, got = next(p for p in enumerate(indices, start=1) if p[0] != p[1])
+        raise StructureError(
+            sentence_id, f"token indices not contiguous: expected {expected}, got {got}"
+        )
+    if max(heads) > n:
+        index, head = next(p for p in enumerate(heads, start=1) if p[1] > n)
+        raise StructureError(sentence_id, f"token {index} has head {head} outside the sentence")
+    # after k rounds up[i] is the 2**k-th ancestor of token i, 0 once its
+    # chain has reached the root; a chain that reaches it does so within
+    # n steps, and 2**n.bit_length() > n.  Each round runs in C.
+    up = (0, *heads)
+    rounds = n.bit_length()
+    while any(up):
+        if not rounds:
+            first = next(index for index in range(1, n + 1) if up[index])
+            raise StructureError(sentence_id, f"cyclic head chain through token {first}")
+        up = operator.itemgetter(*up)(up)
+        rounds -= 1
+
+
+def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
+    """Reject tokens whose indices and heads validate_heads rejects.
+    Directly constructed Sentence values may skip it."""
+    validate_heads(sentence_id, [t.head for t in tokens], [t.index for t in tokens])
 
 
 _T = TypeVar("_T")
 
+# The raw columns, one per Token field after the index and in the same
+# order, so that a row of them is a Token's arguments after its index.
+RAW_COLUMNS = ("forms", "lemmas", "tags", "deprels", "heads", "feats")
+raw_columns = operator.attrgetter(*RAW_COLUMNS)
+# a token's row: the fields of a Token, or of any token with those names
+row_of = operator.attrgetter("form", "lemma", "pos", "deprel", "head", "feats")
+
+
+def _token_views(sentence: _TokenSequence) -> tuple[Token, ...]:
+    """Token views of the raw columns, in surface order."""
+    return tuple(map(Token, range(1, len(sentence) + 1), *raw_columns(sentence)))
+
 
 class _TokenSequence(Generic[_T]):
-    """What Sentence and AnnotatedSentence share: tokens indexed from 1.
+    """What Sentence and AnnotatedSentence share: a frozen sentence held in
+    columns, with tokens indexed from 1.
 
-    A subclass has a ``tokens`` tuple.  This base has no ``__slots__``, so
-    a subclass keeps its instance dict.
+    Both hold the raw columns, RAW_COLUMNS: the token at index i has
+    ``forms[i - 1]``, ``heads[i - 1]`` and so on.  A subclass names its
+    fields in ``_FIELDS``, in the order ``_from_columns`` takes them, those
+    that equality and the hash cover in ``_KEY``, and its constructor's in
+    ``_REPR``.  Fields, and views cached on their first read, live in the
+    instance dict; assigning or deleting an attribute is refused.
     """
 
+    tokens: tuple[_T, ...]
+    forms: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    tags: tuple[str, ...]
+    deprels: tuple[str, ...]
+    heads: tuple[int, ...]
+    feats: tuple[str, ...]
+
+    @classmethod
+    def _from_columns(cls, *columns):
+        """A sentence holding the given fields, in the order of ``_FIELDS``,
+        made without running __init__."""
+        sentence = object.__new__(cls)
+        sentence.__dict__.update(zip(cls._FIELDS, columns))
+        return sentence
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._KEY))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._REPR)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.heads)
 
     def __iter__(self) -> Iterator[_T]:
         return iter(self.tokens)
@@ -254,24 +312,34 @@ class _TokenSequence(Generic[_T]):
 
     @property
     def text(self) -> str:
-        return " ".join(t.form for t in self.tokens)
+        return " ".join(self.forms)
 
 
-@dataclass(frozen=True)
 class Sentence(_TokenSequence[Token]):
     """A dependency-parsed sentence with raw annotations.
 
+    The readers fill the raw columns and build no Token; ``tokens`` is a
+    tuple of Token views of them, built on its first read.  A sentence
+    constructed from Tokens derives its columns from them, a token's
+    position being its index, and keeps the tuple as its ``tokens``.
     ``source`` is provenance metadata and deliberately excluded from
     equality: the same annotations fetched from a corpus service or read
     from a file compare equal.
     """
 
-    id: str
-    tokens: tuple[Token, ...]
-    source: Optional[SourceRef] = field(default=None, compare=False)
+    _FIELDS = ("id", "source", *RAW_COLUMNS)
+    _KEY = ("id", *RAW_COLUMNS)
+    _REPR = ("id", "tokens", "source")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+    id: str
+    source: Optional[SourceRef]
+
+    def __init__(self, id: str, tokens: Iterable[Token], source: Optional[SourceRef] = None):
+        tokens = tuple(tokens)
+        columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
+        self.__dict__.update(zip(self._FIELDS, (id, source, *columns)), tokens=tokens)
+
+    tokens = cached_property(_token_views)
 
 
 def _token_field(name: str) -> property:
@@ -317,32 +385,26 @@ _set_category = AnnotatedToken.category.__set__
 _set_relation = AnnotatedToken.relation.__set__
 _set_features = AnnotatedToken.features.__set__
 _set_is_modal = AnnotatedToken.is_modal.__set__
-
-
-# the fields of an AnnotatedSentence, in the order _from_columns takes them
-_FIELDS = (
-    "id", "profile", "source", "raw_tokens", "categories", "relations",
-    "features", "modal_flags", "lower_lemmas", "dependents", "roots",
-)
+# an AnnotatedToken's annotations, in the order of the annotation columns
+_annotations_of = operator.attrgetter("category", "relation", "features", "is_modal")
 
 
 class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     """A sentence whose tokens carry abstract categories and relations.
 
-    Per-token data lives in columns, tuples in surface order, parallel to
-    ``raw_tokens``, the Sentence's own Token tuple, shared rather than
-    copied: ``categories``, ``relations``, ``features``, ``modal_flags``
-    and ``lower_lemmas`` (each lemma lowercased).  Next to them is the
-    tree index, in 1-based token indices: ``dependents`` maps each head a
-    token names to the tokens that name it, in surface order, and
-    ``roots`` holds the tokens with relation root or head 0.  A token's
-    index is its position: the token at index i is ``raw_tokens[i - 1]``.
+    It shares the raw columns of the Sentence it annotates, the same
+    tuples rather than copies.  Parallel to them are one tuple per
+    annotation: ``categories``, ``relations``, ``features``,
+    ``modal_flags`` and ``lower_lemmas`` (each lemma lowercased).  Next
+    to them is the tree index, in 1-based token indices: ``dependents``
+    maps each head a token names to the tokens that name it, in surface
+    order, and ``roots`` holds the tokens with relation root or head 0.
     All of it is read-only, as the sentence is.
 
-    ``tokens`` is a tuple of AnnotatedToken views of the columns, built on
-    its first read and cached in the instance dict.  The tree queries
-    answer with views; the detectors read the columns and the index, and
-    never build a view.
+    ``raw_tokens`` and ``tokens`` are tuples of Token and AnnotatedToken
+    views of the columns, built on their first read and cached in the
+    instance dict.  The tree queries answer with views; the detectors
+    read the columns and the index, and never build a view.
 
     apply_profile fills the columns and the index in one loop.  A sentence
     constructed from AnnotatedTokens derives the same columns and index
@@ -355,10 +417,16 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     in Sentence.
     """
 
+    _FIELDS = (
+        "id", "profile", "source", *RAW_COLUMNS, "categories", "relations",
+        "features", "modal_flags", "lower_lemmas", "dependents", "roots",
+    )
+    _KEY = ("id", "profile", *RAW_COLUMNS, "categories", "relations", "features", "modal_flags")
+    _REPR = ("id", "tokens", "profile", "source")
+
     id: str
     profile: str
     source: Optional[SourceRef]
-    raw_tokens: tuple[Token, ...]
     categories: tuple[Category, ...]
     relations: tuple[Relation, ...]
     features: tuple[MorphFeatures, ...]
@@ -375,37 +443,24 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
         source: Optional[SourceRef] = None,
     ) -> None:
         tokens = tuple(tokens)
-        raw_tokens = tuple(t.token for t in tokens)
-        relations = tuple(t.relation for t in tokens)
+        raw = Sentence(id, (t.token for t in tokens))
+        annotations = tuple(zip(*map(_annotations_of, tokens))) or ((),) * 4
         groups: dict[int, list[int]] = {}
-        for index, token in enumerate(raw_tokens, start=1):
-            groups.setdefault(token.head, []).append(index)
-        columns = (
-            id,
-            profile,
-            source,
-            raw_tokens,
-            tuple(t.category for t in tokens),
-            relations,
-            tuple(t.features for t in tokens),
-            tuple(t.is_modal for t in tokens),
-            tuple(t.lemma.lower() for t in raw_tokens),
-            {head: tuple(group) for head, group in groups.items()},
-            tuple(
-                index
-                for index, (token, relation) in enumerate(zip(raw_tokens, relations), start=1)
-                if token.head == 0 or relation is Relation.ROOT
-            ),
+        for index, head in enumerate(raw.heads, start=1):
+            groups.setdefault(head, []).append(index)
+        roots = tuple(
+            index
+            for index, (head, relation) in enumerate(zip(raw.heads, annotations[1]), start=1)
+            if head == 0 or relation is Relation.ROOT
         )
-        self.__dict__.update(zip(_FIELDS, columns), tokens=tokens)
+        self.__dict__.update(
+            zip(self._FIELDS, (id, profile, source, *raw_columns(raw), *annotations)),
+            lower_lemmas=tuple(map(str.lower, raw.lemmas)),
+            dependents={head: tuple(group) for head, group in groups.items()},
+            roots=roots, tokens=tokens, raw_tokens=raw.tokens,
+        )
 
-    @classmethod
-    def _from_columns(cls, *columns) -> AnnotatedSentence:
-        """A sentence holding the given fields, in the order of ``_FIELDS``,
-        made without running __init__."""
-        sentence = object.__new__(cls)
-        sentence.__dict__.update(zip(_FIELDS, columns))
-        return sentence
+    raw_tokens = cached_property(_token_views)
 
     @cached_property
     def tokens(self) -> tuple[AnnotatedToken, ...]:
@@ -421,48 +476,10 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
             )
         )
 
-    def _key(self) -> tuple:
-        return (
-            self.id,
-            self.raw_tokens,
-            self.categories,
-            self.relations,
-            self.features,
-            self.modal_flags,
-            self.profile,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(id={self.id!r}, tokens={self.tokens!r}, "
-            f"profile={self.profile!r}, source={self.source!r})"
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __len__(self) -> int:
-        return len(self.raw_tokens)
-
-    @property
-    def text(self) -> str:
-        return " ".join(t.form for t in self.raw_tokens)
-
     def head_token(self, index: int) -> Optional[AnnotatedToken]:
         """The governing token, or None for roots and out-of-range heads."""
-        head = self.raw_tokens[index - 1].head
-        if head < 1 or head > len(self.raw_tokens):
+        head = self.heads[index - 1]
+        if head < 1 or head > len(self.heads):
             return None
         return self.tokens[head - 1]
 
@@ -474,7 +491,7 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     def siblings(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens sharing a head with the token at ``index``, itself excluded."""
         tokens = self.tokens
-        group = self.dependents[self.raw_tokens[index - 1].head]
+        group = self.dependents[self.heads[index - 1]]
         return tuple(tokens[i - 1] for i in group if i != index)
 
     def descendant_indices(self, index: int) -> list[int]:

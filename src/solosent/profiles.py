@@ -45,6 +45,7 @@ from .model import (
     Relation,
     Sentence,
     VerbForm,
+    raw_columns,
 )
 
 BUNDLED_PROFILES = ("suc-mamba", "ud")
@@ -302,15 +303,16 @@ def apply_profile(
     dropped for tokens whose category is not verb, so downstream rules can
     trust that pairing.
 
-    One loop over the tokens fills the result's columns and its tree
-    index; the result keeps ``sentence.tokens`` as its raw tokens and
-    builds no AnnotatedToken.
+    One loop over the sentence's columns fills the result's columns and
+    its tree index; the result shares the sentence's raw columns and
+    builds no Token or AnnotatedToken.
     """
     rows = profile._rows
     relation_of = profile.relation_of_deprel
     modal_lemmas = profile.modal_lemmas
     verb = Category.VERB
     root = Relation.ROOT
+    columns = forms, lemmas, tags, deprels, heads, feats = raw_columns(sentence)
     categories: list[Category] = []
     relations: list[Relation] = []
     features: list[MorphFeatures] = []
@@ -318,23 +320,23 @@ def apply_profile(
     lower_lemmas: list[str] = []
     dependents: dict[int, list[int]] = {}
     roots: list[int] = []
-    for index, token in enumerate(sentence.tokens, start=1):
-        category, feature = rows.get((token.pos, token.feats)) or profile._row(
-            token.pos, token.feats
-        )
+    index = 0
+    for head in heads:
+        tag, feat, deprel = tags[index], feats[index], deprels[index]
+        category, feature = rows.get((tag, feat)) or profile._row(tag, feat)
         if category is DELIMITER_BY_FORM:
-            category = classify_delimiter_form(token.form)
+            category = classify_delimiter_form(forms[index])
         elif category is None:
             category = Category.OTHER
             if coverage is not None:
-                coverage.unknown_pos[token.pos] += 1
-        relation = relation_of.get(token.deprel)
+                coverage.unknown_pos[tag] += 1
+        relation = relation_of.get(deprel)
         if relation is None:
             relation = Relation.OTHER
             if coverage is not None:
-                coverage.unknown_deprel[token.deprel] += 1
-        lemma = token.lemma.lower()
-        head = token.head
+                coverage.unknown_deprel[deprel] += 1
+        lemma = lemmas[index].lower()
+        index += 1  # from here on, the token's 1-based index
         categories.append(category)
         relations.append(relation)
         features.append(feature)
@@ -351,7 +353,7 @@ def apply_profile(
         sentence.id,
         profile.name,
         sentence.source,
-        sentence.tokens,
+        *columns,
         tuple(categories),
         tuple(relations),
         tuple(features),

@@ -875,6 +875,47 @@ class TestOutputDigests:
         assert digests == FETCH_DIGESTS, f"new digests: {digests}"
 
 
+def test_readers_build_no_token(monkeypatch, capsys, tmp_path):
+    """The readers fill columns and nothing after them reads ``tokens``: not
+    one Token is built by assess --explain on either fixture or by a fetch,
+    and the views are built on the first read of ``tokens``."""
+    from solosent.model import Token
+    from solosent.profiles import apply_profile, load_profile
+
+    built = []
+    init = Token.__init__
+
+    def counting_init(token, *args, **kwargs):
+        built.append(token)
+        init(token, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting_init)
+    fixtures = files("solosent.data.fixtures")
+    for name, profile in (("sv_examples.conllu", "suc-mamba"), ("sv_examples_ud.conllu", "ud")):
+        code, out, _ = run_cli(capsys, "--mode", "assess", "--explain", "--profile", profile,
+                               "--input", str(fixtures.joinpath(name)))
+        assert code == 0 and out
+    transport = PagedTransport(FETCH_DIGEST_PAGES)
+    monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+    conf = tmp_path / "korp.conf"
+    conf.write_text(
+        "fetch.endpoint = https://example.invalid/korp\n"
+        'fetch.cqp = [pos="VB"]\n'
+        "fetch.corpora = SUC3\n"
+        "fetch.page_size = 3\n"
+        "fetch.pages = 3\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "--mode", "fetch", "--config", str(conf))
+    assert code == 0 and out.count("# sent_id") == 2
+    assert built == []
+    # the counter counts: the views are built on the first read only
+    sentence = next(parse_conllu(out))
+    assert sentence.tokens == sentence.tokens and len(built) == len(sentence)
+    annotated = apply_profile(sentence, load_profile("suc-mamba"))
+    assert annotated.raw_tokens == sentence.tokens and len(built) == 2 * len(sentence)
+
+
 FETCH_PAGE = {
     "kwic": [
         {

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import threading
@@ -356,6 +357,15 @@ class TestUrllibTransport:
             UrllibTransport(timeout=10).get(f"http://127.0.0.1:{port}/")
 
 
+def test_hit_token_has_no_instance_dict():
+    # a page holds one HitToken per token of every hit: fields in slots
+    token = HitToken("Det", "PN", "SS", "2", "det")
+    assert not hasattr(token, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        token.form = "Den"
+    assert token == HitToken(form="Det", pos="PN", deprel="SS", head="2", lemma="det", feats="")
+
+
 class TestToSentences:
     def test_hit_becomes_annotated_sentence(self, suc):
         transport = CannedTransport(body=page_body([WEATHER_HIT]))
@@ -432,6 +442,37 @@ class TestToSentences:
             list(parse_conllu(row))
         assert str(info.value) == f"line 1: {issues[0].message}"
 
+    def test_msd_underscore_is_no_features(self):
+        """An msd of _ is read as the CoNLL-U reader reads a FEATS of _, so
+        the sentence that fetch writes reads back as itself."""
+        hit = ConcordanceHit("SUC3", "5", (
+            HitToken("Det", "PN", "SS", "2", "det", "_"),
+            HitToken("regnar", "VB", "ROOT", "0", "regna", "PRS|AKT"),
+        ))
+        sentences, issues = normalize_hits([hit])
+        assert issues == []
+        assert [t.feats for t in sentences[0].tokens] == ["", "PRS|AKT"]
+        assert list(parse_conllu(serialize_conllu(sentences))) == sentences
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("Jag", "1")], "token 1 may not head itself"),
+        ([("", "0")], "token 1 has an empty form"),
+        ([("a", "0"), ("", "2")], "token 2 may not head itself"),
+        ([("", "0"), ("b", "2")], "token 1 has an empty form"),
+        ([("a", "0"), ("b", "7")], "sentence 'SUC3:5': token 2 has head 7 outside the sentence"),
+        ([("a", "2"), ("b", "1"), ("c", "9")],
+         "sentence 'SUC3:5': token 3 has head 9 outside the sentence"),
+        ([("a", "0"), ("b", "3"), ("c", "2")], "sentence 'SUC3:5': cyclic head chain through token 2"),
+        ([], "sentence 'SUC3:5': no tokens"),
+    ])
+    def test_issue_messages(self, rows, message):
+        """Row checks come first, token by token, then the range of the
+        heads, then cycles; the messages are those of the CoNLL-U reader."""
+        tokens = tuple(HitToken(form, "NN", "SS", head, "x") for form, head in rows)
+        sentences, issues = normalize_hits([ConcordanceHit("SUC3", "5", tokens)])
+        assert sentences == []
+        assert issues == [IngestIssue("SUC3:5", message)]
+
     def test_coverage_counter_sees_unknown_tags(self, suc):
         odd = {
             "corpus": "SUC3",
@@ -492,7 +533,7 @@ _TYPED_HIT = st.fixed_dictionaries(
         "tokens": st.lists(
             st.fixed_dictionaries(
                 {"word": _STRING, "deprel": _STRING, "dephead": st.just(0)},
-                optional={key: _STRING for key in ("lemma", "pos", "msd")},
+                optional={key: _STRING | st.just("_") for key in ("lemma", "pos", "msd")},
             ),
             min_size=1,
             max_size=3,
@@ -525,7 +566,9 @@ def test_fetch_decoder_fails_only_with_decode_error(body):
     assert len(sentences) + len(issues) == len(result.hits)
     text = serialize_conllu(sentences)
     text.encode("utf-8")
-    assert serialize_conllu(parse_conllu(text)) == text
+    read_back = list(parse_conllu(text))
+    assert read_back == sentences
+    assert serialize_conllu(read_back) == text
 
 
 class TestSettings:

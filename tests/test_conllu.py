@@ -99,6 +99,43 @@ class TestParseErrors:
         with pytest.raises(StructureError, match="contiguous"):
             list(parse_conllu(text))
 
+    # the messages, line numbers and order of the reader's errors, pinned
+
+    def test_zero_token_id(self):
+        text = f"{ROW}\n{ROW2}\n\n0\tx\tx\tNN\t_\t_\t0\tROOT\t_\t_\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == "line 4: token index must be >= 1, got 0"
+        assert info.value.line_number == 4
+
+    def test_empty_form(self):
+        text = f"{ROW}\n2\t\tkomma\tVB\t_\tPRT|AKT\t0\tROOT\t_\t_\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == "line 2: token 2 has an empty form"
+        assert info.value.line_number == 2
+
+    def test_head_out_of_range_is_reported_from_the_first_row(self):
+        text = f"# sent_id = far\n{ROW}\n2\tkom\tkomma\tVB\t_\t_\t9\tROOT\t_\t_\n"
+        with pytest.raises(StructureError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == "sentence 'far': token 2 has head 9 outside the sentence"
+        assert info.value.line_number == 2
+
+    def test_a_later_row_error_wins_over_an_index_gap(self):
+        # the gap is a check on the whole block, made when the block ends;
+        # the one-column third line ends the reading before that
+        text = f"{ROW}\n3\tx\tx\tNN\t_\t_\t1\tSS\t_\t_\nbroken\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == "line 3: expected 10 tab-separated columns, got 1"
+        with pytest.raises(StructureError) as info:
+            list(parse_conllu(text.replace("broken\n", "")))
+        assert str(info.value) == (
+            "sentence 's1': token indices not contiguous: expected 2, got 3"
+        )
+        assert info.value.line_number == 1
+
 
 class TestSerialize:
     def test_empty_input(self):

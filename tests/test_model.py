@@ -5,7 +5,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import annotate, parse_one
+from helpers import SUC, annotate, parse_one
+from solosent.conllu import parse_conllu
 from solosent.model import (
     NO_FEATURES,
     AnnotatedSentence,
@@ -20,6 +21,7 @@ from solosent.model import (
     Token,
     validate_tokens,
 )
+from solosent.profiles import apply_profile
 
 
 def tok(index, head, form="x", deprel="SS"):
@@ -234,6 +236,87 @@ def test_both_sentence_types_are_token_sequences(build):
     elsewhere = build(raw, source=SourceRef(corpus="talbanken", document="d1"))
     assert s == elsewhere and hash(s) == hash(elsewhere)
     assert s != build(raw[:2])
+
+
+class TestSentenceContract:
+    """Sentence holds columns and builds Token views on demand, but reads as
+    the frozen dataclass of Tokens it was."""
+
+    TOKENS = (Token(1, "Hon", "hon", "PN", "SS", 2, "UTR|SIN|DEF"),
+              Token(2, "kom", "komma", "VB", "ROOT", 0))
+
+    def test_columns(self):
+        s = Sentence(id="s", tokens=self.TOKENS)
+        assert s.forms == ("Hon", "kom") and s.lemmas == ("hon", "komma")
+        assert s.tags == ("PN", "VB") and s.deprels == ("SS", "ROOT")
+        assert s.heads == (2, 0) and s.feats == ("UTR|SIN|DEF", "")
+        assert s.tokens is self.TOKENS
+
+    def test_repr(self):
+        s = Sentence(id="s", tokens=[Token(1, "kom", "komma", "VB", "ROOT", 0)],
+                     source=SourceRef(corpus="c"))
+        assert repr(s) == (
+            "Sentence(id='s', tokens=(Token(index=1, form='kom', lemma='komma', "
+            "pos='VB', deprel='ROOT', head=0, feats=''),), "
+            "source=SourceRef(corpus='c', document=None))"
+        )
+
+    @pytest.mark.parametrize("name", ["id", "tokens", "forms", "heads", "source"])
+    def test_is_frozen(self, name):
+        s = Sentence(id="s", tokens=self.TOKENS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        s = Sentence(id="s", tokens=self.TOKENS, source=SourceRef(corpus="c"))
+        copy = pickle.loads(pickle.dumps(s, protocol))
+        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+        assert copy.source == s.source
+
+
+@st.composite
+def _token_trees(draw):
+    """Token tuples that Token accepts and that form a tree, with any text
+    a CoNLL-U field can carry."""
+    text = st.text(st.characters(blacklist_characters="\t\n\r",
+                                 blacklist_categories=("Cs",)), max_size=4)
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * (n + 1)
+    for position, index in enumerate(order[1:], start=1):
+        heads[index] = draw(st.sampled_from([0, *order[:position]]))
+    return tuple(
+        Token(i, draw(text.filter(bool)), draw(text), draw(text), draw(text), heads[i],
+              draw(text.filter(lambda feats: feats != "_")))
+        for i in range(1, n + 1)
+    )
+
+
+def _conllu_row(t):
+    return f"{t.index}\t{t.form}\t{t.lemma}\t{t.pos}\t_\t{t.feats or '_'}\t{t.head}\t{t.deprel}\t_\t_"
+
+
+@given(_token_trees())
+def test_read_sentence_equals_the_hand_built_one(tokens):
+    """The reader's columns give the sentence a hand-built one derives from
+    its Tokens: equal, hashed alike, columns matching the views, and
+    unchanged by pickling."""
+    text = "# sent_id = s\n" + "\n".join(map(_conllu_row, tokens)) + "\n"
+    (read,) = parse_conllu(text)
+    hand = Sentence(id="s", tokens=tokens)
+    assert read == hand and hash(read) == hash(hand)
+    fields = {"forms": "form", "lemmas": "lemma", "tags": "pos", "deprels": "deprel",
+              "heads": "head", "feats": "feats"}
+    for sentence in (read, hand):
+        for column, name in fields.items():
+            assert getattr(sentence, column) == tuple(getattr(t, name) for t in tokens)
+    for sentence in (read, apply_profile(read, SUC)):
+        copy = pickle.loads(pickle.dumps(sentence))
+        assert copy == sentence and hash(copy) == hash(sentence)
+    assert read.tokens == tokens
 
 
 class TestMorphFeatures:
