@@ -15,10 +15,10 @@ CoNLL-U reader produces, so everything downstream is source-agnostic.
 from __future__ import annotations
 
 import json
-import operator
 import re
 import urllib.parse
 from dataclasses import dataclass
+from itertools import count
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .detectors import ConfigError
@@ -305,11 +305,15 @@ def normalize_hits(
                 IngestIssue(sentence_id, f"head must be a non-negative integer, got {bad!r}")
             )
             continue
-        heads = tuple(map(int, heads))
-        if "" in forms or any(map(operator.eq, heads, range(1, len(heads) + 1))):
-            problems = map(row_problem, range(1, len(heads) + 1), heads, forms)
-            issues.append(IngestIssue(sentence_id, next(filter(None, problems))))
+        # int() and the row checks run row by row, as Token(i, ..., int(head)) ran them
+        try:
+            problem = next(filter(None, map(row_problem, count(1), map(int, heads), forms)), None)
+        except ValueError as exc:  # more digits than int() converts
+            problem = str(exc)
+        if problem:
+            issues.append(IngestIssue(sentence_id, problem))
             continue
+        heads = tuple(map(int, heads))
         try:
             validate_heads(sentence_id, heads)
         except StructureError as exc:

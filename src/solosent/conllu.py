@@ -103,9 +103,13 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
             raise ParseError(
                 line_number, f"head must be a non-negative integer, got {head!r}"
             )
-        index, head, form = int(token_id), int(head), columns[1]
-        if index < 1 or head == index or not form:
-            raise ParseError(line_number, row_problem(index, head, form))
+        try:
+            index, head = int(token_id), int(head)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(line_number, str(exc)) from exc
+        form = columns[1]
+        if problem := row_problem(index, head, form):
+            raise ParseError(line_number, problem)
         feats = columns[5] if columns[5] != "_" else ""
         rows.append((index, form, columns[2], columns[3], columns[7], head, feats))
 

@@ -124,7 +124,7 @@ class StructureError(Exception):
         self.line_number: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token of a parsed sentence, raw annotations preserved.
 
@@ -141,41 +141,15 @@ class Token:
     head: int
     feats: str = ""
 
-    def __init__(
-        self,
-        index: int,
-        form: str,
-        lemma: str,
-        pos: str,
-        deprel: str,
-        head: int,
-        feats: str = "",
-    ) -> None:
-        problem = row_problem(index, head, form)
+    def __post_init__(self) -> None:
+        problem = row_problem(self.index, self.head, self.form)
         if problem:
             raise ValueError(problem)
-        _set_index(self, index)
-        _set_form(self, form)
-        _set_lemma(self, lemma)
-        _set_pos(self, pos)
-        _set_deprel(self, deprel)
-        _set_head(self, head)
-        _set_feats(self, feats)
-
-
-# the slot descriptors' setters, which a frozen class's __setattr__ refuses
-_set_index = Token.index.__set__
-_set_form = Token.form.__set__
-_set_lemma = Token.lemma.__set__
-_set_pos = Token.pos.__set__
-_set_deprel = Token.deprel.__set__
-_set_head = Token.head.__set__
-_set_feats = Token.feats.__set__
 
 
 def row_problem(index: int, head: int, form: str) -> Optional[str]:
     """What Token refuses in one row, in the words of its ValueError, or
-    None.  The readers ask only when a cheaper test of their own fails."""
+    None.  The readers ask it of every row they read."""
     if index < 1:
         return f"token index must be >= 1, got {index}"
     if head < 0:
@@ -217,17 +191,21 @@ def validate_heads(
     if max(heads) > n:
         index, head = next(p for p in enumerate(heads, start=1) if p[1] > n)
         raise StructureError(sentence_id, f"token {index} has head {head} outside the sentence")
-    # after k rounds up[i] is the 2**k-th ancestor of token i, 0 once its
-    # chain has reached the root; a chain that reaches it does so within
-    # n steps, and 2**n.bit_length() > n.  Each round runs in C.
-    up = (0, *heads)
-    rounds = n.bit_length()
-    while any(up):
-        if not rounds:
-            first = next(index for index in range(1, n + 1) if up[index])
-            raise StructureError(sentence_id, f"cyclic head chain through token {first}")
-        up = operator.itemgetter(*up)(up)
-        rounds -= 1
+    # rooted[i]: token i's chain is known to reach 0.  Each walk stops at
+    # the first such token and marks its path, so every token is walked
+    # through once; a walk longer than n steps has met a loop.
+    rooted = [False] * (n + 1)
+    rooted[0] = True
+    for index in range(1, n + 1):
+        path = []
+        current = index
+        while not rooted[current]:
+            if len(path) == n:
+                raise StructureError(sentence_id, f"cyclic head chain through token {index}")
+            path.append(current)
+            current = heads[current - 1]
+        for walked in path:
+            rooted[walked] = True
 
 
 def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
@@ -320,8 +298,9 @@ class Sentence(_TokenSequence[Token]):
 
     The readers fill the raw columns and build no Token; ``tokens`` is a
     tuple of Token views of them, built on its first read.  A sentence
-    constructed from Tokens derives its columns from them, a token's
-    position being its index, and keeps the tuple as its ``tokens``.
+    constructed from Tokens derives its columns from them and keeps the
+    tuple as its ``tokens``; a token whose index is not its 1-based
+    position is refused with ValueError, so the columns hold all of it.
     ``source`` is provenance metadata and deliberately excluded from
     equality: the same annotations fetched from a corpus service or read
     from a file compare equal.
@@ -336,6 +315,9 @@ class Sentence(_TokenSequence[Token]):
 
     def __init__(self, id: str, tokens: Iterable[Token], source: Optional[SourceRef] = None):
         tokens = tuple(tokens)
+        for position, token in enumerate(tokens, start=1):
+            if token.index != position:
+                raise ValueError(f"token at position {position} has index {token.index}: {token!r}")
         columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
         self.__dict__.update(zip(self._FIELDS, (id, source, *columns)), tokens=tokens)
 
@@ -347,7 +329,7 @@ def _token_field(name: str) -> property:
     return property(operator.attrgetter(f"token.{name}"), doc=f"``token.{name}``")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class AnnotatedToken:
     """A token plus the abstract annotations a profile assigned to it."""
 
@@ -357,20 +339,6 @@ class AnnotatedToken:
     features: MorphFeatures = NO_FEATURES
     is_modal: bool = False
 
-    def __init__(
-        self,
-        token: Token,
-        category: Category,
-        relation: Relation,
-        features: MorphFeatures = NO_FEATURES,
-        is_modal: bool = False,
-    ) -> None:
-        _set_token(self, token)
-        _set_category(self, category)
-        _set_relation(self, relation)
-        _set_features(self, features)
-        _set_is_modal(self, is_modal)
-
     index = _token_field("index")
     form = _token_field("form")
     lemma = _token_field("lemma")
@@ -379,12 +347,6 @@ class AnnotatedToken:
     head = _token_field("head")
 
 
-# the slot setters of AnnotatedToken, used as those of Token are
-_set_token = AnnotatedToken.token.__set__
-_set_category = AnnotatedToken.category.__set__
-_set_relation = AnnotatedToken.relation.__set__
-_set_features = AnnotatedToken.features.__set__
-_set_is_modal = AnnotatedToken.is_modal.__set__
 # an AnnotatedToken's annotations, in the order of the annotation columns
 _annotations_of = operator.attrgetter("category", "relation", "features", "is_modal")
 

@@ -12,12 +12,32 @@ said otherwise). Feats use "_" for none, as in CoNLL-U.
 
 from __future__ import annotations
 
+import sys
+
+import pytest
+
 from solosent.conllu import parse_conllu
 from solosent.model import AnnotatedSentence, Sentence
 from solosent.profiles import TagsetProfile, apply_profile, load_profile
 
 SUC = load_profile("suc-mamba")
 UD = load_profile("ud")
+
+# a decimal string longer than int() converts (sys.get_int_max_str_digits),
+# and the words of the ValueError that int() raises for it
+LONG_DIGITS = "1" * 5000
+needs_int_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() converts decimal strings of any length here",
+)
+
+
+def int_error(digits: str) -> str | None:
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def conllu_block(rows: str, sent_id: str = "s1") -> str:

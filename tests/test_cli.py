@@ -11,6 +11,7 @@ from importlib.resources import files
 
 import pytest
 
+from helpers import LONG_DIGITS, int_error, needs_int_digit_limit
 from solosent import concordance
 from solosent.cli import main
 from solosent.conllu import parse_conllu, serialize_conllu
@@ -559,6 +560,14 @@ class TestInputErrorsNameFileAndLine:
         code, _, err = run_cli(capsys, "--mode", "filter", "--input", "-")
         assert code == 1
         assert err == f"error: stdin: {message}\n"
+
+    @needs_int_digit_limit
+    def test_more_digits_than_int_converts(self, capsys, tmp_path):
+        path = tmp_path / "bad.conllu"
+        path.write_text(f"1\tx\tx\tNN\t_\t_\t{LONG_DIGITS}\tROOT\t_\t_\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "--mode", "assess", "--input", str(path))
+        assert code == 1
+        assert err == f"error: {path}: line 1: {int_error(LONG_DIGITS)}\n"
 
 
 def _assert_one_line_utf8_error(capsys, path, code, *argv):

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import LONG_DIGITS, int_error, needs_int_digit_limit
 from solosent.cli import main
 from solosent.concordance import (
     ConcordanceHit,
@@ -464,6 +465,12 @@ class TestToSentences:
          "sentence 'SUC3:5': token 3 has head 9 outside the sentence"),
         ([("a", "0"), ("b", "3"), ("c", "2")], "sentence 'SUC3:5': cyclic head chain through token 2"),
         ([], "sentence 'SUC3:5': no tokens"),
+        # a head with more digits than int() converts, in its row's turn
+        *(pytest.param(rows, message, marks=needs_int_digit_limit) for rows, message in [
+            ([("a", "0"), ("b", LONG_DIGITS)], int_error(LONG_DIGITS)),
+            ([("a", LONG_DIGITS), ("", "1")], int_error(LONG_DIGITS)),
+            ([("", "0"), ("b", LONG_DIGITS)], "token 1 has an empty form"),
+        ]),
     ])
     def test_issue_messages(self, rows, message):
         """Row checks come first, token by token, then the range of the

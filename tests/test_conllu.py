@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import LONG_DIGITS, int_error, needs_int_digit_limit
 from solosent.conllu import ParseError, parse_conllu, serialize_conllu
 from solosent.model import Sentence, StructureError, Token
 
@@ -135,6 +136,17 @@ class TestParseErrors:
             "sentence 's1': token indices not contiguous: expected 2, got 3"
         )
         assert info.value.line_number == 1
+
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("row", [
+        f"{LONG_DIGITS}\tx\tx\tNN\t_\t_\t0\tROOT\t_\t_",
+        f"2\tx\tx\tNN\t_\t_\t{LONG_DIGITS}\tROOT\t_\t_",
+    ], ids=["id", "head"])
+    def test_more_digits_than_int_converts(self, row):
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(f"{ROW}\n{row}\n"))
+        assert str(info.value) == f"line 2: {int_error(LONG_DIGITS)}"
+        assert info.value.line_number == 2
 
 
 class TestSerialize:

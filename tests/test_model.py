@@ -212,6 +212,21 @@ class TestSentence:
         s = Sentence(id="s", tokens=[tok(1, 0)])
         assert isinstance(s.tokens, tuple)
 
+    @pytest.mark.parametrize("indices", [(5,), (1, 3), (2, 1)])
+    def test_index_must_be_the_position(self, indices):
+        """The columns keep no index, so a token whose index is not its
+        position is refused rather than renumbered."""
+        tokens = [tok(index, 0) for index in indices]
+        position, index = next(p for p in enumerate(indices, start=1) if p[0] != p[1])
+        with pytest.raises(ValueError, match=f"token at position {position} has index {index}: "):
+            Sentence(id="s", tokens=tokens)
+        with pytest.raises(ValueError, match=f"position {position} has index {index}"):
+            AnnotatedSentence(
+                id="s",
+                tokens=[AnnotatedToken(t, Category.NOUN, Relation.OTHER) for t in tokens],
+                profile="test",
+            )
+
 
 def _sentence(tokens, source=None):
     return Sentence(id="s", tokens=list(tokens), source=source)
