@@ -266,7 +266,7 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     return FetchResult(
         hits=tuple(hits),
         skipped=skipped,
-        total_hits=total if isinstance(total, int) else None,
+        total_hits=total if isinstance(total, int) and not isinstance(total, bool) else None,
     )
 
 

@@ -8,8 +8,8 @@ for linguistic completeness.
 
 The implemented themes:
 
-IncompSent      sentence fragments: no dependency root, a lowercased
-                start, or no closing major delimiter.
+IncompSent      sentence fragments: a lowercased start or no closing
+                major delimiter.
 ImpAnaphora     implicit anaphora through ellipsis: no finite verb (a
                 modal alone does not count) or no subject outside
                 imperatives.
@@ -90,7 +90,7 @@ class ThemeDetection:
     """One detected indication of context dependence.
 
     ``token_indices`` holds the 1-based indices of the offending tokens,
-    sorted; it is empty for whole-sentence defects such as a missing root.
+    sorted; it is empty for whole-sentence defects such as a missing verb.
     ``weight`` is an exact rational: 1 by default, 1/2 for pronominal
     anaphora with antecedent candidates, scaled by any config override.
     """
@@ -167,16 +167,10 @@ def _first_content_index(sentence: AnnotatedSentence) -> Optional[int]:
     return None
 
 
-def _root_index(sentence: AnnotatedSentence) -> Optional[int]:
-    roots = sentence.roots
-    return roots[0] if roots else None
-
-
 def _governed_by_verb(sentence: AnnotatedSentence, index: int) -> bool:
     """True when the token's head is a token of category verb."""
-    heads = sentence.heads
-    head = heads[index - 1]
-    return 0 < head <= len(heads) and sentence.categories[head - 1] is Category.VERB
+    head = sentence.heads[index - 1]
+    return head > 0 and sentence.categories[head - 1] is Category.VERB
 
 
 def _in_verb_group(sentence: AnnotatedSentence, index: int) -> bool:
@@ -222,25 +216,14 @@ def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
 def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     """IncompSent: fragments that never were a full sentence.
 
-    Three independent checks, each reported separately when it fails:
-    a dependency root must exist, the first letter-or-digit character
-    (one leading quote/bracket/dash token may precede it) must not be a
-    lowercase letter, and the last token must be a major delimiter.
-    Starting with a digit is fine.
+    Two independent checks, each reported separately when it fails: the
+    first letter-or-digit character (one leading quote/bracket/dash token
+    may precede it) must not be a lowercase letter, and the last token
+    must be a major delimiter.  Starting with a digit is fine.
     """
     detections: list[ThemeDetection] = []
-    if not sentence.roots:
-        detections.append(
-            ThemeDetection(
-                theme=Theme.INCOMPLETE,
-                token_indices=(),
-                weight=ONE,
-                rationale="no dependency root",
-            )
-        )
-
     forms = sentence.forms
-    start = 1 if forms and _is_wrapper_form(forms[0]) else 0
+    start = 1 if _is_wrapper_form(forms[0]) else 0
     for index, form in enumerate(forms[start:], start=start + 1):
         first_char = next((ch for ch in form if ch.isalpha() or ch.isdigit()), None)
         if first_char is None:
@@ -256,14 +239,13 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
             )
         break
 
-    if not forms or sentence.categories[-1] is not Category.MAJOR_DELIMITER:
-        tail = forms[-1] if forms else ""
+    if sentence.categories[-1] is not Category.MAJOR_DELIMITER:
         detections.append(
             ThemeDetection(
                 theme=Theme.INCOMPLETE,
                 token_indices=(),
                 weight=ONE,
-                rationale=f"sentence does not end in a major delimiter (last token {tail!r})",
+                rationale=f"sentence does not end in a major delimiter (last token {forms[-1]!r})",
             )
         )
     return detections
@@ -271,8 +253,8 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
 
 def _main_verb(sentence: AnnotatedSentence) -> Optional[int]:
     categories = sentence.categories
-    root = _root_index(sentence)
-    if root is not None and categories[root - 1] is Category.VERB:
+    root = sentence.roots[0]
+    if categories[root - 1] is Category.VERB:
         return root
     for index, category in enumerate(categories, start=1):
         if category is Category.VERB:
@@ -394,7 +376,7 @@ _SOM_RELATIONS = (Relation.RELATIVE_CLAUSE_MARKER, Relation.SUBORDINATOR)
 
 
 class _TreePasses(NamedTuple):
-    """Answers for every token of a sentence whose heads form a tree."""
+    """Answers for every token of a sentence."""
 
     # the nearest verb above each token, by index, or 0 for none
     verb_above: list[int]
@@ -402,18 +384,14 @@ class _TreePasses(NamedTuple):
     som_below: list[bool]
 
 
-def _tree_passes(sentence: AnnotatedSentence) -> Optional[_TreePasses]:
-    """One top-down and one bottom-up pass over the tree, or None when the
-    heads do not form one (a cycle, or a head outside the sentence)."""
-    # every token index, each after its head; a token is reached from 0
-    # at most once, since it has one head
+def _tree_passes(sentence: AnnotatedSentence) -> _TreePasses:
+    """One top-down and one bottom-up pass over the tree."""
+    # every token index, each after its head; a tree reaches each once
     dependents = sentence.dependents
     order = list(dependents.get(0, ()))
     for index in order:
         order.extend(dependents.get(index, ()))
     heads, categories = sentence.heads, sentence.categories
-    if len(order) != len(heads):
-        return None
     lemmas, relations = sentence.lower_lemmas, sentence.relations
     verb_above = [0] * (len(heads) + 1)
     for index in order:
@@ -429,43 +407,6 @@ def _tree_passes(sentence: AnnotatedSentence) -> Optional[_TreePasses]:
         ):
             som_below[heads[index - 1]] = True
     return _TreePasses(verb_above, som_below)
-
-
-def _nearest_verb_ancestor(
-    sentence: AnnotatedSentence, index: int, passes: Optional[_TreePasses]
-) -> int:
-    """The nearest verb above the token, or 0 for none.
-
-    A sentence whose heads are not a tree is walked up from the token,
-    stopping at a head out of range or at a token already seen.
-    """
-    if passes is not None:
-        return passes.verb_above[index]
-    heads, categories = sentence.heads, sentence.categories
-    seen = {index}
-    current = heads[index - 1]
-    while 0 < current <= len(heads) and current not in seen:
-        if categories[current - 1] is Category.VERB:
-            return current
-        seen.add(current)
-        current = heads[current - 1]
-    return 0
-
-
-def _som_relative_below(
-    sentence: AnnotatedSentence, index: int, passes: Optional[_TreePasses]
-) -> bool:
-    """Whether the token's subtree holds a som relative marker or subordinator.
-
-    A sentence whose heads are not a tree is searched from the token.
-    """
-    if passes is not None:
-        return passes.som_below[index]
-    lemmas, relations = sentence.lower_lemmas, sentence.relations
-    return any(
-        lemmas[i - 1] == "som" and relations[i - 1] in _SOM_RELATIONS
-        for i in sentence.descendant_indices(index)
-    )
 
 
 def detect_pronominal_anaphora(
@@ -496,7 +437,6 @@ def detect_pronominal_anaphora(
     weather = not lexicons.weather_verbs.isdisjoint(lemmas)
     som = "som" in lemmas
     passes: Optional[_TreePasses] = None
-    passed = False  # the passes were tried; they stay None when the heads are no tree
     # nouns and proper nouns tallied so far, by (gender, number): the
     # features of one of them, which stands for the others in the
     # compatibility test, and how many there are
@@ -511,15 +451,14 @@ def detect_pronominal_anaphora(
             continue
         if relations[index - 1] is Relation.EXPLETIVE:
             continue
-        if not passed and (som or weather and lemma == "det"):
-            passes, passed = _tree_passes(sentence), True
+        if passes is None and (som or weather and lemma == "det"):
+            passes = _tree_passes(sentence)
         if lemma == "det" and weather:
-            verb = _nearest_verb_ancestor(sentence, index, passes)
+            verb = passes.verb_above[index]
             if verb and lemmas[verb - 1] in lexicons.weather_verbs:
                 continue
         if som and (
-            (index < len(lemmas) and lemmas[index] == "som")
-            or _som_relative_below(sentence, index, passes)
+            (index < len(lemmas) and lemmas[index] == "som") or passes.som_below[index]
         ):
             continue
         for left in range(tallied + 1, index):
@@ -643,7 +582,7 @@ def _discourse_connective(
         if _connective_beside(sentence, index):
             continue
         head = heads[index - 1]
-        if 0 < head <= len(heads) and _connective_beside(sentence, head):
+        if head > 0 and _connective_beside(sentence, head):
             continue
         detections.append(
             ThemeDetection(
@@ -691,10 +630,9 @@ def _structural_connective(
 ) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
     categories, forms = sentence.categories, sentence.forms
-    root = _root_index(sentence)
+    root = sentence.roots[0]
     if (
-        root is not None
-        and categories[root - 1] is Category.CONJUNCTION
+        categories[root - 1] is Category.CONJUNCTION
         and not _completed_pair_present(sentence, lexicons, root)
     ):
         detections.append(
@@ -736,8 +674,6 @@ def detect_ceq_answer(
     minor delimiters ("– Gärna , ...").
     """
     categories = sentence.categories
-    if not categories:
-        return []
     offset = 1 if categories[0] is Category.MINOR_DELIMITER else 0
     if len(categories) <= offset:
         return []

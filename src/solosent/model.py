@@ -209,8 +209,7 @@ def validate_heads(
 
 
 def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
-    """Reject tokens whose indices and heads validate_heads rejects.
-    Directly constructed Sentence values may skip it."""
+    """Reject tokens whose indices and heads validate_heads rejects."""
     validate_heads(sentence_id, [t.head for t in tokens], [t.index for t in tokens])
 
 
@@ -284,9 +283,16 @@ class _TokenSequence(Generic[_T]):
     def __iter__(self) -> Iterator[_T]:
         return iter(self.tokens)
 
+    def _position(self, index: int) -> int:
+        """The column position of the token at ``index``; IndexError unless
+        ``index`` is in 1..len."""
+        if not 0 < index <= len(self.heads):
+            raise IndexError(f"no token at index {index}")
+        return index - 1
+
     def token(self, index: int) -> _T:
         """Return the token with the given 1-based index."""
-        return self.tokens[index - 1]
+        return self.tokens[self._position(index)]
 
     @property
     def text(self) -> str:
@@ -301,6 +307,8 @@ class Sentence(_TokenSequence[Token]):
     constructed from Tokens derives its columns from them and keeps the
     tuple as its ``tokens``; a token whose index is not its 1-based
     position is refused with ValueError, so the columns hold all of it.
+    The heads must form a tree with at least one token, as the readers
+    require: validate_heads refuses anything else with StructureError.
     ``source`` is provenance metadata and deliberately excluded from
     equality: the same annotations fetched from a corpus service or read
     from a file compare equal.
@@ -319,6 +327,7 @@ class Sentence(_TokenSequence[Token]):
             if token.index != position:
                 raise ValueError(f"token at position {position} has index {token.index}: {token!r}")
         columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
+        validate_heads(id, columns[4])
         self.__dict__.update(zip(self._FIELDS, (id, source, *columns)), tokens=tokens)
 
     tokens = cached_property(_token_views)
@@ -370,9 +379,8 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
 
     apply_profile fills the columns and the index in one loop.  A sentence
     constructed from AnnotatedTokens derives the same columns and index
-    from them, so both kinds are read the same way.  The index is keyed by
-    the heads as they are, so hand-built sentences with out-of-range or
-    cyclic heads answer exactly as a scan of the tokens would.
+    from them, so both kinds are read the same way.  The Sentence it
+    builds refuses heads that are no tree, so ``roots`` is never empty.
 
     Equality and the hash cover the id, the profile name and the columns,
     which is to say the tokens; ``source`` is provenance and excluded, as
@@ -439,11 +447,9 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
         )
 
     def head_token(self, index: int) -> Optional[AnnotatedToken]:
-        """The governing token, or None for roots and out-of-range heads."""
-        head = self.heads[index - 1]
-        if head < 1 or head > len(self.heads):
-            return None
-        return self.tokens[head - 1]
+        """The governing token, or None for a token with head 0."""
+        head = self.heads[self._position(index)]
+        return self.tokens[head - 1] if head else None
 
     def children(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens directly governed by the token at ``index``."""
@@ -453,27 +459,20 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     def siblings(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Tokens sharing a head with the token at ``index``, itself excluded."""
         tokens = self.tokens
-        group = self.dependents[self.heads[index - 1]]
+        group = self.dependents[self.heads[self._position(index)]]
         return tuple(tokens[i - 1] for i in group if i != index)
-
-    def descendant_indices(self, index: int) -> list[int]:
-        """The indices of every token in the subtree under ``index``, in
-        surface order; a walk that meets a token twice takes it once."""
-        dependents = self.dependents
-        inside = {index}
-        frontier = [index]
-        while frontier:
-            for child in dependents.get(frontier.pop(), ()):
-                if child not in inside:
-                    inside.add(child)
-                    frontier.append(child)
-        inside.discard(index)
-        return sorted(inside)
 
     def descendants(self, index: int) -> tuple[AnnotatedToken, ...]:
         """Every token in the subtree under ``index``, in surface order."""
+        dependents = self.dependents
+        inside: list[int] = []
+        frontier = [index]
+        while frontier:
+            children = dependents.get(frontier.pop(), ())
+            inside += children
+            frontier += children
         tokens = self.tokens
-        return tuple(tokens[i - 1] for i in self.descendant_indices(index))
+        return tuple(tokens[i - 1] for i in sorted(inside))
 
     def root_tokens(self) -> tuple[AnnotatedToken, ...]:
         """Tokens that act as the dependency root (relation root or head 0)."""

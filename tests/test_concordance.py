@@ -269,6 +269,12 @@ class TestFetchPage:
         transport = CannedTransport(body=b'{"kwic": [], "hits": "many"}')
         assert fetch_page(simple_request(), transport).total_hits is None
 
+    @pytest.mark.parametrize("total", [b"true", b"false"])
+    def test_boolean_total_ignored(self, total):
+        # JSON true is no count, though Python's bool is an int
+        transport = CannedTransport(body=b'{"kwic": [], "hits": ' + total + b"}")
+        assert fetch_page(simple_request(), transport).total_hits is None
+
     @pytest.mark.parametrize(
         "body",
         [b"1" * 5000, b"[" * 100_000, b'{"kwic": [' + b"[" * 100_000 + b"]}"],

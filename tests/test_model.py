@@ -364,6 +364,16 @@ class TestTreeQueries:
         assert s.head_token(1).form == "berodde"
         assert s.head_token(2) is None
 
+    @pytest.mark.parametrize("index", [0, -1, 6])
+    def test_index_outside_the_sentence_is_refused(self, index):
+        """1..len name the tokens; 0 and negative indices do not count
+        from the end, as a tuple's do."""
+        raw = parse_one(TREE)
+        s = apply_profile(raw, SUC)
+        for query in (raw.token, s.token, s.head_token, s.siblings):
+            with pytest.raises(IndexError, match=f"^no token at index {index}$"):
+                query(index)
+
     def test_children_and_siblings(self):
         s = annotate(TREE)
         assert [t.form for t in s.children(2)] == ["Troligen", "olyckan", "på"]
@@ -377,14 +387,18 @@ class TestTreeQueries:
             "Troligen", "olyckan", "på", "snö",
         ]
 
-    def test_descendants_survive_cyclic_input(self):
-        # hand-built malformed graph: 2 and 3 head each other
-        tokens = tuple(
-            AnnotatedToken(t, Category.NOUN, Relation.OTHER)
-            for t in (tok(1, 0), tok(2, 3), tok(3, 2))
-        )
-        s = AnnotatedSentence(id="cyc", tokens=tokens, profile="test")
-        assert {t.index for t in s.descendants(2)} == {3}
+    def test_cyclic_hand_built_sentence_is_refused(self):
+        # 2 and 3 head each other, as no reader lets through
+        tokens = (tok(1, 0), tok(2, 3), tok(3, 2))
+        message = "^sentence 'cyc': cyclic head chain through token 2$"
+        with pytest.raises(StructureError, match=message):
+            Sentence(id="cyc", tokens=tokens)
+        with pytest.raises(StructureError, match=message):
+            AnnotatedSentence(
+                id="cyc",
+                tokens=[AnnotatedToken(t, Category.NOUN, Relation.OTHER) for t in tokens],
+                profile="test",
+            )
 
     def test_root_tokens(self):
         s = annotate(TREE)
@@ -428,14 +442,18 @@ _BY_SCAN = {
 
 @st.composite
 def _hand_built_sentences(draw):
-    """Sentences with any heads a Token accepts: several roots, heads past
-    the end and cycles included, as no parser would produce them."""
+    """Trees of any shape: each token after the first, in a random order,
+    hangs off 0 or a token placed before it, so several roots come up, and
+    relation root may sit on any token."""
     n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * (n + 1)
+    for position, index in enumerate(order[1:], start=1):
+        heads[index] = draw(st.sampled_from([0, *order[:position]]))
     tokens = []
     for i in range(1, n + 1):
-        head = draw(st.integers(0, n + 2).filter(lambda h: h != i))
         relation = draw(st.sampled_from([Relation.ROOT, Relation.SUBJECT, Relation.OTHER]))
-        tokens.append(AnnotatedToken(tok(i, head), Category.NOUN, relation))
+        tokens.append(AnnotatedToken(tok(i, heads[i]), Category.NOUN, relation))
     return AnnotatedSentence(id="h", tokens=tuple(tokens), profile="test")
 
 
@@ -543,3 +561,33 @@ def _outcome(check, tokens):
 @given(_head_lists())
 def test_validate_tokens_matches_the_full_walk(tokens):
     assert _outcome(validate_tokens, tokens) == _outcome(_validate_by_walk, tokens)
+
+
+def _sentence_or_refusal(make):
+    try:
+        return make()
+    except StructureError as exc:
+        return str(exc)
+
+
+def _ids_are_positions(tokens):
+    return all(t.index == position for position, t in enumerate(tokens, start=1))
+
+
+@given(_head_lists().filter(_ids_are_positions))
+def test_hand_built_and_read_sentences_obey_one_tree_rule(tokens):
+    """Sentence refuses exactly the heads the CoNLL-U reader refuses, with
+    its message, and builds the sentence the reader reads otherwise."""
+    text = "# sent_id = h\n" + "\n".join(map(_conllu_row, tokens)) + "\n"
+    built = _sentence_or_refusal(lambda: Sentence("h", tokens))
+    read = _sentence_or_refusal(lambda: next(parse_conllu(text)))
+    assert built == read
+
+
+def test_empty_sentence_is_refused():
+    for make in (
+        lambda: Sentence("e", ()),
+        lambda: AnnotatedSentence("e", (), profile="test"),
+    ):
+        with pytest.raises(StructureError, match="^sentence 'e': no tokens$"):
+            make()
