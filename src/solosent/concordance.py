@@ -315,13 +315,13 @@ def normalize_hits(
             continue
         heads = tuple(map(int, heads))
         try:
-            validate_heads(sentence_id, heads)
+            index = validate_heads(sentence_id, heads)
         except StructureError as exc:
             issues.append(IngestIssue(sentence_id, str(exc)))
             continue
         if "_" in feats:
             feats = tuple(f if f != "_" else "" for f in feats)
-        columns = forms, lemmas, tags, deprels, heads, feats
+        columns = forms, lemmas, tags, deprels, heads, feats, *index
         sentences.append(Sentence._from_columns(sentence_id, SourceRef(hit.corpus), *columns))
     return sentences, issues
 

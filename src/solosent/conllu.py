@@ -36,11 +36,11 @@ class ParseError(Exception):
 def _finish_sentence(sentence_id: str, rows: list[tuple], line_number: int) -> Sentence:
     indices, *columns = zip(*rows)
     try:
-        validate_heads(sentence_id, columns[4], indices)
+        index = validate_heads(sentence_id, columns[4], indices)
     except StructureError as exc:
         exc.line_number = line_number
         raise
-    return Sentence._from_columns(sentence_id, None, *columns)
+    return Sentence._from_columns(sentence_id, None, *columns, *index)
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
@@ -50,7 +50,8 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
     file, whose lines are taken as they come).  A sentence is yielded once
     its block is complete and valid, before the next line is read.
     Sentence ids come from ``# sent_id = ...`` comments when present and
-    are synthesized as ``s1``, ``s2``, ... otherwise.
+    are synthesized as ``s1``, ``s2``, ... otherwise; a sent_id that
+    holds a tab is refused with ParseError, naming the comment's line.
 
     Rows fill the sentence's raw columns; no Token is built.  A row is
     checked as it is read (ParseError, naming its line, for a token id of
@@ -80,6 +81,8 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
             match = _SENT_ID_RE.match(line)
             if match:
                 sent_id = match.group(1)
+                if "\t" in sent_id:  # no TSV record or gold line could hold it
+                    raise ParseError(line_number, f"sent_id may not hold a tab: {sent_id!r}")
             continue
         columns = line.split("\t")
         if len(columns) != COLUMN_COUNT:

@@ -385,23 +385,19 @@ class _TreePasses(NamedTuple):
 
 
 def _tree_passes(sentence: AnnotatedSentence) -> _TreePasses:
-    """One top-down and one bottom-up pass over the tree."""
-    # every token index, each after its head; a tree reaches each once
-    dependents = sentence.dependents
-    order = list(dependents.get(0, ()))
-    for index in order:
-        order.extend(dependents.get(index, ()))
+    """One top-down and one bottom-up pass over the tree, in the order
+    the reader's tree check left in ``sentence.order``."""
     heads, categories = sentence.heads, sentence.categories
     lemmas, relations = sentence.lower_lemmas, sentence.relations
     verb_above = [0] * (len(heads) + 1)
-    for index in order:
+    for index in sentence.order:
         head = heads[index - 1]
         if head:
             verb_above[index] = (
                 head if categories[head - 1] is Category.VERB else verb_above[head]
             )
     som_below = [False] * (len(heads) + 1)
-    for index in reversed(order):
+    for index in reversed(sentence.order):
         if som_below[index] or (
             lemmas[index - 1] == "som" and relations[index - 1] in _SOM_RELATIONS
         ):

@@ -171,14 +171,17 @@ class SourceRef:
 
 def validate_heads(
     sentence_id: str, heads: Sequence[int], indices: Optional[Sequence[int]] = None
-) -> None:
-    """Reject a sentence's head column when it is not a tree.
+) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+    """Reject a sentence's head column when it is not a tree; return its
+    tree index, ``(dependents, order)``, when it is.
 
-    ``heads[i - 1]`` is the head of token i.  Checks, in this order, that
-    there are tokens, that ``indices`` (the ids a reader found, when it
-    passes them) run 1, 2, 3, ..., that every head is a token or 0, and
-    that following head links always reaches 0; a loop is reported
-    through the first token whose chain never does.
+    ``heads[i - 1]`` is the head of token i.  ``dependents`` maps each head
+    to the tokens that name it, in surface order; ``order`` lists the
+    tokens top-down from 0, each after its head.  Checks, in this order,
+    that there are tokens, that ``indices`` (the ids a reader found, when
+    it passes them) run 1, 2, 3, ..., that every head is a token or 0, and
+    that ``order`` reaches every token.  A loop is reported through the
+    first token it misses, which is the first whose chain never reaches 0.
     """
     n = len(heads)
     if not n:
@@ -191,26 +194,23 @@ def validate_heads(
     if max(heads) > n:
         index, head = next(p for p in enumerate(heads, start=1) if p[1] > n)
         raise StructureError(sentence_id, f"token {index} has head {head} outside the sentence")
-    # rooted[i]: token i's chain is known to reach 0.  Each walk stops at
-    # the first such token and marks its path, so every token is walked
-    # through once; a walk longer than n steps has met a loop.
-    rooted = [False] * (n + 1)
-    rooted[0] = True
-    for index in range(1, n + 1):
-        path = []
-        current = index
-        while not rooted[current]:
-            if len(path) == n:
-                raise StructureError(sentence_id, f"cyclic head chain through token {index}")
-            path.append(current)
-            current = heads[current - 1]
-        for walked in path:
-            rooted[walked] = True
-
-
-def validate_tokens(sentence_id: str, tokens: tuple[Token, ...]) -> None:
-    """Reject tokens whose indices and heads validate_heads rejects."""
-    validate_heads(sentence_id, [t.head for t in tokens], [t.index for t in tokens])
+    groups: dict[int, list[int]] = {}
+    index = 0
+    for head in heads:
+        index += 1
+        group = groups.get(head)
+        if group is None:
+            groups[head] = [index]
+        else:
+            group.append(index)
+    order = list(groups.get(0, ()))
+    for index in order:  # the loop reads what it appends
+        if index in groups:
+            order += groups[index]
+    if len(order) < n:
+        index = min(set(range(1, n + 1)).difference(order))
+        raise StructureError(sentence_id, f"cyclic head chain through token {index}")
+    return {head: tuple(group) for head, group in groups.items()}, tuple(order)
 
 
 _T = TypeVar("_T")
@@ -233,11 +233,13 @@ class _TokenSequence(Generic[_T]):
     columns, with tokens indexed from 1.
 
     Both hold the raw columns, RAW_COLUMNS: the token at index i has
-    ``forms[i - 1]``, ``heads[i - 1]`` and so on.  A subclass names its
-    fields in ``_FIELDS``, in the order ``_from_columns`` takes them, those
-    that equality and the hash cover in ``_KEY``, and its constructor's in
-    ``_REPR``.  Fields, and views cached on their first read, live in the
-    instance dict; assigning or deleting an attribute is refused.
+    ``forms[i - 1]``, ``heads[i - 1]`` and so on, and the tree index
+    validate_heads returns, ``dependents`` and ``order``, which equality
+    and the hash leave out.  A subclass names its fields in ``_FIELDS``,
+    in the order ``_from_columns`` takes them, those that equality and the
+    hash cover in ``_KEY``, and its constructor's in ``_REPR``.  Fields,
+    and views cached on their first read, live in the instance dict;
+    assigning or deleting an attribute is refused.
     """
 
     tokens: tuple[_T, ...]
@@ -247,6 +249,8 @@ class _TokenSequence(Generic[_T]):
     deprels: tuple[str, ...]
     heads: tuple[int, ...]
     feats: tuple[str, ...]
+    dependents: dict[int, tuple[int, ...]]
+    order: tuple[int, ...]
 
     @classmethod
     def _from_columns(cls, *columns):
@@ -314,7 +318,7 @@ class Sentence(_TokenSequence[Token]):
     from a file compare equal.
     """
 
-    _FIELDS = ("id", "source", *RAW_COLUMNS)
+    _FIELDS = ("id", "source", *RAW_COLUMNS, "dependents", "order")
     _KEY = ("id", *RAW_COLUMNS)
     _REPR = ("id", "tokens", "source")
 
@@ -327,8 +331,8 @@ class Sentence(_TokenSequence[Token]):
             if token.index != position:
                 raise ValueError(f"token at position {position} has index {token.index}: {token!r}")
         columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
-        validate_heads(id, columns[4])
-        self.__dict__.update(zip(self._FIELDS, (id, source, *columns)), tokens=tokens)
+        index = validate_heads(id, columns[4])
+        self.__dict__.update(zip(self._FIELDS, (id, source, *columns, *index)), tokens=tokens)
 
     tokens = cached_property(_token_views)
 
@@ -363,13 +367,11 @@ _annotations_of = operator.attrgetter("category", "relation", "features", "is_mo
 class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     """A sentence whose tokens carry abstract categories and relations.
 
-    It shares the raw columns of the Sentence it annotates, the same
-    tuples rather than copies.  Parallel to them are one tuple per
-    annotation: ``categories``, ``relations``, ``features``,
-    ``modal_flags`` and ``lower_lemmas`` (each lemma lowercased).  Next
-    to them is the tree index, in 1-based token indices: ``dependents``
-    maps each head a token names to the tokens that name it, in surface
-    order, and ``roots`` holds the tokens with relation root or head 0.
+    It shares the raw columns and the tree index of the Sentence it
+    annotates, the same objects rather than copies.  Parallel to the
+    columns are one tuple per annotation: ``categories``, ``relations``,
+    ``features``, ``modal_flags`` and ``lower_lemmas`` (each lemma
+    lowercased).  ``roots`` holds the tokens with relation root or head 0.
     All of it is read-only, as the sentence is.
 
     ``raw_tokens`` and ``tokens`` are tuples of Token and AnnotatedToken
@@ -377,10 +379,11 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     instance dict.  The tree queries answer with views; the detectors
     read the columns and the index, and never build a view.
 
-    apply_profile fills the columns and the index in one loop.  A sentence
-    constructed from AnnotatedTokens derives the same columns and index
-    from them, so both kinds are read the same way.  The Sentence it
-    builds refuses heads that are no tree, so ``roots`` is never empty.
+    apply_profile fills the annotations and ``roots`` in one loop.  A
+    sentence constructed from AnnotatedTokens derives the same columns
+    and index from them, so both kinds are read the same way.  The
+    Sentence it builds refuses heads that are no tree, so ``roots`` is
+    never empty.
 
     Equality and the hash cover the id, the profile name and the columns,
     which is to say the tokens; ``source`` is provenance and excluded, as
@@ -389,7 +392,7 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
 
     _FIELDS = (
         "id", "profile", "source", *RAW_COLUMNS, "categories", "relations",
-        "features", "modal_flags", "lower_lemmas", "dependents", "roots",
+        "features", "modal_flags", "lower_lemmas", "dependents", "order", "roots",
     )
     _KEY = ("id", "profile", *RAW_COLUMNS, "categories", "relations", "features", "modal_flags")
     _REPR = ("id", "tokens", "profile", "source")
@@ -402,7 +405,6 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
     features: tuple[MorphFeatures, ...]
     modal_flags: tuple[bool, ...]
     lower_lemmas: tuple[str, ...]
-    dependents: dict[int, tuple[int, ...]]
     roots: tuple[int, ...]
 
     def __init__(
@@ -415,9 +417,6 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
         tokens = tuple(tokens)
         raw = Sentence(id, (t.token for t in tokens))
         annotations = tuple(zip(*map(_annotations_of, tokens))) or ((),) * 4
-        groups: dict[int, list[int]] = {}
-        for index, head in enumerate(raw.heads, start=1):
-            groups.setdefault(head, []).append(index)
         roots = tuple(
             index
             for index, (head, relation) in enumerate(zip(raw.heads, annotations[1]), start=1)
@@ -426,7 +425,7 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
         self.__dict__.update(
             zip(self._FIELDS, (id, profile, source, *raw_columns(raw), *annotations)),
             lower_lemmas=tuple(map(str.lower, raw.lemmas)),
-            dependents={head: tuple(group) for head, group in groups.items()},
+            dependents=raw.dependents, order=raw.order,
             roots=roots, tokens=tokens, raw_tokens=raw.tokens,
         )
 

@@ -98,8 +98,10 @@ class TagsetProfile:
     """A complete mapping from one tagset onto the abstract vocabulary,
     resolved when the profile is loaded.
 
-    ``category_of_pos`` maps a raw POS tag to its Category, or to None for
-    a ``delimiter`` tag whose category is decided by the token's form.
+    ``category_of_pos`` maps a raw POS tag to its Category, or to
+    DELIMITER_BY_FORM for a tag whose category is decided by the token's
+    form; a tag it lacks is unknown.  That is the category rule, and
+    category_for and apply_profile's table both answer from it.
     ``feature_rules`` holds ``(pos_pattern, atom, field, value)`` rows in
     file order; ``*`` matches anything and later rows win.  apply_profile
     reads a private table, filled on first sight and taking no part in
@@ -108,7 +110,7 @@ class TagsetProfile:
     """
 
     name: str
-    category_of_pos: dict[str, Optional[Category]]
+    category_of_pos: dict[str, Union[Category, str]]
     relation_of_deprel: dict[str, Relation]
     feature_rules: tuple[tuple[str, str, str, object], ...]
     modal_lemmas: frozenset[str]
@@ -119,9 +121,8 @@ class TagsetProfile:
 
     def category_for(self, pos: str, form: str) -> Optional[Category]:
         """Abstract category for a raw POS tag, or None when unknown."""
-        if pos not in self.category_of_pos:
-            return None
-        return self.category_of_pos[pos] or classify_delimiter_form(form)
+        category = self.category_of_pos.get(pos)
+        return classify_delimiter_form(form) if category is DELIMITER_BY_FORM else category
 
     def relation_for(self, deprel: str) -> Optional[Relation]:
         """Abstract relation for a raw deprel, or None when unknown."""
@@ -144,10 +145,7 @@ class TagsetProfile:
         verb form unless the POS maps to verb (a delimiter decided by form
         never does).
         """
-        if pos in self.category_of_pos:
-            category = self.category_of_pos[pos] or DELIMITER_BY_FORM
-        else:
-            category = None
+        category = self.category_of_pos.get(pos)
         features = self.decode_features(pos, feats)
         if category is not Category.VERB:
             features = replace(features, verb_form=VerbForm.UNSPECIFIED)
@@ -166,11 +164,11 @@ def classify_delimiter_form(form: str) -> Category:
 
 def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
     name: Optional[str] = None
-    category_of_pos: dict[str, Optional[Category]] = {}
+    category_of_pos: dict[str, Union[Category, str]] = {}
     relation_of_deprel: dict[str, Relation] = {}
     feature_rules: list[tuple[str, str, str, object]] = []
     modal_lemmas: set[str] = set()
-    valid_categories = {c.value: c for c in Category} | {DELIMITER_BY_FORM: None}
+    valid_categories = {c.value: c for c in Category} | {DELIMITER_BY_FORM: DELIMITER_BY_FORM}
     valid_relations = {r.value: r for r in Relation}
 
     for line_number, raw_line in enumerate(lines, start=1):
@@ -222,7 +220,7 @@ def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
         raise ProfileError(f"{origin}: profile has no name directive")
 
     reachable_categories = set(category_of_pos.values())
-    if None in reachable_categories:
+    if DELIMITER_BY_FORM in reachable_categories:
         reachable_categories |= {Category.MAJOR_DELIMITER, Category.MINOR_DELIMITER}
     missing_categories = REQUIRED_CATEGORIES - reachable_categories
     reachable_relations = set(relation_of_deprel.values())
@@ -303,9 +301,9 @@ def apply_profile(
     dropped for tokens whose category is not verb, so downstream rules can
     trust that pairing.
 
-    One loop over the sentence's columns fills the result's columns and
-    its tree index; the result shares the sentence's raw columns and
-    builds no Token or AnnotatedToken.
+    One loop over the sentence's columns fills the result's annotations
+    and ``roots``; the result shares the sentence's raw columns and the
+    tree index its reader built, and builds no Token or AnnotatedToken.
     """
     rows = profile._rows
     relation_of = profile.relation_of_deprel
@@ -318,7 +316,6 @@ def apply_profile(
     features: list[MorphFeatures] = []
     modal_flags: list[bool] = []
     lower_lemmas: list[str] = []
-    dependents: dict[int, list[int]] = {}
     roots: list[int] = []
     index = 0
     for head in heads:
@@ -342,11 +339,6 @@ def apply_profile(
         features.append(feature)
         modal_flags.append(category is verb and lemma in modal_lemmas)
         lower_lemmas.append(lemma)
-        group = dependents.get(head)
-        if group is None:
-            dependents[head] = [index]
-        else:
-            group.append(index)
         if head == 0 or relation is root:
             roots.append(index)
     return AnnotatedSentence._from_columns(
@@ -359,7 +351,8 @@ def apply_profile(
         tuple(features),
         tuple(modal_flags),
         tuple(lower_lemmas),
-        {head: tuple(group) for head, group in dependents.items()},
+        sentence.dependents,
+        sentence.order,
         tuple(roots),
     )
 

@@ -494,6 +494,14 @@ CYCLIC_SECOND_SENTENCE = (
     "2\tta\tta\tVB\t_\t_\t1\tROOT\t_\t_\n"
 )
 NINE_COLUMNS = "1\tHon\thon\tPN\t_\t_\t0\tROOT\t_\n"
+TAB_IN_SECOND_SENT_ID = (
+    "# sent_id = a\n"
+    "1\tHon\thon\tPN\t_\t_\t2\tSS\t_\t_\n"
+    "2\tkom\tkomma\tVB\t_\t_\t0\tROOT\t_\t_\n"
+    "\n"
+    "# sent_id = b\tc\n"
+    "1\tkom\tkomma\tVB\t_\t_\t0\tROOT\t_\t_\n"
+)
 
 
 def _feed(path, text):
@@ -560,6 +568,20 @@ class TestInputErrorsNameFileAndLine:
         code, _, err = run_cli(capsys, "--mode", "filter", "--input", "-")
         assert code == 1
         assert err == f"error: stdin: {message}\n"
+
+    def test_sent_id_with_a_tab_ends_tsv_output_at_one_line(self, capsys, tmp_path):
+        """A tab in an id would add a field to its TSV row: the reader refuses
+        it, and every row written before has the header's four fields."""
+        path = tmp_path / "bad.conllu"
+        path.write_text(TAB_IN_SECOND_SENT_ID, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", "assess", "--format", "tsv", "--input", str(path)
+        )
+        assert code == 1
+        assert err == f"error: {path}: line 5: sent_id may not hold a tab: 'b\\tc'\n"
+        rows = out.splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["id", "a"]
+        assert all(row.count("\t") == 3 for row in rows)
 
     @needs_int_digit_limit
     def test_more_digits_than_int_converts(self, capsys, tmp_path):

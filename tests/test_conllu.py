@@ -137,6 +137,18 @@ class TestParseErrors:
         )
         assert info.value.line_number == 1
 
+    @pytest.mark.parametrize("comment", ["# sent_id = a\tb", "#sent_id=\ta\tb\t"])
+    def test_sent_id_with_a_tab(self, comment):
+        """No TSV record could hold such an id, nor a gold line name it;
+        the tabs around it are whitespace the reader drops."""
+        text = f"{ROW}\n{ROW2}\n\n# other\n{comment}\n{ROW}\n{ROW2}\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == "line 5: sent_id may not hold a tab: 'a\\tb'"
+        assert info.value.line_number == 5
+        padded = text.replace(comment, "# sent_id =\t a b\t")
+        assert [s.id for s in parse_conllu(padded)] == ["s1", "a b"]
+
     @needs_int_digit_limit
     @pytest.mark.parametrize("row", [
         f"{LONG_DIGITS}\tx\tx\tNN\t_\t_\t0\tROOT\t_\t_",

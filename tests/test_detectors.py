@@ -959,7 +959,7 @@ def test_detect_all_equals_the_public_detectors(lex, tokens, profile, enabled, f
 
 _COLUMNS = (
     *RAW_COLUMNS, "raw_tokens", "categories", "relations", "features", "modal_flags",
-    "lower_lemmas", "dependents", "roots",
+    "lower_lemmas", "dependents", "order", "roots",
 )
 
 
@@ -973,6 +973,7 @@ def test_applied_sentence_equals_one_hand_built_from_its_views(lex, tokens, prof
     built = apply_profile(raw, profile)
     for column in RAW_COLUMNS:
         assert getattr(built, column) is getattr(raw, column), column
+    assert built.dependents is raw.dependents and built.order is raw.order
     assert built.raw_tokens == raw.tokens
     hand = AnnotatedSentence(
         id=built.id, tokens=built.tokens, profile=built.profile, source=built.source
@@ -1202,9 +1203,9 @@ class _CountingTuple(tuple):
 
 class TestWorkPerSentence:
     """One apply_profile + detect_all asks the finite-verb test at most once
-    per token, builds the columns and the tree index exactly once per
-    sentence, inside apply_profile, and tests antecedent features at most
-    once per token, whatever its size."""
+    per token, builds the annotated sentence exactly once, inside
+    apply_profile, which shares the tree index the reader built, and
+    tests antecedent features at most once per token, whatever its size."""
 
     @pytest.fixture
     def work(self, monkeypatch):

@@ -19,7 +19,7 @@ from solosent.model import (
     SourceRef,
     StructureError,
     Token,
-    validate_tokens,
+    validate_heads,
 )
 from solosent.profiles import apply_profile
 
@@ -167,29 +167,38 @@ class TestTokenContract:
         assert not hasattr(self.ANNOTATED, "__dict__")
 
 
+def _validate(sentence_id, tokens):
+    """validate_heads on the heads and ids of a token tuple."""
+    return validate_heads(sentence_id, [t.head for t in tokens], [t.index for t in tokens])
+
+
 class TestValidateTokens:
+    """validate_heads on token tuples, as a reader hands it ids and heads."""
+
     def test_accepts_simple_tree(self):
-        validate_tokens("ok", (tok(1, 2), tok(2, 0), tok(3, 2)))
+        assert _validate("ok", (tok(1, 2), tok(2, 0), tok(3, 2))) == (
+            {2: (1, 3), 0: (2,)}, (2, 1, 3)
+        )
 
     def test_rejects_empty(self):
         with pytest.raises(StructureError):
-            validate_tokens("empty", ())
+            _validate("empty", ())
 
     def test_rejects_gap_in_indices(self):
         with pytest.raises(StructureError, match="contiguous"):
-            validate_tokens("gap", (tok(1, 0), tok(3, 1)))
+            _validate("gap", (tok(1, 0), tok(3, 1)))
 
     def test_rejects_head_out_of_range(self):
         with pytest.raises(StructureError, match="outside"):
-            validate_tokens("range", (tok(1, 0), tok(2, 9)))
+            _validate("range", (tok(1, 0), tok(2, 9)))
 
     def test_rejects_cycle(self):
         with pytest.raises(StructureError, match="cyclic"):
-            validate_tokens("cycle", (tok(1, 2), tok(2, 1)))
+            _validate("cycle", (tok(1, 2), tok(2, 1)))
 
     def test_error_carries_sentence_id(self):
         with pytest.raises(StructureError) as info:
-            validate_tokens("s77", ())
+            _validate("s77", ())
         assert info.value.sentence_id == "s77"
         assert "s77" in str(info.value)
 
@@ -266,6 +275,7 @@ class TestSentenceContract:
         assert s.tags == ("PN", "VB") and s.deprels == ("SS", "ROOT")
         assert s.heads == (2, 0) and s.feats == ("UTR|SIN|DEF", "")
         assert s.tokens is self.TOKENS
+        assert s.dependents == {2: (1,), 0: (2,)} and s.order == (2, 1)
 
     def test_repr(self):
         s = Sentence(id="s", tokens=[Token(1, "kom", "komma", "VB", "ROOT", 0)],
@@ -493,11 +503,11 @@ def test_tree_queries_match_a_scan_in_any_order(case):
     assert hash(forward) == hash(s)
 
 
-# --- validate_tokens against the walk it replaced -------------------------
+# --- validate_heads against the walk it replaced --------------------------
 
 
 def _validate_by_walk(sentence_id, tokens):
-    """validate_tokens as first written: every chain walked to the root."""
+    """The tree check as first written: every chain walked to the root."""
     if not tokens:
         raise StructureError(sentence_id, "no tokens")
     for expected, token in enumerate(tokens, start=1):
@@ -560,7 +570,22 @@ def _outcome(check, tokens):
 
 @given(_head_lists())
 def test_validate_tokens_matches_the_full_walk(tokens):
-    assert _outcome(validate_tokens, tokens) == _outcome(_validate_by_walk, tokens)
+    """validate_heads refuses what the full walk refuses, with its message;
+    on a tree it returns the heads grouped by a scan and an order that
+    puts every token after its head."""
+    assert _outcome(_validate, tokens) == _outcome(_validate_by_walk, tokens)
+    if _outcome(_validate_by_walk, tokens) is None:
+        dependents, order = _validate("h", tokens)
+        heads = [t.head for t in tokens]
+        assert dependents == {
+            head: tuple(i for i, h in enumerate(heads, start=1) if h == head)
+            for head in set(heads)
+        }
+        n = len(tokens)
+        assert sorted(order) == list(range(1, n + 1))
+        position = {index: p for p, index in enumerate(order)}
+        position[0] = -1
+        assert all(position[heads[i - 1]] < position[i] for i in order)
 
 
 def _sentence_or_refusal(make):
@@ -577,11 +602,14 @@ def _ids_are_positions(tokens):
 @given(_head_lists().filter(_ids_are_positions))
 def test_hand_built_and_read_sentences_obey_one_tree_rule(tokens):
     """Sentence refuses exactly the heads the CoNLL-U reader refuses, with
-    its message, and builds the sentence the reader reads otherwise."""
+    its message, and builds the sentence the reader reads otherwise, tree
+    index included."""
     text = "# sent_id = h\n" + "\n".join(map(_conllu_row, tokens)) + "\n"
     built = _sentence_or_refusal(lambda: Sentence("h", tokens))
     read = _sentence_or_refusal(lambda: next(parse_conllu(text)))
     assert built == read
+    if isinstance(built, Sentence):
+        assert (built.dependents, built.order) == (read.dependents, read.order)
 
 
 def test_empty_sentence_is_refused():

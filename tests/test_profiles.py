@@ -340,3 +340,7 @@ def test_shared_profile_matches_a_fresh_one(case):
         fresh = apply_profile(sentence, load_profile(name), fresh_coverage)
         assert shared == fresh
         assert shared_coverage == fresh_coverage
+        # category_for answers from the rule apply_profile applies
+        answers = [_SHARED[name].category_for(*pair) for pair in zip(sentence.tags, sentence.forms)]
+        assert shared.categories == tuple(a or Category.OTHER for a in answers)
+        assert answers.count(None) == shared_coverage.unknown_pos.total()
