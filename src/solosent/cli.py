@@ -16,10 +16,12 @@ as CoNLL-U as soon as the page arrives.  --jobs is accepted for
 compatibility and changes nothing.
 
 Every file flag takes any readable path (a file, a FIFO, /dev/fd/N), and
---input - reads stdin.  With stderr closed, warnings and errors are dropped.
-An --output file is replaced only when the run succeeds; on stdout, a run
-that fails leaves what it wrote before the error.  A write that fails is
-an input problem that names --output or stdout.
+--input - reads stdin.  An empty --config, --profile, --lexicons or
+--output is a configuration problem, not the default.  With stderr
+closed, warnings and errors are dropped.  An --output file is replaced
+only when the run succeeds; on stdout, a run that fails leaves what it
+wrote before the error.  A write that fails is an input problem that
+names --output or stdout.
 
 Exit codes: 0 success, 1 input problem, 2 configuration problem, 141 when
 stdout is closed early (as in ``| head``): the run stops quietly, with the
@@ -54,6 +56,9 @@ SCHEMA_VERSION = 1
 
 MODES = ("assess", "filter", "rank", "eval", "fetch")
 FORMATS = ("jsonl", "tsv")
+# flags that fall back to a default when absent; an empty value is refused
+# rather than read as absent
+_PATH_FLAGS = ("config", "profile", "lexicons", "output")
 
 
 class InputError(Exception):
@@ -486,6 +491,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         _say("error: --jobs must be at least 1")
         return 2
+    for flag in _PATH_FLAGS:
+        if getattr(args, flag) == "":
+            _say(f"error: --{flag} must not be empty")
+            return 2
     try:
         return run(args)
     except BrokenPipeError:

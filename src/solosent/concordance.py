@@ -360,7 +360,11 @@ class ConcordanceSettings:
 def settings_from_mapping(
     mapping: Mapping[str, str], environment: Mapping[str, str]
 ) -> ConcordanceSettings:
-    """Assemble fetch settings from flat config keys plus the environment."""
+    """Assemble fetch settings from flat config keys plus the environment.
+
+    The settings pass build_request's checks of the first page's request
+    whatever ``pages`` is, so ``fetch.pages = 0`` hides no config error.
+    """
     endpoint = environment.get("SOLOSENT_ENDPOINT") or mapping.get("fetch.endpoint")
     if not endpoint:
         raise ConfigError(
@@ -389,6 +393,7 @@ def settings_from_mapping(
     pages = integer("fetch.pages", 1)
     if pages < 0:
         raise ConfigError(f"fetch.pages must be >= 0, got {pages}")
+    build_request(ConcordanceQuery(expression, corpora, 0, page_size), endpoint)
     return ConcordanceSettings(
         endpoint=endpoint,
         query_expression=expression,

@@ -7,20 +7,21 @@ the small abstract vocabulary the rules reason over, producing
 AnnotatedSentence values.
 
 Sentences are laid out in columns, as spaCy lays out its Doc: a Sentence
-holds one tuple per raw field, and an AnnotatedSentence shares those and
-adds one per annotation, plus a tree index of token indices.  Token and
-AnnotatedToken objects are views of one position in the columns, built on
-demand for the public API; the readers fill columns and the detectors
-read them, so neither builds a view.
+holds one tuple per raw field and a tree index of token indices, and an
+AnnotatedSentence is a Sentence that shares those and adds one tuple per
+annotation.  Both are frozen dataclasses.  Token and AnnotatedToken
+objects are views of one position in the columns, built on demand for
+the public API; the readers fill columns and the detectors read them, so
+neither builds a view.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum, unique
-from typing import Generic, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 @unique
@@ -213,8 +214,6 @@ def validate_heads(
     return {head: tuple(group) for head, group in groups.items()}, tuple(order)
 
 
-_T = TypeVar("_T")
-
 # The raw columns, one per Token field after the index and in the same
 # order, so that a row of them is a Token's arguments after its index.
 RAW_COLUMNS = ("forms", "lemmas", "tags", "deprels", "heads", "feats")
@@ -223,68 +222,76 @@ raw_columns = operator.attrgetter(*RAW_COLUMNS)
 row_of = operator.attrgetter("form", "lemma", "pos", "deprel", "head", "feats")
 
 
-def _token_views(sentence: _TokenSequence) -> tuple[Token, ...]:
+def _token_views(sentence: Sentence) -> tuple[Token, ...]:
     """Token views of the raw columns, in surface order."""
     return tuple(map(Token, range(1, len(sentence) + 1), *raw_columns(sentence)))
 
 
-class _TokenSequence(Generic[_T]):
-    """What Sentence and AnnotatedSentence share: a frozen sentence held in
-    columns, with tokens indexed from 1.
+@dataclass(frozen=True, init=False, repr=False)
+class Sentence:
+    """A dependency-parsed sentence with raw annotations, held in columns.
 
-    Both hold the raw columns, RAW_COLUMNS: the token at index i has
-    ``forms[i - 1]``, ``heads[i - 1]`` and so on, and the tree index
-    validate_heads returns, ``dependents`` and ``order``, which equality
-    and the hash leave out.  A subclass names its fields in ``_FIELDS``,
-    in the order ``_from_columns`` takes them, those that equality and the
-    hash cover in ``_KEY``, and its constructor's in ``_REPR``.  Fields,
-    and views cached on their first read, live in the instance dict;
-    assigning or deleting an attribute is refused.
+    The raw columns are RAW_COLUMNS, tokens indexed from 1: the token at
+    index i has ``forms[i - 1]``, ``heads[i - 1]`` and so on.  Next to
+    them sits the tree index validate_heads returns, ``dependents`` and
+    ``order``.  The readers fill the fields through ``_from_columns`` and
+    build no Token; ``tokens`` is a tuple of Token views of the columns,
+    built on its first read and cached in the instance dict.  A sentence
+    constructed from Tokens derives its columns from them and keeps the
+    tuple as its ``tokens``; a token whose index is not its 1-based
+    position is refused with ValueError, so the columns hold all of it.
+    The heads must form a tree with at least one token, as the readers
+    require: validate_heads refuses anything else with StructureError.
+
+    Equality and the hash cover the id and the columns.  ``source`` is
+    provenance metadata and deliberately excluded: the same annotations
+    fetched from a corpus service or read from a file compare equal.  The
+    index is derived from the heads and excluded too.
     """
 
-    tokens: tuple[_T, ...]
+    id: str
+    source: Optional[SourceRef] = field(compare=False)
     forms: tuple[str, ...]
     lemmas: tuple[str, ...]
     tags: tuple[str, ...]
     deprels: tuple[str, ...]
     heads: tuple[int, ...]
     feats: tuple[str, ...]
-    dependents: dict[int, tuple[int, ...]]
-    order: tuple[int, ...]
+    dependents: dict[int, tuple[int, ...]] = field(compare=False)
+    order: tuple[int, ...] = field(compare=False)
+
+    _REPR = ("id", "tokens", "source")
+
+    def __init__(self, id: str, tokens: Iterable[Token], source: Optional[SourceRef] = None):
+        tokens = tuple(tokens)
+        for position, token in enumerate(tokens, start=1):
+            if token.index != position:
+                raise ValueError(f"token at position {position} has index {token.index}: {token!r}")
+        columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
+        index = validate_heads(id, columns[4])
+        # a subclass's own fields follow these, so zip stops before them
+        self.__dict__.update(
+            zip(self.__dataclass_fields__, (id, source, *columns, *index)), tokens=tokens
+        )
 
     @classmethod
     def _from_columns(cls, *columns):
-        """A sentence holding the given fields, in the order of ``_FIELDS``,
-        made without running __init__."""
+        """A sentence holding the given fields, in the order they are
+        declared, made without running __init__."""
         sentence = object.__new__(cls)
-        sentence.__dict__.update(zip(cls._FIELDS, columns))
+        sentence.__dict__.update(zip(cls.__dataclass_fields__, columns))
         return sentence
 
-    def _key(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._KEY))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    tokens = cached_property(_token_views)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._REPR)
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __len__(self) -> int:
         return len(self.heads)
 
-    def __iter__(self) -> Iterator[_T]:
+    def __iter__(self) -> Iterator:
         return iter(self.tokens)
 
     def _position(self, index: int) -> int:
@@ -294,47 +301,13 @@ class _TokenSequence(Generic[_T]):
             raise IndexError(f"no token at index {index}")
         return index - 1
 
-    def token(self, index: int) -> _T:
-        """Return the token with the given 1-based index."""
+    def token(self, index: int):
+        """Return the token with the given 1-based index, from ``tokens``."""
         return self.tokens[self._position(index)]
 
     @property
     def text(self) -> str:
         return " ".join(self.forms)
-
-
-class Sentence(_TokenSequence[Token]):
-    """A dependency-parsed sentence with raw annotations.
-
-    The readers fill the raw columns and build no Token; ``tokens`` is a
-    tuple of Token views of them, built on its first read.  A sentence
-    constructed from Tokens derives its columns from them and keeps the
-    tuple as its ``tokens``; a token whose index is not its 1-based
-    position is refused with ValueError, so the columns hold all of it.
-    The heads must form a tree with at least one token, as the readers
-    require: validate_heads refuses anything else with StructureError.
-    ``source`` is provenance metadata and deliberately excluded from
-    equality: the same annotations fetched from a corpus service or read
-    from a file compare equal.
-    """
-
-    _FIELDS = ("id", "source", *RAW_COLUMNS, "dependents", "order")
-    _KEY = ("id", *RAW_COLUMNS)
-    _REPR = ("id", "tokens", "source")
-
-    id: str
-    source: Optional[SourceRef]
-
-    def __init__(self, id: str, tokens: Iterable[Token], source: Optional[SourceRef] = None):
-        tokens = tuple(tokens)
-        for position, token in enumerate(tokens, start=1):
-            if token.index != position:
-                raise ValueError(f"token at position {position} has index {token.index}: {token!r}")
-        columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
-        index = validate_heads(id, columns[4])
-        self.__dict__.update(zip(self._FIELDS, (id, source, *columns, *index)), tokens=tokens)
-
-    tokens = cached_property(_token_views)
 
 
 def _token_field(name: str) -> property:
@@ -364,15 +337,16 @@ class AnnotatedToken:
 _annotations_of = operator.attrgetter("category", "relation", "features", "is_modal")
 
 
-class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
+@dataclass(frozen=True, init=False, repr=False)
+class AnnotatedSentence(Sentence):
     """A sentence whose tokens carry abstract categories and relations.
 
-    It shares the raw columns and the tree index of the Sentence it
-    annotates, the same objects rather than copies.  Parallel to the
-    columns are one tuple per annotation: ``categories``, ``relations``,
-    ``features``, ``modal_flags`` and ``lower_lemmas`` (each lemma
-    lowercased).  ``roots`` holds the tokens with relation root or head 0.
-    All of it is read-only, as the sentence is.
+    It is the Sentence it annotates plus the profile's name and one tuple
+    per annotation, parallel to the columns: ``categories``,
+    ``relations``, ``features``, ``modal_flags`` and ``lower_lemmas``
+    (each lemma lowercased).  ``roots`` holds the tokens with relation
+    root or head 0.  The raw columns and the tree index are those of the
+    Sentence, the same objects rather than copies.
 
     ``raw_tokens`` and ``tokens`` are tuples of Token and AnnotatedToken
     views of the columns, built on their first read and cached in the
@@ -381,31 +355,25 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
 
     apply_profile fills the annotations and ``roots`` in one loop.  A
     sentence constructed from AnnotatedTokens derives the same columns
-    and index from them, so both kinds are read the same way.  The
-    Sentence it builds refuses heads that are no tree, so ``roots`` is
-    never empty.
+    and index from them, so both kinds are read the same way.  Its
+    Sentence part refuses heads that are no tree, so ``roots`` is never
+    empty.
 
-    Equality and the hash cover the id, the profile name and the columns,
-    which is to say the tokens; ``source`` is provenance and excluded, as
-    in Sentence.
+    Equality and the hash add the profile name and the annotations to
+    what Sentence compares, which is to say they cover the tokens;
+    ``lower_lemmas`` and ``roots`` are derived and excluded.  A sentence
+    never equals its annotated form.
     """
 
-    _FIELDS = (
-        "id", "profile", "source", *RAW_COLUMNS, "categories", "relations",
-        "features", "modal_flags", "lower_lemmas", "dependents", "order", "roots",
-    )
-    _KEY = ("id", "profile", *RAW_COLUMNS, "categories", "relations", "features", "modal_flags")
-    _REPR = ("id", "tokens", "profile", "source")
-
-    id: str
     profile: str
-    source: Optional[SourceRef]
     categories: tuple[Category, ...]
     relations: tuple[Relation, ...]
     features: tuple[MorphFeatures, ...]
     modal_flags: tuple[bool, ...]
-    lower_lemmas: tuple[str, ...]
-    roots: tuple[int, ...]
+    lower_lemmas: tuple[str, ...] = field(compare=False)
+    roots: tuple[int, ...] = field(compare=False)
+
+    _REPR = ("id", "tokens", "profile", "source")
 
     def __init__(
         self,
@@ -415,18 +383,18 @@ class AnnotatedSentence(_TokenSequence[AnnotatedToken]):
         source: Optional[SourceRef] = None,
     ) -> None:
         tokens = tuple(tokens)
-        raw = Sentence(id, (t.token for t in tokens))
-        annotations = tuple(zip(*map(_annotations_of, tokens))) or ((),) * 4
+        raw_tokens = tuple(t.token for t in tokens)
+        Sentence.__init__(self, id, raw_tokens, source)
+        categories, relations, features, modal_flags = zip(*map(_annotations_of, tokens))
         roots = tuple(
             index
-            for index, (head, relation) in enumerate(zip(raw.heads, annotations[1]), start=1)
+            for index, (head, relation) in enumerate(zip(self.heads, relations), start=1)
             if head == 0 or relation is Relation.ROOT
         )
         self.__dict__.update(
-            zip(self._FIELDS, (id, profile, source, *raw_columns(raw), *annotations)),
-            lower_lemmas=tuple(map(str.lower, raw.lemmas)),
-            dependents=raw.dependents, order=raw.order,
-            roots=roots, tokens=tokens, raw_tokens=raw.tokens,
+            profile=profile, categories=categories, relations=relations, features=features,
+            modal_flags=modal_flags, lower_lemmas=tuple(map(str.lower, self.lemmas)),
+            roots=roots, raw_tokens=raw_tokens, tokens=tokens,
         )
 
     raw_tokens = cached_property(_token_views)

@@ -343,16 +343,16 @@ def apply_profile(
             roots.append(index)
     return AnnotatedSentence._from_columns(
         sentence.id,
-        profile.name,
         sentence.source,
         *columns,
+        sentence.dependents,
+        sentence.order,
+        profile.name,
         tuple(categories),
         tuple(relations),
         tuple(features),
         tuple(modal_flags),
         tuple(lower_lemmas),
-        sentence.dependents,
-        sentence.order,
         tuple(roots),
     )
 

@@ -477,6 +477,14 @@ class TestErrorPaths:
         assert code == 2
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("mode", ["assess", "fetch"])
+    @pytest.mark.parametrize("flag", ["--config", "--profile", "--lexicons", "--output"])
+    def test_empty_path_flag_is_refused(self, capsys, corpus_path, flag, mode):
+        """An empty path is refused, not read as the flag's default: an empty
+        --output would write to stdout, the others would load the defaults."""
+        code, out, err = run_cli(capsys, "--mode", mode, "--input", corpus_path, flag, "")
+        assert (code, out, err) == (2, "", f"error: {flag} must not be empty\n")
+
     def test_bad_mode_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--mode", "bogus"])
@@ -1088,6 +1096,34 @@ class TestFetch:
         code, out, err = run_cli(capsys, "--mode", "fetch", "--config", conf)
         assert (code, out) == (2, "")
         assert err == "error: fetch.pages must be >= 0, got -2\n"
+        assert transport.urls == []
+
+    @pytest.mark.parametrize("pages", ["0", "1"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("fetch.endpoint", "ftp://x", "endpoint must be an absolute http(s) URL, got 'ftp://x'"),
+            ("fetch.page_size", "0", "page_size must be between 1 and 1000, got 0"),
+        ],
+    )
+    def test_bad_request_settings_are_config_errors_whatever_the_pages(
+        self, capsys, monkeypatch, tmp_path, pages, key, value, message
+    ):
+        """fetch.pages = 0 fetches nothing, but hides no error in the keys a
+        request is built from: the run stops as it does with one page."""
+        transport = FakeTransport(FETCH_PAGE)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        settings = {
+            "fetch.endpoint": "https://example.invalid/korp",
+            "fetch.cqp": "[]",
+            "fetch.corpora": "SUC3",
+            "fetch.pages": pages,
+            key: value,
+        }
+        conf = tmp_path / "korp.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--mode", "fetch", "--config", str(conf))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert transport.urls == []
 
     def test_wrongly_typed_hit_is_skipped(self, capsys, monkeypatch, tmp_path):

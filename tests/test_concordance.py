@@ -640,6 +640,23 @@ class TestSettings:
         mapping = dict(self.FULL, **{"fetch.pages": "0"})
         assert settings_from_mapping(mapping, {}).pages == 0
 
+    @pytest.mark.parametrize("pages", ["0", "1"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("fetch.endpoint", "ftp://x", "endpoint must be an absolute http(s) URL, got 'ftp://x'"),
+            ("fetch.page_size", "0", "page_size must be between 1 and 1000, got 0"),
+            ("fetch.page_size", "1001", "page_size must be between 1 and 1000, got 1001"),
+        ],
+    )
+    def test_request_checks_hold_whatever_the_pages(self, pages, key, value, message):
+        """The settings pass build_request's checks of a first page, so no
+        page count hides a bad endpoint or page size."""
+        mapping = dict(self.FULL, **{"fetch.pages": pages, key: value})
+        with pytest.raises(ConfigError) as info:
+            settings_from_mapping(mapping, {})
+        assert str(info.value) == message
+
     def test_bad_integer_rejected(self):
         mapping = dict(self.FULL, **{"fetch.pages": "three"})
         with pytest.raises(ConfigError, match="fetch.pages"):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -286,20 +287,71 @@ class TestSentenceContract:
             "source=SourceRef(corpus='c', document=None))"
         )
 
-    @pytest.mark.parametrize("name", ["id", "tokens", "forms", "heads", "source"])
+    def both(self, source=None):
+        """A Sentence of TOKENS and its AnnotatedSentence."""
+        s = Sentence(id="s", tokens=self.TOKENS, source=source)
+        return s, apply_profile(s, SUC)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["id", "tokens", "forms", "heads", "source", "order", "profile", "roots", "raw_tokens"],
+    )
     def test_is_frozen(self, name):
-        s = Sentence(id="s", tokens=self.TOKENS)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(s, name, ())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(s, name)
+        """Fields and cached views refuse assignment and deletion in both
+        classes, with dataclasses' own error."""
+        sentences = [s for s in self.both() if hasattr(s, name)]
+        assert sentences
+        for s in sentences:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {name!r}"):
+                setattr(s, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {name!r}"):
+                delattr(s, name)
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
-        s = Sentence(id="s", tokens=self.TOKENS, source=SourceRef(corpus="c"))
-        copy = pickle.loads(pickle.dumps(s, protocol))
-        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
-        assert copy.source == s.source
+        for s in self.both(source=SourceRef(corpus="c")):
+            loaded = pickle.loads(pickle.dumps(s, protocol))
+            assert type(loaded) is type(s)
+            assert loaded == s and hash(loaded) == hash(s) and repr(loaded) == repr(s)
+            assert loaded.source == s.source
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copy_keeps_the_value(self, duplicate):
+        for s in self.both(source=SourceRef(corpus="c")):
+            twin = duplicate(s)
+            assert type(twin) is type(s)
+            assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+            assert (twin.source, twin.dependents, twin.order) == (s.source, s.dependents, s.order)
+
+    def test_an_annotated_sentence_is_a_sentence(self):
+        s, annotated = self.both()
+        assert issubclass(AnnotatedSentence, Sentence)
+        assert isinstance(annotated, Sentence)
+        assert annotated.dependents is s.dependents and annotated.forms is s.forms
+        # equal columns, other classes: unequal both ways
+        assert s != annotated and annotated != s
+
+    def test_fields_and_what_equality_covers(self):
+        """Both are dataclasses; equality and the hash cover the id, the
+        columns and the annotations, and neither ``source`` nor what is
+        derived from the columns."""
+        raw = ["id", "source", "forms", "lemmas", "tags", "deprels", "heads", "feats",
+               "dependents", "order"]
+        annotations = ["profile", "categories", "relations", "features", "modal_flags",
+                       "lower_lemmas", "roots"]
+        left_out = {"source", "dependents", "order", "lower_lemmas", "roots"}
+        for cls, names in ((Sentence, raw), (AnnotatedSentence, raw + annotations)):
+            fields = dataclasses.fields(cls)
+            assert [f.name for f in fields] == names
+            assert {f.name for f in fields if not f.compare} == left_out & set(names)
+        for s in self.both(source=SourceRef(corpus="c")):
+            values = {name: getattr(s, name) for name in s.__dataclass_fields__}
+            for name in values:
+                other = type(s)._from_columns(*{**values, name: ("changed",)}.values())
+                if name in left_out:
+                    assert other == s and hash(other) == hash(s), name
+                else:
+                    assert other != s, name
 
 
 @st.composite
