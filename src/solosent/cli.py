@@ -11,8 +11,9 @@ One executable, five modes::
 Records go to --output (default stdout) as JSON lines or TSV.  Sentences
 are read and assessed one at a time, in input order and in one thread, so
 output is byte-deterministic for a given input; assess and filter write
-each record as soon as it is made, and fetch writes each page's sentences
-as CoNLL-U as soon as the page arrives.  --jobs is accepted for
+each record as soon as it is made, eval holds only the gold file and one
+id -> themes entry per input sentence, and fetch writes each page's
+sentences as CoNLL-U as soon as the page arrives.  --jobs is accepted for
 compatibility and changes nothing.
 
 Every file flag takes any readable path (a file, a FIFO, /dev/fd/N), and
@@ -435,26 +436,42 @@ def _fetch(args) -> int:
 
 
 def _eval(args, detector_config: DetectorConfig, lexicons: LexiconSet, profile) -> int:
-    """Assess the input and write one report of it against the --gold labels."""
+    """Assess the input and write one report of it against the --gold labels.
+
+    The input is read once.  Of each sentence only its id and its theme set
+    are kept, and sentences with equal theme sets share one frozenset; the
+    theme rates are counted in the same pass.
+    """
     if not args.gold:
         raise ConfigError("eval mode needs --gold")
     this = sys.modules[__name__]  # evaluation's names resolve through __getattr__
+    predictions: dict[str, frozenset] = {}
+    shared: dict[frozenset, frozenset] = {}
+    duplicates: list[str] = []
+
+    def kept(assessments: Iterable[Assessment]) -> Iterator[Assessment]:
+        for a in assessments:
+            if a.sentence_id in predictions and not duplicates:
+                duplicates.append(a.sentence_id)
+            themes = a.themes
+            predictions[a.sentence_id] = shared.setdefault(themes, themes)
+            yield a
+
     try:
         gold = this.read_gold_file(args.gold)
         with _open_input(args.input) as lines:
-            assessments = list(
-                _assess_sentences(parse_conllu(lines), profile, lexicons, detector_config)
+            assessments = _assess_sentences(
+                parse_conllu(lines), profile, lexicons, detector_config
             )
-        predictions = {}
-        for a in assessments:
-            if a.sentence_id in predictions:
-                name = "stdin" if args.input == "-" else args.input
-                raise InputError(f"{name}: duplicate sentence id {a.sentence_id!r}")
-            predictions[a.sentence_id] = a.themes
+            rates = this.theme_rates(kept(assessments))
+        # reported once the whole input is read, so a malformed row after
+        # the repeat is the error that wins
+        if duplicates:
+            name = "stdin" if args.input == "-" else args.input
+            raise InputError(f"{name}: duplicate sentence id {duplicates[0]!r}")
         report = this.evaluate(predictions, gold)
     except this.GoldDataError as exc:
         raise InputError(str(exc)) from None
-    rates = this.theme_rates(assessments)
     with _open_output(args.output) as out:
         if args.format == "jsonl":
             out.write(json.dumps(_report_record(report, rates), ensure_ascii=False))

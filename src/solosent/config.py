@@ -2,9 +2,10 @@
 
 One ``key = value`` pair per line, ``#`` comments, blank lines ignored.
 Detector keys: ``profile``, ``lexicons``, ``enable.<Theme>`` (true/false)
-and ``weight.<Theme>`` (a positive rational like 1, 0.5 or 1/2).  The
-``fetch.*`` keys are read by the concordance client.  Unknown keys outside
-those namespaces are rejected so typos never pass silently.
+and ``weight.<Theme>`` (a positive rational like 1, 0.5 or 1/2, with no
+``_`` between digits).  The ``fetch.*`` keys are read by the concordance
+client.  Unknown keys outside those namespaces are rejected so typos
+never pass silently.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
         elif key.startswith("weight."):
             theme = _theme_by_name(key[len("weight.") :], key)
             try:
+                # Fraction reads "1_0" as 10 from Python 3.11 on
+                if "_" in value:
+                    raise ValueError(value)
                 weights[theme] = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(

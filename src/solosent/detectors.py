@@ -131,9 +131,11 @@ class DetectorConfig:
                 raise ConfigError(
                     f"weight for {theme.value} must be positive, got {weight}"
                 )
-            # scores are written as floats
+            # scores are written as floats, and PNAnaphora halves its weight
             if not weight <= sys.float_info.max:
                 raise ConfigError(f"weight for {theme.value} is too large for a float")
+            if float(weight / 2) == 0:
+                raise ConfigError(f"weight for {theme.value} is too small for a float")
 
 
 # Characters that may wrap the real start of a sentence: quotes, brackets

@@ -23,7 +23,7 @@ class GoldDataError(Exception):
     """A gold-standard file or record set cannot be used."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldRecord:
     """The gold annotation for one sentence: which themes apply."""
 
@@ -35,10 +35,12 @@ def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
     """Read gold records: ``sentence_id<TAB>theme[,theme...]`` or ``-``.
 
     ``#`` comments and blank lines are skipped.  Unknown theme names and
-    repeated sentence ids are errors.
+    repeated sentence ids are errors.  Records with equal theme sets share
+    one frozenset.
     """
     records: list[GoldRecord] = []
     seen: set[str] = set()
+    shared: dict[frozenset[Theme], frozenset[Theme]] = {}
     names = {t.value: t for t in Theme}
     for line_number, raw_line in enumerate(read_lines(path, GoldDataError), start=1):
         line = raw_line.rstrip()
@@ -64,7 +66,10 @@ def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
                         f"{path}: line {line_number}: unknown theme {name!r}"
                     )
                 themes.add(names[name])
-        records.append(GoldRecord(sentence_id=sentence_id, themes=frozenset(themes)))
+        frozen = frozenset(themes)
+        records.append(
+            GoldRecord(sentence_id=sentence_id, themes=shared.setdefault(frozen, frozen))
+        )
     return records
 
 
@@ -211,19 +216,27 @@ class ThemeRateReport:
     any_theme: Optional[Fraction]
 
 
-def theme_rates(assessments: Sequence[Assessment]) -> ThemeRateReport:
-    """Percentage of sentences on which each theme fired at least once."""
-    if not assessments:
+def theme_rates(assessments: Iterable[Assessment]) -> ThemeRateReport:
+    """Percentage of sentences on which each theme fired at least once.
+
+    ``assessments`` is read once, so it may be a stream.  A theme counts
+    once per sentence however often it fired there; a theme without an
+    implementation (CDPC) has no rate but still flags its sentence.
+    """
+    hits = dict.fromkeys(IMPLEMENTED_THEMES, 0)
+    total = flagged = 0
+    for a in assessments:
+        total += 1
+        if a.detections:
+            flagged += 1
+            for theme in a.themes:
+                if theme in hits:
+                    hits[theme] += 1
+    if not total:
         return ThemeRateReport(sentence_count=0, per_theme={}, any_theme=None)
-    total = len(assessments)
-    per_theme: dict[Theme, Fraction] = {}
-    for theme in IMPLEMENTED_THEMES:
-        hits = sum(1 for a in assessments if theme in a.themes)
-        per_theme[theme] = Fraction(100 * hits, total)
-    flagged = sum(1 for a in assessments if a.detections)
     return ThemeRateReport(
         sentence_count=total,
-        per_theme=per_theme,
+        per_theme={theme: Fraction(100 * n, total) for theme, n in hits.items()},
         any_theme=Fraction(100 * flagged, total),
     )
 

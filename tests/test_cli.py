@@ -7,12 +7,13 @@ import stat
 import subprocess
 import sys
 import threading
+import weakref
 from importlib.resources import files
 
 import pytest
 
 from helpers import LONG_DIGITS, int_error, needs_int_digit_limit
-from solosent import concordance
+from solosent import cli, concordance
 from solosent.cli import main
 from solosent.conllu import parse_conllu, serialize_conllu
 from synthcorpus import big_corpus_conllu
@@ -216,6 +217,72 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == f"error: {name}: duplicate sentence id 't01'\n"
 
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_malformed_row_after_a_repeated_id_wins(
+        self, capsys, monkeypatch, tmp_path, gold_path, fixture_text, stdin
+    ):
+        """A repeated id is reported once the whole input is read, so a
+        malformed row after it is the error."""
+        text = fixture_text + "\n" + fixture_text + "\n1\tbad\trow\n"
+        line = text.count("\n")
+        path = tmp_path / "twice.conllu"
+        path.write_text(text, encoding="utf-8")
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name = "stdin" if stdin else str(path)
+        code, out, err = run_cli(
+            capsys,
+            "--mode", "eval", "--input", "-" if stdin else str(path), "--gold", gold_path,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {name}: line {line}: expected 10 tab-separated columns, got 3\n"
+        )
+
+    def test_holds_no_assessment_it_has_counted(
+        self, capsys, monkeypatch, corpus_path, gold_path
+    ):
+        """Eval reads its input as a stream: when a sentence is assessed, at
+        most the verdict before it is still alive, held by the loop that
+        counted it."""
+        assess = cli._assess_sentences
+        refs, alive = [], []
+
+        def watched(*args):
+            for assessment in assess(*args):
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(assessment))
+                yield assessment
+
+        monkeypatch.setattr(cli, "_assess_sentences", watched)
+        code, out, _ = run_cli(
+            capsys, "--mode", "eval", "--input", corpus_path, "--gold", gold_path
+        )
+        assert code == 0
+        assert json.loads(out)["any_theme_rate"] == pytest.approx(700 / 12)
+        assert len(refs) == 12
+        assert max(alive) <= 1
+
+    def test_equal_theme_sets_share_one_frozenset(
+        self, capsys, monkeypatch, corpus_path, gold_path
+    ):
+        evaluate = cli.evaluate
+        seen = []
+
+        def spy(predictions, gold):
+            seen.append(predictions)
+            return evaluate(predictions, gold)
+
+        monkeypatch.setattr(cli, "evaluate", spy)
+        code, _, _ = run_cli(
+            capsys, "--mode", "eval", "--input", corpus_path, "--gold", gold_path
+        )
+        assert code == 0
+        (predictions,) = seen
+        sets = list(predictions.values())
+        # t08-t12 all have no theme, so there are fewer sets than sentences
+        assert len({id(s) for s in sets}) == len(set(sets)) < len(sets) == 12
+
     def test_gold_required(self, capsys, corpus_path):
         code, _, err = run_cli(capsys, "--mode", "eval", "--input", corpus_path)
         assert code == 2
@@ -268,6 +335,18 @@ class TestConfigFlag:
         )
         assert (code, out) == (2, "")
         assert err == "error: weight for PNAnaphora is too large for a float\n"
+
+    @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
+    def test_weight_too_small_for_a_float(self, capsys, corpus_path, tmp_path, mode):
+        """A weight whose half is 0.0 as a float would write a flagged
+        sentence with score 0.0."""
+        conf = tmp_path / "solosent.conf"
+        conf.write_text("weight.PNAnaphora = 1e-400\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", *mode, "--input", corpus_path, "--config", str(conf)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: weight for PNAnaphora is too small for a float\n"
 
     @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
     def test_score_too_large_for_a_float(self, capsys, corpus_path, tmp_path, mode):

@@ -89,6 +89,24 @@ class TestDetectorConfigFromMapping:
         ):
             detector_config_from_mapping({"weight.PNAnaphora": "1e400"})
 
+    def test_weight_whose_half_is_no_float_rejected(self):
+        # PNAnaphora halves its weight when the sentence offers antecedents
+        assert detector_config_from_mapping({"weight.PNAnaphora": "1e-320"})
+        with pytest.raises(
+            ConfigError, match="^weight for PNAnaphora is too small for a float$"
+        ):
+            detector_config_from_mapping({"weight.PNAnaphora": "1e-400"})
+
+    @pytest.mark.parametrize("value", ["1_0", "1_000/3", "0.5_0", "1/1_0", "1e1_0"])
+    def test_weight_with_an_underscore_rejected(self, value):
+        """Fraction reads digit separators from Python 3.11 on; the config
+        grammar is the same on every version."""
+        with pytest.raises(
+            ConfigError,
+            match=f"^config key 'weight.IncompSent': expected a rational number, got '{value}'$",
+        ):
+            detector_config_from_mapping({"weight.IncompSent": value})
+
     def test_reserved_theme_enable_rejected(self):
         with pytest.raises(ConfigError, match="CDPC"):
             detector_config_from_mapping({"enable.CDPC": "true"})

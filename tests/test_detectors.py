@@ -1107,6 +1107,17 @@ class TestDetectorConfig:
         with pytest.raises(ConfigError, match="positive"):
             DetectorConfig(weights={Theme.INCOMPLETE: Fraction(-1, 2)})
 
+    def test_weight_whose_half_is_no_float_rejected(self):
+        """A weight must stay above zero as a float once PNAnaphora halves
+        it: the least subnormal is refused, twice it is kept."""
+        least = Fraction(2) ** -1074
+        assert DetectorConfig(weights={Theme.PRONOMINAL_ANAPHORA: 2 * least})
+        for weight in (least, 5e-324):
+            with pytest.raises(
+                ConfigError, match="^weight for PNAnaphora is too small for a float$"
+            ):
+                DetectorConfig(weights={Theme.PRONOMINAL_ANAPHORA: weight})
+
     def test_default_enables_all_implemented(self):
         assert DetectorConfig().enabled == frozenset(IMPLEMENTED_THEMES)
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 from importlib.resources import as_file, files
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from solosent.assessment import make_assessment
 from solosent.detectors import IMPLEMENTED_THEMES, Theme, ThemeDetection
@@ -9,6 +10,7 @@ from solosent.evaluation import (
     GoldDataError,
     GoldRecord,
     ThemeMetrics,
+    ThemeRateReport,
     evaluate,
     read_gold_file,
     render_eval_table,
@@ -52,6 +54,16 @@ class TestReadGoldFile:
         assert [r.sentence_id for r in records] == ["s1", "s2"]
         assert records[0].themes == {PN}
         assert records[1].themes == frozenset()
+
+    def test_equal_theme_sets_share_one_frozenset(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text(
+            "s1\tPNAnaphora,StructConn\ns2\t-\ns3\tStructConn, PNAnaphora\ns4\t-\n",
+            encoding="utf-8",
+        )
+        s1, s2, s3, s4 = read_gold_file(path)
+        assert s1.themes is s3.themes
+        assert s2.themes is s4.themes
 
     def test_multiple_themes_per_line(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -212,6 +224,30 @@ class TestThemeRates:
     def test_rates_are_exact(self):
         items = [assessed("s1", PN), assessed("s2"), assessed("s3")]
         assert theme_rates(items).per_theme[PN] == Fraction(100, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(list(Theme)), max_size=4), max_size=12))
+@example([[Theme.CONCEPT_PROPERTIES], [PN, PN, SC], [], [SC]])
+def test_theme_rates_of_a_stream_equal_a_per_theme_recount(theme_lists):
+    """theme_rates reads a one-shot iterator as it reads a list.  Each
+    implemented theme counts once per sentence however often it fired
+    there; CDPC, which has no implementation, gets no rate but flags its
+    sentence."""
+    items = [assessed(f"s{i}", *themes) for i, themes in enumerate(theme_lists)]
+    streamed = theme_rates(iter(items))
+    assert streamed == theme_rates(items)
+    total = len(items)
+    if not total:
+        assert streamed == ThemeRateReport(sentence_count=0, per_theme={}, any_theme=None)
+        return
+    assert streamed.sentence_count == total
+    assert list(streamed.per_theme) == list(IMPLEMENTED_THEMES)
+    for theme in IMPLEMENTED_THEMES:
+        hits = sum(theme in themes for themes in theme_lists)
+        assert streamed.per_theme[theme] == Fraction(100 * hits, total)
+    flagged = sum(bool(themes) for themes in theme_lists)
+    assert streamed.any_theme == Fraction(100 * flagged, total)
 
 
 class TestRenderEvalTable:
