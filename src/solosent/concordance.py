@@ -8,8 +8,10 @@ deterministically so they can be asserted byte for byte, and all network
 traffic goes through a small transport interface that tests replace with
 canned responses.
 
-Fetched hits normalize into the same Sentence/AnnotatedSentence values the
-CoNLL-U reader produces, so everything downstream is source-agnostic.
+A hit is read straight into the raw columns of a Sentence, RAW_COLUMNS,
+holding the strings the service sent; normalizing it gives the same
+Sentence/AnnotatedSentence values the CoNLL-U reader produces, sharing
+the hit's columns, so everything downstream is source-agnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import count
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .detectors import ConfigError
-from .model import Sentence, SourceRef, StructureError, row_of, row_problem, validate_heads
+from .model import Sentence, SourceRef, StructureError, raw_columns, row_problem, validate_heads
 from .profiles import CoverageCounter, TagsetProfile, apply_profile
 
 DEFAULT_PAGE_SIZE = 25
@@ -143,25 +145,21 @@ class UrllibTransport:
         return TransportReply(status=response.status, body=body)
 
 
-@dataclass(frozen=True, slots=True)
-class HitToken:
-    """One token of a hit, raw annotation strings as the service sent them."""
-
-    form: str
-    pos: str
-    deprel: str
-    head: str
-    lemma: str
-    feats: str = ""
-
-
 @dataclass(frozen=True)
 class ConcordanceHit:
-    """One fully annotated match from a concordance page."""
+    """One fully annotated match from a concordance page, in RAW_COLUMNS.
+
+    The strings are the service's: ``heads`` are digits, a missing
+    ``lemma`` is ``_`` and a missing ``pos`` or ``msd`` is empty."""
 
     corpus: str
     position: str
-    tokens: tuple[HitToken, ...]
+    forms: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    tags: tuple[str, ...]
+    deprels: tuple[str, ...]
+    heads: tuple[str, ...]
+    feats: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,6 @@ class FetchResult:
 
     hits: tuple[ConcordanceHit, ...]
     skipped: int
-    total_hits: Optional[int] = None
 
 
 # what a CoNLL-U field cannot carry: a column or line break, or a lone
@@ -202,7 +199,7 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     tokens_raw = item.get("tokens")
     if not isinstance(tokens_raw, list) or not tokens_raw:
         return None
-    tokens: list[HitToken] = []
+    rows: list[tuple[str, ...]] = []  # one row of RAW_COLUMNS per token
     for entry in tokens_raw:
         if not isinstance(entry, Mapping):
             return None
@@ -215,7 +212,7 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
         )
         if not (form and deprel and head) or None in (pos, lemma, feats):
             return None
-        tokens.append(HitToken(form, pos, deprel, head, lemma, feats))
+        rows.append((form, lemma, pos, deprel, head, feats))
     match = item.get("match")
     if isinstance(match, Mapping) and "position" in match:
         position = _field_text(match["position"], integer=True)
@@ -227,7 +224,7 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     # the reader drops whitespace around a sent_id
     if corpus[:1].isspace() or position[-1:].isspace():
         return None
-    return ConcordanceHit(corpus=corpus, position=position, tokens=tuple(tokens))
+    return ConcordanceHit(corpus, position, *zip(*rows))
 
 
 def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
@@ -262,12 +259,7 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
             skipped += 1
         else:
             hits.append(hit)
-    total = payload.get("hits")
-    return FetchResult(
-        hits=tuple(hits),
-        skipped=skipped,
-        total_hits=total if isinstance(total, int) and not isinstance(total, bool) else None,
-    )
+    return FetchResult(hits=tuple(hits), skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -283,9 +275,9 @@ def normalize_hits(
 ) -> tuple[list[Sentence], list[IngestIssue]]:
     """Normalize hits into raw sentences, as the CoNLL-U reader gives them.
 
-    Sentence ids are ``corpus:position``, unique per hit.  Each hit is
-    transposed into the sentence's columns; an ``msd`` of ``_`` is no
-    features, as a FEATS of ``_`` is.  A head is read as the CoNLL-U
+    Sentence ids are ``corpus:position``, unique per hit.  The sentence
+    shares the hit's columns, save the heads and an ``msd`` of ``_``, which
+    is no features, as a FEATS of ``_`` is.  A head is read as the CoNLL-U
     reader reads one: decimal digits only, so ``"+1"``, ``" 2 "`` and
     ``"1_0"`` are refused, not read as 1, 2 and 10.  Hits with such a
     head, a token that heads itself or has no form, or heads that do not
@@ -296,9 +288,7 @@ def normalize_hits(
     issues: list[IngestIssue] = []
     for hit in hits:
         sentence_id = f"{hit.corpus}:{hit.position}"
-        forms, lemmas, tags, deprels, heads, feats = (
-            tuple(zip(*map(row_of, hit.tokens))) or ((),) * 6
-        )
+        forms, lemmas, tags, deprels, heads, feats = raw_columns(hit)
         if not all(map(str.isdecimal, heads)):
             bad = next(head for head in heads if not head.isdecimal())
             issues.append(
@@ -410,7 +400,6 @@ __all__ = [
     "ConcordanceSettings",
     "DecodeError",
     "FetchResult",
-    "HitToken",
     "IngestIssue",
     "RequestSpec",
     "ServiceError",

@@ -121,6 +121,8 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         # any set will do; the rule plan is cached on the frozen one
         object.__setattr__(self, "enabled", frozenset(self.enabled))
+        # the weights checked below are the weights used: a copy the caller cannot change
+        object.__setattr__(self, "weights", dict(self.weights))
         if Theme.CONCEPT_PROPERTIES in self.enabled:
             raise ConfigError(
                 "theme CDPC is a reserved identifier without an implementation "
@@ -745,7 +747,6 @@ def detect_all(
     """
     if config is None:
         config = _DEFAULT_CONFIG
-    # the weights are read on every call: they are a mapping the caller owns
     weights = config.weights
     counts = _clause_counts(sentence)
     detections: list[ThemeDetection] = []

@@ -218,7 +218,7 @@ def validate_heads(
 # order, so that a row of them is a Token's arguments after its index.
 RAW_COLUMNS = ("forms", "lemmas", "tags", "deprels", "heads", "feats")
 raw_columns = operator.attrgetter(*RAW_COLUMNS)
-# a token's row: the fields of a Token, or of any token with those names
+# a Token's row: its fields after the index, one per raw column
 row_of = operator.attrgetter("form", "lemma", "pos", "deprel", "head", "feats")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import socket
 import threading
@@ -13,7 +12,6 @@ from solosent.concordance import (
     ConcordanceHit,
     ConcordanceQuery,
     DecodeError,
-    HitToken,
     IngestIssue,
     ServiceError,
     TransportError,
@@ -27,7 +25,7 @@ from solosent.concordance import (
 )
 from solosent.conllu import ParseError, parse_conllu, serialize_conllu
 from solosent.detectors import ConfigError
-from solosent.model import Category
+from solosent.model import Category, raw_columns
 from solosent.profiles import CoverageCounter, apply_profile
 
 ENDPOINT = "https://example.invalid/korp"
@@ -147,13 +145,12 @@ class TestFetchPage:
         transport = CannedTransport(body=page_body([WEATHER_HIT], total=1))
         result = fetch_page(simple_request(), transport)
         assert result.skipped == 0
-        assert result.total_hits == 1
         assert len(result.hits) == 1
         hit = result.hits[0]
         assert hit.corpus == "SUC3"
         assert hit.position == "1041"
-        assert [t.form for t in hit.tokens] == ["Det", "regnar", "."]
-        assert hit.tokens[0].feats == "NEU|SIN|DEF"
+        assert hit.forms == ("Det", "regnar", ".")
+        assert hit.feats == ("NEU|SIN|DEF", "PRS|AKT", "")
         assert transport.urls == [simple_request().url]
 
     def test_position_falls_back_to_offset(self):
@@ -233,13 +230,15 @@ class TestFetchPage:
         assert result.skipped == 0
         (parsed,) = result.hits
         assert parsed.position == "7"
-        assert parsed.tokens[0] == HitToken("Regnar", "", "ROOT", "0", "_", "")
+        assert parsed == ConcordanceHit(
+            "SUC3", "7", ("Regnar",), ("_",), ("",), ("ROOT",), ("0",), ("",)
+        )
         absent = {"word": "Regnar", "deprel": "ROOT", "dephead": "0"}
         result = fetch_page(
             simple_request(),
             CannedTransport(body=page_body([dict(hit, tokens=[absent])])),
         )
-        assert result.hits[0].tokens == parsed.tokens
+        assert result.hits == (parsed,)
 
     def test_http_error_raises(self):
         transport = CannedTransport(status=500, body=b"boom")
@@ -264,16 +263,6 @@ class TestFetchPage:
         transport = CannedTransport(body=b'{"kwic": {"a": 1}}')
         with pytest.raises(DecodeError, match="list"):
             fetch_page(simple_request(), transport)
-
-    def test_non_integer_total_ignored(self):
-        transport = CannedTransport(body=b'{"kwic": [], "hits": "many"}')
-        assert fetch_page(simple_request(), transport).total_hits is None
-
-    @pytest.mark.parametrize("total", [b"true", b"false"])
-    def test_boolean_total_ignored(self, total):
-        # JSON true is no count, though Python's bool is an int
-        transport = CannedTransport(body=b'{"kwic": [], "hits": ' + total + b"}")
-        assert fetch_page(simple_request(), transport).total_hits is None
 
     @pytest.mark.parametrize(
         "body",
@@ -364,13 +353,13 @@ class TestUrllibTransport:
             UrllibTransport(timeout=10).get(f"http://127.0.0.1:{port}/")
 
 
-def test_hit_token_has_no_instance_dict():
-    # a page holds one HitToken per token of every hit: fields in slots
-    token = HitToken("Det", "PN", "SS", "2", "det")
-    assert not hasattr(token, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        token.form = "Den"
-    assert token == HitToken(form="Det", pos="PN", deprel="SS", head="2", lemma="det", feats="")
+def column_hit(position, forms, heads):
+    """A hit of nouns, each with lemma x and no features."""
+    n = len(forms)
+    return ConcordanceHit(
+        "SUC3", position, tuple(forms), ("x",) * n, ("NN",) * n, ("SS",) * n,
+        tuple(heads), ("",) * n,
+    )
 
 
 class TestToSentences:
@@ -384,6 +373,16 @@ class TestToSentences:
         assert sentence.source.corpus == "SUC3"
         assert sentence.token(1).category is Category.PRONOUN
         assert sentence.token(2).category is Category.VERB
+
+    def test_sentence_shares_the_hit_columns(self):
+        """normalize_hits builds new tuples only for the heads, which become
+        ints, and for feats that hold an msd of _; the others are the hit's."""
+        transport = CannedTransport(body=page_body([WEATHER_HIT]))
+        (hit,) = fetch_page(simple_request(), transport).hits
+        (sentence,), _ = normalize_hits([hit])
+        for column in ("forms", "lemmas", "tags", "deprels", "feats"):
+            assert getattr(sentence, column) is getattr(hit, column)
+        assert sentence.heads == (2, 0, 2)
 
     def test_matches_conllu_parse(self, suc):
         block = (
@@ -434,11 +433,7 @@ class TestToSentences:
         make an ordinary tree of this 14-token hit."""
         heads = ["0"] + ["1"] * 13
         heads[1] = head
-        hit = ConcordanceHit(
-            corpus="SUC3",
-            position="12",
-            tokens=tuple(HitToken(f"w{i}", "NN", "SS", h, "w") for i, h in enumerate(heads)),
-        )
+        hit = column_hit("12", [f"w{i}" for i in range(len(heads))], heads)
         sentences, issues = normalize_hits([hit])
         assert sentences == []
         assert issues == [
@@ -452,10 +447,10 @@ class TestToSentences:
     def test_msd_underscore_is_no_features(self):
         """An msd of _ is read as the CoNLL-U reader reads a FEATS of _, so
         the sentence that fetch writes reads back as itself."""
-        hit = ConcordanceHit("SUC3", "5", (
-            HitToken("Det", "PN", "SS", "2", "det", "_"),
-            HitToken("regnar", "VB", "ROOT", "0", "regna", "PRS|AKT"),
-        ))
+        hit = ConcordanceHit(
+            "SUC3", "5", ("Det", "regnar"), ("det", "regna"), ("PN", "VB"), ("SS", "ROOT"),
+            ("2", "0"), ("_", "PRS|AKT"),
+        )
         sentences, issues = normalize_hits([hit])
         assert issues == []
         assert [t.feats for t in sentences[0].tokens] == ["", "PRS|AKT"]
@@ -481,8 +476,8 @@ class TestToSentences:
     def test_issue_messages(self, rows, message):
         """Row checks come first, token by token, then the range of the
         heads, then cycles; the messages are those of the CoNLL-U reader."""
-        tokens = tuple(HitToken(form, "NN", "SS", head, "x") for form, head in rows)
-        sentences, issues = normalize_hits([ConcordanceHit("SUC3", "5", tokens)])
+        hit = column_hit("5", [form for form, _ in rows], [head for _, head in rows])
+        sentences, issues = normalize_hits([hit])
         assert sentences == []
         assert issues == [IngestIssue("SUC3:5", message)]
 
@@ -564,17 +559,43 @@ _BODY = st.one_of(
 )
 
 
+def _served_columns(item):
+    """The RAW_COLUMNS of a served kwic item's tokens, as a hit holds them:
+    a missing or null lemma is _, a missing or null pos or msd is empty,
+    an integer dephead is its digits.  None when there are no such tokens."""
+    tokens = item.get("tokens") if isinstance(item, dict) else None
+    if not isinstance(tokens, list) or not all(isinstance(t, dict) for t in tokens):
+        return None
+
+    def text(token, key, absent=None):
+        value = token.get(key)
+        if key == "dephead" and type(value) is int:
+            return str(value)
+        return absent if value is None else value
+
+    return tuple(zip(*(
+        (text(t, "word"), text(t, "lemma", "_"), text(t, "pos", ""),
+         text(t, "deprel"), text(t, "dephead"), text(t, "msd", ""))
+        for t in tokens
+    )))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_BODY)
 def test_fetch_decoder_fails_only_with_decode_error(body):
     """Whatever a service answers with 200, fetch_page either gives hits or
     raises DecodeError, and normalize_hits turns every hit it gives into a
-    sentence or an IngestIssue without raising.  The sentences are written
-    as UTF-8 CoNLL-U that reads back to the same text."""
+    sentence or an IngestIssue without raising.  Each hit holds its served
+    token fields, in order, as columns.  The sentences are written as
+    UTF-8 CoNLL-U that reads back to the same text."""
     try:
         result = fetch_page(simple_request(), CannedTransport(body=body))
     except DecodeError:
         return
+    # the hits are served items in page order: each is found after the last
+    served = map(_served_columns, json.loads(body.decode("utf-8"))["kwic"])
+    for hit in result.hits:
+        assert raw_columns(hit) in served
     sentences, issues = normalize_hits(result.hits)
     assert len(sentences) + len(issues) == len(result.hits)
     text = serialize_conllu(sentences)

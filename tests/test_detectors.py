@@ -939,7 +939,7 @@ _WEIGHT_OVERRIDES = st.dictionaries(
 def test_detect_all_equals_the_public_detectors(lex, tokens, profile, enabled, first, then):
     """The rule plan and the cheap score change nothing: detect_all is the
     public detectors in theme order, scaled and summed; and a weights
-    mapping changed after the config was used counts from the next call."""
+    mapping changed after the config was made changes nothing."""
     sentence = apply_profile(Sentence(id="d", tokens=tokens), profile)
     weights = dict(first)
     config = DetectorConfig(enabled=enabled, weights=weights)
@@ -951,7 +951,7 @@ def test_detect_all_equals_the_public_detectors(lex, tokens, profile, enabled, f
     weights.update(then)
     _assert_assessment(
         detect_all(sentence, lex, config),
-        _assessment_from_public_detectors(sentence, lex, enabled, then),
+        _assessment_from_public_detectors(sentence, lex, enabled, first),
     )
 
 
@@ -1117,6 +1117,16 @@ class TestDetectorConfig:
                 ConfigError, match="^weight for PNAnaphora is too small for a float$"
             ):
                 DetectorConfig(weights={Theme.PRONOMINAL_ANAPHORA: weight})
+
+    def test_weights_are_those_checked(self, by_id, lex):
+        """The config keeps a copy of the weights it checked, so a weight
+        the caller puts in its mapping afterwards, even one the check
+        refuses, is never used."""
+        weights = {}
+        config = DetectorConfig(weights=weights)
+        weights[Theme.PRONOMINAL_ANAPHORA] = Fraction(-5)
+        assert detect_all(by_id["t03"], lex, config) == detect_all(by_id["t03"], lex)
+        assert config.weights == {}
 
     def test_default_enables_all_implemented(self):
         assert DetectorConfig().enabled == frozenset(IMPLEMENTED_THEMES)
