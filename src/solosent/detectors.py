@@ -46,6 +46,25 @@ from typing import Callable, Mapping, NamedTuple, Optional
 from .assessment import Assessment, make_assessment
 from .lexicons import LexiconSet
 from .model import (
+    _ADVERB,
+    _ADVERBIAL,
+    _CONJUNCT,
+    _CONJUNCTION,
+    _CONJUNCTIONAL_ADVERBIAL,
+    _DETERMINER,
+    _DETERMINER_RELATION,
+    _EXPLETIVE,
+    _IMPERATIVE,
+    _INFINITIVE_MARKER,
+    _INTERJECTION,
+    _MAJOR_DELIMITER,
+    _MINOR_DELIMITER,
+    _NOUN,
+    _PRONOUN,
+    _PROPER_NOUN,
+    _UNSPECIFIED_GENDER,
+    _UNSPECIFIED_NUMBER,
+    _VERB,
     FINITE_VERB_FORMS,
     AnnotatedSentence,
     Category,
@@ -53,7 +72,6 @@ from .model import (
     MorphFeatures,
     Number,
     Relation,
-    VerbForm,
 )
 
 ONE = Fraction(1)
@@ -156,6 +174,17 @@ def _is_wrapper_form(form: str) -> bool:
 # The rules read the sentence's columns and its tree index.  Tokens are
 # named by their 1-based index, as in the index and in the detections;
 # the columns are read at index - 1.
+#
+# The rules read enum members as module globals bound once, never
+# through the class: on Python 3.10 and 3.11 each read through the
+# class pays the enum metaclass's __getattr__ (see model.py), and the
+# rules make such reads per token.  The Theme members, read per
+# detection, are bound here.
+_INCOMPLETE, _IMPLICIT_ANAPHORA = Theme.INCOMPLETE, Theme.IMPLICIT_ANAPHORA
+_PRONOMINAL_ANAPHORA, _ADVERBIAL_ANAPHORA = Theme.PRONOMINAL_ANAPHORA, Theme.ADVERBIAL_ANAPHORA
+_DISCOURSE_CONNECTIVE = Theme.DISCOURSE_CONNECTIVE
+_STRUCTURAL_CONNECTIVE = Theme.STRUCTURAL_CONNECTIVE
+_CLOSED_QUESTION_ANSWER = Theme.CLOSED_QUESTION_ANSWER
 
 
 def _first_content_index(sentence: AnnotatedSentence) -> Optional[int]:
@@ -174,7 +203,7 @@ def _first_content_index(sentence: AnnotatedSentence) -> Optional[int]:
 def _governed_by_verb(sentence: AnnotatedSentence, index: int) -> bool:
     """True when the token's head is a token of category verb."""
     head = sentence.heads[index - 1]
-    return head > 0 and sentence.categories[head - 1] is Category.VERB
+    return head > 0 and sentence.categories[head - 1] is _VERB
 
 
 def _in_verb_group(sentence: AnnotatedSentence, index: int) -> bool:
@@ -183,7 +212,7 @@ def _in_verb_group(sentence: AnnotatedSentence, index: int) -> bool:
         return True
     categories = sentence.categories
     return any(
-        categories[child - 1] is Category.VERB
+        categories[child - 1] is _VERB
         for child in sentence.dependents.get(index, ())
     )
 
@@ -212,9 +241,9 @@ class _ClauseCounts(NamedTuple):
 def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
     finite_verbs = 0
     for index, category in enumerate(sentence.categories, start=1):
-        if category is Category.VERB and _is_finite_verb(sentence, index):
+        if category is _VERB and _is_finite_verb(sentence, index):
             finite_verbs += 1
-    return _ClauseCounts(finite_verbs, sentence.relations.count(Relation.CONJUNCT))
+    return _ClauseCounts(finite_verbs, sentence.relations.count(_CONJUNCT))
 
 
 def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
@@ -235,7 +264,7 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
         if first_char.islower():
             detections.append(
                 ThemeDetection(
-                    theme=Theme.INCOMPLETE,
+                    theme=_INCOMPLETE,
                     token_indices=(index,),
                     weight=ONE,
                     rationale=f"sentence starts with lowercase {form!r}",
@@ -243,10 +272,10 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
             )
         break
 
-    if sentence.categories[-1] is not Category.MAJOR_DELIMITER:
+    if sentence.categories[-1] is not _MAJOR_DELIMITER:
         detections.append(
             ThemeDetection(
-                theme=Theme.INCOMPLETE,
+                theme=_INCOMPLETE,
                 token_indices=(),
                 weight=ONE,
                 rationale=f"sentence does not end in a major delimiter (last token {forms[-1]!r})",
@@ -258,10 +287,10 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
 def _main_verb(sentence: AnnotatedSentence) -> Optional[int]:
     categories = sentence.categories
     root = sentence.roots[0]
-    if categories[root - 1] is Category.VERB:
+    if categories[root - 1] is _VERB:
         return root
     for index, category in enumerate(categories, start=1):
-        if category is Category.VERB:
+        if category is _VERB:
             return index
     return None
 
@@ -297,7 +326,7 @@ def _implicit_anaphora(
                     sentence.modal_flags,
                     sentence.features,
                 )
-                if category is Category.VERB
+                if category is _VERB
                 and modal
                 and features.verb_form in FINITE_VERB_FORMS
             ),
@@ -309,7 +338,7 @@ def _implicit_anaphora(
             rationale = "no finite verb"
         detections.append(
             ThemeDetection(
-                theme=Theme.IMPLICIT_ANAPHORA,
+                theme=_IMPLICIT_ANAPHORA,
                 token_indices=(),
                 weight=ONE,
                 rationale=rationale,
@@ -319,11 +348,11 @@ def _implicit_anaphora(
         main = _main_verb(sentence)
         if (
             main is None
-            or sentence.features[main - 1].verb_form is not VerbForm.IMPERATIVE
+            or sentence.features[main - 1].verb_form is not _IMPERATIVE
         ):
             detections.append(
                 ThemeDetection(
-                    theme=Theme.IMPLICIT_ANAPHORA,
+                    theme=_IMPLICIT_ANAPHORA,
                     token_indices=(),
                     weight=ONE,
                     rationale="no subject and the main verb is not imperative",
@@ -334,10 +363,10 @@ def _implicit_anaphora(
 
 def _features_compatible(pronoun: MorphFeatures, noun: MorphFeatures) -> bool:
     pg, ng = pronoun.gender, noun.gender
-    if Gender.UNSPECIFIED not in (pg, ng) and pg is not ng:
+    if _UNSPECIFIED_GENDER not in (pg, ng) and pg is not ng:
         return False
     pn, nn = pronoun.number, noun.number
-    if Number.UNSPECIFIED not in (pn, nn) and pn is not nn:
+    if _UNSPECIFIED_NUMBER not in (pn, nn) and pn is not nn:
         return False
     return True
 
@@ -358,18 +387,18 @@ def count_antecedent_candidates(
     if pronoun_index < 1 or pronoun_index > len(sentence):
         raise ValueError(f"no token at index {pronoun_index}")
     categories, features = sentence.categories, sentence.features
-    if categories[pronoun_index - 1] is not Category.PRONOUN:
+    if categories[pronoun_index - 1] is not _PRONOUN:
         form = sentence.forms[pronoun_index - 1]
         raise ValueError(f"token {pronoun_index} ({form!r}) is not a pronoun")
     pronoun = features[pronoun_index - 1]
     count = 0
     for index in range(1, pronoun_index):
-        if categories[index - 1] in (Category.NOUN, Category.PROPER_NOUN):
+        if categories[index - 1] in (_NOUN, _PROPER_NOUN):
             if _features_compatible(pronoun, features[index - 1]):
                 count += 1
     if sentence.lower_lemmas[pronoun_index - 1] == "det":
         for index in range(1, pronoun_index):
-            if categories[index - 1] is Category.INFINITIVE_MARKER:
+            if categories[index - 1] is _INFINITIVE_MARKER:
                 if _governed_by_verb(sentence, index):
                     count += 1
                     break
@@ -398,7 +427,7 @@ def _tree_passes(sentence: AnnotatedSentence) -> _TreePasses:
         head = heads[index - 1]
         if head:
             verb_above[index] = (
-                head if categories[head - 1] is Category.VERB else verb_above[head]
+                head if categories[head - 1] is _VERB else verb_above[head]
             )
     som_below = [False] * (len(heads) + 1)
     for index in reversed(sentence.order):
@@ -447,9 +476,9 @@ def detect_pronominal_anaphora(
     for index, lemma in enumerate(lemmas, start=1):
         if lemma not in lexicons.anaphoric_pronouns:
             continue
-        if categories[index - 1] is not Category.PRONOUN:
+        if categories[index - 1] is not _PRONOUN:
             continue
-        if relations[index - 1] is Relation.EXPLETIVE:
+        if relations[index - 1] is _EXPLETIVE:
             continue
         if passes is None and (som or weather and lemma == "det"):
             passes = _tree_passes(sentence)
@@ -463,14 +492,14 @@ def detect_pronominal_anaphora(
             continue
         for left in range(tallied + 1, index):
             category = categories[left - 1]
-            if category is Category.NOUN or category is Category.PROPER_NOUN:
+            if category is _NOUN or category is _PROPER_NOUN:
                 noun = features[left - 1]
                 cell = (noun.gender, noun.number)
                 if cell in nouns:
                     nouns[cell][1] += 1
                 else:
                     nouns[cell] = [noun, 1]
-            elif category is Category.INFINITIVE_MARKER and not marked_infinitive:
+            elif category is _INFINITIVE_MARKER and not marked_infinitive:
                 marked_infinitive = _governed_by_verb(sentence, left)
         tallied = index - 1
         pronoun = features[index - 1]
@@ -482,7 +511,7 @@ def detect_pronominal_anaphora(
         weight = HALF if candidates > 0 else ONE
         detections.append(
             ThemeDetection(
-                theme=Theme.PRONOMINAL_ANAPHORA,
+                theme=_PRONOMINAL_ANAPHORA,
                 token_indices=(index,),
                 weight=weight,
                 rationale=(
@@ -514,11 +543,11 @@ def detect_adverbial_anaphora(
         return detections
     for index, lemma in enumerate(lemmas, start=1):
         adverb_type = adverbs.get(lemma)
-        if adverb_type is None or categories[index - 1] is not Category.ADVERB:
+        if adverb_type is None or categories[index - 1] is not _ADVERB:
             continue
         specified = False
         for child in dependents.get(index, ()):
-            if relations[child - 1] is not Relation.ADVERBIAL:
+            if relations[child - 1] is not _ADVERBIAL:
                 continue
             child_type = adverbs.get(lemmas[child - 1])
             if child_type is None or child_type is adverb_type:
@@ -526,13 +555,13 @@ def detect_adverbial_anaphora(
                 break
         if specified:
             continue
-        if index > 1 and categories[index - 2] is Category.DETERMINER:
+        if index > 1 and categories[index - 2] is _DETERMINER:
             continue
-        if relations[index - 1] is Relation.DETERMINER:
+        if relations[index - 1] is _DETERMINER_RELATION:
             continue
         detections.append(
             ThemeDetection(
-                theme=Theme.ADVERBIAL_ANAPHORA,
+                theme=_ADVERBIAL_ANAPHORA,
                 token_indices=(index,),
                 weight=ONE,
                 rationale=(
@@ -577,7 +606,7 @@ def _discourse_connective(
     detections: list[ThemeDetection] = []
     heads = sentence.heads
     for index, relation in enumerate(sentence.relations, start=1):
-        if relation is not Relation.CONJUNCTIONAL_ADVERBIAL:
+        if relation is not _CONJUNCTIONAL_ADVERBIAL:
             continue
         if _connective_beside(sentence, index):
             continue
@@ -586,7 +615,7 @@ def _discourse_connective(
             continue
         detections.append(
             ThemeDetection(
-                theme=Theme.DISCOURSE_CONNECTIVE,
+                theme=_DISCOURSE_CONNECTIVE,
                 token_indices=(index,),
                 weight=ONE,
                 rationale=(
@@ -632,12 +661,12 @@ def _structural_connective(
     categories, forms = sentence.categories, sentence.forms
     root = sentence.roots[0]
     if (
-        categories[root - 1] is Category.CONJUNCTION
+        categories[root - 1] is _CONJUNCTION
         and not _completed_pair_present(sentence, lexicons, root)
     ):
         detections.append(
             ThemeDetection(
-                theme=Theme.STRUCTURAL_CONNECTIVE,
+                theme=_STRUCTURAL_CONNECTIVE,
                 token_indices=(root,),
                 weight=ONE,
                 rationale=f"conjunction {forms[root - 1]!r} is the dependency root",
@@ -646,13 +675,13 @@ def _structural_connective(
     first = _first_content_index(sentence)
     if (
         first is not None
-        and categories[first - 1] is Category.CONJUNCTION
+        and categories[first - 1] is _CONJUNCTION
         and max(counts.finite_verbs, counts.conjuncts) < 2
         and all(d.token_indices != (first,) for d in detections)
     ):
         detections.append(
             ThemeDetection(
-                theme=Theme.STRUCTURAL_CONNECTIVE,
+                theme=_STRUCTURAL_CONNECTIVE,
                 token_indices=(first,),
                 weight=ONE,
                 rationale=(
@@ -674,17 +703,17 @@ def detect_ceq_answer(
     minor delimiters ("– Gärna , ...").
     """
     categories = sentence.categories
-    offset = 1 if categories[0] is Category.MINOR_DELIMITER else 0
+    offset = 1 if categories[0] is _MINOR_DELIMITER else 0
     if len(categories) <= offset:
         return []
     category = categories[offset]
     if (
-        category is Category.INTERJECTION
+        category is _INTERJECTION
         and sentence.lower_lemmas[offset] in lexicons.yes_no_interjections
     ):
         return [
             ThemeDetection(
-                theme=Theme.CLOSED_QUESTION_ANSWER,
+                theme=_CLOSED_QUESTION_ANSWER,
                 token_indices=(offset + 1,),
                 weight=ONE,
                 rationale=(
@@ -695,13 +724,13 @@ def detect_ceq_answer(
         ]
     if (
         offset == 1
-        and category is Category.ADVERB
+        and category is _ADVERB
         and len(categories) > 2
-        and categories[2] is Category.MINOR_DELIMITER
+        and categories[2] is _MINOR_DELIMITER
     ):
         return [
             ThemeDetection(
-                theme=Theme.CLOSED_QUESTION_ANSWER,
+                theme=_CLOSED_QUESTION_ANSWER,
                 token_indices=(offset + 1,),
                 weight=ONE,
                 rationale=(

@@ -36,6 +36,12 @@ from typing import Optional, Union
 
 from ._text import read_lines
 from .model import (
+    _MAJOR_DELIMITER,
+    _MINOR_DELIMITER,
+    _OTHER_CATEGORY,
+    _OTHER_RELATION,
+    _ROOT,
+    _VERB,
     AnnotatedSentence,
     Category,
     Definiteness,
@@ -156,10 +162,10 @@ class TagsetProfile:
 def classify_delimiter_form(form: str) -> Category:
     """Classify a delimiter token by its surface form."""
     if form in MAJOR_DELIMITER_FORMS:
-        return Category.MAJOR_DELIMITER
+        return _MAJOR_DELIMITER
     if form in MINOR_DELIMITER_FORMS:
-        return Category.MINOR_DELIMITER
-    return Category.OTHER
+        return _MINOR_DELIMITER
+    return _OTHER_CATEGORY
 
 
 def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
@@ -304,12 +310,14 @@ def apply_profile(
     One loop over the sentence's columns fills the result's annotations
     and ``roots``; the result shares the sentence's raw columns and the
     tree index its reader built, and builds no Token or AnnotatedToken.
+    The enum members it reads are module globals bound once: on Python
+    3.10 and 3.11 the enum metaclass defines __getattr__, which makes a
+    read through the class (Category.VERB) about five times dearer than
+    a global's.
     """
     rows = profile._rows
     relation_of = profile.relation_of_deprel
     modal_lemmas = profile.modal_lemmas
-    verb = Category.VERB
-    root = Relation.ROOT
     columns = forms, lemmas, tags, deprels, heads, feats = raw_columns(sentence)
     categories: list[Category] = []
     relations: list[Relation] = []
@@ -324,12 +332,12 @@ def apply_profile(
         if category is DELIMITER_BY_FORM:
             category = classify_delimiter_form(forms[index])
         elif category is None:
-            category = Category.OTHER
+            category = _OTHER_CATEGORY
             if coverage is not None:
                 coverage.unknown_pos[tag] += 1
         relation = relation_of.get(deprel)
         if relation is None:
-            relation = Relation.OTHER
+            relation = _OTHER_RELATION
             if coverage is not None:
                 coverage.unknown_deprel[deprel] += 1
         lemma = lemmas[index].lower()
@@ -337,9 +345,9 @@ def apply_profile(
         categories.append(category)
         relations.append(relation)
         features.append(feature)
-        modal_flags.append(category is verb and lemma in modal_lemmas)
+        modal_flags.append(category is _VERB and lemma in modal_lemmas)
         lower_lemmas.append(lemma)
-        if head == 0 or relation is root:
+        if head == 0 or relation is _ROOT:
             roots.append(index)
     return AnnotatedSentence._from_columns(
         sentence.id,

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import shutil
 import stat
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import threading
 import weakref
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -868,7 +870,14 @@ OUTPUT_DIGESTS = {
     ("ud_fixture", "tsv"): "f394bdc6017421e37452f6fd31f9acfd0e7cfbe15cbc10d777beda540ca595b0",
     ("big_corpus_2000", "jsonl"): "2f5525803b5f1bb039f73acb3ce5040f398b64b20bcf6d004ce39e6f3dc1e237",
     ("big_corpus_2000", "tsv"): "6bf57e1c96abf7af01d53a0d24afa36058218130f170b1ecbe750611b4da2757",
+    ("long_trees", "jsonl"): "9e7bac406cbd5cd0a15fac0a74aed7fcd7e3ef8c497a4ec92d3b71fbdfec386b",
+    ("long_trees", "tsv"): "f67806584149154ff466af7f042d2e94734dcdba3d93e44d7df37d9fbd97608d",
 }
+
+# bench/gen.py, read only, for 15-60-token trees with planted pronouns,
+# som-relatives, weather verbs, anaphoric adverbs and connectives: a change
+# to its long_corpus or to_conllu must update the long_trees digests
+BENCH_GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 def _korp_hit(position, rows):
@@ -942,7 +951,8 @@ FETCH_DIGESTS = (
 class TestOutputDigests:
     """`assess --explain` writes byte for byte what it wrote before the tree
     index and the compiled profile table, on both bundled fixtures (the UD
-    one under --profile ud) and on big_corpus_conllu(2_000).
+    one under --profile ud), on big_corpus_conllu(2_000) and on the 300
+    long trees of bench/gen.py's long_corpus(5, 300).
 
     To refresh after a change meant to alter the output: check the new
     output by hand, run this class, and copy the digest each failure
@@ -957,6 +967,11 @@ class TestOutputDigests:
         elif name == "ud_fixture":
             argv = ["--input", str(fixtures.joinpath("sv_examples_ud.conllu")),
                     "--profile", "ud"]
+        elif name == "long_trees":
+            gen = runpy.run_path(str(BENCH_GEN))
+            path = tmp_path / "long.conllu"
+            path.write_text(gen["to_conllu"](gen["long_corpus"](5, 300)), encoding="utf-8")
+            argv = ["--input", str(path)]
         else:
             path = tmp_path / "big.conllu"
             path.write_text(big_corpus_conllu(2_000), encoding="utf-8")

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import SUC, UD, annotate, parse_one
+from solosent import detectors, profiles
 from solosent.assessment import Assessment
 from solosent.conllu import parse_conllu
 from solosent.detectors import (
@@ -1308,3 +1310,47 @@ class TestWorkPerSentence:
         fired = [d for d in assessment.detections if d.theme is Theme.PRONOMINAL_ANAPHORA]
         assert [d.token_indices for d in fired] == [(i,) for i in range(3, size - 2, 2)]
         assert all(d.weight == ONE for d in fired)
+
+
+_ENUM_CLASSES = {"Category", "Relation", "VerbForm", "Gender", "Number", "Theme"}
+
+
+def _with_nested(code):
+    """The code object and every code object compiled inside it."""
+    yield code
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _with_nested(const)
+
+
+def test_per_sentence_code_reads_no_enum_class():
+    """The rules, apply_profile, classify_delimiter_form and the roots of
+    AnnotatedSentence read enum members bound once at import: on Python
+    3.10 and 3.11 each read through the class (Category.VERB) pays the
+    enum metaclass's __getattr__, and these run per token."""
+    module = compile(inspect.getsource(detectors), detectors.__file__, "exec")
+    # every function, method, lambda and generator of the module but
+    # DetectorConfig.__post_init__, which runs once per config; class
+    # bodies and the module's own code run once, at import
+    functions = [
+        code
+        for code in _with_nested(module)
+        if code.co_flags & inspect.CO_NEWLOCALS and code.co_name != "__post_init__"
+    ]
+    assert {"detect_all", "_clause_counts", "<lambda>", "<genexpr>"} <= {
+        code.co_name for code in functions
+    }
+    for function in (
+        profiles.apply_profile,
+        profiles.classify_delimiter_form,
+        AnnotatedSentence.__init__,
+    ):
+        functions.extend(_with_nested(function.__code__))
+    reads = {
+        f"{code.co_name} (line {code.co_firstlineno})": sorted(
+            _ENUM_CLASSES.intersection(code.co_names)
+        )
+        for code in functions
+        if _ENUM_CLASSES.intersection(code.co_names)
+    }
+    assert reads == {}
