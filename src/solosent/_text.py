@@ -61,6 +61,8 @@ def open_lines(
         except OSError as exc:  # any readable path: a file, a FIFO, /dev/fd/N
             reason = _OPEN_FAILURES.get(type(exc), f"cannot open ({exc.strerror})")
             raise error(f"{name or source}: {reason}") from None
+        except ValueError as exc:  # a NUL in the path
+            raise error(f"{name or source}: cannot open ({exc})") from None
         lines = io.TextIOWrapper(binary, encoding="utf-8-sig")
     try:
         yield _read(lines, error, name or source)

@@ -81,6 +81,10 @@ def build_request(
     """
     if not endpoint.startswith(("http://", "https://")):
         raise ConfigError(f"endpoint must be an absolute http(s) URL, got {endpoint!r}")
+    try:
+        urllib.parse.urlsplit(endpoint).port
+    except ValueError as exc:  # an unclosed [IPv6] host, a bad port
+        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL ({exc})") from None
     if not query.corpora:
         raise ConfigError("query names no corpora")
     if not query.query_expression:

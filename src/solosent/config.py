@@ -10,6 +10,7 @@ never pass silently.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
@@ -21,6 +22,13 @@ _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
 _PLAIN_KEYS = {"profile", "lexicons"}
 _NAMESPACES = ("enable.", "weight.", "fetch.")
+# the exponent of a weight such as 1.5e-3
+_EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
+# Fraction builds 10**exponent, which for 1e999999999999 never ends.  A
+# weight written in n characters has fewer than n significand digits, so
+# if it is not 0 and its exponent passes n + _FLOAT_REACH, it is outside
+# a float's range, from 1e-324 to 1.8e308.
+_FLOAT_REACH = 330
 
 
 def read_config_file(path: Union[str, Path]) -> dict[str, str]:
@@ -54,6 +62,33 @@ def _theme_by_name(name: str, key: str) -> Theme:
     )
 
 
+def _weight(theme: Theme, key: str, value: str) -> Fraction:
+    """The rational number ``value`` names, read in time linear in its text.
+
+    An exponent past a float's reach is refused from the text, in the
+    words DetectorConfig has for a weight out of range, before Fraction
+    builds its power of ten.
+    """
+    try:
+        # Fraction reads "1_0" as 10 from Python 3.11 on
+        if "_" in value:
+            raise ValueError(value)
+        match = _EXPONENT.search(value)
+        exponent = int(match[1]) if match else 0
+        if abs(exponent) <= len(value) + _FLOAT_REACH:
+            return Fraction(value)
+        # value's grammar, with the exponent 0
+        significand = Fraction(value[: match.start(1)] + "0")
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"config key {key!r}: expected a rational number, got {value!r}"
+        ) from None
+    if significand <= 0:
+        raise ConfigError(f"weight for {theme.value} must be positive, got {value}")
+    size = "large" if exponent > 0 else "small"
+    raise ConfigError(f"weight for {theme.value} is too {size} for a float")
+
+
 def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
     """Build a DetectorConfig from flat config keys.
 
@@ -76,15 +111,7 @@ def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
                 raise ConfigError(f"config key {key!r}: expected true/false, got {value!r}")
         elif key.startswith("weight."):
             theme = _theme_by_name(key[len("weight.") :], key)
-            try:
-                # Fraction reads "1_0" as 10 from Python 3.11 on
-                if "_" in value:
-                    raise ValueError(value)
-                weights[theme] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(
-                    f"config key {key!r}: expected a rational number, got {value!r}"
-                ) from None
+            weights[theme] = _weight(theme, key, value)
         else:
             raise ConfigError(
                 f"unknown config key {key!r} (expected {', '.join(sorted(_PLAIN_KEYS))} "

@@ -102,6 +102,8 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
     except OSError as exc:
         reason = _LIST_FAILURES.get(type(exc), f"cannot be read ({exc.strerror})")
         raise LexiconError(f"lexicon directory {label} {reason}") from None
+    except ValueError as exc:  # a NUL in the path
+        raise LexiconError(f"lexicon directory {label} cannot be read ({exc})") from None
     warnings: list[str] = []
 
     def rows_for(filename: str) -> list[tuple[str, tuple[str, ...]]]:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import threading
 import weakref
 from importlib.resources import files
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -349,6 +351,26 @@ class TestConfigFlag:
         )
         assert (code, out) == (2, "")
         assert err == "error: weight for PNAnaphora is too small for a float\n"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e999999999999", "is too large for a float"),
+            ("1e-999999999999", "is too small for a float"),
+            ("-1E999999999999", "must be positive, got -1E999999999999"),
+            ("0e-999999999999", "must be positive, got 0e-999999999999"),
+        ],
+    )
+    def test_weight_exponent_past_a_float_read_from_its_text(
+        self, capsys, corpus_path, tmp_path, value, message
+    ):
+        """Fraction would build 10**999999999999, which never ends."""
+        conf = tmp_path / "solosent.conf"
+        conf.write_text(f"weight.PNAnaphora = {value}\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", "assess", "--input", corpus_path, "--config", str(conf)
+        )
+        assert (code, out, err) == (2, "", f"error: weight for PNAnaphora {message}\n")
 
     @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
     def test_score_too_large_for_a_float(self, capsys, corpus_path, tmp_path, mode):
@@ -862,22 +884,12 @@ class TestClosedStderr:
         assert (closed.returncode, closed.stdout) == (2, b"")
 
 
-# sha256 of `assess --explain` output on each input, in each format
-OUTPUT_DIGESTS = {
-    ("fixture", "jsonl"): "1c677c2e0f7b105b0b0ef05a23edd170ea320ef97b223a95594fdf8a62f3ec9b",
-    ("fixture", "tsv"): "7bc587e9703ff6f890d3fa11e4ecb6d62b3b0f00e8df7829a7e0a7ba7d87c720",
-    ("ud_fixture", "jsonl"): "3eb44de0e554bd2a2ec9f0effe6a0e032209533cdf5df55a6bc945a6ec375e65",
-    ("ud_fixture", "tsv"): "f394bdc6017421e37452f6fd31f9acfd0e7cfbe15cbc10d777beda540ca595b0",
-    ("big_corpus_2000", "jsonl"): "2f5525803b5f1bb039f73acb3ce5040f398b64b20bcf6d004ce39e6f3dc1e237",
-    ("big_corpus_2000", "tsv"): "6bf57e1c96abf7af01d53a0d24afa36058218130f170b1ecbe750611b4da2757",
-    ("long_trees", "jsonl"): "9e7bac406cbd5cd0a15fac0a74aed7fcd7e3ef8c497a4ec92d3b71fbdfec386b",
-    ("long_trees", "tsv"): "f67806584149154ff466af7f042d2e94734dcdba3d93e44d7df37d9fbd97608d",
-}
-
-# bench/gen.py, read only, for 15-60-token trees with planted pronouns,
-# som-relatives, weather verbs, anaphoric adverbs and connectives: a change
-# to its long_corpus or to_conllu must update the long_trees digests
-BENCH_GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+# bench/, read only: gen.py writes 15-60-token trees with planted pronouns,
+# som-relatives, weather verbs, anaphoric adverbs and connectives, and Korp
+# pages of them; korp.py serves pages on loopback.  A change to gen.py's
+# long_corpus, to_conllu or korp_pages must update the digests of the rows
+# that read them.
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _korp_hit(position, rows):
@@ -939,73 +951,194 @@ class PagedTransport:
         )
 
 
-# sha256 of the --output file and of stderr of a fetch of FETCH_DIGEST_PAGES;
-# in stderr, the non-integer and the negative head are reported in the
-# CoNLL-U reader's words ("head must be a non-negative integer, got 'x'")
-FETCH_DIGESTS = (
-    "2e38c7939786e1be29ca511ae9f201af3fcb1e6d5f1a738983d304e34977b829",
-    "1a2f6d6a5aa2c402a30f2a6d196cf21082f7277e99e5fb58de4cd17d93ab6399",
-)
+class Case(NamedTuple):
+    """A run of ``python -m solosent`` and the sha256 of what it writes.
+
+    ``argv`` names its input files as ``{placeholders}`` of digest_inputs.
+    ``stderr`` is None for a run that writes nothing to stderr.  A fetch
+    reads the pages named by ``served`` from SOLOSENT_ENDPOINT.
+    """
+
+    argv: tuple[str, ...]
+    stdout: str
+    stderr: Optional[str] = None
+    served: Optional[str] = None
+
+
+SV = ("--input", "{fixture}", "--profile", "suc-mamba")
+SV_UD = ("--input", "{ud_fixture}", "--profile", "ud")
+ASSESS = ("--mode", "assess", "--explain")
+FILTER, RANK = ("--mode", "filter"), ("--mode", "rank", "--format", "tsv")
+EVAL = ("--mode", "eval", "--gold", "{gold}")
+TSV = ("--format", "tsv")
+FETCH = ("--mode", "fetch", "--config")
+
+# Every mode on the two bundled fixtures (the UD one under --profile ud, both
+# against sv_examples.gold); assess on big_corpus_conllu(2_000) and on
+# gen.long_corpus(5, 300) and (1, 300), whose stderr warns of gen.py's
+# unmapped deprel XA; and fetch of FETCH_DIGEST_PAGES, whose stderr reports
+# the non-integer and the negative head in the CoNLL-U reader's words ("head
+# must be a non-negative integer, got 'x'"), and of gen.korp_pages(1, 300,
+# 100), 3 of whose hits are cyclic.
+DIGESTS = {
+    "fixture-jsonl": Case(
+        (*ASSESS, *SV),
+        "1c677c2e0f7b105b0b0ef05a23edd170ea320ef97b223a95594fdf8a62f3ec9b",
+    ),
+    "fixture-tsv": Case(
+        (*ASSESS, *TSV, *SV),
+        "7bc587e9703ff6f890d3fa11e4ecb6d62b3b0f00e8df7829a7e0a7ba7d87c720",
+    ),
+    "fixture-filter": Case(
+        (*FILTER, *SV),
+        "b6082d360210648dadbce76f4a9775677ce7f06d970c6f2b6a82ec2dc7dea669",
+    ),
+    "fixture-rank-tsv": Case(
+        (*RANK, *SV),
+        "921971b3ea40d2cfa021733eb203b4888d6fd9fc16729236a0770589ad0aa2ee",
+    ),
+    "fixture-eval": Case(
+        (*EVAL, *SV),
+        "1e33d89e1a7f60932211a048746a1f90c5c42e3e77e7832edae07ca8c3dafb00",
+    ),
+    "fixture-eval-tsv": Case(
+        (*EVAL, *TSV, *SV),
+        "99e987f103a6182669aaaf969a112f89cccc8af6b9c77283e5abc1eb48131087",
+    ),
+    "ud_fixture-jsonl": Case(
+        (*ASSESS, *SV_UD),
+        "3eb44de0e554bd2a2ec9f0effe6a0e032209533cdf5df55a6bc945a6ec375e65",
+    ),
+    "ud_fixture-tsv": Case(
+        (*ASSESS, *TSV, *SV_UD),
+        "f394bdc6017421e37452f6fd31f9acfd0e7cfbe15cbc10d777beda540ca595b0",
+    ),
+    "ud_fixture-filter": Case(
+        (*FILTER, *SV_UD),
+        "3bddcfcc2c3d1de589712fb79ab599c941e1c3e4dd674a777b3be997d85828a5",
+    ),
+    "ud_fixture-rank-tsv": Case(
+        (*RANK, *SV_UD),
+        "22ea0771e70acde11365b1f429a73bef080b04d6407af4e1ab876f917cbb2eb6",
+    ),
+    "ud_fixture-eval": Case(
+        (*EVAL, *SV_UD),
+        "76fc9a1a35539d74222af0a05bb88f5744c22fb09e9d8bc348f16b37a88e2983",
+    ),
+    "ud_fixture-eval-tsv": Case(
+        (*EVAL, *TSV, *SV_UD),
+        "d72bc2a713dae49c268937808dba36895432800bdb6e60efa341d3d700fa4eb5",
+    ),
+    "big_corpus_2000-jsonl": Case(
+        (*ASSESS, "--input", "{big_corpus_2000}"),
+        "2f5525803b5f1bb039f73acb3ce5040f398b64b20bcf6d004ce39e6f3dc1e237",
+    ),
+    "big_corpus_2000-tsv": Case(
+        (*ASSESS, *TSV, "--input", "{big_corpus_2000}"),
+        "6bf57e1c96abf7af01d53a0d24afa36058218130f170b1ecbe750611b4da2757",
+    ),
+    "long_trees-jsonl": Case(
+        (*ASSESS, "--input", "{long_trees}"),
+        "9e7bac406cbd5cd0a15fac0a74aed7fcd7e3ef8c497a4ec92d3b71fbdfec386b",
+        "4a54e6d36238b8103a1ebb9473d08a2a38a8f669b15bfe6a1ea8c69cb22d4c4b",
+    ),
+    "long_trees-tsv": Case(
+        (*ASSESS, *TSV, "--input", "{long_trees}"),
+        "f67806584149154ff466af7f042d2e94734dcdba3d93e44d7df37d9fbd97608d",
+        "4a54e6d36238b8103a1ebb9473d08a2a38a8f669b15bfe6a1ea8c69cb22d4c4b",
+    ),
+    "long_trees_seed1-jsonl": Case(
+        (*ASSESS, "--input", "{long_trees_seed1}"),
+        "a6b4997be684c9dcc58e768d8f80f9ba23b10c7c868aab0acbe6c49506806c86",
+        "be10f42972c17ec81d9ef5f1247053fd36bc501f6d7078338b172cdfaf4f5a12",
+    ),
+    "fetch-pages": Case(
+        (*FETCH, "{pages_conf}"),
+        "2e38c7939786e1be29ca511ae9f201af3fcb1e6d5f1a738983d304e34977b829",
+        "1a2f6d6a5aa2c402a30f2a6d196cf21082f7277e99e5fb58de4cd17d93ab6399",
+        served="fetch_digest_pages",
+    ),
+    "fetch-korp": Case(
+        (*FETCH, "{korp_conf}"),
+        "f7316c457a9c54b7ee7a68be51689176fc51bc72eefb4f86394c1adf81ff69fc",
+        "e0129dede0b48b7205df53fca95b2f8cd61fc64dfcb4e5f8a778462b3f9028fb",
+        served="korp_pages",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def digest_inputs(tmp_path_factory):
+    """The files DIGESTS names, by placeholder, and the endpoint serving
+    each page set it fetches, by name."""
+    gen = runpy.run_path(str(BENCH / "gen.py"))
+    korp_server = runpy.run_path(str(BENCH / "korp.py"))["KorpServer"]
+    fixtures = files("solosent.data.fixtures")
+    paths = {
+        "fixture": str(fixtures.joinpath("sv_examples.conllu")),
+        "ud_fixture": str(fixtures.joinpath("sv_examples_ud.conllu")),
+        "gold": str(fixtures.joinpath("sv_examples.gold")),
+    }
+    root = tmp_path_factory.mktemp("digest-inputs")
+    fetch = 'fetch.cqp = [pos="VB"]\nfetch.corpora = {}\nfetch.page_size = {}\nfetch.pages = 3\n'
+    for name, text in (
+        ("big_corpus_2000", big_corpus_conllu(2_000)),
+        ("long_trees", gen["to_conllu"](gen["long_corpus"](5, 300))),
+        ("long_trees_seed1", gen["to_conllu"](gen["long_corpus"](1, 300))),
+        ("pages_conf", fetch.format("SUC3", 3)),
+        ("korp_conf", fetch.format("BENCH", 100)),
+    ):
+        paths[name] = str(root / name)
+        (root / name).write_text(text, encoding="utf-8")
+    served = {
+        "fetch_digest_pages": {
+            3 * n: json.dumps(page).encode("utf-8")
+            for n, page in enumerate(FETCH_DIGEST_PAGES)
+        },
+        "korp_pages": gen["korp_pages"](1, 300, 100).pages,
+    }
+    with contextlib.ExitStack() as stack:
+        endpoints = {
+            name: stack.enter_context(contextlib.closing(korp_server(pages))).endpoint
+            for name, pages in served.items()
+        }
+        yield paths, endpoints
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestOutputDigests:
-    """`assess --explain` writes byte for byte what it wrote before the tree
-    index and the compiled profile table, on both bundled fixtures (the UD
-    one under --profile ud), on big_corpus_conllu(2_000) and on the 300
-    long trees of bench/gen.py's long_corpus(5, 300).
+    """Each DIGESTS case writes byte for byte what it wrote before, in a
+    fresh interpreter under PYTHONHASHSEED=0 and again under 1.
 
     To refresh after a change meant to alter the output: check the new
-    output by hand, run this class, and copy the digest each failure
-    message reports into OUTPUT_DIGESTS.
+    output by hand, run this test, and copy the digests its failure
+    message reports into DIGESTS.
     """
 
-    @pytest.mark.parametrize("name, fmt", sorted(OUTPUT_DIGESTS))
-    def test_output_bytes(self, capsys, tmp_path, name, fmt):
-        fixtures = files("solosent.data.fixtures")
-        if name == "fixture":
-            argv = ["--input", str(fixtures.joinpath("sv_examples.conllu"))]
-        elif name == "ud_fixture":
-            argv = ["--input", str(fixtures.joinpath("sv_examples_ud.conllu")),
-                    "--profile", "ud"]
-        elif name == "long_trees":
-            gen = runpy.run_path(str(BENCH_GEN))
-            path = tmp_path / "long.conllu"
-            path.write_text(gen["to_conllu"](gen["long_corpus"](5, 300)), encoding="utf-8")
-            argv = ["--input", str(path)]
-        else:
-            path = tmp_path / "big.conllu"
-            path.write_text(big_corpus_conllu(2_000), encoding="utf-8")
-            argv = ["--input", str(path)]
-        code, out, _ = run_cli(
-            capsys, "--mode", "assess", "--explain", "--format", fmt, *argv
-        )
-        assert code == 0
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == OUTPUT_DIGESTS[name, fmt], f"new digest: {digest}"
-
-    def test_fetch_bytes(self, capsys, monkeypatch, tmp_path):
-        transport = PagedTransport(FETCH_DIGEST_PAGES)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
-        conf = tmp_path / "korp.conf"
-        conf.write_text(
-            "fetch.endpoint = https://example.invalid/korp\n"
-            'fetch.cqp = [pos="VB"]\n'
-            "fetch.corpora = SUC3\n"
-            "fetch.page_size = 3\n"
-            "fetch.pages = 3\n",
-            encoding="utf-8",
-        )
-        target = tmp_path / "fetched.conllu"
-        code, _, err = run_cli(
-            capsys, "--mode", "fetch", "--config", str(conf), "--output", str(target)
-        )
-        assert code == 0
-        assert len(transport.urls) == 3
-        digests = (
-            hashlib.sha256(target.read_bytes()).hexdigest(),
-            hashlib.sha256(err.encode("utf-8")).hexdigest(),
-        )
-        assert digests == FETCH_DIGESTS, f"new digests: {digests}"
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_output_bytes(self, digest_inputs, name):
+        paths, endpoints = digest_inputs
+        case = DIGESTS[name]
+        argv = [arg.format_map(paths) for arg in case.argv]
+        env = dict(os.environ)
+        if case.served:
+            env["SOLOSENT_ENDPOINT"] = endpoints[case.served]
+        for seed in "01":
+            completed = subprocess.run(
+                [sys.executable, "-m", "solosent", *argv],
+                env={**env, "PYTHONHASHSEED": seed}, capture_output=True, timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            digests = (
+                _sha256(completed.stdout),
+                _sha256(completed.stderr) if completed.stderr else None,
+            )
+            assert digests == (case.stdout, case.stderr), (
+                f"PYTHONHASHSEED={seed}: new digests: {digests}"
+            )
 
 
 def test_readers_build_no_token(monkeypatch, capsys, tmp_path):
@@ -1030,16 +1163,7 @@ def test_readers_build_no_token(monkeypatch, capsys, tmp_path):
         assert code == 0 and out
     transport = PagedTransport(FETCH_DIGEST_PAGES)
     monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
-    conf = tmp_path / "korp.conf"
-    conf.write_text(
-        "fetch.endpoint = https://example.invalid/korp\n"
-        'fetch.cqp = [pos="VB"]\n'
-        "fetch.corpora = SUC3\n"
-        "fetch.page_size = 3\n"
-        "fetch.pages = 3\n",
-        encoding="utf-8",
-    )
-    code, out, _ = run_cli(capsys, "--mode", "fetch", "--config", str(conf))
+    code, out, _ = run_cli(capsys, "--mode", "fetch", "--config", _write_paged_config(tmp_path))
     assert code == 0 and out.count("# sent_id") == 2
     assert built == []
     # the counter counts: the views are built on the first read only
@@ -1197,6 +1321,8 @@ class TestFetch:
         "key, value, message",
         [
             ("fetch.endpoint", "ftp://x", "endpoint must be an absolute http(s) URL, got 'ftp://x'"),
+            ("fetch.endpoint", "http://[::1", "endpoint 'http://[::1' is not a valid URL "
+             "(Invalid IPv6 URL)"),
             ("fetch.page_size", "0", "page_size must be between 1 and 1000, got 0"),
         ],
     )
@@ -1218,6 +1344,18 @@ class TestFetch:
         conf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
         code, out, err = run_cli(capsys, "--mode", "fetch", "--config", str(conf))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert transport.urls == []
+
+    def test_malformed_endpoint_in_the_environment(self, capsys, monkeypatch, tmp_path):
+        transport = FakeTransport(FETCH_PAGE)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setenv("SOLOSENT_ENDPOINT", "http://127.0.0.1:abc/")
+        code, out, err = run_cli(capsys, "--mode", "fetch", "--config", self.write_config(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: endpoint 'http://127.0.0.1:abc/' is not a valid URL "
+            "(Port could not be cast to integer value as 'abc')\n"
+        )
         assert transport.urls == []
 
     def test_wrongly_typed_hit_is_skipped(self, capsys, monkeypatch, tmp_path):
@@ -1343,7 +1481,7 @@ class TestFetchStreams:
         assert "# sent_id = SUC3:1\n" in transport.written_before[1]
         assert stdout.getvalue() == _fetched_conllu(FETCH_DIGEST_PAGES)
         digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
-        assert digest == FETCH_DIGESTS[0]
+        assert digest == DIGESTS["fetch-pages"].stdout
 
     def test_empty_fetch_writes_nothing(self, capsys, monkeypatch, tmp_path):
         empty = [{"kwic": []}] * 3

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -105,6 +106,15 @@ class TestBuildRequest:
         query = ConcordanceQuery(query_expression="[word]", corpora=("SUC3",))
         with pytest.raises(ConfigError, match="http"):
             build_request(query, "korp.example.org/api")
+
+    @pytest.mark.parametrize(
+        "endpoint", ["http://[::1", "http://h:abc/", "http://h:-1/", "http://h:65536/"]
+    )
+    def test_malformed_endpoint_rejected(self, endpoint):
+        query = ConcordanceQuery(query_expression="[word]", corpora=("SUC3",))
+        message = f"^endpoint {re.escape(repr(endpoint))} is not a valid URL"
+        with pytest.raises(ConfigError, match=message):
+            build_request(query, endpoint)
 
     def test_empty_query_parts_rejected(self):
         with pytest.raises(ConfigError, match="corpora"):

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 from solosent.config import detector_config_from_mapping, read_config_file
-from solosent.detectors import IMPLEMENTED_THEMES, ConfigError, Theme
+from solosent.detectors import IMPLEMENTED_THEMES, ConfigError, DetectorConfig, Theme
+
+
+def _verdict(build):
+    """None if the weight is kept, else its error up to any ", got ..."."""
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc).partition(", got")[0]
+    return None
 
 
 class TestReadConfigFile:
@@ -96,6 +105,18 @@ class TestDetectorConfigFromMapping:
             ConfigError, match="^weight for PNAnaphora is too small for a float$"
         ):
             detector_config_from_mapping({"weight.PNAnaphora": "1e-400"})
+
+    @pytest.mark.parametrize("significand", ["0", "1", "-1", "99.5", "0." + "0" * 40 + "7"])
+    def test_weight_exponent_refused_as_its_value_is(self, significand):
+        """On both sides of the exponent past which config reads a weight's
+        verdict from its text alone, the verdict is the one its value gets."""
+        for exponent in [*range(-450, -300), *range(300, 450)]:
+            value = f"{significand}e{exponent}"
+            assert _verdict(
+                lambda: detector_config_from_mapping({"weight.PNAnaphora": value})
+            ) == _verdict(
+                lambda: DetectorConfig(weights={Theme.PRONOMINAL_ANAPHORA: Fraction(value)})
+            )
 
     @pytest.mark.parametrize("value", ["1_0", "1_000/3", "0.5_0", "1/1_0", "1e1_0"])
     def test_weight_with_an_underscore_rejected(self, value):

@@ -9,6 +9,7 @@ one line naming it, with the exit code of its kind, as is a path whose
 read fails once it is open.
 """
 
+import contextlib
 import errno
 import io
 import os
@@ -22,6 +23,7 @@ from importlib.resources import files
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import LONG_DIGITS
 from solosent._text import open_lines
 from solosent.cli import InputError, _open_input, main
 from solosent.conllu import ParseError, parse_conllu
@@ -338,6 +340,22 @@ class TestOpenRule:
             self.CODES[kind], "", f"error: {path}: {reason}{suffix}\n"
         )
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("profile", f"a\0b: cannot open (embedded null byte){BUNDLED_NAMES}"),
+            ("lexicons", "lexicon directory a\0b cannot be read (embedded null byte)"),
+        ],
+    )
+    def test_nul_in_a_config_path(self, capsys, tmp_path, key, message):
+        """open() and os.listdir() refuse a path holding a NUL with a
+        ValueError, not an OSError."""
+        conf = write(tmp_path / "solosent.conf", f"{key} = a\0b\n")
+        corpus = FIXTURES.joinpath("sv_examples.conllu")
+        assert run_cli(
+            capsys, "--mode", "assess", "--input", corpus, "--config", conf
+        ) == (2, "", f"error: {message}\n")
+
     @needs_unreadable
     @pytest.mark.parametrize("kind", KINDS)
     def test_read_fails_after_open(self, capsys, tmp_path, setup, kind):
@@ -440,3 +458,79 @@ class TestLineErrorsNamePathAndLine:
         assert run_cli(
             capsys, "--mode", "assess", "--input", corpus, "--lexicons", directory
         ) == (2, "", f"error: {directory / name}: {message}\n")
+
+
+# Bytes put into a file, each kind as often: any bytes, and those that
+# have broken readers before: bad UTF-8 or a BOM, a NUL, long numbers, and
+# the marks and keys of the file formats
+_BYTES = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([BOM.encode("utf-8"), b"\xff", b"\xc3", b"\xed\xa0\x80"]),
+    st.just(b"\x00"),
+    st.sampled_from([LONG_DIGITS.encode(), b"1e999999999999", b"-1", b"0"]),
+    st.sampled_from([
+        b"\n", b"\r", b"\t", b" = ", b"#", b"_", b"profile = ", b"lexicons = ",
+        b"weight.PNAnaphora = ", b"enable.IncompSent = ",
+    ]),
+)
+# a valid file of each kind, read with the others
+_VALID = {
+    "input": FIXTURES.joinpath("sv_examples.conllu").read_bytes(),
+    "gold": FIXTURES.joinpath("sv_examples.gold").read_bytes(),
+    "config": f"profile = ud\nlexicons = {BUNDLED_LEXICONS}\nweight.PNAnaphora = 1/2\n"
+    "enable.IncompSent = false\n".encode("utf-8"),
+    "profile": files("solosent").joinpath("data", "profiles", "suc-mamba.profile").read_bytes(),
+    "lexicon": BUNDLED_LEXICONS.joinpath(LEXICON_FILE).read_bytes(),
+}
+
+
+def _drawn(kind):
+    """Bytes for a file of this kind: a valid one cut short, or with one
+    to three _BYTES put in at drawn places, or _BYTES alone."""
+    valid = _VALID[kind]
+
+    def put_in(pieces):
+        data = valid
+        for place, piece in sorted(pieces, reverse=True):
+            data = data[:place] + piece + data[place:]
+        return data
+
+    places = st.integers(0, len(valid))
+    return st.one_of(
+        places.map(lambda end: valid[:end]),
+        st.lists(st.tuples(places, _BYTES), min_size=1, max_size=3).map(put_in),
+        st.lists(_BYTES, max_size=8).map(b"".join),
+    )
+
+
+@pytest.mark.parametrize("kind", list(_VALID))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_file_ends_in_one_error_line_or_none(kind, data):
+    """Whatever bytes one file holds, the others valid, the CLI exits 0, 1
+    or 2; stderr holds only ``error:`` and ``warning:`` lines, and an error
+    exit prints exactly one ``error:`` line."""
+    corpus = str(FIXTURES.joinpath("sv_examples.conllu"))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, kind)
+        argv = ["--mode", "assess", "--explain", "--input", corpus]
+        if kind == "input":
+            argv[-1] = path
+        elif kind == "gold":
+            argv = ["--mode", "eval", "--input", corpus, "--gold", path]
+        elif kind == "lexicon":
+            shutil.copytree(BUNDLED_LEXICONS, path)
+            argv += ["--lexicons", path]
+            path = os.path.join(path, LEXICON_FILE)
+        else:
+            argv += [f"--{kind}", path]
+        with open(path, "wb") as f:
+            f.write(data.draw(_drawn(kind)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--output", os.path.join(directory, "out")])
+    *lines, last = err.getvalue().split("\n")
+    assert code in (0, 1, 2)
+    assert last == "" and "Traceback" not in err.getvalue()
+    assert all(line.startswith(("error:", "warning:")) for line in lines)
+    assert sum(line.startswith("error:") for line in lines) == (code != 0)
