@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from ._text import open_lines
 from .assessment import Assessment, rank_assessments
-from .config import detector_config_from_mapping, read_config_file
+from .config import detector_config_from_mapping, errors_at, read_config_file
 from .conllu import ParseError, parse_conllu, serialize_conllu
 from .detectors import ConfigError, DetectorConfig, detect_all
 from .lexicons import LexiconError, LexiconSet, load_lexicon_set
@@ -236,10 +236,11 @@ def _warn(message: str) -> None:
 def _load_resources(args) -> tuple[DetectorConfig, LexiconSet, object]:
     mapping = read_config_file(args.config) if args.config else {}
     detector_config = detector_config_from_mapping(mapping)
-    profile_name = args.profile or detector_config.profile_name
-    lexicon_dir = args.lexicons or detector_config.lexicon_dir
-    profile = load_profile(profile_name)
-    lexicons = load_lexicon_set(lexicon_dir)
+    # a profile or lexicon directory the config file names is an error at its line
+    with errors_at({} if args.profile else mapping, "profile", (ProfileError,)):
+        profile = load_profile(args.profile or detector_config.profile_name)
+    with errors_at({} if args.lexicons else mapping, "lexicons", (LexiconError,)):
+        lexicons = load_lexicon_set(args.lexicons or detector_config.lexicon_dir)
     for warning in lexicons.warnings:
         _warn(warning)
     return detector_config, lexicons, profile

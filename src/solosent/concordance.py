@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Mapping, Optional, Protocol, Sequence
 
+from .config import errors_at, where
 from .detectors import ConfigError
 from .model import Sentence, SourceRef, StructureError, raw_columns, row_problem, validate_heads
 from .profiles import CoverageCounter, TagsetProfile, apply_profile
@@ -70,6 +71,28 @@ class RequestSpec:
         return self.base_url + "?" + urllib.parse.urlencode(self.params)
 
 
+def _check_endpoint(endpoint: str) -> None:
+    """Refuse an endpoint no request can be sent to: one that is not an
+    absolute http(s) URL, that urllib cannot split, that names no host or
+    that holds a space or a control character."""
+    if not endpoint.startswith(("http://", "https://")):
+        raise ConfigError(f"endpoint must be an absolute http(s) URL, got {endpoint!r}")
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port
+    except ValueError as exc:  # an unclosed [IPv6] host, a bad port
+        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL ({exc})") from None
+    # urlsplit drops tabs and line ends, and lets spaces through
+    bad = next((c for c in endpoint if c.isspace() or not c.isprintable()), None)
+    if bad is not None:
+        reason = f"holds {bad!r}"
+    elif not parts.hostname:
+        reason = "no host"
+    else:
+        return
+    raise ConfigError(f"endpoint {endpoint!r} is not a valid URL ({reason})")
+
+
 def build_request(
     query: ConcordanceQuery, endpoint: str, api_key: Optional[str] = None
 ) -> RequestSpec:
@@ -79,12 +102,7 @@ def build_request(
     of the last hit requested, i.e. start + size - 1.  Equal queries yield
     byte-identical URLs.
     """
-    if not endpoint.startswith(("http://", "https://")):
-        raise ConfigError(f"endpoint must be an absolute http(s) URL, got {endpoint!r}")
-    try:
-        urllib.parse.urlsplit(endpoint).port
-    except ValueError as exc:  # an unclosed [IPv6] host, a bad port
-        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL ({exc})") from None
+    _check_endpoint(endpoint)
     if not query.corpora:
         raise ConfigError("query names no corpora")
     if not query.query_expression:
@@ -358,21 +376,24 @@ def settings_from_mapping(
 
     The settings pass build_request's checks of the first page's request
     whatever ``pages`` is, so ``fetch.pages = 0`` hides no config error.
+    An error names the config file, and the key's line when the key is
+    there; an error in the ``SOLOSENT_ENDPOINT`` endpoint names no file.
     """
-    endpoint = environment.get("SOLOSENT_ENDPOINT") or mapping.get("fetch.endpoint")
+    from_environment = environment.get("SOLOSENT_ENDPOINT")
+    endpoint = from_environment or mapping.get("fetch.endpoint")
     if not endpoint:
         raise ConfigError(
-            "fetch mode needs fetch.endpoint in the config file "
+            f"{where(mapping)}fetch mode needs fetch.endpoint in the config file "
             "or SOLOSENT_ENDPOINT in the environment"
         )
     expression = mapping.get("fetch.cqp", "")
     if not expression:
-        raise ConfigError("fetch mode needs fetch.cqp in the config file")
+        raise ConfigError(f"{where(mapping)}fetch mode needs fetch.cqp in the config file")
     corpora = tuple(
         c.strip() for c in mapping.get("fetch.corpora", "").split(",") if c.strip()
     )
     if not corpora:
-        raise ConfigError("fetch mode needs fetch.corpora in the config file")
+        raise ConfigError(f"{where(mapping)}fetch mode needs fetch.corpora in the config file")
 
     def integer(key: str, default: int) -> int:
         raw = mapping.get(key)
@@ -381,13 +402,19 @@ def settings_from_mapping(
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+            raise ConfigError(
+                f"{where(mapping, key)}{key} must be an integer, got {raw!r}"
+            ) from None
 
     page_size = integer("fetch.page_size", DEFAULT_PAGE_SIZE)
     pages = integer("fetch.pages", 1)
     if pages < 0:
-        raise ConfigError(f"fetch.pages must be >= 0, got {pages}")
-    build_request(ConcordanceQuery(expression, corpora, 0, page_size), endpoint)
+        raise ConfigError(f"{where(mapping, 'fetch.pages')}fetch.pages must be >= 0, got {pages}")
+    # the environment's endpoint is no line of the file
+    with errors_at({} if from_environment else mapping, "fetch.endpoint"):
+        _check_endpoint(endpoint)
+    with errors_at(mapping, "fetch.page_size"):
+        build_request(ConcordanceQuery(expression, corpora, 0, page_size), endpoint)
     return ConcordanceSettings(
         endpoint=endpoint,
         query_expression=expression,

@@ -6,17 +6,28 @@ and ``weight.<Theme>`` (a positive rational like 1, 0.5 or 1/2, with no
 ``_`` between digits).  The ``fetch.*`` keys are read by the concordance
 client.  Unknown keys outside those namespaces are rejected so typos
 never pass silently.
+
+A value read from a file that is refused names the file and its line,
+``<path>: line N: <message>``, as a malformed line does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from ._text import read_lines
-from .detectors import IMPLEMENTED_THEMES, ConfigError, DetectorConfig, Theme
+from .detectors import (
+    IMPLEMENTED_THEMES,
+    ConfigError,
+    DetectorConfig,
+    Theme,
+    _check_enabled,
+    _check_weight,
+)
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -31,9 +42,46 @@ _EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
 _FLOAT_REACH = 330
 
 
-def read_config_file(path: Union[str, Path]) -> dict[str, str]:
+class ConfigFile(dict):
+    """The key-value pairs of one config file, in file order, with the
+    file's path and the line each key was read from."""
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        super().__init__()
+        self.path = path
+        self.lines: dict[str, int] = {}
+
+
+def where(mapping: Mapping[str, str], key: Optional[str] = None) -> str:
+    """The start of an error about ``key``'s value, or about the file when
+    no key is given: ``"<path>: line N: "`` or ``"<path>: "``.  Empty for a
+    mapping that was not read from a file, and for a key it did not read."""
+    if not isinstance(mapping, ConfigFile):
+        return ""
+    if key is None:
+        return f"{mapping.path}: "
+    line = mapping.lines.get(key)
+    return f"{mapping.path}: line {line}: " if line else ""
+
+
+@contextlib.contextmanager
+def errors_at(
+    mapping: Mapping[str, str], key: str, errors: tuple[type[Exception], ...] = (ConfigError,)
+) -> Iterator[None]:
+    """Put where(mapping, key) in front of the message of any of
+    ``errors`` raised inside."""
+    try:
+        yield
+    except errors as exc:
+        start = where(mapping, key)
+        if not start:
+            raise
+        raise type(exc)(f"{start}{exc}") from None
+
+
+def read_config_file(path: Union[str, Path]) -> ConfigFile:
     """Read a flat config file into an ordered key-value mapping."""
-    mapping: dict[str, str] = {}
+    mapping = ConfigFile(path)
     for line_number, raw_line in enumerate(read_lines(path, ConfigError), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -49,6 +97,7 @@ def read_config_file(path: Union[str, Path]) -> dict[str, str]:
         if key in mapping:
             raise ConfigError(f"{path}: line {line_number}: duplicate key {key!r}")
         mapping[key] = value
+        mapping.lines[key] = line_number
     return mapping
 
 
@@ -93,30 +142,36 @@ def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
     """Build a DetectorConfig from flat config keys.
 
     Themes are enabled by default; ``enable.X = false`` switches one off
-    and ``enable.CDPC = true`` is rejected by DetectorConfig itself.
+    and ``enable.CDPC = true`` is rejected.  A refused value read from a
+    file names the file and the key's line.
     """
     enabled = set(IMPLEMENTED_THEMES)
     weights: dict[Theme, Fraction] = {}
     for key, value in mapping.items():
         if key in _PLAIN_KEYS or key.startswith("fetch."):
             continue
-        if key.startswith("enable."):
-            theme = _theme_by_name(key[len("enable.") :], key)
-            lowered = value.lower()
-            if lowered in _TRUE:
-                enabled.add(theme)
-            elif lowered in _FALSE:
-                enabled.discard(theme)
+        # each value is checked here as DetectorConfig checks it, at its line
+        with errors_at(mapping, key):
+            if key.startswith("enable."):
+                theme = _theme_by_name(key[len("enable.") :], key)
+                lowered = value.lower()
+                if lowered in _TRUE:
+                    _check_enabled({theme})
+                    enabled.add(theme)
+                elif lowered in _FALSE:
+                    enabled.discard(theme)
+                else:
+                    raise ConfigError(f"config key {key!r}: expected true/false, got {value!r}")
+            elif key.startswith("weight."):
+                theme = _theme_by_name(key[len("weight.") :], key)
+                weight = _weight(theme, key, value)
+                _check_weight(theme, weight)
+                weights[theme] = weight
             else:
-                raise ConfigError(f"config key {key!r}: expected true/false, got {value!r}")
-        elif key.startswith("weight."):
-            theme = _theme_by_name(key[len("weight.") :], key)
-            weights[theme] = _weight(theme, key, value)
-        else:
-            raise ConfigError(
-                f"unknown config key {key!r} (expected {', '.join(sorted(_PLAIN_KEYS))} "
-                f"or one of the namespaces {', '.join(_NAMESPACES)})"
-            )
+                raise ConfigError(
+                    f"unknown config key {key!r} (expected {', '.join(sorted(_PLAIN_KEYS))} "
+                    f"or one of the namespaces {', '.join(_NAMESPACES)})"
+                )
     return DetectorConfig(
         enabled=frozenset(enabled),
         weights=weights,
@@ -125,4 +180,10 @@ def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
     )
 
 
-__all__ = ["detector_config_from_mapping", "read_config_file"]
+__all__ = [
+    "ConfigFile",
+    "detector_config_from_mapping",
+    "errors_at",
+    "read_config_file",
+    "where",
+]

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, Mapping, NamedTuple, Optional
 
 from .assessment import Assessment, make_assessment
 from .lexicons import LexiconSet
@@ -141,21 +141,33 @@ class DetectorConfig:
         object.__setattr__(self, "enabled", frozenset(self.enabled))
         # the weights checked below are the weights used: a copy the caller cannot change
         object.__setattr__(self, "weights", dict(self.weights))
-        if Theme.CONCEPT_PROPERTIES in self.enabled:
-            raise ConfigError(
-                "theme CDPC is a reserved identifier without an implementation "
-                "(word co-occurrence scoring hook); it cannot be enabled"
-            )
+        _check_enabled(self.enabled)
         for theme, weight in self.weights.items():
-            if weight <= 0:
-                raise ConfigError(
-                    f"weight for {theme.value} must be positive, got {weight}"
-                )
-            # scores are written as floats, and PNAnaphora halves its weight
-            if not weight <= sys.float_info.max:
-                raise ConfigError(f"weight for {theme.value} is too large for a float")
-            if float(weight / 2) == 0:
-                raise ConfigError(f"weight for {theme.value} is too small for a float")
+            _check_weight(theme, weight)
+
+
+# bound once, as the members the rules read are (see below)
+_CONCEPT_PROPERTIES = Theme.CONCEPT_PROPERTIES
+
+
+def _check_enabled(themes: Collection[Theme]) -> None:
+    """Refuse themes that have no rule to run."""
+    if _CONCEPT_PROPERTIES in themes:
+        raise ConfigError(
+            "theme CDPC is a reserved identifier without an implementation "
+            "(word co-occurrence scoring hook); it cannot be enabled"
+        )
+
+
+def _check_weight(theme: Theme, weight: Fraction) -> None:
+    """Refuse a weight whose scores cannot be written."""
+    if weight <= 0:
+        raise ConfigError(f"weight for {theme.value} must be positive, got {weight}")
+    # scores are written as floats, and PNAnaphora halves its weight
+    if not weight <= sys.float_info.max:
+        raise ConfigError(f"weight for {theme.value} is too large for a float")
+    if float(weight / 2) == 0:
+        raise ConfigError(f"weight for {theme.value} is too small for a float")
 
 
 # Characters that may wrap the real start of a sentence: quotes, brackets
@@ -234,6 +246,7 @@ def _is_finite_verb(sentence: AnnotatedSentence, index: int) -> bool:
 class _ClauseCounts(NamedTuple):
     """Counts three rules share; detect_all takes them once per sentence."""
 
+    # the rules ask for none, one, or two and more: the count stops at 2
     finite_verbs: int
     conjuncts: int
 
@@ -243,6 +256,8 @@ def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
     for index, category in enumerate(sentence.categories, start=1):
         if category is _VERB and _is_finite_verb(sentence, index):
             finite_verbs += 1
+            if finite_verbs == 2:
+                break
     return _ClauseCounts(finite_verbs, sentence.relations.count(_CONJUNCT))
 
 
@@ -408,34 +423,46 @@ def count_antecedent_candidates(
 _SOM_RELATIONS = (Relation.RELATIVE_CLAUSE_MARKER, Relation.SUBORDINATOR)
 
 
-class _TreePasses(NamedTuple):
-    """Answers for every token of a sentence."""
+def _verb_above(sentence: AnnotatedSentence, index: int, memo: dict[int, int]) -> int:
+    """The nearest verb above the token, by index, or 0 for none.
 
-    # the nearest verb above each token, by index, or 0 for none
-    verb_above: list[int]
-    # whether each token's subtree, the token excluded, holds a som-relative
-    som_below: list[bool]
-
-
-def _tree_passes(sentence: AnnotatedSentence) -> _TreePasses:
-    """One top-down and one bottom-up pass over the tree, in the order
-    the reader's tree check left in ``sentence.order``."""
+    The walk up the heads stops at a token in ``memo``, which holds the
+    answers of earlier walks in the same sentence, and leaves its own
+    answer there for every token it passed: no verb lies between them and
+    the verb it found.  The walks of one sentence so read each head at
+    most once between them.
+    """
     heads, categories = sentence.heads, sentence.categories
-    lemmas, relations = sentence.lower_lemmas, sentence.relations
-    verb_above = [0] * (len(heads) + 1)
-    for index in sentence.order:
+    passed = []
+    while index not in memo:
+        passed.append(index)
         head = heads[index - 1]
-        if head:
-            verb_above[index] = (
-                head if categories[head - 1] is _VERB else verb_above[head]
-            )
-    som_below = [False] * (len(heads) + 1)
-    for index in reversed(sentence.order):
-        if som_below[index] or (
-            lemmas[index - 1] == "som" and relations[index - 1] in _SOM_RELATIONS
-        ):
-            som_below[heads[index - 1]] = True
-    return _TreePasses(verb_above, som_below)
+        if not head or categories[head - 1] is _VERB:
+            verb = head
+            break
+        index = head
+    else:
+        verb = memo[index]
+    for token in passed:
+        memo[token] = verb
+    return verb
+
+
+def _som_below(sentence: AnnotatedSentence) -> set[int]:
+    """The tokens whose subtree, the token excluded, holds a som-relative.
+
+    One walk up the heads from each som-relative, which stops at a token
+    an earlier walk collected: the tokens above it are collected too.
+    """
+    heads, relations, lemmas = sentence.heads, sentence.relations, sentence.lower_lemmas
+    below: set[int] = set()
+    for index, lemma in enumerate(lemmas, start=1):
+        if lemma == "som" and relations[index - 1] in _SOM_RELATIONS:
+            head = heads[index - 1]
+            while head and head not in below:
+                below.add(head)
+                head = heads[head - 1]
+    return below
 
 
 def detect_pronominal_anaphora(
@@ -450,9 +477,12 @@ def detect_pronominal_anaphora(
     subtree.  The weight halves when the sentence itself offers antecedent
     candidates, since the reference may then be resolvable in place.
 
-    When a pronoun needs the verb above it or a som-relative below it,
-    both are answered for every token at once, by one pass down and one
-    up the tree.  The candidates are counted as
+    The tree is read only for the questions a pronoun asks.  The tokens
+    with a som-relative below them are collected when a pronoun first asks,
+    by walks up from each som-relative.  A ``det`` in a sentence with a
+    weather verb asks for the verb above it, by a walk up its head chain
+    that stops where an earlier walk went, so the walks read each head at
+    most once between them.  The candidates are counted as
     count_antecedent_candidates counts them, from running tallies: the
     tokens left of each reported pronoun are tallied once, carried on from
     the previous one, so the count costs one pass over the sentence, not
@@ -465,7 +495,8 @@ def detect_pronominal_anaphora(
     # the exemptions that look along the tree need a weather verb or a som
     weather = not lexicons.weather_verbs.isdisjoint(lemmas)
     som = "som" in lemmas
-    passes: Optional[_TreePasses] = None
+    verbs_above: dict[int, int] = {}  # the walks' answers, by token
+    som_below: Optional[set[int]] = None
     # nouns and proper nouns tallied so far, by (gender, number): the
     # features of one of them, which stands for the others in the
     # compatibility test, and how many there are
@@ -480,16 +511,17 @@ def detect_pronominal_anaphora(
             continue
         if relations[index - 1] is _EXPLETIVE:
             continue
-        if passes is None and (som or weather and lemma == "det"):
-            passes = _tree_passes(sentence)
         if lemma == "det" and weather:
-            verb = passes.verb_above[index]
+            verb = _verb_above(sentence, index, verbs_above)
             if verb and lemmas[verb - 1] in lexicons.weather_verbs:
                 continue
-        if som and (
-            (index < len(lemmas) and lemmas[index] == "som") or passes.som_below[index]
-        ):
-            continue
+        if som:
+            if index < len(lemmas) and lemmas[index] == "som":
+                continue
+            if som_below is None:
+                som_below = _som_below(sentence)
+            if index in som_below:
+                continue
         for left in range(tallied + 1, index):
             category = categories[left - 1]
             if category is _NOUN or category is _PROPER_NOUN:

@@ -338,7 +338,7 @@ class TestConfigFlag:
             capsys, "--mode", *mode, "--input", corpus_path, "--config", str(conf)
         )
         assert (code, out) == (2, "")
-        assert err == "error: weight for PNAnaphora is too large for a float\n"
+        assert err == f"error: {conf}: line 1: weight for PNAnaphora is too large for a float\n"
 
     @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
     def test_weight_too_small_for_a_float(self, capsys, corpus_path, tmp_path, mode):
@@ -350,7 +350,7 @@ class TestConfigFlag:
             capsys, "--mode", *mode, "--input", corpus_path, "--config", str(conf)
         )
         assert (code, out) == (2, "")
-        assert err == "error: weight for PNAnaphora is too small for a float\n"
+        assert err == f"error: {conf}: line 1: weight for PNAnaphora is too small for a float\n"
 
     @pytest.mark.parametrize(
         "value, message",
@@ -370,7 +370,9 @@ class TestConfigFlag:
         code, out, err = run_cli(
             capsys, "--mode", "assess", "--input", corpus_path, "--config", str(conf)
         )
-        assert (code, out, err) == (2, "", f"error: weight for PNAnaphora {message}\n")
+        assert (code, out, err) == (
+            2, "", f"error: {conf}: line 1: weight for PNAnaphora {message}\n"
+        )
 
     @pytest.mark.parametrize("mode", [["assess"], ["rank", "--format", "tsv"]])
     def test_score_too_large_for_a_float(self, capsys, corpus_path, tmp_path, mode):
@@ -454,7 +456,7 @@ class TestConfigFlag:
             "--mode", "assess", "--input", corpus_path, "--config", str(conf),
         )
         assert code == 2
-        assert err == f"error: lexicon directory {missing} does not exist\n"
+        assert err == f"error: {conf}: line 1: lexicon directory {missing} does not exist\n"
 
     def test_unknown_key(self, capsys, corpus_path, tmp_path):
         conf = tmp_path / "solosent.conf"
@@ -1313,7 +1315,7 @@ class TestFetch:
             f.write("fetch.pages = -2\n")
         code, out, err = run_cli(capsys, "--mode", "fetch", "--config", conf)
         assert (code, out) == (2, "")
-        assert err == "error: fetch.pages must be >= 0, got -2\n"
+        assert err == f"error: {conf}: line 5: fetch.pages must be >= 0, got -2\n"
         assert transport.urls == []
 
     @pytest.mark.parametrize("pages", ["0", "1"])
@@ -1343,7 +1345,8 @@ class TestFetch:
         conf = tmp_path / "korp.conf"
         conf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
         code, out, err = run_cli(capsys, "--mode", "fetch", "--config", str(conf))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        line = list(settings).index(key) + 1
+        assert (code, out, err) == (2, "", f"error: {conf}: line {line}: {message}\n")
         assert transport.urls == []
 
     def test_malformed_endpoint_in_the_environment(self, capsys, monkeypatch, tmp_path):
@@ -1356,6 +1359,38 @@ class TestFetch:
             "error: endpoint 'http://127.0.0.1:abc/' is not a valid URL "
             "(Port could not be cast to integer value as 'abc')\n"
         )
+        assert transport.urls == []
+
+    @pytest.mark.parametrize("source", ["config", "environment"])
+    @pytest.mark.parametrize(
+        "endpoint, reason",
+        [
+            ("http://", "no host"),
+            ("http://:80/", "no host"),
+            ("http://a b/", "holds ' '"),
+            ("http://a\x7fb/", "holds '\\x7f'"),
+        ],
+    )
+    def test_endpoint_no_request_can_reach_is_a_config_error(
+        self, capsys, monkeypatch, tmp_path, source, endpoint, reason
+    ):
+        """An endpoint with no host, or with a space or a control character
+        in it, stops the run before any request; the error names the config
+        line the endpoint was read from, and no file for the environment's."""
+        transport = FakeTransport(FETCH_PAGE)
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        conf = tmp_path / "korp.conf"
+        conf.write_text("fetch.cqp = []\nfetch.corpora = SUC3\n", encoding="utf-8")
+        where = ""
+        if source == "config":
+            with open(conf, "a", encoding="utf-8") as f:
+                f.write(f"fetch.endpoint = {endpoint}\n")
+            where = f"{conf}: line 3: "
+        else:
+            monkeypatch.setenv("SOLOSENT_ENDPOINT", endpoint)
+        code, out, err = run_cli(capsys, "--mode", "fetch", "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}endpoint {endpoint!r} is not a valid URL ({reason})\n"
         assert transport.urls == []
 
     def test_wrongly_typed_hit_is_skipped(self, capsys, monkeypatch, tmp_path):

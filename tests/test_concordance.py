@@ -24,6 +24,7 @@ from solosent.concordance import (
     settings_from_mapping,
     to_sentences,
 )
+from solosent.config import read_config_file
 from solosent.conllu import ParseError, parse_conllu, serialize_conllu
 from solosent.detectors import ConfigError
 from solosent.model import Category, raw_columns
@@ -108,7 +109,15 @@ class TestBuildRequest:
             build_request(query, "korp.example.org/api")
 
     @pytest.mark.parametrize(
-        "endpoint", ["http://[::1", "http://h:abc/", "http://h:-1/", "http://h:65536/"]
+        "endpoint",
+        [
+            "http://[::1", "http://h:abc/", "http://h:-1/", "http://h:65536/",
+            # no host
+            "http://", "http://:80/", "https://@/", "http:///korp",
+            # a space or a control character, which urlsplit keeps or drops
+            "http://a b/", "http://h/a b", "http://h/\tx", "http://h\n/", "http://h/\x00",
+            "http://h/\u2028",
+        ],
     )
     def test_malformed_endpoint_rejected(self, endpoint):
         query = ConcordanceQuery(query_expression="[word]", corpora=("SUC3",))
@@ -687,6 +696,38 @@ class TestSettings:
         with pytest.raises(ConfigError) as info:
             settings_from_mapping(mapping, {})
         assert str(info.value) == message
+
+    def test_errors_name_the_config_file(self, tmp_path):
+        """A value read from a file is refused at its line, and a missing
+        key names the file; the environment's endpoint names no file."""
+        path = tmp_path / "korp.conf"
+
+        def refused(text, environment=None):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError) as info:
+                settings_from_mapping(read_config_file(path), environment or {})
+            return str(info.value)
+
+        keys = "fetch.cqp = []\nfetch.corpora = SUC3\n"
+        assert refused(keys + "fetch.endpoint = http://\n") == (
+            f"{path}: line 3: endpoint 'http://' is not a valid URL (no host)"
+        )
+        assert refused(keys, {"SOLOSENT_ENDPOINT": "http://"}) == (
+            "endpoint 'http://' is not a valid URL (no host)"
+        )
+        endpoint = f"fetch.endpoint = {ENDPOINT}\n"
+        assert refused(endpoint + keys + "fetch.pages = two\n") == (
+            f"{path}: line 4: fetch.pages must be an integer, got 'two'"
+        )
+        assert refused(endpoint + keys + "fetch.pages = -1\n") == (
+            f"{path}: line 4: fetch.pages must be >= 0, got -1"
+        )
+        assert refused(keys + endpoint + "fetch.page_size = 0\n") == (
+            f"{path}: line 4: page_size must be between 1 and 1000, got 0"
+        )
+        assert refused(endpoint + "fetch.corpora = SUC3\n") == (
+            f"{path}: fetch mode needs fetch.cqp in the config file"
+        )
 
     def test_bad_integer_rejected(self):
         mapping = dict(self.FULL, **{"fetch.pages": "three"})

@@ -131,3 +131,34 @@ class TestDetectorConfigFromMapping:
     def test_reserved_theme_enable_rejected(self):
         with pytest.raises(ConfigError, match="CDPC"):
             detector_config_from_mapping({"enable.CDPC": "true"})
+
+
+class TestErrorsNameTheFile:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("weight.PNAnaphora = abc",
+             "config key 'weight.PNAnaphora': expected a rational number, got 'abc'"),
+            ("weight.PNAnaphora = 1e400", "weight for PNAnaphora is too large for a float"),
+            ("enable.IncompSent = maybe",
+             "config key 'enable.IncompSent': expected true/false, got 'maybe'"),
+            ("enable.CDPC = yes", "theme CDPC is a reserved identifier"),
+            ("wieght.PNAnaphora = 2", "unknown config key 'wieght.PNAnaphora'"),
+        ],
+    )
+    def test_value_error_names_the_file_and_the_line(self, tmp_path, line, message):
+        path = tmp_path / "x.conf"
+        path.write_text(f"profile = ud\n# weights\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            detector_config_from_mapping(read_config_file(path))
+        assert str(info.value).startswith(f"{path}: line 3: {message}")
+        # the same pairs, not read from a file, name no file
+        with pytest.raises(ConfigError) as info:
+            detector_config_from_mapping(dict(read_config_file(path)))
+        assert str(info.value).startswith(message)
+
+    def test_file_keeps_each_key_line(self, tmp_path):
+        path = tmp_path / "x.conf"
+        path.write_text("\n# c\nprofile = ud\n\nlexicons = l\n", encoding="utf-8")
+        mapping = read_config_file(path)
+        assert (mapping.path, mapping.lines) == (path, {"profile": 3, "lexicons": 5})

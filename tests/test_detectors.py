@@ -1054,17 +1054,37 @@ def _som_below_by_walk(s, index):
 @given(
     _trees(deprels=st.sampled_from([*_DEPRELS, "ROOT", "UK", "mark"])),
     st.sampled_from([SUC, UD]),
+    st.data(),
 )
-def test_tree_passes_answer_as_the_walks_do(tokens, profile):
-    """The passes answer the two tree questions as walks over the public
-    queries do."""
-    from solosent import detectors
-
+def test_tree_walks_answer_as_the_public_walks_do(tokens, profile, data):
+    """The walks up the heads answer the two tree questions as walks over
+    the public queries do, every token asked in any order, with one memo
+    shared by the whole sentence."""
     s = apply_profile(Sentence(id="h", tokens=tokens), profile)
-    passes = detectors._tree_passes(s)
-    for index in range(1, len(tokens) + 1):
-        assert passes.verb_above[index] == _verb_above_by_walk(s, index)
-        assert passes.som_below[index] == _som_below_by_walk(s, index)
+    som_below = detectors._som_below(s)
+    verbs_above = {}
+    for index in data.draw(st.permutations(range(1, len(tokens) + 1))):
+        assert detectors._verb_above(s, index, verbs_above) == _verb_above_by_walk(s, index)
+        assert (index in som_below) == _som_below_by_walk(s, index)
+
+
+# verbs, finite and not, three times as often as in _WORDS
+_VERB_HEAVY_WORDS = _WORDS + [word for word in _WORDS if word[2] == "VB"] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(words=st.sampled_from(_VERB_HEAVY_WORDS)), st.sampled_from([SUC, UD]))
+def test_clause_counts_stop_at_two_finite_verbs(tokens, profile):
+    """The finite verbs are counted up to two, all the rules ask about;
+    the conjuncts are all counted."""
+    s = apply_profile(Sentence(id="c", tokens=tokens), profile)
+    finite = sum(
+        category is Category.VERB and detectors._is_finite_verb(s, index)
+        for index, category in enumerate(s.categories, start=1)
+    )
+    counts = detectors._clause_counts(s)
+    assert counts.finite_verbs == min(2, finite)
+    assert counts.conjuncts == s.relations.count(Relation.CONJUNCT)
 
 
 _ANTECEDENT_WORDS = [
@@ -1200,6 +1220,26 @@ def _chain_tree_rows(size):
     return "\n".join(rows)
 
 
+def _som_chain_tree_rows(size):
+    """A weather-verb root, then det and den in turn, each heading the
+    next, with a som-relative hanging off the chain at every index that is
+    a multiple of 4 in the sentence's middle half: the walks up from the
+    som-relatives overlap, and only the pronouns below the last of them
+    have none below."""
+    rows = ["Regnar regna VB PRS|AKT 0 ROOT"]
+    chain = 1  # the last token of the chain so far
+    while len(rows) < size - 1:
+        index = len(rows) + 1
+        if size // 4 < index <= 3 * size // 4 and index % 4 == 0:
+            rows.append(f"som som HP _ {chain} UK")
+            continue
+        word = "det det PN NEU|SIN|DEF" if index % 2 else "den den PN UTR|SIN|DEF"
+        rows.append(f"{word} {chain} SS")
+        chain = index
+    rows.append(". . MAD _ 1 IP")
+    return "\n".join(rows)
+
+
 class _CountingDict(dict):
     """A dependents index that counts the lookups made in it."""
 
@@ -1272,6 +1312,16 @@ class TestWorkPerSentence:
         assert (work["index"], work["init"]) == (1, 0), sentence.id
         assert work["compatible"] <= len(sentence), sentence.id
 
+    def count_tree_reads(self, annotated, lex):
+        """The assessment, and the reads of the heads column and the index
+        lookups it made, counted."""
+        visits = Counter()
+        annotated.__dict__["dependents"] = _CountingDict(annotated.dependents, visits)
+        heads = annotated.__dict__["heads"] = _CountingTuple(annotated.heads)
+        heads.counts = visits
+        assessment = detect_all(annotated, lex)
+        return assessment, visits
+
     def test_flat_160_token_tree(self, work, lex):
         sentence = parse_one(_flat_tree_rows(160), "flat160")
         assert len(sentence) == 160
@@ -1298,18 +1348,49 @@ class TestWorkPerSentence:
         sentence = parse_one(_chain_tree_rows(size), f"chain{size}")
         assert len(sentence) == size
         self.assert_one_pass(work, sentence, lex)
-        annotated = apply_profile(sentence, SUC)
-        visits = Counter()
-        annotated.__dict__["dependents"] = _CountingDict(annotated.dependents, visits)
-        heads = annotated.__dict__["heads"] = _CountingTuple(annotated.heads)
-        heads.counts = visits
-        assessment = detect_all(annotated, lex)
+        assessment, visits = self.count_tree_reads(apply_profile(sentence, SUC), lex)
         assert 0 < visits["heads"] and visits["heads"] + visits["lookups"] <= 4 * size
         # det under the weather verb is exempt; den is not, and has no
         # antecedent candidate to its left
         fired = [d for d in assessment.detections if d.theme is Theme.PRONOMINAL_ANAPHORA]
         assert [d.token_indices for d in fired] == [(i,) for i in range(3, size - 2, 2)]
         assert all(d.weight == ONE for d in fired)
+
+    @pytest.mark.parametrize("size", [10, 40, 160, 640])
+    def test_overlapping_som_walks_visit_each_node_a_bounded_number_of_times(
+        self, work, lex, size
+    ):
+        sentence = parse_one(_som_chain_tree_rows(size), f"somchain{size}")
+        assert len(sentence) == size
+        self.assert_one_pass(work, sentence, lex)
+        assessment, visits = self.count_tree_reads(apply_profile(sentence, SUC), lex)
+        assert 0 < visits["heads"] and visits["heads"] + visits["lookups"] <= 4 * size
+        # every det is under the weather verb; a den fires only below the
+        # last som-relative's head, where no som-relative is below it
+        last_som = 3 * size // 4 // 4 * 4
+        fired = [d for d in assessment.detections if d.theme is Theme.PRONOMINAL_ANAPHORA]
+        assert [d.token_indices for d in fired] == [
+            (i,) for i in range(last_som + 2, size, 2)
+        ]
+        assert all(d.weight == ONE for d in fired)
+
+    def test_finite_verbs_are_counted_up_to_the_second(self, work, lex):
+        sentence = parse_one(
+            "\n".join([
+                "Anna Anna PM _ 2 SS",
+                "sover sova VB PRS|AKT 0 ROOT",
+                *(f"{verb} 2 CJ" for verb in [
+                    "springer springa VB PRS|AKT", "regnar regna VB PRS|AKT",
+                    "kan kunna VB PRS|AKT", "ser se VB PRT|AKT",
+                ]),
+                ". . MAD _ 2 IP",
+            ]),
+            "five",
+        )
+        self.assert_one_pass(work, sentence, lex)
+        assert max(work["finite"]) == 3
+        annotated = apply_profile(sentence, SUC)
+        assert all(detectors._is_finite_verb(annotated, index) for index in range(2, 7))
 
 
 _ENUM_CLASSES = {"Category", "Relation", "VerbForm", "Gender", "Number", "Theme"}

@@ -354,7 +354,7 @@ class TestOpenRule:
         corpus = FIXTURES.joinpath("sv_examples.conllu")
         assert run_cli(
             capsys, "--mode", "assess", "--input", corpus, "--config", conf
-        ) == (2, "", f"error: {message}\n")
+        ) == (2, "", f"error: {conf}: line 1: {message}\n")
 
     @needs_unreadable
     @pytest.mark.parametrize("kind", KINDS)
@@ -509,7 +509,8 @@ def _drawn(kind):
 def test_any_file_ends_in_one_error_line_or_none(kind, data):
     """Whatever bytes one file holds, the others valid, the CLI exits 0, 1
     or 2; stderr holds only ``error:`` and ``warning:`` lines, and an error
-    exit prints exactly one ``error:`` line."""
+    exit prints exactly one ``error:`` line.  An error in a config file,
+    in its lines or in a value read from them, names the file."""
     corpus = str(FIXTURES.joinpath("sv_examples.conllu"))
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, kind)
@@ -534,3 +535,6 @@ def test_any_file_ends_in_one_error_line_or_none(kind, data):
     assert last == "" and "Traceback" not in err.getvalue()
     assert all(line.startswith(("error:", "warning:")) for line in lines)
     assert sum(line.startswith("error:") for line in lines) == (code != 0)
+    if kind == "config" and code:
+        (error,) = (line for line in lines if line.startswith("error:"))
+        assert error.startswith(f"error: {path}: ")
