@@ -19,7 +19,9 @@ compatibility and changes nothing.
 Every file flag takes any readable path (a file, a FIFO, /dev/fd/N), and
 --input - reads stdin.  An empty --config, --profile, --lexicons or
 --output is a configuration problem, not the default.  With stderr
-closed, warnings and errors are dropped.  An --output file is replaced
+closed, warnings and errors are dropped; with stdout closed, a run that
+would write there is the input problem ``stdout: not open``, and one
+with --output runs as usual.  An --output file is replaced
 only when the run succeeds; on stdout, a run that fails leaves what it
 wrote before the error.  A write that fails is an input problem that
 names --output or stdout.
@@ -342,9 +344,13 @@ def _open_output(path: Optional[str]) -> Iterator[_Output]:
     A path that cannot be opened raises ``InputError("<path>: no such
     directory")``, ``"<path>: is a directory"`` or ``"<path>: cannot open
     (<reason>)"``, and one that cannot be written ``"<path>: cannot write
-    (<reason>)"``, or ``"stdout: cannot write (<reason>)"``.
+    (<reason>)"``, or ``"stdout: cannot write (<reason>)"``.  With stdout
+    closed at start-up, writing there raises ``InputError("stdout: not
+    open")``.
     """
     if not path:
+        if sys.stdout is None:  # None when fd 1 was closed at start-up
+            raise InputError("stdout: not open")
         out = _Output(sys.stdout, "stdout")
         yield out
         out.flush()

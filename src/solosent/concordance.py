@@ -327,13 +327,13 @@ def normalize_hits(
             continue
         heads = tuple(map(int, heads))
         try:
-            index = validate_heads(sentence_id, heads)
+            dependents = validate_heads(sentence_id, heads)
         except StructureError as exc:
-            issues.append(IngestIssue(sentence_id, str(exc)))
+            issues.append(IngestIssue(sentence_id, exc.reason))
             continue
         if "_" in feats:
             feats = tuple(f if f != "_" else "" for f in feats)
-        columns = forms, lemmas, tags, deprels, heads, feats, *index
+        columns = forms, lemmas, tags, deprels, heads, feats, dependents
         sentences.append(Sentence._from_columns(sentence_id, SourceRef(hit.corpus), *columns))
     return sentences, issues
 

@@ -36,11 +36,11 @@ class ParseError(Exception):
 def _finish_sentence(sentence_id: str, rows: list[tuple], line_number: int) -> Sentence:
     indices, *columns = zip(*rows)
     try:
-        index = validate_heads(sentence_id, columns[4], indices)
+        dependents = validate_heads(sentence_id, columns[4], indices)
     except StructureError as exc:
         exc.line_number = line_number
         raise
-    return Sentence._from_columns(sentence_id, None, *columns, *index)
+    return Sentence._from_columns(sentence_id, None, *columns, dependents)
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:

@@ -65,6 +65,7 @@ from .model import (
     _UNSPECIFIED_GENDER,
     _UNSPECIFIED_NUMBER,
     _VERB,
+    _first_root,
     FINITE_VERB_FORMS,
     AnnotatedSentence,
     Category,
@@ -301,7 +302,7 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
 
 def _main_verb(sentence: AnnotatedSentence) -> Optional[int]:
     categories = sentence.categories
-    root = sentence.roots[0]
+    root = _first_root(sentence)
     if categories[root - 1] is _VERB:
         return root
     for index, category in enumerate(categories, start=1):
@@ -691,7 +692,7 @@ def _structural_connective(
 ) -> list[ThemeDetection]:
     detections: list[ThemeDetection] = []
     categories, forms = sentence.categories, sentence.forms
-    root = sentence.roots[0]
+    root = _first_root(sentence)
     if (
         categories[root - 1] is _CONJUNCTION
         and not _completed_pair_present(sentence, lexicons, root)

@@ -133,12 +133,14 @@ NO_FEATURES = MorphFeatures()
 class StructureError(Exception):
     """A token list does not form a well-shaped dependency graph.
 
-    A reader that knows where the sentence starts sets ``line_number``.
+    The message names the sentence; ``reason`` is the message without it,
+    for a reader whose report names the sentence already.  A reader that
+    knows where the sentence starts sets ``line_number``.
     """
 
-    def __init__(self, sentence_id: str, message: str) -> None:
-        super().__init__(f"sentence {sentence_id!r}: {message}")
-        self.sentence_id = sentence_id
+    def __init__(self, sentence_id: str, reason: str) -> None:
+        super().__init__(f"sentence {sentence_id!r}: {reason}")
+        self.sentence_id, self.reason = sentence_id, reason
         self.line_number: Optional[int] = None
 
 
@@ -189,17 +191,17 @@ class SourceRef:
 
 def validate_heads(
     sentence_id: str, heads: Sequence[int], indices: Optional[Sequence[int]] = None
-) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+) -> dict[int, tuple[int, ...]]:
     """Reject a sentence's head column when it is not a tree; return its
-    tree index, ``(dependents, order)``, when it is.
+    tree index, ``dependents``, when it is.
 
     ``heads[i - 1]`` is the head of token i.  ``dependents`` maps each head
-    to the tokens that name it, in surface order; ``order`` lists the
-    tokens top-down from 0, each after its head.  Checks, in this order,
+    to the tokens that name it, in surface order.  Checks, in this order,
     that there are tokens, that ``indices`` (the ids a reader found, when
     it passes them) run 1, 2, 3, ..., that every head is a token or 0, and
-    that ``order`` reaches every token.  A loop is reported through the
-    first token it misses, which is the first whose chain never reaches 0.
+    that a walk down ``dependents`` from 0 reaches every token.  A loop is
+    reported through the first token the walk misses, which is the first
+    whose chain never reaches 0.
     """
     n = len(heads)
     if not n:
@@ -221,14 +223,14 @@ def validate_heads(
             groups[head] = [index]
         else:
             group.append(index)
-    order = list(groups.get(0, ()))
-    for index in order:  # the loop reads what it appends
+    reached = list(groups.get(0, ()))
+    for index in reached:  # the loop reads what it appends
         if index in groups:
-            order += groups[index]
-    if len(order) < n:
-        index = min(set(range(1, n + 1)).difference(order))
+            reached += groups[index]
+    if len(reached) < n:
+        index = min(set(range(1, n + 1)).difference(reached))
         raise StructureError(sentence_id, f"cyclic head chain through token {index}")
-    return {head: tuple(group) for head, group in groups.items()}, tuple(order)
+    return {head: tuple(group) for head, group in groups.items()}
 
 
 # The raw columns, one per Token field after the index and in the same
@@ -250,13 +252,14 @@ class Sentence:
 
     The raw columns are RAW_COLUMNS, tokens indexed from 1: the token at
     index i has ``forms[i - 1]``, ``heads[i - 1]`` and so on.  Next to
-    them sits the tree index validate_heads returns, ``dependents`` and
-    ``order``.  The readers fill the fields through ``_from_columns`` and
-    build no Token; ``tokens`` is a tuple of Token views of the columns,
-    built on its first read and cached in the instance dict.  A sentence
-    constructed from Tokens derives its columns from them and keeps the
-    tuple as its ``tokens``; a token whose index is not its 1-based
-    position is refused with ValueError, so the columns hold all of it.
+    them sits the tree index validate_heads returns, ``dependents``, each
+    head's tokens in surface order.  The readers fill the fields through
+    ``_from_columns`` and build no Token; ``tokens`` is a tuple of Token
+    views of the columns, built on its first read and cached in the
+    instance dict.  A sentence constructed from Tokens derives its
+    columns from them and keeps the tuple as its ``tokens``; a token
+    whose index is not its 1-based position is refused with ValueError,
+    so the columns hold all of it.
     The heads must form a tree with at least one token, as the readers
     require: validate_heads refuses anything else with StructureError.
 
@@ -275,7 +278,6 @@ class Sentence:
     heads: tuple[int, ...]
     feats: tuple[str, ...]
     dependents: dict[int, tuple[int, ...]] = field(compare=False)
-    order: tuple[int, ...] = field(compare=False)
 
     _REPR = ("id", "tokens", "source")
 
@@ -285,10 +287,10 @@ class Sentence:
             if token.index != position:
                 raise ValueError(f"token at position {position} has index {token.index}: {token!r}")
         columns = tuple(zip(*map(row_of, tokens))) or ((),) * len(RAW_COLUMNS)
-        index = validate_heads(id, columns[4])
+        dependents = validate_heads(id, columns[4])
         # a subclass's own fields follow these, so zip stops before them
         self.__dict__.update(
-            zip(self.__dataclass_fields__, (id, source, *columns, *index)), tokens=tokens
+            zip(self.__dataclass_fields__, (id, source, *columns, dependents)), tokens=tokens
         )
 
     @classmethod
@@ -361,25 +363,26 @@ class AnnotatedSentence(Sentence):
     It is the Sentence it annotates plus the profile's name and one tuple
     per annotation, parallel to the columns: ``categories``,
     ``relations``, ``features``, ``modal_flags`` and ``lower_lemmas``
-    (each lemma lowercased).  ``roots`` holds the tokens with relation
-    root or head 0.  The raw columns and the tree index are those of the
-    Sentence, the same objects rather than copies.
+    (each lemma lowercased).  The raw columns and the tree index,
+    ``dependents``, are those of the Sentence, the same objects rather
+    than copies.  The roots, the tokens with relation root or head 0, are
+    not stored: root_tokens scans the columns for them.
 
     ``raw_tokens`` and ``tokens`` are tuples of Token and AnnotatedToken
     views of the columns, built on their first read and cached in the
     instance dict.  The tree queries answer with views; the detectors
     read the columns and the index, and never build a view.
 
-    apply_profile fills the annotations and ``roots`` in one loop.  A
-    sentence constructed from AnnotatedTokens derives the same columns
-    and index from them, so both kinds are read the same way.  Its
-    Sentence part refuses heads that are no tree, so ``roots`` is never
-    empty.
+    apply_profile fills the annotations in one loop.  A sentence
+    constructed from AnnotatedTokens derives the same columns and index
+    from them, so both kinds are read the same way.  Its Sentence part
+    refuses heads that are no tree, so some token has head 0 and there
+    is always a root.
 
     Equality and the hash add the profile name and the annotations to
     what Sentence compares, which is to say they cover the tokens;
-    ``lower_lemmas`` and ``roots`` are derived and excluded.  A sentence
-    never equals its annotated form.
+    ``lower_lemmas`` is derived and excluded.  A sentence never equals
+    its annotated form.
     """
 
     profile: str
@@ -388,7 +391,6 @@ class AnnotatedSentence(Sentence):
     features: tuple[MorphFeatures, ...]
     modal_flags: tuple[bool, ...]
     lower_lemmas: tuple[str, ...] = field(compare=False)
-    roots: tuple[int, ...] = field(compare=False)
 
     _REPR = ("id", "tokens", "profile", "source")
 
@@ -403,15 +405,10 @@ class AnnotatedSentence(Sentence):
         raw_tokens = tuple(t.token for t in tokens)
         Sentence.__init__(self, id, raw_tokens, source)
         categories, relations, features, modal_flags = zip(*map(_annotations_of, tokens))
-        roots = tuple(
-            index
-            for index, (head, relation) in enumerate(zip(self.heads, relations), start=1)
-            if head == 0 or relation is _ROOT
-        )
         self.__dict__.update(
             profile=profile, categories=categories, relations=relations, features=features,
             modal_flags=modal_flags, lower_lemmas=tuple(map(str.lower, self.lemmas)),
-            roots=roots, raw_tokens=raw_tokens, tokens=tokens,
+            raw_tokens=raw_tokens, tokens=tokens,
         )
 
     raw_tokens = cached_property(_token_views)
@@ -459,6 +456,17 @@ class AnnotatedSentence(Sentence):
         return tuple(tokens[i - 1] for i in sorted(inside))
 
     def root_tokens(self) -> tuple[AnnotatedToken, ...]:
-        """Tokens that act as the dependency root (relation root or head 0)."""
-        tokens = self.tokens
-        return tuple(tokens[i - 1] for i in self.roots)
+        """Tokens that act as the dependency root (relation root or head 0),
+        in surface order."""
+        tokens, relations = self.tokens, self.relations
+        return tuple(
+            tokens[i] for i, head in enumerate(self.heads) if head == 0 or relations[i] is _ROOT
+        )
+
+
+def _first_root(sentence: AnnotatedSentence) -> int:
+    """The index of the first of root_tokens: the first token with head 0
+    or relation root.  A tree has a token with head 0, and dependents
+    lists them in surface order."""
+    first, relations = sentence.dependents[0][0], sentence.relations
+    return min(first, relations.index(_ROOT) + 1) if _ROOT in relations else first

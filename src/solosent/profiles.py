@@ -40,7 +40,6 @@ from .model import (
     _MINOR_DELIMITER,
     _OTHER_CATEGORY,
     _OTHER_RELATION,
-    _ROOT,
     _VERB,
     AnnotatedSentence,
     Category,
@@ -307,9 +306,9 @@ def apply_profile(
     dropped for tokens whose category is not verb, so downstream rules can
     trust that pairing.
 
-    One loop over the sentence's columns fills the result's annotations
-    and ``roots``; the result shares the sentence's raw columns and the
-    tree index its reader built, and builds no Token or AnnotatedToken.
+    One loop over the sentence's columns fills the result's annotations;
+    the result shares the sentence's raw columns and the tree index its
+    reader built, ``dependents``, and builds no Token or AnnotatedToken.
     The enum members it reads are module globals bound once: on Python
     3.10 and 3.11 the enum metaclass defines __getattr__, which makes a
     read through the class (Category.VERB) about five times dearer than
@@ -318,16 +317,14 @@ def apply_profile(
     rows = profile._rows
     relation_of = profile.relation_of_deprel
     modal_lemmas = profile.modal_lemmas
-    columns = forms, lemmas, tags, deprels, heads, feats = raw_columns(sentence)
+    columns = forms, lemmas, tags, deprels, _heads, feats = raw_columns(sentence)
     categories: list[Category] = []
     relations: list[Relation] = []
     features: list[MorphFeatures] = []
     modal_flags: list[bool] = []
     lower_lemmas: list[str] = []
-    roots: list[int] = []
-    index = 0
-    for head in heads:
-        tag, feat, deprel = tags[index], feats[index], deprels[index]
+    for index, tag in enumerate(tags):
+        feat, deprel = feats[index], deprels[index]
         category, feature = rows.get((tag, feat)) or profile._row(tag, feat)
         if category is DELIMITER_BY_FORM:
             category = classify_delimiter_form(forms[index])
@@ -341,27 +338,22 @@ def apply_profile(
             if coverage is not None:
                 coverage.unknown_deprel[deprel] += 1
         lemma = lemmas[index].lower()
-        index += 1  # from here on, the token's 1-based index
         categories.append(category)
         relations.append(relation)
         features.append(feature)
         modal_flags.append(category is _VERB and lemma in modal_lemmas)
         lower_lemmas.append(lemma)
-        if head == 0 or relation is _ROOT:
-            roots.append(index)
     return AnnotatedSentence._from_columns(
         sentence.id,
         sentence.source,
         *columns,
         sentence.dependents,
-        sentence.order,
         profile.name,
         tuple(categories),
         tuple(relations),
         tuple(features),
         tuple(modal_flags),
         tuple(lower_lemmas),
-        tuple(roots),
     )
 
 

@@ -846,12 +846,12 @@ class TestFailedWriteNamesItsTarget:
         assert [p.name for p in directory.iterdir()] == ["out.jsonl"]
 
 
-def _run_with_closed_fd(redirect, *argv):
+def _run_with_closed_fd(redirect, *argv, env=None):
     """Run the CLI in a shell that closes one of its streams, e.g. ``<&-``."""
     return subprocess.run(
         ["sh", "-c", f'exec "$@" {redirect}', "sh",
          sys.executable, "-m", "solosent", *map(str, argv)],
-        stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+        stdin=subprocess.DEVNULL, capture_output=True, timeout=120, env=env,
     )
 
 
@@ -860,6 +860,42 @@ class TestClosedStdin:
         completed = _run_with_closed_fd("<&-", "--mode", "assess", "--input", "-")
         assert completed.returncode == 1
         assert (completed.stdout, completed.stderr) == (b"", b"error: stdin: not open\n")
+
+
+class TestClosedStdoutAtStart:
+    """With stdout closed at start-up, each mode that would write there
+    stops with one error line; with --output it writes the bytes it writes
+    on stdout.  (TestClosedStdout covers a pipe closed by its reader.)"""
+
+    # a DIGESTS row of each mode
+    ROWS = ["fixture-jsonl", "fixture-filter", "fixture-rank-tsv", "fixture-eval", "fetch-pages"]
+
+    @staticmethod
+    def run(digest_inputs, name, *extra):
+        paths, endpoints = digest_inputs
+        case = DIGESTS[name]
+        env = dict(os.environ)
+        if case.served:
+            env["SOLOSENT_ENDPOINT"] = endpoints[case.served]
+        argv = [arg.format_map(paths) for arg in case.argv]
+        return case, _run_with_closed_fd(">&-", *argv, *extra, env=env)
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_is_one_line_input_error(self, digest_inputs, name):
+        _, completed = self.run(digest_inputs, name)
+        assert completed.returncode == 1
+        assert (completed.stdout, completed.stderr) == (b"", b"error: stdout: not open\n")
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_output_file_is_written(self, digest_inputs, tmp_path, name):
+        target = tmp_path / "out"
+        case, completed = self.run(digest_inputs, name, "--output", target)
+        assert completed.returncode == 0, completed.stderr
+        digests = (
+            _sha256(target.read_bytes()),
+            _sha256(completed.stderr) if completed.stderr else None,
+        )
+        assert digests == (case.stdout, case.stderr)
 
 
 class TestClosedStderr:
@@ -1057,13 +1093,13 @@ DIGESTS = {
     "fetch-pages": Case(
         (*FETCH, "{pages_conf}"),
         "2e38c7939786e1be29ca511ae9f201af3fcb1e6d5f1a738983d304e34977b829",
-        "1a2f6d6a5aa2c402a30f2a6d196cf21082f7277e99e5fb58de4cd17d93ab6399",
+        "4f91779502850142ee1c112b2e0d4c3cfd0b71f878d1822282f558957b77f8fa",
         served="fetch_digest_pages",
     ),
     "fetch-korp": Case(
         (*FETCH, "{korp_conf}"),
         "f7316c457a9c54b7ee7a68be51689176fc51bc72eefb4f86394c1adf81ff69fc",
-        "e0129dede0b48b7205df53fca95b2f8cd61fc64dfcb4e5f8a778462b3f9028fb",
+        "07366fbaa8cc54104a2ab4678cf828174375a00b6c47d327b25617ebd34baa75",
         served="korp_pages",
     ),
 }

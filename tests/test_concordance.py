@@ -480,11 +480,11 @@ class TestToSentences:
         ([("", "0")], "token 1 has an empty form"),
         ([("a", "0"), ("", "2")], "token 2 may not head itself"),
         ([("", "0"), ("b", "2")], "token 1 has an empty form"),
-        ([("a", "0"), ("b", "7")], "sentence 'SUC3:5': token 2 has head 7 outside the sentence"),
+        ([("a", "0"), ("b", "7")], "token 2 has head 7 outside the sentence"),
         ([("a", "2"), ("b", "1"), ("c", "9")],
-         "sentence 'SUC3:5': token 3 has head 9 outside the sentence"),
-        ([("a", "0"), ("b", "3"), ("c", "2")], "sentence 'SUC3:5': cyclic head chain through token 2"),
-        ([], "sentence 'SUC3:5': no tokens"),
+         "token 3 has head 9 outside the sentence"),
+        ([("a", "0"), ("b", "3"), ("c", "2")], "cyclic head chain through token 2"),
+        ([], "no tokens"),
         # a head with more digits than int() converts, in its row's turn
         *(pytest.param(rows, message, marks=needs_int_digit_limit) for rows, message in [
             ([("a", "0"), ("b", LONG_DIGITS)], int_error(LONG_DIGITS)),

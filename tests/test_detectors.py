@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import SUC, UD, annotate, parse_one
-from solosent import detectors, profiles
+from solosent import detectors, model, profiles
 from solosent.assessment import Assessment
 from solosent.conllu import parse_conllu
 from solosent.detectors import (
@@ -961,7 +961,7 @@ def test_detect_all_equals_the_public_detectors(lex, tokens, profile, enabled, f
 
 _COLUMNS = (
     *RAW_COLUMNS, "raw_tokens", "categories", "relations", "features", "modal_flags",
-    "lower_lemmas", "dependents", "order", "roots",
+    "lower_lemmas", "dependents",
 )
 
 
@@ -975,7 +975,7 @@ def test_applied_sentence_equals_one_hand_built_from_its_views(lex, tokens, prof
     built = apply_profile(raw, profile)
     for column in RAW_COLUMNS:
         assert getattr(built, column) is getattr(raw, column), column
-    assert built.dependents is raw.dependents and built.order is raw.order
+    assert built.dependents is raw.dependents
     assert built.raw_tokens == raw.tokens
     hand = AnnotatedSentence(
         id=built.id, tokens=built.tokens, profile=built.profile, source=built.source
@@ -1267,13 +1267,12 @@ class _CountingTuple(tuple):
 class TestWorkPerSentence:
     """One apply_profile + detect_all asks the finite-verb test at most once
     per token, builds the annotated sentence exactly once, inside
-    apply_profile, which shares the tree index the reader built, and
-    tests antecedent features at most once per token, whatever its size."""
+    apply_profile, which shares the tree index the reader built,
+    ``dependents``, and tests antecedent features at most once per token,
+    whatever its size."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        from solosent import detectors, model
-
         counts = {"finite": Counter(), "index": 0, "init": 0, "compatible": 0}
         is_finite = detectors._is_finite_verb
         from_columns = model.AnnotatedSentence._from_columns.__func__
@@ -1405,10 +1404,11 @@ def _with_nested(code):
 
 
 def test_per_sentence_code_reads_no_enum_class():
-    """The rules, apply_profile, classify_delimiter_form and the roots of
-    AnnotatedSentence read enum members bound once at import: on Python
-    3.10 and 3.11 each read through the class (Category.VERB) pays the
-    enum metaclass's __getattr__, and these run per token."""
+    """The rules, apply_profile, classify_delimiter_form, AnnotatedSentence's
+    constructor and _first_root, the root the rules read, use enum members
+    bound once at import: on Python 3.10 and 3.11 each read through the
+    class (Category.VERB) pays the enum metaclass's __getattr__, and these
+    run per token."""
     module = compile(inspect.getsource(detectors), detectors.__file__, "exec")
     # every function, method, lambda and generator of the module but
     # DetectorConfig.__post_init__, which runs once per config; class
@@ -1425,6 +1425,7 @@ def test_per_sentence_code_reads_no_enum_class():
         profiles.apply_profile,
         profiles.classify_delimiter_form,
         AnnotatedSentence.__init__,
+        model._first_root,
     ):
         functions.extend(_with_nested(function.__code__))
     reads = {

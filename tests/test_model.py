@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import SUC, annotate, parse_one
+from helpers import SUC, UD, annotate, parse_one
 from solosent.conllu import parse_conllu
 from solosent.model import (
     NO_FEATURES,
@@ -20,6 +20,7 @@ from solosent.model import (
     SourceRef,
     StructureError,
     Token,
+    _first_root,
     validate_heads,
 )
 from solosent.profiles import apply_profile
@@ -177,9 +178,7 @@ class TestValidateTokens:
     """validate_heads on token tuples, as a reader hands it ids and heads."""
 
     def test_accepts_simple_tree(self):
-        assert _validate("ok", (tok(1, 2), tok(2, 0), tok(3, 2))) == (
-            {2: (1, 3), 0: (2,)}, (2, 1, 3)
-        )
+        assert _validate("ok", (tok(1, 2), tok(2, 0), tok(3, 2))) == {2: (1, 3), 0: (2,)}
 
     def test_rejects_empty(self):
         with pytest.raises(StructureError):
@@ -276,7 +275,7 @@ class TestSentenceContract:
         assert s.tags == ("PN", "VB") and s.deprels == ("SS", "ROOT")
         assert s.heads == (2, 0) and s.feats == ("UTR|SIN|DEF", "")
         assert s.tokens is self.TOKENS
-        assert s.dependents == {2: (1,), 0: (2,)} and s.order == (2, 1)
+        assert s.dependents == {2: (1,), 0: (2,)}
 
     def test_repr(self):
         s = Sentence(id="s", tokens=[Token(1, "kom", "komma", "VB", "ROOT", 0)],
@@ -294,7 +293,8 @@ class TestSentenceContract:
 
     @pytest.mark.parametrize(
         "name",
-        ["id", "tokens", "forms", "heads", "source", "order", "profile", "roots", "raw_tokens"],
+        ["id", "tokens", "forms", "heads", "source", "dependents", "profile", "lower_lemmas",
+         "raw_tokens"],
     )
     def test_is_frozen(self, name):
         """Fields and cached views refuse assignment and deletion in both
@@ -321,7 +321,7 @@ class TestSentenceContract:
             twin = duplicate(s)
             assert type(twin) is type(s)
             assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
-            assert (twin.source, twin.dependents, twin.order) == (s.source, s.dependents, s.order)
+            assert (twin.source, twin.dependents) == (s.source, s.dependents)
 
     def test_an_annotated_sentence_is_a_sentence(self):
         s, annotated = self.both()
@@ -336,10 +336,10 @@ class TestSentenceContract:
         columns and the annotations, and neither ``source`` nor what is
         derived from the columns."""
         raw = ["id", "source", "forms", "lemmas", "tags", "deprels", "heads", "feats",
-               "dependents", "order"]
+               "dependents"]
         annotations = ["profile", "categories", "relations", "features", "modal_flags",
-                       "lower_lemmas", "roots"]
-        left_out = {"source", "dependents", "order", "lower_lemmas", "roots"}
+                       "lower_lemmas"]
+        left_out = {"source", "dependents", "lower_lemmas"}
         for cls, names in ((Sentence, raw), (AnnotatedSentence, raw + annotations)):
             fields = dataclasses.fields(cls)
             assert [f.name for f in fields] == names
@@ -555,6 +555,22 @@ def test_tree_queries_match_a_scan_in_any_order(case):
     assert hash(forward) == hash(s)
 
 
+@given(_hand_built_sentences())
+def test_first_root_is_the_first_of_root_tokens(s):
+    """The rules' root, read from ``dependents`` and ``relations``, is the
+    first token root_tokens finds by its scan, whichever comes first of
+    head 0 and relation root."""
+    assert _first_root(s) == s.root_tokens()[0].index
+
+
+def test_first_root_on_the_bundled_fixtures(fixture_text, ud_fixture_text):
+    for text, profile in ((fixture_text, SUC), (ud_fixture_text, UD)):
+        sentences = [apply_profile(s, profile) for s in parse_conllu(text)]
+        assert sentences
+        for s in sentences:
+            assert _first_root(s) == s.root_tokens()[0].index, s.id
+
+
 # --- validate_heads against the walk it replaced --------------------------
 
 
@@ -623,21 +639,14 @@ def _outcome(check, tokens):
 @given(_head_lists())
 def test_validate_tokens_matches_the_full_walk(tokens):
     """validate_heads refuses what the full walk refuses, with its message;
-    on a tree it returns the heads grouped by a scan and an order that
-    puts every token after its head."""
+    on a tree it returns the heads grouped by a scan."""
     assert _outcome(_validate, tokens) == _outcome(_validate_by_walk, tokens)
     if _outcome(_validate_by_walk, tokens) is None:
-        dependents, order = _validate("h", tokens)
         heads = [t.head for t in tokens]
-        assert dependents == {
+        assert _validate("h", tokens) == {
             head: tuple(i for i, h in enumerate(heads, start=1) if h == head)
             for head in set(heads)
         }
-        n = len(tokens)
-        assert sorted(order) == list(range(1, n + 1))
-        position = {index: p for p, index in enumerate(order)}
-        position[0] = -1
-        assert all(position[heads[i - 1]] < position[i] for i in order)
 
 
 def _sentence_or_refusal(make):
@@ -661,7 +670,7 @@ def test_hand_built_and_read_sentences_obey_one_tree_rule(tokens):
     read = _sentence_or_refusal(lambda: next(parse_conllu(text)))
     assert built == read
     if isinstance(built, Sentence):
-        assert (built.dependents, built.order) == (read.dependents, read.order)
+        assert built.dependents == read.dependents
 
 
 def test_empty_sentence_is_refused():
