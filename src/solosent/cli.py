@@ -16,6 +16,10 @@ id -> themes entry per input sentence, and fetch writes each page's
 sentences as CoNLL-U as soon as the page arrives.  --jobs is accepted for
 compatibility and changes nothing.
 
+Each mode that assesses (assess, filter, rank and eval) opens --input and
+then --output before it reads the first sentence, so an input or output
+that cannot be opened ends the run before any sentence is assessed.
+
 Every file flag takes any readable path (a file, a FIFO, /dev/fd/N), and
 --input - reads stdin.  An empty --config, --profile, --lexicons or
 --output is a configuration problem, not the default.  With stderr
@@ -68,9 +72,13 @@ class InputError(Exception):
     """Anything wrong with the data the user pointed us at."""
 
 
-# evaluation's names, bound here on first use so that only eval mode imports
-# the module; _eval reaches them as attributes of this module, which is also
-# where the per-layer tracer (bench/tracing.py) wraps them
+class _InputContentError(Exception):
+    """A problem with the input's content, which _open_input names the input in."""
+
+
+# evaluation's names, bound here on first use so that only eval mode
+# imports the module; eval mode reaches them as attributes of this module,
+# which is also where the per-layer tracer (bench/tracing.py) wraps them
 _EVALUATION = (
     "GoldDataError",
     "evaluate",
@@ -235,27 +243,14 @@ def _warn(message: str) -> None:
     _say(f"warning: {message}")
 
 
-def _load_resources(args) -> tuple[DetectorConfig, LexiconSet, object]:
-    mapping = read_config_file(args.config) if args.config else {}
-    detector_config = detector_config_from_mapping(mapping)
-    # a profile or lexicon directory the config file names is an error at its line
-    with errors_at({} if args.profile else mapping, "profile", (ProfileError,)):
-        profile = load_profile(args.profile or detector_config.profile_name)
-    with errors_at({} if args.lexicons else mapping, "lexicons", (LexiconError,)):
-        lexicons = load_lexicon_set(args.lexicons or detector_config.lexicon_dir)
-    for warning in lexicons.warnings:
-        _warn(warning)
-    return detector_config, lexicons, profile
-
-
 @contextlib.contextmanager
 def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
     """The lines of --input, a UTF-8 file or ``-`` for stdin, without a BOM.
 
     Entering opens the input, so callers enter it before they open any
-    output.  An input that cannot be opened or decoded, a malformed row and
-    a sentence that is not a tree become an InputError naming the input
-    (and the line).
+    output.  An input that cannot be opened or decoded, a malformed row, a
+    sentence that is not a tree and an _InputContentError become an
+    InputError naming the input (and the line).
     """
     if not path:
         raise InputError("this mode needs --input")
@@ -265,7 +260,7 @@ def _open_input(path: Optional[str]) -> Iterator[Iterable[str]]:
     with open_lines(source, InputError, name) as lines:
         try:
             yield lines
-        except ParseError as exc:
+        except (ParseError, _InputContentError) as exc:
             raise InputError(f"{name}: {exc}") from None
         except StructureError as exc:
             raise InputError(f"{name}: line {exc.line_number}: {exc}") from None
@@ -392,13 +387,10 @@ def _open_output(path: Optional[str]) -> Iterator[_Output]:
         os.replace(temporary, target)
 
 
-def _fetch(args) -> int:
+def _fetch(args, mapping) -> int:
     """Fetch the configured pages and write each as CoNLL-U when it arrives."""
     from . import concordance  # only fetch mode needs it
 
-    mapping = read_config_file(args.config) if args.config else {}
-    # nothing here reads the detector keys, but a misspelt one is still an error
-    detector_config_from_mapping(mapping)
     settings = concordance.settings_from_mapping(mapping, os.environ)
     transport = concordance.UrllibTransport()
     issues = []
@@ -442,15 +434,13 @@ def _fetch(args) -> int:
     return 0
 
 
-def _eval(args, detector_config: DetectorConfig, lexicons: LexiconSet, profile) -> int:
-    """Assess the input and write one report of it against the --gold labels.
+def _eval(assessments: Iterable[Assessment], gold, fmt: str, out) -> None:
+    """Write one report of the assessments against the --gold labels.
 
-    The input is read once.  Of each sentence only its id and its theme set
-    are kept, and sentences with equal theme sets share one frozenset; the
-    theme rates are counted in the same pass.
+    Of each sentence only its id and its theme set are kept, and sentences
+    with equal theme sets share one frozenset; the theme rates are counted
+    in the same pass.
     """
-    if not args.gold:
-        raise ConfigError("eval mode needs --gold")
     this = sys.modules[__name__]  # evaluation's names resolve through __getattr__
     predictions: dict[str, frozenset] = {}
     shared: dict[frozenset, frozenset] = {}
@@ -464,47 +454,55 @@ def _eval(args, detector_config: DetectorConfig, lexicons: LexiconSet, profile) 
             predictions[a.sentence_id] = shared.setdefault(themes, themes)
             yield a
 
-    try:
-        gold = this.read_gold_file(args.gold)
-        with _open_input(args.input) as lines:
-            assessments = _assess_sentences(
-                parse_conllu(lines), profile, lexicons, detector_config
-            )
-            rates = this.theme_rates(kept(assessments))
-        # reported once the whole input is read, so a malformed row after
-        # the repeat is the error that wins
-        if duplicates:
-            name = "stdin" if args.input == "-" else args.input
-            raise InputError(f"{name}: duplicate sentence id {duplicates[0]!r}")
-        report = this.evaluate(predictions, gold)
-    except this.GoldDataError as exc:
-        raise InputError(str(exc)) from None
-    with _open_output(args.output) as out:
-        if args.format == "jsonl":
-            out.write(json.dumps(_report_record(report, rates), ensure_ascii=False))
-        else:
-            out.write(this.render_eval_table(report))
-        out.write("\n")
-    return 0
+    rates = this.theme_rates(kept(assessments))
+    # reported once the whole input is read, so a malformed row after the
+    # repeat is the error that wins
+    if duplicates:
+        raise _InputContentError(f"duplicate sentence id {duplicates[0]!r}")
+    report = this.evaluate(predictions, gold)
+    if fmt == "jsonl":
+        out.write(json.dumps(_report_record(report, rates), ensure_ascii=False))
+    else:
+        out.write(this.render_eval_table(report))
+    out.write("\n")
 
 
 def run(args) -> int:
+    mapping = read_config_file(args.config) if args.config else {}
+    # fetch reads no detector key, but a misspelt one is an error in every mode
+    detector_config = detector_config_from_mapping(mapping)
     if args.mode == "fetch":
-        return _fetch(args)
+        return _fetch(args, mapping)
 
-    detector_config, lexicons, profile = _load_resources(args)
+    # a flag wins over its config key; a profile or lexicon directory the
+    # config file names is an error at its line
+    with errors_at({} if args.profile else mapping, "profile", (ProfileError,)):
+        profile = load_profile(args.profile or mapping.get("profile", "suc-mamba"))
+    with errors_at({} if args.lexicons else mapping, "lexicons", (LexiconError,)):
+        lexicons = load_lexicon_set(args.lexicons or mapping.get("lexicons"))
+    for warning in lexicons.warnings:
+        _warn(warning)
+    gold = None
     if args.mode == "eval":
-        return _eval(args, detector_config, lexicons, profile)
+        if not args.gold:
+            raise ConfigError("eval mode needs --gold")
+        this = sys.modules[__name__]
+        try:
+            gold = this.read_gold_file(args.gold)
+        except this.GoldDataError as exc:
+            raise InputError(str(exc)) from None
 
-    with _open_input(args.input) as lines:
+    with _open_input(args.input) as lines, _open_output(args.output) as out:
         assessments = _assess_sentences(
             parse_conllu(lines), profile, lexicons, detector_config
         )
-        if args.mode == "filter":
-            assessments = (a for a in assessments if a.context_independent)
-        elif args.mode == "rank":
-            assessments = rank_assessments(assessments)
-        with _open_output(args.output) as out:
+        if args.mode == "eval":
+            _eval(assessments, gold, args.format, out)
+        else:
+            if args.mode == "filter":
+                assessments = (a for a in assessments if a.context_independent)
+            elif args.mode == "rank":
+                assessments = rank_assessments(assessments)
             _write_assessments(assessments, args.format, args.explain, out)
     return 0
 

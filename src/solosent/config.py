@@ -1,10 +1,10 @@
 """Flat key-value configuration files.
 
 One ``key = value`` pair per line, ``#`` comments, blank lines ignored.
-Detector keys: ``profile``, ``lexicons``, ``enable.<Theme>`` (true/false)
-and ``weight.<Theme>`` (a positive rational like 1, 0.5 or 1/2, with no
-``_`` between digits).  The ``fetch.*`` keys are read by the concordance
-client.  Unknown keys outside those namespaces are rejected so typos
+Detector keys: ``enable.<Theme>`` (true/false) and ``weight.<Theme>`` (a
+positive rational like 1, 0.5 or 1/2, with no ``_`` between digits).  The
+``profile`` and ``lexicons`` keys are read by the CLI, and the ``fetch.*``
+keys by the concordance client.  Unknown keys outside those namespaces are rejected so typos
 never pass silently.
 
 A value read from a file that is refused names the file and its line,
@@ -142,8 +142,9 @@ def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
     """Build a DetectorConfig from flat config keys.
 
     Themes are enabled by default; ``enable.X = false`` switches one off
-    and ``enable.CDPC = true`` is rejected.  A refused value read from a
-    file names the file and the key's line.
+    and ``enable.CDPC = true`` is rejected.  The ``profile``, ``lexicons``
+    and ``fetch.*`` keys are accepted and left to their readers.  A refused
+    value read from a file names the file and the key's line.
     """
     enabled = set(IMPLEMENTED_THEMES)
     weights: dict[Theme, Fraction] = {}
@@ -172,12 +173,7 @@ def detector_config_from_mapping(mapping: Mapping[str, str]) -> DetectorConfig:
                     f"unknown config key {key!r} (expected {', '.join(sorted(_PLAIN_KEYS))} "
                     f"or one of the namespaces {', '.join(_NAMESPACES)})"
                 )
-    return DetectorConfig(
-        enabled=frozenset(enabled),
-        weights=weights,
-        profile_name=mapping.get("profile", "suc-mamba"),
-        lexicon_dir=mapping.get("lexicons"),
-    )
+    return DetectorConfig(enabled=frozenset(enabled), weights=weights)
 
 
 __all__ = [

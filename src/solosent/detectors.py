@@ -130,12 +130,10 @@ def _default_enabled() -> frozenset[Theme]:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Which themes run, with what weights, against which resources."""
+    """Which themes run, and with what weights."""
 
     enabled: frozenset[Theme] = field(default_factory=_default_enabled)
     weights: Mapping[Theme, Fraction] = field(default_factory=dict)
-    profile_name: str = "suc-mamba"
-    lexicon_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         # any set will do; the rule plan is cached on the frozen one

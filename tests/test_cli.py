@@ -299,6 +299,44 @@ class TestEval:
         assert code == 2
         assert "--gold" in err
 
+    def test_closed_stdout_ends_the_run_before_any_sentence(self, tmp_path, gold_path):
+        """Eval opens stdout before it reads a sentence, so the unmapped-tag
+        warning it would print at the end of the input never comes."""
+        path = tmp_path / "unmapped.conllu"
+        path.write_text(
+            "1\tHon\thon\tPN\t_\t_\t2\tSS\t_\t_\n"
+            "2\tsover\tsova\tVB\t_\tPRS|AKT\t0\tROOT\t_\t_\n"
+            "3\t.\t.\tMAD\t_\t_\t2\tXA\t_\t_\n",
+            encoding="utf-8",
+        )
+        completed = _run_with_closed_fd(
+            ">&-", "--mode", "eval", "--input", path, "--gold", gold_path
+        )
+        assert completed.returncode == 1
+        assert (completed.stdout, completed.stderr) == (b"", b"error: stdout: not open\n")
+
+    def test_output_is_opened_before_the_first_sentence(
+        self, capsys, tmp_path, gold_path, fixture_text
+    ):
+        """A missing --output directory is the error, not the malformed
+        second block, as in the other modes that assess."""
+        path = tmp_path / "bad.conllu"
+        path.write_text(
+            fixture_text.split("\n\n# sent_id = t02")[0] + "\n\n1\tbad\trow\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys,
+            "--mode", "eval", "--input", str(path), "--gold", gold_path,
+            "--output", str(target),
+        )
+        assert (code, out, err) == (1, "", f"error: {target}: no such directory\n")
+        for mode in ("assess", "filter", "rank"):
+            assert run_cli(
+                capsys, "--mode", mode, "--input", str(path), "--output", str(target)
+            ) == (code, out, err)
+
     def test_missing_gold_file(self, capsys, corpus_path):
         code, _, err = run_cli(
             capsys,
@@ -419,6 +457,48 @@ class TestConfigFlag:
         assert by_id["t03"]["score"] == 1.0
         themes = {d["theme"] for d in by_id["t03"]["detections"]}
         assert themes == {"StructConn"}
+
+    def test_lexicon_directory_from_config(self, capsys, corpus_path, tmp_path):
+        """The config key reads as the flag does."""
+        empty = tmp_path / "lexicons"
+        empty.mkdir()
+        conf = tmp_path / "solosent.conf"
+        conf.write_text(f"lexicons = {empty}\n", encoding="utf-8")
+        by_key = run_cli(
+            capsys, "--mode", "assess", "--input", corpus_path, "--config", str(conf)
+        )
+        by_flag = run_cli(
+            capsys, "--mode", "assess", "--input", corpus_path, "--lexicons", str(empty)
+        )
+        assert by_key == by_flag
+        code, out, err = by_key
+        assert code == 0
+        assert "missing, using empty set" in err
+        by_id = {r["id"]: r for r in jsonl_records(out)}
+        assert by_id["t03"]["score"] == 1.0
+
+    def test_profile_flag_wins_over_the_config_key(self, capsys, corpus_path, tmp_path):
+        conf = tmp_path / "solosent.conf"
+        conf.write_text(f"profile = {tmp_path / 'missing.profile'}\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys,
+            "--mode", "assess", "--input", corpus_path, "--config", str(conf),
+            "--profile", "suc-mamba",
+        )
+        assert code == 0
+        assert len(jsonl_records(out)) == 12
+
+    def test_lexicons_flag_wins_over_the_config_key(self, capsys, corpus_path, tmp_path):
+        conf = tmp_path / "solosent.conf"
+        conf.write_text(f"lexicons = {tmp_path / 'no-such-dir'}\n", encoding="utf-8")
+        bundled = files("solosent").joinpath("data", "lexicons", "sv")
+        code, out, err = run_cli(
+            capsys,
+            "--mode", "assess", "--input", corpus_path, "--config", str(conf),
+            "--lexicons", str(bundled),
+        )
+        assert (code, err) == (0, "")
+        assert (out, err) == run_cli(capsys, "--mode", "assess", "--input", corpus_path)[1:]
 
     def test_missing_config_file(self, capsys, corpus_path):
         code, _, err = run_cli(

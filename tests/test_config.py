@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -50,8 +51,11 @@ class TestDetectorConfigFromMapping:
     def test_empty_mapping_is_default(self):
         config = detector_config_from_mapping({})
         assert config.enabled == frozenset(IMPLEMENTED_THEMES)
-        assert config.profile_name == "suc-mamba"
-        assert config.lexicon_dir is None
+        assert config.weights == {}
+        # the profile and the lexicons are the CLI's to load, not the rules'
+        assert [f.name for f in fields(DetectorConfig)] == ["enabled", "weights"]
+        with pytest.raises(TypeError):
+            DetectorConfig(profile_name="ud")
 
     def test_disable_and_weight(self):
         config = detector_config_from_mapping(
@@ -65,11 +69,12 @@ class TestDetectorConfigFromMapping:
         assert config.weights[Theme.STRUCTURAL_CONNECTIVE] == Fraction(1, 3)
 
     def test_profile_and_lexicons_passed_through(self):
+        """Both keys are accepted and left to the CLI, which loads them."""
         config = detector_config_from_mapping(
             {"profile": "ud", "lexicons": "/tmp/lex"}
         )
-        assert config.profile_name == "ud"
-        assert config.lexicon_dir == "/tmp/lex"
+        assert config == DetectorConfig()
+        assert [f.name for f in fields(DetectorConfig)] == ["enabled", "weights"]
 
     def test_fetch_namespace_ignored(self):
         config = detector_config_from_mapping({"fetch.endpoint": "https://x"})

@@ -509,8 +509,9 @@ def _drawn(kind):
 def test_any_file_ends_in_one_error_line_or_none(kind, data):
     """Whatever bytes one file holds, the others valid, the CLI exits 0, 1
     or 2; stderr holds only ``error:`` and ``warning:`` lines, and an error
-    exit prints exactly one ``error:`` line.  An error in a config file,
-    in its lines or in a value read from them, names the file."""
+    exit prints exactly one ``error:`` line.  That line names the drawn
+    file; for a config file, whether the error is in its lines or in a
+    value read from them."""
     corpus = str(FIXTURES.joinpath("sv_examples.conllu"))
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, kind)
@@ -535,6 +536,6 @@ def test_any_file_ends_in_one_error_line_or_none(kind, data):
     assert last == "" and "Traceback" not in err.getvalue()
     assert all(line.startswith(("error:", "warning:")) for line in lines)
     assert sum(line.startswith("error:") for line in lines) == (code != 0)
-    if kind == "config" and code:
+    if code:
         (error,) = (line for line in lines if line.startswith("error:"))
         assert error.startswith(f"error: {path}: ")
