@@ -20,7 +20,7 @@ import json
 import re
 import urllib.parse
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .config import errors_at, where
@@ -197,16 +197,11 @@ class FetchResult:
 _UNWRITABLE = re.compile("[\t\n\r\ud800-\udfff]")
 
 
-def _field_text(value, integer: bool = False) -> Optional[str]:
-    """A JSON string as it is, a non-bool integer as digits when allowed, else None.
-
-    A string that holds what CoNLL-U cannot carry is None too.
-    """
-    if isinstance(value, str):
-        return None if _UNWRITABLE.search(value) else value
-    if integer and isinstance(value, int) and not isinstance(value, bool):
+def _digits(value):
+    """A non-bool integer as its digits, anything else as it is."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    return None
+    return value
 
 
 def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit]:
@@ -225,33 +220,61 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     for entry in tokens_raw:
         if not isinstance(entry, Mapping):
             return None
-        form = _field_text(entry.get("word"))
-        deprel = _field_text(entry.get("deprel"))
-        head = _field_text(entry.get("dephead"), integer=True)
-        pos, lemma, feats = (
-            default if entry.get(key) is None else _field_text(entry[key])
-            for key, default in (("pos", ""), ("lemma", "_"), ("msd", ""))
+        get = entry.get
+        lemma, pos, feats = get("lemma"), get("pos"), get("msd")
+        row = (
+            get("word"),
+            "_" if lemma is None else lemma,
+            "" if pos is None else pos,
+            get("deprel"),
+            _digits(get("dephead")),
+            "" if feats is None else feats,
         )
-        if not (form and deprel and head) or None in (pos, lemma, feats):
+        if not (row[0] and row[3] and row[4]):
             return None
-        rows.append((form, lemma, pos, deprel, head, feats))
+        rows.append(row)
     match = item.get("match")
     if isinstance(match, Mapping) and "position" in match:
-        position = _field_text(match["position"], integer=True)
+        position = _digits(match["position"])
     else:
         position = str(fallback_position)
-    corpus = _field_text(item.get("corpus", "unknown"))
-    if position is None or corpus is None:
+    corpus = item.get("corpus", "unknown")
+    # one join and one search for the whole hit: the join refuses a field
+    # that is not a string, and a character the search finds in the joined
+    # text is in one of the fields
+    try:
+        joined = "".join([corpus, position, *chain.from_iterable(rows)])
+    except TypeError:
         return None
     # the reader drops whitespace around a sent_id
-    if corpus[:1].isspace() or position[-1:].isspace():
+    if _UNWRITABLE.search(joined) or corpus[:1].isspace() or position[-1:].isspace():
         return None
     return ConcordanceHit(corpus, position, *zip(*rows))
+
+
+def _shared_strings():
+    """A json ``object_hook`` that makes each string value of an object the
+    first equal one it has seen.  A page repeats its tags, relations and
+    heads thousands of times; made once per page, the table goes with it."""
+    seen: dict[str, str] = {}
+
+    def share(obj: dict) -> dict:
+        for key, value in obj.items():
+            if type(value) is str:
+                obj[key] = seen.setdefault(value, value)
+        return obj
+
+    return share
 
 
 def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     """Execute one page request and parse the hits.
 
+    The reply is dropped once its body is decoded, before the text is
+    parsed, and equal strings of the page are parsed into one object, so
+    the hits hold little beyond the page's distinct strings.
+    A hit with no ``match.position`` takes its index in the whole query,
+    the request's ``start`` plus its offset in the page.
     Hits whose tokens lack dependency annotation, or whose fields have the
     wrong JSON type or cannot be written as CoNLL-U, are skipped and
     counted, not fatal: concordance corpora mix parsed and unparsed
@@ -263,20 +286,25 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     if not 200 <= reply.status < 300:
         raise ServiceError(reply.status, f"concordance request failed ({request.url})")
     try:
-        payload = json.loads(reply.body.decode("utf-8"))
+        text = reply.body.decode("utf-8")
+        del reply  # the body goes now, unless the transport keeps it
+        payload = json.loads(text, object_hook=_shared_strings())
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and an integer too long to
         # convert; RecursionError an array or object nested too deep
         raise DecodeError(f"response body is not JSON: {exc}") from exc
+    del text  # and the text, before the hits are built
     if not isinstance(payload, dict) or "kwic" not in payload:
         raise DecodeError("response JSON has no 'kwic' member")
     kwic = payload["kwic"]
     if not isinstance(kwic, list):
         raise DecodeError("'kwic' is not a list")
+    start = int(dict(request.params).get("start", 0))
     hits: list[ConcordanceHit] = []
     skipped = 0
-    for offset, item in enumerate(kwic):
-        hit = _parse_hit(item, fallback_position=offset) if isinstance(item, Mapping) else None
+    # a hit's index in the whole query, which a hit without a position takes
+    for index, item in enumerate(kwic, start):
+        hit = _parse_hit(item, fallback_position=index) if isinstance(item, Mapping) else None
         if hit is None:
             skipped += 1
         else:

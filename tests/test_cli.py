@@ -1377,6 +1377,39 @@ class TestFetch:
         assert record["id"] == "SUC3:1041"
         assert record["context_independent"] is True
 
+    def test_hits_without_position_get_unique_ids_across_pages(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A hit with no match.position is numbered by its index in the whole
+        query, so the first such hit of the second page is not SUC3:0 again
+        and eval reads the fetched file."""
+        hit = {key: value for key, value in FETCH_PAGE["kwic"][0].items() if key != "match"}
+        transport = PagedTransport([{"kwic": [hit]}, {"kwic": [hit]}])
+        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        conf = tmp_path / "korp.conf"
+        conf.write_text(
+            "fetch.endpoint = https://example.invalid/korp\n"
+            'fetch.cqp = [pos="VB"]\n'
+            "fetch.corpora = SUC3\n"
+            "fetch.page_size = 1\n"
+            "fetch.pages = 2\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "fetched.conllu"
+        code, _, err = run_cli(
+            capsys, "--mode", "fetch", "--config", str(conf), "--output", str(target)
+        )
+        assert (code, err) == (0, "")
+        sentences = list(parse_conllu(target.read_text(encoding="utf-8")))
+        assert [s.id for s in sentences] == ["SUC3:0", "SUC3:1"]
+        gold = tmp_path / "fetched.gold"
+        gold.write_text("SUC3:0\t-\nSUC3:1\t-\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--mode", "eval", "--gold", str(gold), "--input", str(target)
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sentences"] == 2
+
     def test_fetch_never_applies_a_profile(self, capsys, monkeypatch, tmp_path):
         """Fetch writes the hits as read: no sentence gets annotation columns."""
         from solosent import profiles

@@ -1,8 +1,13 @@
+import gc
 import json
 import re
+import runpy
 import socket
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from itertools import chain, count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +36,8 @@ from solosent.model import Category, raw_columns
 from solosent.profiles import CoverageCounter, apply_profile
 
 ENDPOINT = "https://example.invalid/korp"
+# bench/, read only: gen.py makes Korp pages of long sentences
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class CannedTransport:
@@ -179,6 +186,42 @@ class TestFetchPage:
         result = fetch_page(simple_request(), transport)
         assert result.hits[0].position == "0"
 
+    def test_position_falls_back_to_index_in_query(self):
+        # the first such hit of a later page is not :0 again
+        hit = dict(WEATHER_HIT)
+        del hit["match"]
+        query = ConcordanceQuery("[word]", ("SUC3",), page_start=250, page_size=250)
+        transport = CannedTransport(body=page_body([hit, WEATHER_HIT, hit]))
+        result = fetch_page(build_request(query, ENDPOINT), transport)
+        assert [h.position for h in result.hits] == ["250", "1041", "252"]
+
+    def test_equal_strings_of_a_page_are_one_object(self):
+        other = dict(WEATHER_HIT, match={"position": "2082"})
+        first, second = fetch_page(
+            simple_request(), CannedTransport(body=page_body([WEATHER_HIT, other]))
+        ).hits
+        assert first.position != second.position
+        pairs = list(zip(chain([first.corpus], *raw_columns(first)),
+                         chain([second.corpus], *raw_columns(second))))
+        assert len(pairs) == 1 + 6 * 3
+        assert all(a is b for a, b in pairs)
+
+    def test_page_peak_memory_is_bounded(self):
+        """Parsing one 250-hit page of long sentences peaks below five times
+        its body, the body itself not counted: the transport holds it."""
+        gen = runpy.run_path(str(BENCH / "gen.py"))
+        body = gen["korp_pages"](1, 1000, 250).pages[0]
+        transport = CannedTransport(body=body)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = fetch_page(simple_request(), transport)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(result.hits), result.skipped) == (250, 0)
+        assert peak < 5 * len(body), f"peak {peak / len(body):.2f} times the body"
+
     def test_unusable_hits_skipped_and_counted(self):
         broken = {
             "corpus": "SUC3",
@@ -207,6 +250,11 @@ class TestFetchPage:
             dict(WEATHER_HIT, tokens=[dict(first, word="\ud800"), *rest]),
             dict(WEATHER_HIT, corpus=" SUC3"),
             dict(WEATHER_HIT, match={"position": "1041 "}),
+            dict(WEATHER_HIT, match={"position": "10\ud80041"}),
+            *(
+                dict(WEATHER_HIT, tokens=[first, dict(rest[0], **{key: "x\ud800"}), rest[1]])
+                for key in ("lemma", "pos", "msd", "deprel", "dephead")
+            ),
         ]
         result = fetch_page(
             simple_request(),
@@ -219,6 +267,9 @@ class TestFetchPage:
         "path, value",
         [
             (("tokens", 0, "word"), 7),
+            (("tokens", 0, "word"), ""),
+            (("tokens", 0, "deprel"), ""),
+            (("tokens", 0, "dephead"), ""),
             (("tokens", 0, "deprel"), ["SS"]),
             (("tokens", 0, "dephead"), True),
             (("tokens", 0, "dephead"), 2.0),
@@ -578,43 +629,79 @@ _BODY = st.one_of(
 )
 
 
-def _served_columns(item):
-    """The RAW_COLUMNS of a served kwic item's tokens, as a hit holds them:
-    a missing or null lemma is _, a missing or null pos or msd is empty,
-    an integer dephead is its digits.  None when there are no such tokens."""
-    tokens = item.get("tokens") if isinstance(item, dict) else None
-    if not isinstance(tokens, list) or not all(isinstance(t, dict) for t in tokens):
+def _writable(value):
+    """Whether ``value`` is a string CoNLL-U can carry: no tab, no line
+    break and no lone surrogate."""
+    return isinstance(value, str) and not any(
+        char in "\t\n\r" or "\ud800" <= char <= "\udfff" for char in value
+    )
+
+
+def _served_hit(item, index):
+    """The hit fetch_page makes of a served kwic item, the ``index``-th of
+    the query, judged field by field; None when any field is unusable."""
+    if not isinstance(item, dict):
+        return None
+    tokens = item.get("tokens")
+    if not isinstance(tokens, list) or not tokens:
         return None
 
-    def text(token, key, absent=None):
-        value = token.get(key)
-        if key == "dephead" and type(value) is int:
+    def text(mapping, key, absent=None, integer=False):
+        """The field's string, ``absent`` for a missing or null optional
+        field, None for an unusable one."""
+        value = mapping.get(key)
+        if value is None and absent is not None:
+            return absent
+        if integer and type(value) is int:
             return str(value)
-        return absent if value is None else value
+        return value if _writable(value) else None
 
-    return tuple(zip(*(
-        (text(t, "word"), text(t, "lemma", "_"), text(t, "pos", ""),
-         text(t, "deprel"), text(t, "dephead"), text(t, "msd", ""))
-        for t in tokens
-    )))
+    rows = []
+    for token in tokens:
+        if not isinstance(token, dict):
+            return None
+        row = (text(token, "word"), text(token, "lemma", "_"), text(token, "pos", ""),
+               text(token, "deprel"), text(token, "dephead", integer=True),
+               text(token, "msd", ""))
+        if None in row or "" in (row[0], row[3], row[4]):
+            return None
+        rows.append(row)
+    corpus = text(item, "corpus") if "corpus" in item else "unknown"
+    match = item.get("match")
+    if isinstance(match, dict) and "position" in match:
+        position = text(match, "position", integer=True)
+    else:
+        position = str(index)
+    if corpus is None or position is None:
+        return None
+    if corpus.lstrip() != corpus or position.rstrip() != position:
+        return None
+    return ConcordanceHit(corpus, position, *zip(*rows))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_BODY)
 def test_fetch_decoder_fails_only_with_decode_error(body):
     """Whatever a service answers with 200, fetch_page either gives hits or
-    raises DecodeError, and normalize_hits turns every hit it gives into a
-    sentence or an IngestIssue without raising.  Each hit holds its served
-    token fields, in order, as columns.  The sentences are written as
-    UTF-8 CoNLL-U that reads back to the same text."""
+    raises DecodeError, the latter only for a body that is not a JSON
+    object with a ``kwic`` list.  The hits are exactly the served items
+    whose every field is usable, in page order, as an oracle that judges
+    each field on its own finds them.  normalize_hits turns every hit into
+    a sentence or an IngestIssue without raising, and the sentences are
+    written as UTF-8 CoNLL-U that reads back to the same text."""
+    try:
+        page = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError):
+        page = None
+    kwic = page.get("kwic") if isinstance(page, dict) else None
     try:
         result = fetch_page(simple_request(), CannedTransport(body=body))
     except DecodeError:
+        assert not isinstance(kwic, list)
         return
-    # the hits are served items in page order: each is found after the last
-    served = map(_served_columns, json.loads(body.decode("utf-8"))["kwic"])
-    for hit in result.hits:
-        assert raw_columns(hit) in served
+    expected = [hit for hit in map(_served_hit, kwic, count()) if hit is not None]
+    assert list(result.hits) == expected
+    assert result.skipped == len(kwic) - len(expected)
     sentences, issues = normalize_hits(result.hits)
     assert len(sentences) + len(issues) == len(result.hits)
     text = serialize_conllu(sentences)
