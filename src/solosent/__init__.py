@@ -74,7 +74,6 @@ _EXPORTS = {
         "AnnotatedSentence",
         "AnnotatedToken",
         "Category",
-        "Definiteness",
         "Gender",
         "MorphFeatures",
         "Number",

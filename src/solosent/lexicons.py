@@ -124,11 +124,16 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
             raise LexiconError(f"{where}: expected lemma<TAB>type, got {row!r}")
         lemma, type_name = row
         try:
-            adverbs[lemma] = AdverbType(type_name)
+            adverb_type = AdverbType(type_name)
         except ValueError:
             raise LexiconError(
                 f"{where}: unknown adverb type {type_name!r} for {lemma!r}"
             ) from None
+        if adverbs.setdefault(lemma, adverb_type) is not adverb_type:
+            raise LexiconError(
+                f"{where}: {lemma!r} listed as {type_name!r},"
+                f" but earlier as {adverbs[lemma].value!r}"
+            )
 
     pairs: set[tuple[str, str]] = set()
     for where, row in rows_for(PAIRED_CONJUNCTIONS_FILE):

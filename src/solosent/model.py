@@ -51,14 +51,11 @@ class Relation(str, Enum):
     SUBJECT = "subject"
     LOGICAL_SUBJECT = "logical_subject"
     EXPLETIVE = "expletive"
-    OBJECT = "object"
     CONJUNCT = "conjunct"
-    COORDINATOR = "coordinator"
     SUBORDINATOR = "subordinator"
     CONJUNCTIONAL_ADVERBIAL = "conjunctional_adverbial"
     ADVERBIAL = "adverbial"
     RELATIVE_CLAUSE_MARKER = "relative_clause_marker"
-    INFINITIVE_MARKER = "infinitive_marker"
     DETERMINER = "determiner"
     OTHER = "other"
 
@@ -85,13 +82,6 @@ class VerbForm(str, Enum):
     INFINITIVE = "infinitive"
     SUPINE = "supine"
     PARTICIPLE = "participle"
-    UNSPECIFIED = "unspecified"
-
-
-@unique
-class Definiteness(str, Enum):
-    DEFINITE = "definite"
-    INDEFINITE = "indefinite"
     UNSPECIFIED = "unspecified"
 
 
@@ -124,7 +114,6 @@ class MorphFeatures:
     gender: Gender = Gender.UNSPECIFIED
     number: Number = Number.UNSPECIFIED
     verb_form: VerbForm = VerbForm.UNSPECIFIED
-    definiteness: Definiteness = Definiteness.UNSPECIFIED
 
 
 NO_FEATURES = MorphFeatures()

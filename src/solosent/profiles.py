@@ -10,6 +10,7 @@ rule.  Two profiles ship with the package:
     SUC POS tags with MAMBA-style dependency labels, the combination used
     by the common Swedish pipelines.  The deprel inventory is a best-effort
     reconstruction; unknown labels degrade to ``other`` rather than fail.
+    Like ``ud``, it has no relative-clause marker: the som exemption reads ``UK``.
 
 ``ud``
     Universal Dependencies.  UD has no distinct labels for logical
@@ -43,7 +44,6 @@ from .model import (
     _VERB,
     AnnotatedSentence,
     Category,
-    Definiteness,
     Gender,
     MorphFeatures,
     Number,
@@ -90,7 +90,6 @@ _FEATURE_FIELDS = {
     "gender": Gender,
     "number": Number,
     "verb_form": VerbForm,
-    "definiteness": Definiteness,
 }
 
 
@@ -169,6 +168,7 @@ def classify_delimiter_form(form: str) -> Category:
 
 def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
     name: Optional[str] = None
+    first_lines: dict[str, int] = {}
     category_of_pos: dict[str, Union[Category, str]] = {}
     relation_of_deprel: dict[str, Relation] = {}
     feature_rules: list[tuple[str, str, str, object]] = []
@@ -220,6 +220,11 @@ def _parse_profile(lines: list[str], origin: str) -> TagsetProfile:
             modal_lemmas.add(fields[1].lower())
         else:
             raise ProfileError(f"{where}: unknown directive {kind!r}")
+        if kind in ("name", "pos", "deprel"):
+            what = f"{kind} line" if kind == "name" else f"{kind} line for {fields[1]!r}"
+            first = first_lines.setdefault(what, line_number)
+            if first != line_number:
+                raise ProfileError(f"{where}: duplicate {what} (first on line {first})")
 
     if name is None:
         raise ProfileError(f"{origin}: profile has no name directive")

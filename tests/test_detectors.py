@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 from collections import Counter
@@ -1436,3 +1437,33 @@ def test_per_sentence_code_reads_no_enum_class():
         if _ENUM_CLASSES.intersection(code.co_names)
     }
     assert reads == {}
+
+
+def _rule_reads():
+    """What the rule code reads: the values of the globals it names, and
+    all the names, attributes included.  The rule code is every function
+    of detectors.py and model._first_root, the root the rules read."""
+    module = compile(inspect.getsource(detectors), detectors.__file__, "exec")
+    codes = [
+        (code, vars(detectors))
+        for code in _with_nested(module)
+        if code.co_flags & inspect.CO_NEWLOCALS
+    ] + [(model._first_root.__code__, vars(model))]
+    values = [space[name] for code, space in codes for name in code.co_names if name in space]
+    return values, {name for code, _ in codes for name in code.co_names}
+
+
+def test_every_relation_is_read_by_a_rule():
+    """A relation no rule reads is vocabulary a profile decodes for
+    nothing; such labels map to other."""
+    values, _ = _rule_reads()
+    read = set()
+    for value in values:
+        members = value if isinstance(value, (frozenset, tuple)) else (value,)
+        read.update(member for member in members if isinstance(member, Relation))
+    assert set(Relation) - read == {Relation.OTHER}
+
+
+def test_every_feature_field_is_read_by_a_rule():
+    _, names = _rule_reads()
+    assert {f.name for f in dataclasses.fields(model.MorphFeatures)} - names == set()

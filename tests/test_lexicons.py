@@ -74,6 +74,23 @@ class TestCustomDirectory:
         with pytest.raises(LexiconError, match="spatial"):
             load_lexicon_set(tmp_path)
 
+    def test_adverb_with_two_types_rejected(self, tmp_path):
+        self.write_minimal(tmp_path)
+        path = tmp_path / ANAPHORIC_ADVERBS_FILE
+        path.write_text("där\tlocative\ndå\ttemporal\nDär\ttemporal\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon_set(tmp_path)
+        assert str(caught.value) == (
+            f"{path}: line 3: 'där' listed as 'temporal', but earlier as 'locative'"
+        )
+
+    def test_adverb_listed_twice_with_one_type_loads(self, tmp_path):
+        self.write_minimal(tmp_path)
+        (tmp_path / ANAPHORIC_ADVERBS_FILE).write_text(
+            "där\tlocative\ndär\tlocative\n", encoding="utf-8"
+        )
+        assert load_lexicon_set(tmp_path).anaphoric_adverbs == {"där": AdverbType.LOCATIVE}
+
     def test_missing_adverb_type_rejected(self, tmp_path):
         self.write_minimal(tmp_path)
         (tmp_path / ANAPHORIC_ADVERBS_FILE).write_text("där\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +8,8 @@ from helpers import annotate, parse_one
 from solosent.cli import main
 from solosent.model import (
     Category,
-    Definiteness,
     Gender,
+    MorphFeatures,
     Number,
     Relation,
     Sentence,
@@ -74,14 +76,15 @@ class TestBundledProfiles:
         assert suc.relation_for("FS") is Relation.EXPLETIVE
         assert suc.relation_for("+A") is Relation.CONJUNCTIONAL_ADVERBIAL
         assert suc.relation_for("UK") is Relation.SUBORDINATOR
-        assert suc.relation_for("IM") is Relation.INFINITIVE_MARKER
         assert suc.relation_for("CJ") is Relation.CONJUNCT
+        # labels no rule reads are mapped, so they are not tallied unmapped
+        for label in ("OO", "IO", "EO", "++", "IM"):
+            assert suc.relation_for(label) is Relation.OTHER
         assert suc.relation_for("??") is None
 
     def test_suc_feature_decoding(self, suc):
-        f = suc.decode_features("NN", "UTR|SIN|DEF")
-        assert (f.gender, f.number, f.definiteness) == (
-            Gender.COMMON, Number.SINGULAR, Definiteness.DEFINITE,
+        assert suc.decode_features("NN", "UTR|SIN|DEF") == MorphFeatures(
+            gender=Gender.COMMON, number=Number.SINGULAR
         )
         assert suc.decode_features("VB", "PRS|AKT").verb_form is (
             VerbForm.FINITE_PRESENT
@@ -112,12 +115,22 @@ class TestBundledProfiles:
         assert ud.relation_for("expl") is Relation.EXPLETIVE
         assert ud.relation_for("discourse") is Relation.CONJUNCTIONAL_ADVERBIAL
         assert ud.relation_for("csubj") is Relation.SUBJECT
+        for label in ("obj", "iobj", "cc"):
+            assert ud.relation_for(label) is Relation.OTHER
         assert ud.decode_features("VERB", "Mood=Ind|Tense=Pres|VerbForm=Fin")
         f = ud.decode_features("VERB", "Mood=Imp|VerbForm=Fin")
         assert f.verb_form is VerbForm.IMPERATIVE
 
-    def test_ud_warns_about_optional_gaps(self, ud):
-        assert any("logical_subject" in w for w in ud.warnings)
+    def test_warnings_name_exactly_the_unreachable_relations(self, suc, ud):
+        assert suc.warnings == (
+            "profile 'suc-mamba' has no raw label for optional relation"
+            " 'relative_clause_marker'",
+        )
+        assert ud.warnings == (
+            "profile 'ud' has no raw label for optional relation 'logical_subject'",
+            "profile 'ud' has no raw label for optional relation"
+            " 'relative_clause_marker'",
+        )
 
     def test_modal_lemmas(self, suc, ud):
         for profile in (suc, ud):
@@ -208,8 +221,14 @@ class TestProfileText:
         ("pos N", "pos takes a raw tag and a category"),
         ("deprel subj", "deprel takes a raw label and a relation"),
         ("deprel subj subjekt", "unknown relation 'subjekt'"),
+        # relations and a feature field no rule reads, no longer in the grammar
+        ("deprel OO object", "unknown relation 'object'"),
+        ("deprel ++ coordinator", "unknown relation 'coordinator'"),
+        ("deprel IM infinitive_marker", "unknown relation 'infinitive_marker'"),
         ("feat V pres", "feat takes a POS pattern, an atom and field=value"),
         ("feat V pres tense=present", "unknown feature field 'tense'"),
+        ("feat * DEF definiteness=definite", "unknown feature field 'definiteness'"),
+        ("name tiny", "duplicate name line (first on line 1)"),
         ("modal kunna vilja", "modal takes exactly one lemma"),
     ],
 )
@@ -221,6 +240,33 @@ def test_grammar_error_names_file_and_line(capsys, tmp_path, line, message):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: {path}: line 3: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, first, message",
+    [
+        ("pos AB conjunction", "pos AB adverb", "duplicate pos line for 'AB'"),
+        ("pos AB adverb", "pos AB adverb", "duplicate pos line for 'AB'"),
+        ("deprel SS expletive", "deprel SS subject", "duplicate deprel line for 'SS'"),
+    ],
+)
+def test_a_second_mapping_of_one_tag_is_refused(capsys, tmp_path, line, first, message):
+    """Without the check, appending ``pos AB conjunction`` loaded, and the
+    fixture's AdvAnaphora sentences t04 and t05 changed verdicts."""
+    text = files("solosent").joinpath("data/profiles/suc-mamba.profile").read_text(
+        encoding="utf-8"
+    )
+    first_number = text.splitlines().index(first) + 1
+    path = tmp_path / "twice.profile"
+    path.write_text(text + line + "\n", encoding="utf-8")
+    last_number = text.count("\n") + 1
+    corpus = str(FIXTURES.joinpath("sv_examples.conllu"))
+    code = main(["--mode", "assess", "--input", corpus, "--profile", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: {path}: line {last_number}: {message} (first on line {first_number})\n"
+    )
 
 
 class TestApplyProfile:
