@@ -79,7 +79,6 @@ _EXPORTS = {
         "Number",
         "Relation",
         "Sentence",
-        "SourceRef",
         "StructureError",
         "Token",
         "VerbForm",

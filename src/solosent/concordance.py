@@ -11,7 +11,9 @@ canned responses.
 A hit is read straight into the raw columns of a Sentence, RAW_COLUMNS,
 holding the strings the service sent; normalizing it gives the same
 Sentence/AnnotatedSentence values the CoNLL-U reader produces, sharing
-the hit's columns, so everything downstream is source-agnostic.
+the hit's columns, so nothing downstream knows which reader made a
+sentence.  A hit's sentence id, ``corpus:position``, says where it came
+from.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 from .config import errors_at, where
 from .detectors import ConfigError
-from .model import Sentence, SourceRef, StructureError, raw_columns, row_problem, validate_heads
+from .model import Sentence, StructureError, raw_columns, row_problem, validate_heads
 from .profiles import CoverageCounter, TagsetProfile, apply_profile
 
 DEFAULT_PAGE_SIZE = 25
@@ -60,9 +62,8 @@ class ConcordanceQuery:
 
 @dataclass(frozen=True)
 class RequestSpec:
-    """A fully determined HTTP request: method, URL, ordered parameters."""
+    """A fully determined GET request: URL and ordered parameters."""
 
-    method: str
     base_url: str
     params: tuple[tuple[str, str], ...]
 
@@ -121,7 +122,7 @@ def build_request(
     ]
     if api_key:
         params.append(("key", api_key))
-    return RequestSpec(method="GET", base_url=endpoint, params=tuple(params))
+    return RequestSpec(base_url=endpoint, params=tuple(params))
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def normalize_hits(
         if "_" in feats:
             feats = tuple(f if f != "_" else "" for f in feats)
         columns = forms, lemmas, tags, deprels, heads, feats, dependents
-        sentences.append(Sentence._from_columns(sentence_id, SourceRef(hit.corpus), *columns))
+        sentences.append(Sentence._from_columns(sentence_id, *columns))
     return sentences, issues
 
 

@@ -40,7 +40,7 @@ def _finish_sentence(sentence_id: str, rows: list[tuple], line_number: int) -> S
     except StructureError as exc:
         exc.line_number = line_number
         raise
-    return Sentence._from_columns(sentence_id, None, *columns, dependents)
+    return Sentence._from_columns(sentence_id, *columns, dependents)
 
 
 def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:

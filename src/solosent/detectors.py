@@ -159,7 +159,9 @@ def _check_enabled(themes: Collection[Theme]) -> None:
 
 
 def _check_weight(theme: Theme, weight: Fraction) -> None:
-    """Refuse a weight whose scores cannot be written."""
+    """Refuse a weight for a theme with no rule, or whose scores cannot be
+    written."""
+    _check_enabled((theme,))
     if weight <= 0:
         raise ConfigError(f"weight for {theme.value} must be positive, got {weight}")
     # scores are written as floats, and PNAnaphora halves its weight
@@ -231,9 +233,9 @@ def _in_verb_group(sentence: AnnotatedSentence, index: int) -> bool:
 def _is_finite_verb(sentence: AnnotatedSentence, index: int) -> bool:
     """Finite verb test for a token of category verb, with the modal restriction.
 
-    A verb is finite when its form is present, past or imperative.  A
-    modal only counts inside a verb group: a finite modal with no verb
-    above or below it means the lexical verb was elided.
+    A verb is finite when its form is finite or imperative.  A modal only
+    counts inside a verb group: a finite modal with no verb above or below
+    it means the lexical verb was elided.
     """
     if sentence.features[index - 1].verb_form not in FINITE_VERB_FORMS:
         return False

@@ -76,12 +76,8 @@ class Number(str, Enum):
 
 @unique
 class VerbForm(str, Enum):
-    FINITE_PRESENT = "finite_present"
-    FINITE_PAST = "finite_past"
+    FINITE = "finite"
     IMPERATIVE = "imperative"
-    INFINITIVE = "infinitive"
-    SUPINE = "supine"
-    PARTICIPLE = "participle"
     UNSPECIFIED = "unspecified"
 
 
@@ -102,9 +98,7 @@ _DETERMINER_RELATION, _OTHER_RELATION = Relation.DETERMINER, Relation.OTHER
 _IMPERATIVE = VerbForm.IMPERATIVE
 _UNSPECIFIED_GENDER, _UNSPECIFIED_NUMBER = Gender.UNSPECIFIED, Number.UNSPECIFIED
 
-FINITE_VERB_FORMS = frozenset(
-    {VerbForm.FINITE_PRESENT, VerbForm.FINITE_PAST, VerbForm.IMPERATIVE}
-)
+FINITE_VERB_FORMS = frozenset({VerbForm.FINITE, VerbForm.IMPERATIVE})
 
 
 @dataclass(frozen=True)
@@ -168,14 +162,6 @@ def row_problem(index: int, head: int, form: str) -> Optional[str]:
     if not form:
         return f"token {index} has an empty form"
     return None
-
-
-@dataclass(frozen=True)
-class SourceRef:
-    """Provenance of a sentence: which corpus and, optionally, which document."""
-
-    corpus: str
-    document: Optional[str] = None
 
 
 def validate_heads(
@@ -252,14 +238,11 @@ class Sentence:
     The heads must form a tree with at least one token, as the readers
     require: validate_heads refuses anything else with StructureError.
 
-    Equality and the hash cover the id and the columns.  ``source`` is
-    provenance metadata and deliberately excluded: the same annotations
-    fetched from a corpus service or read from a file compare equal.  The
-    index is derived from the heads and excluded too.
+    Equality and the hash cover the id and the columns; the index is
+    derived from the heads and excluded.
     """
 
     id: str
-    source: Optional[SourceRef] = field(compare=False)
     forms: tuple[str, ...]
     lemmas: tuple[str, ...]
     tags: tuple[str, ...]
@@ -268,9 +251,9 @@ class Sentence:
     feats: tuple[str, ...]
     dependents: dict[int, tuple[int, ...]] = field(compare=False)
 
-    _REPR = ("id", "tokens", "source")
+    _REPR = ("id", "tokens")
 
-    def __init__(self, id: str, tokens: Iterable[Token], source: Optional[SourceRef] = None):
+    def __init__(self, id: str, tokens: Iterable[Token]):
         tokens = tuple(tokens)
         for position, token in enumerate(tokens, start=1):
             if token.index != position:
@@ -279,7 +262,7 @@ class Sentence:
         dependents = validate_heads(id, columns[4])
         # a subclass's own fields follow these, so zip stops before them
         self.__dict__.update(
-            zip(self.__dataclass_fields__, (id, source, *columns, dependents)), tokens=tokens
+            zip(self.__dataclass_fields__, (id, *columns, dependents)), tokens=tokens
         )
 
     @classmethod
@@ -381,18 +364,12 @@ class AnnotatedSentence(Sentence):
     modal_flags: tuple[bool, ...]
     lower_lemmas: tuple[str, ...] = field(compare=False)
 
-    _REPR = ("id", "tokens", "profile", "source")
+    _REPR = ("id", "tokens", "profile")
 
-    def __init__(
-        self,
-        id: str,
-        tokens: Iterable[AnnotatedToken],
-        profile: str,
-        source: Optional[SourceRef] = None,
-    ) -> None:
+    def __init__(self, id: str, tokens: Iterable[AnnotatedToken], profile: str) -> None:
         tokens = tuple(tokens)
         raw_tokens = tuple(t.token for t in tokens)
-        Sentence.__init__(self, id, raw_tokens, source)
+        Sentence.__init__(self, id, raw_tokens)
         categories, relations, features, modal_flags = zip(*map(_annotations_of, tokens))
         self.__dict__.update(
             profile=profile, categories=categories, relations=relations, features=features,

@@ -350,7 +350,6 @@ def apply_profile(
         lower_lemmas.append(lemma)
     return AnnotatedSentence._from_columns(
         sentence.id,
-        sentence.source,
         *columns,
         sentence.dependents,
         profile.name,

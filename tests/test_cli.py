@@ -548,15 +548,19 @@ class TestConfigFlag:
         assert code == 2
         assert "unknown config key" in err
 
-    def test_reserved_theme(self, capsys, corpus_path, tmp_path):
+    @pytest.mark.parametrize("line", ["enable.CDPC = true", "weight.CDPC = 2"])
+    def test_reserved_theme(self, capsys, corpus_path, tmp_path, line):
+        """A theme with no rule can be neither enabled nor weighted: either
+        would be a setting that changes nothing."""
         conf = tmp_path / "solosent.conf"
-        conf.write_text("enable.CDPC = true\n", encoding="utf-8")
-        code, _, err = run_cli(
+        conf.write_text(f"profile = suc-mamba\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(
             capsys,
             "--mode", "assess", "--input", corpus_path, "--config", str(conf),
         )
-        assert code == 2
-        assert "CDPC" in err
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {conf}: line 2: theme CDPC is a reserved identifier")
+        assert err.count("\n") == 1
 
 
 class TestErrorPaths:

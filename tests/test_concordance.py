@@ -91,7 +91,6 @@ class TestBuildRequest:
             page_size=25,
         )
         spec = build_request(query, ENDPOINT)
-        assert spec.method == "GET"
         assert [name for name, _ in spec.params] == ["corpus", "cqp", "start", "end"]
         assert dict(spec.params) == {
             "corpus": "SUC3,TALBANKEN",
@@ -440,7 +439,6 @@ class TestToSentences:
         assert issues == []
         (sentence,) = sentences
         assert sentence.id == "SUC3:1041"
-        assert sentence.source.corpus == "SUC3"
         assert sentence.token(1).category is Category.PRONOUN
         assert sentence.token(2).category is Category.VERB
 

@@ -137,7 +137,6 @@ class TestDetectorConfigFromMapping:
         with pytest.raises(ConfigError, match="CDPC"):
             detector_config_from_mapping({"enable.CDPC": "true"})
 
-
 class TestErrorsNameTheFile:
     @pytest.mark.parametrize(
         "line, message",
@@ -148,6 +147,7 @@ class TestErrorsNameTheFile:
             ("enable.IncompSent = maybe",
              "config key 'enable.IncompSent': expected true/false, got 'maybe'"),
             ("enable.CDPC = yes", "theme CDPC is a reserved identifier"),
+            ("weight.CDPC = 2", "theme CDPC is a reserved identifier"),
             ("wieght.PNAnaphora = 2", "unknown config key 'wieght.PNAnaphora'"),
         ],
     )

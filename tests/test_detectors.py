@@ -34,7 +34,6 @@ from solosent.model import (
     RAW_COLUMNS,
     Relation,
     Sentence,
-    SourceRef,
     Token,
 )
 from solosent.profiles import apply_profile
@@ -972,15 +971,13 @@ def test_applied_sentence_equals_one_hand_built_from_its_views(lex, tokens, prof
     """apply_profile's one loop and the constructor's derivation from
     AnnotatedTokens give the same sentence: columns, index, queries and
     verdict."""
-    raw = Sentence(id="v", tokens=tokens, source=SourceRef(corpus="c"))
+    raw = Sentence(id="v", tokens=tokens)
     built = apply_profile(raw, profile)
     for column in RAW_COLUMNS:
         assert getattr(built, column) is getattr(raw, column), column
     assert built.dependents is raw.dependents
     assert built.raw_tokens == raw.tokens
-    hand = AnnotatedSentence(
-        id=built.id, tokens=built.tokens, profile=built.profile, source=built.source
-    )
+    hand = AnnotatedSentence(id=built.id, tokens=built.tokens, profile=built.profile)
     assert built == hand and hash(built) == hash(hand)
     for column in _COLUMNS:
         assert getattr(built, column) == getattr(hand, column), column
@@ -1123,6 +1120,10 @@ class TestDetectorConfig:
             DetectorConfig(
                 enabled=frozenset({Theme.CONCEPT_PROPERTIES, Theme.INCOMPLETE})
             )
+
+    def test_reserved_theme_weight_rejected(self):
+        with pytest.raises(ConfigError, match="^theme CDPC is a reserved identifier"):
+            DetectorConfig(weights={Theme.CONCEPT_PROPERTIES: Fraction(2)})
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConfigError, match="positive"):

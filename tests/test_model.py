@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from helpers import SUC, UD, annotate, parse_one
 from solosent.conllu import parse_conllu
 from solosent.model import (
+    FINITE_VERB_FORMS,
     NO_FEATURES,
     AnnotatedSentence,
     AnnotatedToken,
@@ -17,9 +18,9 @@ from solosent.model import (
     MorphFeatures,
     Relation,
     Sentence,
-    SourceRef,
     StructureError,
     Token,
+    VerbForm,
     _first_root,
     validate_heads,
 )
@@ -211,11 +212,17 @@ class TestSentence:
         assert [t.form for t in s] == ["Hon", "kom"]
         assert s.token(2).lemma == "komma"
 
-    def test_equality_ignores_source(self):
+    def test_source_is_no_argument(self):
+        """A sentence keeps no provenance: a Korp sentence's id names its
+        corpus, and a CoNLL-U sentence had none."""
         tokens = (tok(1, 0),)
-        a = Sentence(id="s", tokens=tokens)
-        b = Sentence(id="s", tokens=tokens, source=SourceRef(corpus="talbanken"))
-        assert a == b
+        with pytest.raises(TypeError, match="source"):
+            Sentence(id="s", tokens=tokens, source="talbanken")
+        with pytest.raises(TypeError, match="source"):
+            AnnotatedSentence(
+                id="s", tokens=[AnnotatedToken(tokens[0], Category.NOUN, Relation.OTHER)],
+                profile="test", source="talbanken",
+            )
 
     def test_tokens_coerced_to_tuple(self):
         s = Sentence(id="s", tokens=[tok(1, 0)])
@@ -237,13 +244,13 @@ class TestSentence:
             )
 
 
-def _sentence(tokens, source=None):
-    return Sentence(id="s", tokens=list(tokens), source=source)
+def _sentence(tokens):
+    return Sentence(id="s", tokens=list(tokens))
 
 
-def _annotated_sentence(tokens, source=None):
+def _annotated_sentence(tokens):
     annotated = [AnnotatedToken(t, Category.NOUN, Relation.OTHER) for t in tokens]
-    return AnnotatedSentence(id="s", tokens=annotated, profile="test", source=source)
+    return AnnotatedSentence(id="s", tokens=annotated, profile="test")
 
 
 @pytest.mark.parametrize("build", [_sentence, _annotated_sentence])
@@ -257,8 +264,8 @@ def test_both_sentence_types_are_token_sequences(build):
     assert [s.token(i) for i in (1, 2, 3)] == list(s.tokens)
     assert s.token(2).index == 2
     assert s.text == "Hon kom hem"
-    elsewhere = build(raw, source=SourceRef(corpus="talbanken", document="d1"))
-    assert s == elsewhere and hash(s) == hash(elsewhere)
+    twin = build(raw)
+    assert s == twin and hash(s) == hash(twin)
     assert s != build(raw[:2])
 
 
@@ -278,23 +285,20 @@ class TestSentenceContract:
         assert s.dependents == {2: (1,), 0: (2,)}
 
     def test_repr(self):
-        s = Sentence(id="s", tokens=[Token(1, "kom", "komma", "VB", "ROOT", 0)],
-                     source=SourceRef(corpus="c"))
+        s = Sentence(id="s", tokens=[Token(1, "kom", "komma", "VB", "ROOT", 0)])
         assert repr(s) == (
             "Sentence(id='s', tokens=(Token(index=1, form='kom', lemma='komma', "
-            "pos='VB', deprel='ROOT', head=0, feats=''),), "
-            "source=SourceRef(corpus='c', document=None))"
+            "pos='VB', deprel='ROOT', head=0, feats=''),))"
         )
 
-    def both(self, source=None):
+    def both(self):
         """A Sentence of TOKENS and its AnnotatedSentence."""
-        s = Sentence(id="s", tokens=self.TOKENS, source=source)
+        s = Sentence(id="s", tokens=self.TOKENS)
         return s, apply_profile(s, SUC)
 
     @pytest.mark.parametrize(
         "name",
-        ["id", "tokens", "forms", "heads", "source", "dependents", "profile", "lower_lemmas",
-         "raw_tokens"],
+        ["id", "tokens", "forms", "heads", "dependents", "profile", "lower_lemmas", "raw_tokens"],
     )
     def test_is_frozen(self, name):
         """Fields and cached views refuse assignment and deletion in both
@@ -309,19 +313,18 @@ class TestSentenceContract:
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
-        for s in self.both(source=SourceRef(corpus="c")):
+        for s in self.both():
             loaded = pickle.loads(pickle.dumps(s, protocol))
             assert type(loaded) is type(s)
             assert loaded == s and hash(loaded) == hash(s) and repr(loaded) == repr(s)
-            assert loaded.source == s.source
 
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
     def test_copy_keeps_the_value(self, duplicate):
-        for s in self.both(source=SourceRef(corpus="c")):
+        for s in self.both():
             twin = duplicate(s)
             assert type(twin) is type(s)
             assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
-            assert (twin.source, twin.dependents) == (s.source, s.dependents)
+            assert twin.dependents == s.dependents
 
     def test_an_annotated_sentence_is_a_sentence(self):
         s, annotated = self.both()
@@ -333,18 +336,17 @@ class TestSentenceContract:
 
     def test_fields_and_what_equality_covers(self):
         """Both are dataclasses; equality and the hash cover the id, the
-        columns and the annotations, and neither ``source`` nor what is
-        derived from the columns."""
-        raw = ["id", "source", "forms", "lemmas", "tags", "deprels", "heads", "feats",
+        columns and the annotations, not what is derived from the columns."""
+        raw = ["id", "forms", "lemmas", "tags", "deprels", "heads", "feats",
                "dependents"]
         annotations = ["profile", "categories", "relations", "features", "modal_flags",
                        "lower_lemmas"]
-        left_out = {"source", "dependents", "lower_lemmas"}
+        left_out = {"dependents", "lower_lemmas"}
         for cls, names in ((Sentence, raw), (AnnotatedSentence, raw + annotations)):
             fields = dataclasses.fields(cls)
             assert [f.name for f in fields] == names
             assert {f.name for f in fields if not f.compare} == left_out & set(names)
-        for s in self.both(source=SourceRef(corpus="c")):
+        for s in self.both():
             values = {name: getattr(s, name) for name in s.__dataclass_fields__}
             for name in values:
                 other = type(s)._from_columns(*{**values, name: ("changed",)}.values())
@@ -400,6 +402,16 @@ class TestMorphFeatures:
     def test_defaults_unspecified(self):
         assert NO_FEATURES.gender is Gender.UNSPECIFIED
         assert MorphFeatures() == NO_FEATURES
+
+    def test_each_verb_form_answers_the_rules_differently(self):
+        """The rules ask a verb form two things: is it finite, is it
+        imperative.  Two members with the same answers would be one value
+        spelled twice."""
+        groups: dict[tuple[bool, bool], list[VerbForm]] = {}
+        for form in VerbForm:
+            answers = (form in FINITE_VERB_FORMS, form is VerbForm.IMPERATIVE)
+            groups.setdefault(answers, []).append(form)
+        assert all(len(forms) == 1 for forms in groups.values()), groups
 
 
 TREE = """

@@ -1,4 +1,6 @@
+import re
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from solosent.model import (
 )
 from solosent.profiles import (
     BUNDLED_PROFILES,
+    DELIMITER_BY_FORM,
     CoverageCounter,
     ProfileError,
     TagsetProfile,
@@ -47,7 +50,7 @@ deprel conj conjunct
 deprel ca conjunctional_adverbial
 deprel adv adverbial
 deprel sub subordinator
-feat V pres verb_form=finite_present
+feat V pres verb_form=finite
 feat * utr gender=common
 modal kunna
 """
@@ -86,14 +89,13 @@ class TestBundledProfiles:
         assert suc.decode_features("NN", "UTR|SIN|DEF") == MorphFeatures(
             gender=Gender.COMMON, number=Number.SINGULAR
         )
-        assert suc.decode_features("VB", "PRS|AKT").verb_form is (
-            VerbForm.FINITE_PRESENT
-        )
-        assert suc.decode_features("VB", "PRT|AKT").verb_form is VerbForm.FINITE_PAST
+        assert suc.decode_features("VB", "PRS|AKT").verb_form is VerbForm.FINITE
+        assert suc.decode_features("VB", "PRT|AKT").verb_form is VerbForm.FINITE
         assert suc.decode_features("VB", "IMP|AKT").verb_form is VerbForm.IMPERATIVE
-        assert suc.decode_features("VB", "SUP|AKT").verb_form is VerbForm.SUPINE
+        assert suc.decode_features("VB", "SUP|AKT").verb_form is VerbForm.UNSPECIFIED
+        # SUC tags participles PC, and no row gives a PC token a verb form
         assert suc.decode_features("PC", "PRS|UTR|SIN|IND|NOM").verb_form is (
-            VerbForm.PARTICIPLE
+            VerbForm.UNSPECIFIED
         )
 
     def test_verb_feats_do_not_leak_to_other_pos(self, suc):
@@ -147,6 +149,38 @@ class TestClassifyDelimiterForm:
 
     def test_unknown_form(self):
         assert classify_delimiter_form("word") is Category.OTHER
+
+
+# docs/formats.md with each run of whitespace made one space
+FORMATS_TEXT = " ".join(
+    (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text("utf-8").split()
+)
+
+
+def _documented(before: str, after: str) -> list[str]:
+    """The backticked names of the comma-separated run that formats.md
+    has between ``before`` and ``after``."""
+    run = r" ?((?:`\w+`, )*`\w+`)"
+    match = re.search(re.escape(before) + run + re.escape(after), FORMATS_TEXT)
+    assert match, before
+    return re.findall(r"`(\w+)`", match[1])
+
+
+class TestFormatsDocument:
+    """docs/formats.md lists the profile vocabulary the model defines."""
+
+    def test_categories(self):
+        pseudo = f", plus the pseudo-category `{DELIMITER_BY_FORM}`"
+        assert _documented("Categories:", pseudo) == [c.value for c in Category]
+
+    def test_relations(self):
+        assert _documented("Relations:", ".") == [r.value for r in Relation]
+
+    @pytest.mark.parametrize(
+        "key, enum", [("gender", Gender), ("number", Number), ("verb_form", VerbForm)]
+    )
+    def test_feat_keys(self, key, enum):
+        assert _documented(f"`{key}` (", ")") == [m.value for m in enum]
 
 
 class TestProfileText:
@@ -206,12 +240,12 @@ class TestProfileText:
 
     def test_later_feature_rows_override(self, tmp_path):
         text = MINIMAL_PROFILE + (
-            "feat V pres verb_form=supine\n"  # later row wins for same field
+            "feat V pres verb_form=imperative\n"  # later row wins for same field
         )
         path = tmp_path / "override.profile"
         path.write_text(text, encoding="utf-8")
         profile = load_profile(path)
-        assert profile.decode_features("V", "pres").verb_form is VerbForm.SUPINE
+        assert profile.decode_features("V", "pres").verb_form is VerbForm.IMPERATIVE
 
 
 @pytest.mark.parametrize(
@@ -228,6 +262,9 @@ class TestProfileText:
         ("feat V pres", "feat takes a POS pattern, an atom and field=value"),
         ("feat V pres tense=present", "unknown feature field 'tense'"),
         ("feat * DEF definiteness=definite", "unknown feature field 'definiteness'"),
+        # verb forms the rules do not tell apart from finite or unspecified
+        ("feat V pres verb_form=finite_present", "bad value 'finite_present' for verb_form"),
+        ("feat V sup verb_form=supine", "bad value 'supine' for verb_form"),
         ("name tiny", "duplicate name line (first on line 1)"),
         ("modal kunna vilja", "modal takes exactly one lemma"),
     ],
@@ -280,7 +317,7 @@ class TestApplyProfile:
         assert det.category is Category.PRONOUN
         assert det.relation is Relation.EXPLETIVE
         assert det.features.gender is Gender.NEUTER
-        assert regnar.features.verb_form is VerbForm.FINITE_PRESENT
+        assert regnar.features.verb_form is VerbForm.FINITE
         assert stop.category is Category.MAJOR_DELIMITER
         assert s.profile == "suc-mamba"
 
@@ -334,15 +371,23 @@ class TestCompiledProfile:
 
     @pytest.mark.parametrize("first", ["VERB", "ADJ"])
     def test_pos_is_part_of_the_decoded_pair(self, first):
+        """One FEATS string decodes two ways by POS, so a table keyed on
+        FEATS alone answers the second lookup wrongly."""
         profile = load_profile("ud")
-        expected = {"VERB": VerbForm.PARTICIPLE, "ADJ": VerbForm.UNSPECIFIED}
+        expected = {"VERB": VerbForm.FINITE, "ADJ": VerbForm.UNSPECIFIED}
         order = [first, "ADJ" if first == "VERB" else "VERB"]
         for pos in order:
             token = apply_profile(
-                parse_one(f"läsande läsa {pos} Tense=Pres|VerbForm=Part 0 root"),
-                profile,
+                parse_one(f"läser läsa {pos} Tense=Pres 0 root"), profile
             ).token(1)
             assert token.features.verb_form is expected[pos]
+
+    def test_a_participle_with_a_tense_is_not_finite(self):
+        """The UD VerbForm rows come after the Tense rows and win."""
+        token = apply_profile(
+            parse_one("läst läsa VERB Tense=Past|VerbForm=Part 0 root"), load_profile("ud")
+        ).token(1)
+        assert token.features.verb_form is VerbForm.UNSPECIFIED
 
 
 _SHARED = {name: load_profile(name) for name in BUNDLED_PROFILES}
