@@ -8,6 +8,9 @@ deterministically so they can be asserted byte for byte, and all network
 traffic goes through a small transport interface that tests replace with
 canned responses.
 
+A page is read one ``kwic`` item at a time, with the json module's own
+scanner, so no tree of the whole page is built; it is read as
+``json.loads`` reads it, the last of duplicate keys winning.
 A hit is read straight into the raw columns of a Sentence, RAW_COLUMNS,
 holding the strings the service sent; normalizing it gives the same
 Sentence/AnnotatedSentence values the CoNLL-U reader produces, sharing
@@ -268,12 +271,99 @@ def _shared_strings():
     return share
 
 
+# JSON's whitespace, as the json module reads it
+_space = re.compile(r"[ \t\n\r]*").match
+
+
+class _Unread(Exception):
+    """The walk met a character JSON does not allow where it stands."""
+
+
+def _read_kwic(text: str, at: int, scan, start: int) -> tuple[FetchResult, int]:
+    """The hits of the ``kwic`` array that opens at ``text[at]``, and the
+    index after it.  Each item is scanned and becomes a hit or a skip before
+    the next is scanned; ``start`` is the first item's index in the query."""
+    hits: list[ConcordanceHit] = []
+    skipped = 0
+    at = _space(text, at + 1).end()
+    if text[at : at + 1] != "]":
+        # a hit's index in the whole query, which a hit without a position takes
+        for index in count(start):
+            item, at = scan(text, at)
+            hit = _parse_hit(item, fallback_position=index) if isinstance(item, Mapping) else None
+            if hit is None:
+                skipped += 1
+            else:
+                hits.append(hit)
+            at = _space(text, at).end()
+            if text[at : at + 1] != ",":
+                break
+            at = _space(text, at + 1).end()
+        if text[at : at + 1] != "]":
+            raise _Unread
+    return FetchResult(hits=tuple(hits), skipped=skipped), at + 1
+
+
+def _read_page(text: str, start: int) -> FetchResult:
+    """The hits of the page in ``text``, a JSON object read member by
+    member, with the last ``kwic`` member read item by item.
+
+    Raises _Unread, or StopIteration where json wants a value, at the first
+    character that JSON does not allow at the object's or the array's level;
+    the json scanner raises its own errors inside a value.
+    """
+    scan = json.JSONDecoder(object_hook=_shared_strings()).scan_once
+    found = False
+    page: Optional[FetchResult] = None  # the last kwic's hits; None: not a list
+    at = _space(text).end()
+    if text[at : at + 1] != "{":
+        raise _Unread
+    at = _space(text, at + 1).end()
+    if text[at : at + 1] != "}":
+        while True:
+            if text[at : at + 1] != '"':
+                raise _Unread
+            key, at = scan(text, at)
+            at = _space(text, at).end()
+            if text[at : at + 1] != ":":
+                raise _Unread
+            at = _space(text, at + 1).end()
+            if key != "kwic":
+                _, at = scan(text, at)
+            else:
+                found = True
+                if text[at : at + 1] == "[":
+                    page, at = _read_kwic(text, at, scan, start)
+                else:
+                    page = None
+                    _, at = scan(text, at)
+            at = _space(text, at).end()
+            if text[at : at + 1] != ",":
+                break
+            at = _space(text, at + 1).end()
+        if text[at : at + 1] != "}":
+            raise _Unread
+    if _space(text, at + 1).end() != len(text):
+        raise _Unread
+    if not found:
+        raise DecodeError("response JSON has no 'kwic' member")
+    if page is None:
+        raise DecodeError("'kwic' is not a list")
+    return page
+
+
 def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     """Execute one page request and parse the hits.
 
-    The reply is dropped once its body is decoded, before the text is
-    parsed, and equal strings of the page are parsed into one object, so
-    the hits hold little beyond the page's distinct strings.
+    The reply is dropped once its body is decoded, and the text is read
+    one ``kwic`` item at a time: each item becomes a hit or a skip before
+    the next is read, so the page is never a tree of dicts, and the peak is
+    about the body plus its decoded text.  Equal strings of the page are
+    parsed into one object, so the hits hold little beyond the page's
+    distinct strings.  The walk accepts what ``json.loads`` accepts, and
+    reads a duplicated key as it does: the last ``kwic`` wins.  Nesting is
+    limited as in ``json.loads``, but counted from each item, not from the
+    page.
     A hit with no ``match.position`` takes its index in the whole query,
     the request's ``start`` plus its offset in the page.
     Hits whose tokens lack dependency annotation, or whose fields have the
@@ -281,36 +371,27 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
     counted, not fatal: concordance corpora mix parsed and unparsed
     material.
     Non-2xx answers raise ServiceError with the status; undecodable bodies
-    raise DecodeError.
+    raise DecodeError, with ``json.loads``'s message when they are not JSON.
     """
     reply = transport.get(request.url)
     if not 200 <= reply.status < 300:
         raise ServiceError(reply.status, f"concordance request failed ({request.url})")
+    start = int(dict(request.params).get("start", 0))
     try:
         text = reply.body.decode("utf-8")
         del reply  # the body goes now, unless the transport keeps it
-        payload = json.loads(text, object_hook=_shared_strings())
+        try:
+            return _read_page(text, start)
+        except (_Unread, StopIteration):  # StopIteration: no value where json wants one
+            pass
+        # json's own message for what the walk refused; a page that is JSON
+        # but not an object is the one that gets past this line
+        json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and an integer too long to
         # convert; RecursionError an array or object nested too deep
         raise DecodeError(f"response body is not JSON: {exc}") from exc
-    del text  # and the text, before the hits are built
-    if not isinstance(payload, dict) or "kwic" not in payload:
-        raise DecodeError("response JSON has no 'kwic' member")
-    kwic = payload["kwic"]
-    if not isinstance(kwic, list):
-        raise DecodeError("'kwic' is not a list")
-    start = int(dict(request.params).get("start", 0))
-    hits: list[ConcordanceHit] = []
-    skipped = 0
-    # a hit's index in the whole query, which a hit without a position takes
-    for index, item in enumerate(kwic, start):
-        hit = _parse_hit(item, fallback_position=index) if isinstance(item, Mapping) else None
-        if hit is None:
-            skipped += 1
-        else:
-            hits.append(hit)
-    return FetchResult(hits=tuple(hits), skipped=skipped)
+    raise DecodeError("response JSON has no 'kwic' member")
 
 
 @dataclass(frozen=True)

@@ -149,19 +149,25 @@ class DetectorConfig:
 _CONCEPT_PROPERTIES = Theme.CONCEPT_PROPERTIES
 
 
+def _reserved(setting: str) -> ConfigError:
+    """The refusal of a setting for the theme that has no rule."""
+    return ConfigError(
+        "theme CDPC is a reserved identifier without an implementation "
+        f"(word co-occurrence scoring hook); it cannot be {setting}"
+    )
+
+
 def _check_enabled(themes: Collection[Theme]) -> None:
     """Refuse themes that have no rule to run."""
     if _CONCEPT_PROPERTIES in themes:
-        raise ConfigError(
-            "theme CDPC is a reserved identifier without an implementation "
-            "(word co-occurrence scoring hook); it cannot be enabled"
-        )
+        raise _reserved("enabled")
 
 
 def _check_weight(theme: Theme, weight: Fraction) -> None:
     """Refuse a weight for a theme with no rule, or whose scores cannot be
     written."""
-    _check_enabled((theme,))
+    if theme is _CONCEPT_PROPERTIES:
+        raise _reserved("weighted")
     if weight <= 0:
         raise ConfigError(f"weight for {theme.value} must be positive, got {weight}")
     # scores are written as floats, and PNAnaphora halves its weight

@@ -6,7 +6,7 @@ import socket
 import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from itertools import chain, count
+from itertools import chain, count, cycle
 from pathlib import Path
 
 import pytest
@@ -206,8 +206,9 @@ class TestFetchPage:
         assert all(a is b for a, b in pairs)
 
     def test_page_peak_memory_is_bounded(self):
-        """Parsing one 250-hit page of long sentences peaks below five times
-        its body, the body itself not counted: the transport holds it."""
+        """Parsing one 250-hit page of long sentences peaks below 2.5 times
+        its body, the body itself not counted: the transport holds it.  The
+        peak is the decoded text, the hits and one item's tree at a time."""
         gen = runpy.run_path(str(BENCH / "gen.py"))
         body = gen["korp_pages"](1, 1000, 250).pages[0]
         transport = CannedTransport(body=body)
@@ -219,7 +220,7 @@ class TestFetchPage:
         finally:
             tracemalloc.stop()
         assert (len(result.hits), result.skipped) == (250, 0)
-        assert peak < 5 * len(body), f"peak {peak / len(body):.2f} times the body"
+        assert peak < 2.5 * len(body), f"peak {peak / len(body):.2f} times the body"
 
     def test_unusable_hits_skipped_and_counted(self):
         broken = {
@@ -332,6 +333,63 @@ class TestFetchPage:
         transport = CannedTransport(body=b'{"kwic": {"a": 1}}')
         with pytest.raises(DecodeError, match="list"):
             fetch_page(simple_request(), transport)
+
+    def test_duplicate_kwic_takes_the_last(self):
+        """As json.loads reads a duplicated key, whatever its spelling."""
+        other = dict(WEATHER_HIT, match={"position": "2082"})
+        first, last = json.dumps([WEATHER_HIT]), json.dumps([other, "not-a-hit"])
+        body = f'{{"kwic": {first}, "hits": 2, "k\\u0077ic": {last}}}'
+        assert json.loads(body)["kwic"] == [other, "not-a-hit"]
+        result = fetch_page(simple_request(), CannedTransport(body=body.encode()))
+        assert ([hit.position for hit in result.hits], result.skipped) == (["2082"], 1)
+        body = f'{{"kwic": {first}, "kwic": null}}'
+        with pytest.raises(DecodeError, match="^'kwic' is not a list$"):
+            fetch_page(simple_request(), CannedTransport(body=body.encode()))
+        body = f'{{"kwic": null, "kwic": {last}}}'
+        result = fetch_page(simple_request(), CannedTransport(body=body.encode()))
+        assert ([hit.position for hit in result.hits], result.skipped) == (["2082"], 1)
+
+    def test_pretty_printed_page_gives_the_compact_hits(self):
+        page = {"hits": 3, "kwic": [WEATHER_HIT, "not-a-hit", dict(WEATHER_HIT, corpus="X")]}
+        compact = json.dumps(page, separators=(",", ":")).encode()
+        expected = fetch_page(simple_request(), CannedTransport(body=compact))
+        assert (len(expected.hits), expected.skipped) == (2, 1)
+        for indent in (2, "\t", " \r"):
+            pretty = f" \n{json.dumps(page, indent=indent)}\r\n\t".encode()
+            assert fetch_page(simple_request(), CannedTransport(body=pretty)) == expected
+
+    def test_page_cut_inside_its_third_item(self):
+        """The walk has read two items when the text ends; the message is
+        json's for the whole cut text."""
+        items = [dict(WEATHER_HIT, match={"position": str(n)}) for n in range(4)]
+        text = json.dumps({"kwic": items})
+        third = [m.start() for m in re.finditer('{"corpus"', text)][2]
+        for cut in (third + 1, third + 30, text.index('"regnar"', third) + 3):
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.loads(text[:cut])
+            with pytest.raises(DecodeError) as info:
+                fetch_page(simple_request(), CannedTransport(body=text[:cut].encode()))
+            assert str(info.value) == f"response body is not JSON: {expected.value}"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", " ", "\ufeff{}", " \ufeff{}", "\f{}", "{} x", "{}{}", '{"kwic": []} ]',
+            "{,}", '{"kwic": [],}', '{,"kwic": []}', '{"kwic" []}', '{"kwic":: []}',
+            "{'kwic': []}", '{"kwic": [1,]}', '{"kwic": [,1]}', '{"kwic": [1 2]}',
+            '{"kwic": [1;2]}', '{"kwic": [1]', '{"kwic": [1}}', '{"kwic": }',
+            '{"kwic": [], "hits": 1,}', '{"kwic": [], "hits"}', '{"kw\\ic": []}',
+            '{"kwic": [\u00a0]}', '{"kwic": [1]\v}',
+        ],
+    )
+    def test_outer_level_refusal_is_jsons(self, text):
+        """Where the walk reads the text itself, a character JSON does not
+        allow there gets json.loads's message."""
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(DecodeError) as info:
+            fetch_page(simple_request(), CannedTransport(body=text.encode()))
+        assert str(info.value) == f"response body is not JSON: {expected.value}"
 
     @pytest.mark.parametrize(
         "body",
@@ -616,13 +674,74 @@ _TYPED_HIT = st.fixed_dictionaries(
         ),
     }
 )
-_PAGE = st.fixed_dictionaries(
-    {"kwic": st.lists(_TYPED_HIT, max_size=4) | st.lists(_HIT | _JSON, max_size=4) | _JSON},
-    optional={"hits": _JSON},
+_KWIC = st.lists(_TYPED_HIT, max_size=4) | st.lists(_HIT | _JSON, max_size=4) | _JSON
+_PAGE = st.fixed_dictionaries({"kwic": _KWIC}, optional={"hits": _JSON})
+
+
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+@st.composite
+def _page_text(draw):
+    """A page's compact JSON text with other members before, between or
+    after its kwic, which may come twice, its key spelled with escapes or
+    without."""
+    others = draw(st.lists(st.tuples(st.sampled_from(["hits", "time"]) | st.text(max_size=4),
+                                     _JSON), max_size=3))
+    members = [_compact(key) + ":" + _compact(value) for key, value in others]
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(['"kwic"', '"k\\u0077ic"', '"\\u006bw\\u0069c"']))
+        members.insert(draw(st.integers(0, len(members))), key + ":" + _compact(draw(_KWIC)))
+    return "{" + ",".join(members) + "}"
+
+
+# a token of compact JSON text: a string, a structural character, or a
+# number or a literal
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}:,]|[^][{}:,"]+')
+
+
+def _spaced(text, gaps):
+    """Compact JSON ``text`` with the whitespace ``gaps``, in turn, before
+    each token and after the last."""
+    return "".join(chain.from_iterable(zip(cycle(gaps), _JSON_TOKEN.findall(text)))) + gaps[-1]
+
+
+def _splice(text, pick, chars):
+    """Compact JSON ``text`` with ``chars`` in place of the ``pick``-th,
+    counted round, of the brackets, braces, colons and commas of its two
+    outer levels and of the bounds of their values."""
+    spots, depth = [], 0
+    for token in _JSON_TOKEN.finditer(text):
+        depth -= token.group() in ("]", "}")
+        if token.group() in ("[", "]", "{", "}", ":", ",") and depth <= 2:
+            spots.append(token.start())
+        depth += token.group() in ("[", "{")
+    at = spots[pick % len(spots)]
+    return text[:at] + chars + text[at + 1 :]
+
+
+_PAGE_TEXT = _page_text()
+_DOCUMENT = _PAGE_TEXT | _JSON.map(_compact)
+# what only a reader that walks the text meets: whitespace, members in any
+# order, kwic twice or with an escaped key, a cut page, trailing data, a BOM,
+# and one character out of place
+_LAYOUT = st.one_of(
+    _PAGE_TEXT,
+    st.builds(_spaced, _DOCUMENT, st.lists(st.text(" \t\n\r", max_size=3), min_size=1)),
+    st.builds(json.dumps, _PAGE, indent=st.sampled_from([0, 2, "\t", " \r"])),
+    st.builds(lambda text, share: text[: round(len(text) * share)], _PAGE_TEXT,
+              st.floats(0, 1)),
+    st.builds(str.__add__, _DOCUMENT,
+              st.sampled_from(["{}", "]", ",", "x", "\x00", " 1", " \n"]) | st.text(max_size=3)),
+    _PAGE_TEXT.map("\ufeff".__add__),
+    st.builds(_splice, _PAGE_TEXT, st.integers(0, 50),
+              st.sampled_from(["", " ", "\f", ",", ":", "[", "]", "{", "}", '"', ",]", ",}"])),
 )
 _BODY = st.one_of(
     _PAGE.map(lambda page: json.dumps(page).encode("utf-8")),
     _JSON.map(lambda value: json.dumps(value).encode("utf-8")),
+    _LAYOUT.map(lambda text: text.encode("utf-8")),
     st.binary(max_size=20),
 )
 
@@ -677,26 +796,35 @@ def _served_hit(item, index):
     return ConcordanceHit(corpus, position, *zip(*rows))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(_BODY)
 def test_fetch_decoder_fails_only_with_decode_error(body):
     """Whatever a service answers with 200, fetch_page either gives hits or
     raises DecodeError, the latter only for a body that is not a JSON
-    object with a ``kwic`` list.  The hits are exactly the served items
+    object with a ``kwic`` list, and with the message that json.loads's
+    reading of the body gives.  The hits are exactly the served items
     whose every field is usable, in page order, as an oracle that judges
     each field on its own finds them.  normalize_hits turns every hit into
     a sentence or an IngestIssue without raising, and the sentences are
     written as UTF-8 CoNLL-U that reads back to the same text."""
     try:
         page = json.loads(body.decode("utf-8"))
-    except (ValueError, RecursionError):
-        page = None
-    kwic = page.get("kwic") if isinstance(page, dict) else None
+    except (ValueError, RecursionError) as exc:
+        refusal = f"response body is not JSON: {exc}"
+    else:
+        if not isinstance(page, dict) or "kwic" not in page:
+            refusal = "response JSON has no 'kwic' member"
+        elif not isinstance(page["kwic"], list):
+            refusal = "'kwic' is not a list"
+        else:
+            refusal = None
     try:
         result = fetch_page(simple_request(), CannedTransport(body=body))
-    except DecodeError:
-        assert not isinstance(kwic, list)
+    except DecodeError as exc:
+        assert str(exc) == refusal
         return
+    assert refusal is None
+    kwic = page["kwic"]
     expected = [hit for hit in map(_served_hit, kwic, count()) if hit is not None]
     assert list(result.hits) == expected
     assert result.skipped == len(kwic) - len(expected)
