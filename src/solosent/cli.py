@@ -395,7 +395,7 @@ def _fetch(args, mapping) -> int:
     transport = concordance.UrllibTransport()
     issues = []
     with _open_output(args.output) as out:
-        wrote = False
+        separator = ""
         for page in range(settings.pages):
             query = concordance.ConcordanceQuery(
                 query_expression=settings.query_expression,
@@ -420,15 +420,13 @@ def _fetch(args, mapping) -> int:
                 )
             sentences, page_issues = concordance.normalize_hits(result.hits)
             issues.extend(page_issues)
-            text = serialize_conllu(sentences)
-            # blocks are joined by one blank line, across pages as within one
-            if text:
-                if wrote:
-                    out.write("\n")
-                out.write(text)
-                wrote = True
+            # each block is written as it is rendered, one blank line
+            # between blocks, across pages as within one
+            for sentence in sentences:
+                out.write(separator + serialize_conllu((sentence,)))
+                separator = "\n"
             # hold one page at a time: drop this one before the next request
-            del result, sentences, text
+            del result, sentences
     for issue in issues:
         _warn(f"{issue.sentence_id}: {issue.message}")
     return 0

@@ -12,11 +12,13 @@ A page is read one ``kwic`` item at a time, with the json module's own
 scanner, so no tree of the whole page is built; it is read as
 ``json.loads`` reads it, the last of duplicate keys winning.
 A hit is read straight into the raw columns of a Sentence, RAW_COLUMNS,
-holding the strings the service sent; normalizing it gives the same
-Sentence/AnnotatedSentence values the CoNLL-U reader produces, sharing
-the hit's columns, so nothing downstream knows which reader made a
-sentence.  A hit's sentence id, ``corpus:position``, says where it came
-from.
+holding the strings the service sent; as each hit is read, the strings
+it keeps, its corpus and its columns, become the page's first equal
+ones, so a page's hits hold each distinct string once.  Normalizing a
+hit gives the same Sentence/AnnotatedSentence values the CoNLL-U reader
+produces, sharing the hit's columns, so nothing downstream knows which
+reader made a sentence.  A hit's sentence id, ``corpus:position``, says
+where it came from.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 import urllib.parse
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .config import errors_at, where
 from .detectors import ConfigError
@@ -208,7 +210,9 @@ def _digits(value):
     return value
 
 
-def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit]:
+def _parse_hit(
+    item: Mapping, fallback_position: int, share: Callable[[str, str], str]
+) -> Optional[ConcordanceHit]:
     """The hit in ``item``, or None when any of its fields is unusable.
 
     Token fields are strings (``dephead`` may be an integer); ``word``,
@@ -216,6 +220,8 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     ``pos``, ``lemma`` or ``msd`` counts as absent.  A string that CoNLL-U
     cannot carry is unusable too, and so is a sentence id,
     ``corpus:position``, that starts or ends with whitespace.
+    The hit's corpus and columns hold ``share(s, s)`` of each string ``s``,
+    the ``setdefault`` of a table kept for the page.
     """
     tokens_raw = item.get("tokens")
     if not isinstance(tokens_raw, list) or not tokens_raw:
@@ -253,22 +259,8 @@ def _parse_hit(item: Mapping, fallback_position: int) -> Optional[ConcordanceHit
     # the reader drops whitespace around a sent_id
     if _UNWRITABLE.search(joined) or corpus[:1].isspace() or position[-1:].isspace():
         return None
-    return ConcordanceHit(corpus, position, *zip(*rows))
-
-
-def _shared_strings():
-    """A json ``object_hook`` that makes each string value of an object the
-    first equal one it has seen.  A page repeats its tags, relations and
-    heads thousands of times; made once per page, the table goes with it."""
-    seen: dict[str, str] = {}
-
-    def share(obj: dict) -> dict:
-        for key, value in obj.items():
-            if type(value) is str:
-                obj[key] = seen.setdefault(value, value)
-        return obj
-
-    return share
+    columns = (tuple(map(share, column, column)) for column in zip(*rows))
+    return ConcordanceHit(share(corpus, corpus), position, *columns)
 
 
 # JSON's whitespace, as the json module reads it
@@ -282,15 +274,18 @@ class _Unread(Exception):
 def _read_kwic(text: str, at: int, scan, start: int) -> tuple[FetchResult, int]:
     """The hits of the ``kwic`` array that opens at ``text[at]``, and the
     index after it.  Each item is scanned and becomes a hit or a skip before
-    the next is scanned; ``start`` is the first item's index in the query."""
+    the next is scanned; ``start`` is the first item's index in the query.
+    A page repeats its tags, relations and heads thousands of times: the
+    hits share each string through one table, which goes with the array."""
     hits: list[ConcordanceHit] = []
     skipped = 0
+    share = {}.setdefault
     at = _space(text, at + 1).end()
     if text[at : at + 1] != "]":
         # a hit's index in the whole query, which a hit without a position takes
         for index in count(start):
             item, at = scan(text, at)
-            hit = _parse_hit(item, fallback_position=index) if isinstance(item, Mapping) else None
+            hit = _parse_hit(item, index, share) if isinstance(item, Mapping) else None
             if hit is None:
                 skipped += 1
             else:
@@ -312,7 +307,7 @@ def _read_page(text: str, start: int) -> FetchResult:
     character that JSON does not allow at the object's or the array's level;
     the json scanner raises its own errors inside a value.
     """
-    scan = json.JSONDecoder(object_hook=_shared_strings()).scan_once
+    scan = json.JSONDecoder().scan_once
     found = False
     page: Optional[FetchResult] = None  # the last kwic's hits; None: not a list
     at = _space(text).end()
@@ -357,9 +352,11 @@ def fetch_page(request: RequestSpec, transport: Transport) -> FetchResult:
 
     The reply is dropped once its body is decoded, and the text is read
     one ``kwic`` item at a time: each item becomes a hit or a skip before
-    the next is read, so the page is never a tree of dicts, and the peak is
-    about the body plus its decoded text.  Equal strings of the page are
-    parsed into one object, so the hits hold little beyond the page's
+    the next is read, so the page is never a tree of dicts.  The peak, the
+    body not counted, is about twice the body and comes in decoding it:
+    CPython drafts the text as an ASCII string and copies it into a wider
+    one at the first non-ASCII byte.  As each hit is read, the strings it keeps become the
+    page's first equal ones, so the hits hold little beyond the page's
     distinct strings.  The walk accepts what ``json.loads`` accepts, and
     reads a duplicated key as it does: the last ``kwic`` wins.  Nesting is
     limited as in ``json.loads``, but counted from each item, not from the

@@ -205,10 +205,39 @@ class TestFetchPage:
         assert len(pairs) == 1 + 6 * 3
         assert all(a is b for a, b in pairs)
 
+    def test_equal_strings_are_one_object_wherever_they_stand(self):
+        """Equal strings of one page are one object across its hits and
+        columns: corpus, forms, lemmas, tags, relations, heads and features.
+        Every value has two characters or more: CPython keeps one object
+        per one-character string, shared or not."""
+        dog = hit_token("Hunden", "hund", "NN", "UTR|SIN|DEF|NOM", "12", "SS")
+        sleeps = hit_token("sover", "sova", "VB", "PRS|AKT", "10", "ROOT")
+        bone = hit_token("hund", "hund", "NN", "UTR|SIN|IND|NOM", "11", "OO")
+        hits = [
+            {"corpus": "SUC3", "match": {"position": "17"}, "tokens": [dog, sleeps, bone]},
+            {"corpus": "TALBANKEN", "match": {"position": "29"}, "tokens": [bone, dog]},
+            {"corpus": "SUC3", "match": {"position": "40"}, "tokens": [sleeps, bone, sleeps]},
+        ]
+        result = fetch_page(simple_request(), CannedTransport(body=page_body(hits)))
+        assert (len(result.hits), result.skipped) == (3, 0)
+        first, repeated = {}, set()
+        for hit in result.hits:
+            for value in chain([hit.corpus], *raw_columns(hit)):
+                assert len(value) >= 2
+                if value in first:
+                    repeated.add(value)
+                assert first.setdefault(value, value) is value, value
+        # a corpus, a lemma that is also a form, a tag, a relation, a head
+        # and features each stand more than once
+        assert {"SUC3", "hund", "NN", "SS", "12", "PRS|AKT"} <= repeated
+
     def test_page_peak_memory_is_bounded(self):
         """Parsing one 250-hit page of long sentences peaks below 2.5 times
         its body, the body itself not counted: the transport holds it.  The
-        peak is the decoded text, the hits and one item's tree at a time."""
+        peak, about twice the body, is in decoding it: CPython drafts the
+        text as an ASCII string and copies it into a wider one at the first
+        non-ASCII byte.  Reading the items after that peaks lower: the
+        text, the hits and one item's tree at a time."""
         gen = runpy.run_path(str(BENCH / "gen.py"))
         body = gen["korp_pages"](1, 1000, 250).pages[0]
         transport = CannedTransport(body=body)
