@@ -32,7 +32,6 @@ sentences = parse_conllu(
 assessments = [
     detect_all(apply_profile(s, profile), lexicons) for s in sentences
 ]
-predictions = {a.sentence_id: a.themes for a in assessments}
 
 with tempfile.TemporaryDirectory() as scratch:
     gold_path = Path(scratch) / "gold.tsv"
@@ -42,7 +41,8 @@ with tempfile.TemporaryDirectory() as scratch:
     )
     gold = read_gold_file(gold_path)
 
-report = evaluate(predictions, gold)
+# evaluate reads (id, themes) pairs once, as they come; a dict works too
+report = evaluate(((a.sentence_id, a.themes) for a in assessments), gold)
 print(render_eval_table(report))
 
 print()

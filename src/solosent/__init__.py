@@ -62,7 +62,6 @@ _EXPORTS = {
     ),
     "evaluation": (
         "EvalReport",
-        "GoldRecord",
         "ThemeMetrics",
         "ThemeRateReport",
         "evaluate",

@@ -11,9 +11,9 @@ One executable, five modes::
 Records go to --output (default stdout) as JSON lines or TSV.  Sentences
 are read and assessed one at a time, in input order and in one thread, so
 output is byte-deterministic for a given input; assess and filter write
-each record as soon as it is made, eval holds only the gold file and one
-id -> themes entry per input sentence, and fetch writes each page's
-sentences as CoNLL-U as soon as the page arrives.  --jobs is accepted for
+each record as soon as it is made, eval holds the gold table, and only
+the input ids outside it, and fetch writes each page's sentences as
+CoNLL-U as soon as the page arrives.  --jobs is accepted for
 compatibility and changes nothing.
 
 Each mode that assesses (assess, filter, rank and eval) opens --input and
@@ -81,10 +81,10 @@ class _InputContentError(Exception):
 # which is also where the per-layer tracer (bench/tracing.py) wraps them
 _EVALUATION = (
     "GoldDataError",
+    "ThemeTally",
     "evaluate",
     "read_gold_file",
     "render_eval_table",
-    "theme_rates",
 )
 
 
@@ -435,31 +435,22 @@ def _fetch(args, mapping) -> int:
 def _eval(assessments: Iterable[Assessment], gold, fmt: str, out) -> None:
     """Write one report of the assessments against the --gold labels.
 
-    Of each sentence only its id and its theme set are kept, and sentences
-    with equal theme sets share one frozenset; the theme rates are counted
-    in the same pass.
+    Each verdict is scored against its gold label as it arrives, and the
+    theme rates are counted in the same pass; of the verdicts only the ids
+    outside the gold are kept.
     """
     this = sys.modules[__name__]  # evaluation's names resolve through __getattr__
-    predictions: dict[str, frozenset] = {}
-    shared: dict[frozenset, frozenset] = {}
-    duplicates: list[str] = []
-
-    def kept(assessments: Iterable[Assessment]) -> Iterator[Assessment]:
-        for a in assessments:
-            if a.sentence_id in predictions and not duplicates:
-                duplicates.append(a.sentence_id)
-            themes = a.themes
-            predictions[a.sentence_id] = shared.setdefault(themes, themes)
-            yield a
-
-    rates = this.theme_rates(kept(assessments))
-    # reported once the whole input is read, so a malformed row after the
-    # repeat is the error that wins
-    if duplicates:
-        raise _InputContentError(f"duplicate sentence id {duplicates[0]!r}")
-    report = this.evaluate(predictions, gold)
+    tally = this.ThemeTally()
+    try:
+        report = this.evaluate(
+            ((a.sentence_id, tally.add(a)) for a in assessments), gold
+        )
+    except this.GoldDataError as exc:
+        # a repeated input id, reported once the whole input is read, so a
+        # malformed row after the repeat is the error that wins
+        raise _InputContentError(str(exc)) from None
     if fmt == "jsonl":
-        out.write(json.dumps(_report_record(report, rates), ensure_ascii=False))
+        out.write(json.dumps(_report_record(report, tally.report()), ensure_ascii=False))
     else:
         out.write(this.render_eval_table(report))
     out.write("\n")

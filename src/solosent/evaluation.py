@@ -1,10 +1,13 @@
 """Evaluating detector output against labeled data, and rate reports.
 
 Two complementary views: sentence-level precision/recall/F1 per theme
-against a gold standard, and plain theme-rate percentages over an
-unlabeled (or positively labeled) sentence set.  All arithmetic is exact
-rational; undefined metrics are reported as absent (None), never as zero,
-so an unseen theme cannot masquerade as a badly detected one.
+against a gold table, and plain theme-rate percentages over an
+unlabeled (or positively labeled) sentence set.  The gold table is one
+id -> themes mapping; predictions and verdicts are read once, as streams,
+and each is counted as it arrives, so what is held grows with the gold
+table alone.  All arithmetic is exact rational; undefined metrics are
+reported as absent (None), never as zero, so an unseen theme cannot
+masquerade as a badly detected one.
 """
 
 from __future__ import annotations
@@ -12,65 +15,56 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from ._text import read_lines
+from ._text import open_lines
 from .assessment import Assessment
 from .detectors import IMPLEMENTED_THEMES, Theme
 
 
 class GoldDataError(Exception):
-    """A gold-standard file or record set cannot be used."""
+    """A gold file cannot be used, or predictions name one id twice."""
 
 
-@dataclass(frozen=True, slots=True)
-class GoldRecord:
-    """The gold annotation for one sentence: which themes apply."""
+def read_gold_file(path: Union[str, Path]) -> dict[str, frozenset[Theme]]:
+    """Read a gold file into one table, sentence id -> frozenset of themes.
 
-    sentence_id: str
-    themes: frozenset[Theme]
-
-
-def read_gold_file(path: Union[str, Path]) -> list[GoldRecord]:
-    """Read gold records: ``sentence_id<TAB>theme[,theme...]`` or ``-``.
-
-    ``#`` comments and blank lines are skipped.  Unknown theme names and
-    repeated sentence ids are errors.  Records with equal theme sets share
-    one frozenset.
+    Each line is ``sentence_id<TAB>theme[,theme...]``, or ``-`` for no
+    theme, and the file is read line by line.  ``#`` comments and blank
+    lines are skipped.  Unknown theme names and repeated sentence ids are
+    errors at their line.  Ids with equal theme sets share one frozenset.
     """
-    records: list[GoldRecord] = []
-    seen: set[str] = set()
+    gold: dict[str, frozenset[Theme]] = {}
     shared: dict[frozenset[Theme], frozenset[Theme]] = {}
     names = {t.value: t for t in Theme}
-    for line_number, raw_line in enumerate(read_lines(path, GoldDataError), start=1):
-        line = raw_line.rstrip()
-        if not line or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise GoldDataError(
-                f"{path}: line {line_number}: expected id<TAB>themes, got {raw_line!r}"
-            )
-        sentence_id, theme_field = fields[0].strip(), fields[1].strip()
-        if sentence_id in seen:
-            raise GoldDataError(
-                f"{path}: line {line_number}: duplicate sentence id {sentence_id!r}"
-            )
-        seen.add(sentence_id)
-        themes: set[Theme] = set()
-        if theme_field != "-":
-            for name in theme_field.split(","):
-                name = name.strip()
-                if name not in names:
-                    raise GoldDataError(
-                        f"{path}: line {line_number}: unknown theme {name!r}"
-                    )
-                themes.add(names[name])
-        frozen = frozenset(themes)
-        records.append(
-            GoldRecord(sentence_id=sentence_id, themes=shared.setdefault(frozen, frozen))
-        )
-    return records
+    with open_lines(path, GoldDataError) as lines:
+        for line_number, raw_line in enumerate(lines, start=1):
+            raw_line = raw_line.rstrip("\n")
+            line = raw_line.rstrip()
+            if not line or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise GoldDataError(
+                    f"{path}: line {line_number}: expected id<TAB>themes, got {raw_line!r}"
+                )
+            sentence_id, theme_field = fields[0].strip(), fields[1].strip()
+            if sentence_id in gold:
+                raise GoldDataError(
+                    f"{path}: line {line_number}: duplicate sentence id {sentence_id!r}"
+                )
+            themes: set[Theme] = set()
+            if theme_field != "-":
+                for name in theme_field.split(","):
+                    name = name.strip()
+                    if name not in names:
+                        raise GoldDataError(
+                            f"{path}: line {line_number}: unknown theme {name!r}"
+                        )
+                    themes.add(names[name])
+            frozen = frozenset(themes)
+            gold[sentence_id] = shared.setdefault(frozen, frozen)
+    return gold
 
 
 @dataclass(frozen=True)
@@ -133,46 +127,68 @@ def _mean(values: list[Fraction]) -> Optional[Fraction]:
 
 
 def evaluate(
-    predictions: Mapping[str, Iterable[Theme]],
-    gold: Sequence[GoldRecord],
+    predictions: Union[
+        Mapping[str, Iterable[Theme]], Iterable[tuple[str, Iterable[Theme]]]
+    ],
+    gold: Mapping[str, frozenset[Theme]],
 ) -> EvalReport:
-    """Sentence-level evaluation of predicted theme sets against gold.
+    """Sentence-level evaluation of predicted theme sets against a gold table.
 
-    The evaluation universe is the gold records: a gold sentence missing
-    from ``predictions`` counts as an empty prediction, and predicted ids
-    outside the gold set are ignored.  The result is invariant under
-    reordering of the gold records.  Duplicate gold ids are an error.
+    ``predictions`` is read once, as ``(sentence_id, themes)`` pairs, so it
+    may be a stream; a mapping is read through ``items()``.  Each pair is
+    scored as it arrives, and only the ids outside the gold are kept.  The
+    gold table is the universe: a gold id never predicted counts as an
+    empty prediction, and predicted ids outside the gold are ignored.  The
+    caller's gold mapping is not changed.  An id that comes twice in the
+    predictions raises GoldDataError once the predictions are read to
+    their end, so an error that the stream raises after the repeat wins.
 
     The macro averages (headline numbers) are unweighted means over themes
     with defined values, with the number of contributing themes recorded;
-    the micro counterpart pools the confusion counts over all themes.
+    the micro counterpart pools the confusion counts over all themes.  The
+    multi-theme rate is the share of gold ids predicted with two or more
+    themes.
     """
-    seen: set[str] = set()
-    for record in gold:
-        if record.sentence_id in seen:
-            raise GoldDataError(f"duplicate sentence id {record.sentence_id!r}")
-        seen.add(record.sentence_id)
+    pairs = predictions.items() if isinstance(predictions, Mapping) else predictions
+    unscored = dict(gold)
+    outside: set[str] = set()
+    repeated: Optional[str] = None
+    tp = dict.fromkeys(IMPLEMENTED_THEMES, 0)
+    fp = dict.fromkeys(IMPLEMENTED_THEMES, 0)
+    fn = dict.fromkeys(IMPLEMENTED_THEMES, 0)
+    multi = 0
+    for sentence_id, themes in pairs:
+        actual = unscored.pop(sentence_id, None)
+        if actual is None:
+            if sentence_id in gold or sentence_id in outside:
+                if repeated is None:
+                    repeated = sentence_id
+            else:
+                outside.add(sentence_id)
+            continue
+        predicted = frozenset(themes)
+        if len(predicted) >= 2:
+            multi += 1
+        for theme in predicted:
+            if theme in tp:
+                if theme in actual:
+                    tp[theme] += 1
+                else:
+                    fp[theme] += 1
+        for theme in actual:
+            if theme in fn and theme not in predicted:
+                fn[theme] += 1
+    if repeated is not None:
+        raise GoldDataError(f"duplicate sentence id {repeated!r}")
+    for actual in unscored.values():
+        for theme in actual:
+            if theme in fn:
+                fn[theme] += 1
 
-    predicted_sets: dict[str, frozenset[Theme]] = {}
-    for record in gold:
-        predicted_sets[record.sentence_id] = frozenset(
-            predictions.get(record.sentence_id, ())
-        )
-
-    per_theme: dict[Theme, ThemeMetrics] = {}
-    for theme in IMPLEMENTED_THEMES:
-        tp = fp = fn = 0
-        for record in gold:
-            predicted = theme in predicted_sets[record.sentence_id]
-            actual = theme in record.themes
-            if predicted and actual:
-                tp += 1
-            elif predicted:
-                fp += 1
-            elif actual:
-                fn += 1
-        per_theme[theme] = ThemeMetrics(tp, fp, fn)
-
+    per_theme = {
+        theme: ThemeMetrics(tp[theme], fp[theme], fn[theme])
+        for theme in IMPLEMENTED_THEMES
+    }
     precisions = [m.precision for m in per_theme.values() if m.precision is not None]
     recalls = [m.recall for m in per_theme.values() if m.recall is not None]
     f1s = [m.f1 for m in per_theme.values() if m.f1 is not None]
@@ -185,20 +201,15 @@ def evaluate(
         f1_themes=len(f1s),
     )
     micro = ThemeMetrics(
-        true_positives=sum(m.true_positives for m in per_theme.values()),
-        false_positives=sum(m.false_positives for m in per_theme.values()),
-        false_negatives=sum(m.false_negatives for m in per_theme.values()),
+        true_positives=sum(tp.values()),
+        false_positives=sum(fp.values()),
+        false_negatives=sum(fn.values()),
     )
-    if gold:
-        multi = sum(1 for s in predicted_sets.values() if len(s) >= 2)
-        multi_rate: Optional[Fraction] = Fraction(multi, len(gold))
-    else:
-        multi_rate = None
     return EvalReport(
         per_theme=per_theme,
         macro=macro,
         micro=micro,
-        multi_theme_rate=multi_rate,
+        multi_theme_rate=Fraction(multi, len(gold)) if gold else None,
         sentence_count=len(gold),
     )
 
@@ -216,6 +227,42 @@ class ThemeRateReport:
     any_theme: Optional[Fraction]
 
 
+class ThemeTally:
+    """A running count of sentences and of the themes that fired on them.
+
+    ``add`` counts one verdict and returns its theme set, so a loop that
+    scores the verdicts can count their rates in the same pass; ``report``
+    gives the rates of the verdicts counted so far.
+    """
+
+    __slots__ = ("sentences", "flagged", "hits")
+
+    def __init__(self) -> None:
+        self.sentences = self.flagged = 0
+        self.hits = dict.fromkeys(IMPLEMENTED_THEMES, 0)
+
+    def add(self, assessment: Assessment) -> frozenset[Theme]:
+        self.sentences += 1
+        themes = assessment.themes
+        if themes:
+            self.flagged += 1
+            hits = self.hits
+            for theme in themes:
+                if theme in hits:
+                    hits[theme] += 1
+        return themes
+
+    def report(self) -> ThemeRateReport:
+        total = self.sentences
+        if not total:
+            return ThemeRateReport(sentence_count=0, per_theme={}, any_theme=None)
+        return ThemeRateReport(
+            sentence_count=total,
+            per_theme={theme: Fraction(100 * n, total) for theme, n in self.hits.items()},
+            any_theme=Fraction(100 * self.flagged, total),
+        )
+
+
 def theme_rates(assessments: Iterable[Assessment]) -> ThemeRateReport:
     """Percentage of sentences on which each theme fired at least once.
 
@@ -223,22 +270,10 @@ def theme_rates(assessments: Iterable[Assessment]) -> ThemeRateReport:
     once per sentence however often it fired there; a theme without an
     implementation (CDPC) has no rate but still flags its sentence.
     """
-    hits = dict.fromkeys(IMPLEMENTED_THEMES, 0)
-    total = flagged = 0
-    for a in assessments:
-        total += 1
-        if a.detections:
-            flagged += 1
-            for theme in a.themes:
-                if theme in hits:
-                    hits[theme] += 1
-    if not total:
-        return ThemeRateReport(sentence_count=0, per_theme={}, any_theme=None)
-    return ThemeRateReport(
-        sentence_count=total,
-        per_theme={theme: Fraction(100 * n, total) for theme, n in hits.items()},
-        any_theme=Fraction(100 * flagged, total),
-    )
+    tally = ThemeTally()
+    for assessment in assessments:
+        tally.add(assessment)
+    return tally.report()
 
 
 def render_eval_table(report: EvalReport) -> str:
@@ -273,10 +308,10 @@ def render_eval_table(report: EvalReport) -> str:
 __all__ = [
     "EvalReport",
     "GoldDataError",
-    "GoldRecord",
     "MetricAverages",
     "ThemeMetrics",
     "ThemeRateReport",
+    "ThemeTally",
     "evaluate",
     "read_gold_file",
     "render_eval_table",

@@ -22,7 +22,7 @@ from solosent.assessment import (
 )
 from solosent.conllu import parse_conllu, serialize_conllu
 from solosent.detectors import Theme, ThemeDetection, detect_all
-from solosent.evaluation import GoldRecord, evaluate, theme_rates
+from solosent.evaluation import evaluate, theme_rates
 from solosent.model import Sentence
 from solosent.profiles import apply_profile
 from synthcorpus import (
@@ -84,16 +84,11 @@ def test_criterion_2_synthetic_corpus_eval(lex):
     entries = single_theme_corpus()
     assert len(entries) >= 50
     predictions = {}
-    gold = []
+    gold = {}
     for sentence_id, rows, theme in entries:
         assessment = detect_all(annotate(rows, sentence_id), lex)
         predictions[sentence_id] = assessment.themes
-        gold.append(
-            GoldRecord(
-                sentence_id=sentence_id,
-                themes=frozenset({theme} if theme else set()),
-            )
-        )
+        gold[sentence_id] = frozenset({theme} if theme else set())
     result = evaluate(predictions, gold)
     ok = all(
         m.precision == Fraction(1)
@@ -172,18 +167,18 @@ def test_criterion_4_filter_rank_properties():
 def test_criterion_5_eval_oracle():
     budget = Budget()
     SC = Theme.STRUCTURAL_CONNECTIVE
-    gold = [
-        GoldRecord("s01", frozenset({PN})),
-        GoldRecord("s02", frozenset({PN})),
-        GoldRecord("s03", frozenset({PN, SC})),
-        GoldRecord("s04", frozenset({Theme.INCOMPLETE})),
-        GoldRecord("s05", frozenset({Theme.ADVERBIAL_ANAPHORA})),
-        GoldRecord("s06", frozenset()),
-        GoldRecord("s07", frozenset()),
-        GoldRecord("s08", frozenset({Theme.CLOSED_QUESTION_ANSWER})),
-        GoldRecord("s09", frozenset({Theme.IMPLICIT_ANAPHORA})),
-        GoldRecord("s10", frozenset({Theme.DISCOURSE_CONNECTIVE})),
-    ]
+    gold = {
+        "s01": frozenset({PN}),
+        "s02": frozenset({PN}),
+        "s03": frozenset({PN, SC}),
+        "s04": frozenset({Theme.INCOMPLETE}),
+        "s05": frozenset({Theme.ADVERBIAL_ANAPHORA}),
+        "s06": frozenset(),
+        "s07": frozenset(),
+        "s08": frozenset({Theme.CLOSED_QUESTION_ANSWER}),
+        "s09": frozenset({Theme.IMPLICIT_ANAPHORA}),
+        "s10": frozenset({Theme.DISCOURSE_CONNECTIVE}),
+    }
     predictions = {
         "s01": {PN},
         "s02": set(),

@@ -9,7 +9,9 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
+from collections.abc import Mapping
 from importlib.resources import files
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -267,14 +269,17 @@ class TestEval:
         assert len(refs) == 12
         assert max(alive) <= 1
 
-    def test_equal_theme_sets_share_one_frozenset(
+    def test_evaluate_reads_one_pass_of_verdicts_against_a_shared_gold_table(
         self, capsys, monkeypatch, corpus_path, gold_path
     ):
+        """cli.evaluate gets the verdicts as a one-pass iterator of (id,
+        themes) pairs, not a mapping of them, and the gold table as read,
+        where ids with equal theme sets share one frozenset."""
         evaluate = cli.evaluate
         seen = []
 
         def spy(predictions, gold):
-            seen.append(predictions)
+            seen.append((predictions, gold))
             return evaluate(predictions, gold)
 
         monkeypatch.setattr(cli, "evaluate", spy)
@@ -282,10 +287,49 @@ class TestEval:
             capsys, "--mode", "eval", "--input", corpus_path, "--gold", gold_path
         )
         assert code == 0
-        (predictions,) = seen
-        sets = list(predictions.values())
+        ((predictions, gold),) = seen
+        assert not isinstance(predictions, Mapping)
+        assert iter(predictions) is predictions
+        assert next(predictions, None) is None
+        sets = list(gold.values())
         # t08-t12 all have no theme, so there are fewer sets than sentences
         assert len({id(s) for s in sets}) == len(set(sets)) < len(sets) == 12
+
+    def test_peak_grows_with_the_gold_table_only(self, tmp_path):
+        """Eval's traced peak grows per sentence by less than 1.8 times what
+        the gold table read_gold_file returns grows by: the verdicts are
+        scored as they stream, with no second per-sentence table.  Streamed,
+        the ratio is about 1.3; a dict of every input id's prediction kept
+        beside the gold, as eval once did, takes it to about 2.4."""
+        gold_path = tmp_path / "gold.tsv"
+        argv = [
+            "--mode", "eval", "--input", str(tmp_path / "in.conllu"),
+            "--gold", str(gold_path), "--output", str(tmp_path / "report.json"),
+        ]
+
+        def traced(size):
+            (tmp_path / "in.conllu").write_text(big_corpus_conllu(size), encoding="utf-8")
+            gold_path.write_text(
+                "".join(f"s{i:05d}\t-\n" for i in range(1, size + 1)), encoding="utf-8"
+            )
+            tracemalloc.start()
+            try:
+                table = cli.read_gold_file(str(gold_path))
+                held = tracemalloc.get_traced_memory()[0]
+                del table
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return held, peak
+
+        traced(100)  # loads the profile, the lexicons and evaluation first
+        small, large = traced(1000), traced(4000)
+        gold_growth = (large[0] - small[0]) / 3000
+        eval_growth = (large[1] - small[1]) / 3000
+        assert eval_growth < 1.8 * gold_growth, (eval_growth, gold_growth)
 
     def test_gold_required(self, capsys, corpus_path):
         code, _, err = run_cli(capsys, "--mode", "eval", "--input", corpus_path)

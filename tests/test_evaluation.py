@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from solosent.assessment import make_assessment
 from solosent.detectors import IMPLEMENTED_THEMES, Theme, ThemeDetection
 from solosent.evaluation import (
+    EvalReport,
     GoldDataError,
-    GoldRecord,
+    MetricAverages,
     ThemeMetrics,
     ThemeRateReport,
     evaluate,
@@ -22,7 +23,7 @@ SC = Theme.STRUCTURAL_CONNECTIVE
 
 
 def gold(*pairs):
-    return [GoldRecord(sentence_id=i, themes=frozenset(ts)) for i, ts in pairs]
+    return {i: frozenset(ts) for i, ts in pairs}
 
 
 def assessed(sentence_id, *themes):
@@ -38,9 +39,8 @@ class TestReadGoldFile:
         with as_file(
             files("solosent.data.fixtures") / "sv_examples.gold"
         ) as path:
-            records = read_gold_file(path)
-        by_id = {r.sentence_id: r.themes for r in records}
-        assert len(records) == 12
+            by_id = read_gold_file(path)
+        assert len(by_id) == 12
         assert by_id["t03"] == {PN, SC}
         assert by_id["t08"] == frozenset()
 
@@ -51,9 +51,9 @@ class TestReadGoldFile:
             encoding="utf-8",
         )
         records = read_gold_file(path)
-        assert [r.sentence_id for r in records] == ["s1", "s2"]
-        assert records[0].themes == {PN}
-        assert records[1].themes == frozenset()
+        assert list(records) == ["s1", "s2"]
+        assert records["s1"] == {PN}
+        assert records["s2"] == frozenset()
 
     def test_equal_theme_sets_share_one_frozenset(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -61,14 +61,14 @@ class TestReadGoldFile:
             "s1\tPNAnaphora,StructConn\ns2\t-\ns3\tStructConn, PNAnaphora\ns4\t-\n",
             encoding="utf-8",
         )
-        s1, s2, s3, s4 = read_gold_file(path)
-        assert s1.themes is s3.themes
-        assert s2.themes is s4.themes
+        records = read_gold_file(path)
+        assert records["s1"] is records["s3"]
+        assert records["s2"] is records["s4"]
 
     def test_multiple_themes_per_line(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("s1\tPNAnaphora, StructConn\n", encoding="utf-8")
-        assert read_gold_file(path)[0].themes == {PN, SC}
+        assert read_gold_file(path)["s1"] == {PN, SC}
 
     def test_unknown_theme(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -86,6 +86,14 @@ class TestReadGoldFile:
         path = tmp_path / "g.tsv"
         path.write_text("s1 PNAnaphora\n", encoding="utf-8")
         with pytest.raises(GoldDataError, match="id<TAB>themes"):
+            read_gold_file(path)
+
+    def test_read_line_by_line(self, tmp_path):
+        """A line's error comes before bytes that are not UTF-8 further on,
+        once those lie past what the first read decodes (8 KiB)."""
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"s1\tNoSuchTheme\n" + b"# padding\n" * 2000 + b"\xff\n")
+        with pytest.raises(GoldDataError, match="line 1: unknown theme"):
             read_gold_file(path)
 
 
@@ -117,7 +125,7 @@ class TestEvaluate:
         records = gold(("s1", {PN}), ("s2", {SC}), ("s3", set()))
         predictions = {"s1": {PN}, "s3": {SC}}
         assert evaluate(predictions, records) == evaluate(
-            predictions, list(reversed(records))
+            predictions, dict(reversed(records.items()))
         )
 
     def test_swapping_roles_swaps_precision_and_recall(self):
@@ -125,7 +133,7 @@ class TestEvaluate:
         predictions = {"s1": {PN}}
         forward = evaluate(predictions, records)
         swapped = evaluate(
-            {r.sentence_id: r.themes for r in records},
+            records,
             gold(*((i, predictions.get(i, set())) for i in ("s1", "s2", "s3"))),
         )
         assert forward.per_theme[PN].precision == Fraction(1)
@@ -133,10 +141,33 @@ class TestEvaluate:
         assert swapped.per_theme[PN].precision == Fraction(1, 2)
         assert swapped.per_theme[PN].recall == Fraction(1)
 
-    def test_duplicate_gold_ids_rejected(self):
-        records = gold(("s1", {PN}), ("s1", set()))
-        with pytest.raises(GoldDataError, match="duplicate"):
-            evaluate({}, records)
+    def test_pairs_read_as_the_mapping(self):
+        records = gold(("s1", {PN}), ("s2", {SC}), ("s3", set()))
+        predictions = {"s1": [PN, PN], "s3": {SC}, "ghost": {PN}}
+        assert evaluate(iter(predictions.items()), records) == evaluate(
+            predictions, records
+        )
+
+    def test_gold_table_left_as_it_was(self):
+        records = gold(("s1", {PN}), ("s2", set()))
+        evaluate({"s1": {PN}}, records)
+        assert records == {"s1": {PN}, "s2": frozenset()}
+
+    @pytest.mark.parametrize("repeated", ["s1", "ghost"])
+    def test_repeated_id_raises_at_the_end_of_the_stream(self, repeated):
+        records = gold(("s1", {PN}), ("s2", set()))
+        read = []
+
+        def stream():
+            yield repeated, {PN}
+            yield "s2", set()
+            yield repeated, set()
+            yield "other", {SC}
+            read.append("to the end")
+
+        with pytest.raises(GoldDataError, match=f"^duplicate sentence id '{repeated}'$"):
+            evaluate(stream(), records)
+        assert read == ["to the end"]
 
     def test_macro_ignores_undefined_themes(self):
         records = gold(("s1", {PN}), ("s2", {SC}))
@@ -175,6 +206,86 @@ class TestEvaluate:
     def test_all_themes_present_in_report(self):
         report = evaluate({}, gold(("s1", set())))
         assert set(report.per_theme) == set(IMPLEMENTED_THEMES)
+
+
+# ids inside and outside the gold, and theme sets drawn from a few shared
+# frozensets or built fresh for each id
+_IDS = st.sampled_from(["s1", "s2", "s3", "s4", "x1", "x2"])
+_SHARED = [frozenset(), frozenset({PN}), frozenset({PN, SC}), frozenset(IMPLEMENTED_THEMES)]
+_THEME_SETS = st.one_of(
+    st.sampled_from(_SHARED), st.frozensets(st.sampled_from(list(Theme)), max_size=4)
+)
+_GOLD = st.dictionaries(st.sampled_from(["s1", "s2", "s3", "s4"]), _THEME_SETS)
+_PAIRS = st.lists(
+    st.tuples(_IDS, st.lists(st.sampled_from(list(Theme)), max_size=4)), max_size=8
+)
+
+
+def _oracle(predictions, gold):
+    """The report by the documented definitions: the gold is the universe,
+    a gold id never predicted counts as empty, ids outside the gold are
+    ignored, and the multi-theme rate is taken over the gold ids."""
+    predicted = {i: frozenset(predictions.get(i, ())) for i in gold}
+    per_theme = {}
+    for theme in IMPLEMENTED_THEMES:
+        pairs = [(theme in predicted[i], theme in actual) for i, actual in gold.items()]
+        per_theme[theme] = ThemeMetrics(
+            pairs.count((True, True)), pairs.count((True, False)), pairs.count((False, True))
+        )
+
+    def mean(values):
+        values = [v for v in values if v is not None]
+        return (sum(values) / len(values) if values else None), len(values)
+
+    (precision, p_n), (recall, r_n), (f1, f_n) = (
+        mean(getattr(m, name) for m in per_theme.values())
+        for name in ("precision", "recall", "f1")
+    )
+    return EvalReport(
+        per_theme=per_theme,
+        macro=MetricAverages(precision, recall, f1, p_n, r_n, f_n),
+        micro=ThemeMetrics(
+            sum(m.true_positives for m in per_theme.values()),
+            sum(m.false_positives for m in per_theme.values()),
+            sum(m.false_negatives for m in per_theme.values()),
+        ),
+        multi_theme_rate=(
+            Fraction(sum(len(s) >= 2 for s in predicted.values()), len(gold))
+            if gold else None
+        ),
+        sentence_count=len(gold),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GOLD, _PAIRS)
+@example({"s1": frozenset({PN})}, [("x1", [PN]), ("s2", []), ("x1", [SC])])
+@example({"s1": frozenset({PN}), "s2": frozenset()}, [("s1", [PN, SC]), ("x1", [SC])])
+def test_evaluate_equals_the_definitions(gold, pairs):
+    """evaluate reads a mapping and a one-pass stream of the same pairs
+    alike, equal to the oracle, and leaves the gold as it was.  A stream
+    that repeats an id, inside the gold or outside it, raises only once it
+    has been read to its end, naming the first id that came again."""
+    before = dict(gold)
+    read = []
+
+    def stream():
+        yield from pairs
+        read.append("to the end")
+
+    ids = [i for i, _ in pairs]
+    repeats = [i for n, i in enumerate(ids) if i in ids[:n]]
+    if repeats:
+        with pytest.raises(GoldDataError) as raised:
+            evaluate(stream(), gold)
+        assert str(raised.value) == f"duplicate sentence id {repeats[0]!r}"
+        assert read == ["to the end"]
+    else:
+        want = _oracle(dict(pairs), gold)
+        assert evaluate(stream(), gold) == want
+        assert read == ["to the end"]
+        assert evaluate(dict(pairs), gold) == want
+    assert gold == before
 
 
 class TestThemeMetrics:

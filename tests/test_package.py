@@ -25,8 +25,8 @@ PUBLIC = {
         "detect_structural_connective",
     ],
     "evaluation": [
-        "EvalReport", "GoldRecord", "ThemeMetrics", "ThemeRateReport", "evaluate",
-        "read_gold_file", "theme_rates",
+        "EvalReport", "ThemeMetrics", "ThemeRateReport", "evaluate", "read_gold_file",
+        "theme_rates",
     ],
     "lexicons": ["AdverbType", "LexiconSet", "load_lexicon_set"],
     "model": [
@@ -57,7 +57,7 @@ def test_star_import_gives_the_public_names_and_submodules():
         "print(json.dumps(sorted(set(namespace) - {'__builtins__'})))"
     )
     expected = set(PUBLIC) | {name for names in PUBLIC.values() for name in names}
-    assert len(expected) == 64
+    assert len(expected) == 63
     assert names == sorted(expected)
 
 
