@@ -392,7 +392,7 @@ def _fetch(args, mapping) -> int:
     from . import concordance  # only fetch mode needs it
 
     settings = concordance.settings_from_mapping(mapping, os.environ)
-    transport = concordance.UrllibTransport()
+    transport = concordance.HttpTransport()
     issues = []
     with _open_output(args.output) as out:
         separator = ""

@@ -6,7 +6,9 @@ list holds one hit per match, each hit carrying fully annotated tokens
 (word, pos, msd, lemma, ref, dephead, deprel).  Requests are built
 deterministically so they can be asserted byte for byte, and all network
 traffic goes through a small transport interface that tests replace with
-canned responses.
+canned responses.  HttpTransport, the one fetch uses, speaks HTTP/1.0
+over a socket of its own: it loads neither urllib's request stack nor,
+for an http endpoint, ssl.
 
 A page is read one ``kwic`` item at a time, with the json module's own
 scanner, so no tree of the whole page is built; it is read as
@@ -142,35 +144,125 @@ class Transport(Protocol):
     def get(self, url: str) -> TransportReply: ...  # pragma: no cover
 
 
-class UrllibTransport:
-    """Stdlib-backed transport used outside tests.
+class HttpTransport:
+    """The transport used outside tests: one HTTP/1.0 GET per request, over
+    one socket.
 
-    The network stack (``urllib.request``, ``http.client``) is imported on
-    the first request, so modes that never fetch do not load it.
+    ``socket`` is imported on the first request and ``ssl`` on the first
+    https one, so modes that never fetch load neither, and an http
+    endpoint never loads ``ssl``.  An https connection is checked as
+    urllib checks it, certificate and host name against the default trust
+    store.  No redirect is followed and no proxy variable is read.
     """
 
     def __init__(self, timeout: float = 30.0) -> None:
         self.timeout = timeout
 
     def get(self, url: str) -> TransportReply:
-        import http.client
-        import urllib.error
-        import urllib.request
+        import socket
 
         try:
-            response = urllib.request.urlopen(url, timeout=self.timeout)
-        except urllib.error.HTTPError as exc:
-            response = exc  # an error status still has a reply to read
-        except (urllib.error.URLError, OSError) as exc:
-            raise TransportError(f"cannot reach {url}: {exc}") from exc
-        except http.client.HTTPException as exc:
-            raise TransportError(f"cannot read the reply from {url}: {exc}") from exc
-        with response:
+            parts = urllib.parse.urlsplit(url)
+            host, port = parts.hostname, parts.port
+            if not host:  # create_connection would take it for localhost
+                raise ValueError("no host")
+            target = parts.path or "/"
+            if parts.query:
+                target += "?" + parts.query
+            authority = parts.netloc.rpartition("@")[2]
+            if not authority.isascii():  # a host sent as http.client sends it
+                authority = authority.encode("idna").decode("ascii")
+            # HTTP/1.0, so that no reply comes chunked
+            request = (
+                f"GET {target} HTTP/1.0\r\nHost: {authority}\r\n"
+                "Accept-Encoding: identity\r\n\r\n"
+            ).encode("ascii")
+        except ValueError as exc:  # a bad port or host; a character no request line carries
+            raise TransportError(f"cannot reach {url}: {exc}") from None
+        https = parts.scheme == "https"
+        if port is None:
+            port = 443 if https else 80
+        try:
+            sock = socket.create_connection((host, port), self.timeout)
             try:
-                body = response.read()
-            except (http.client.HTTPException, OSError) as exc:
-                raise TransportError(f"cannot read the reply from {url}: {exc}") from exc
-        return TransportReply(status=response.status, body=body)
+                if https:
+                    import ssl
+
+                    context = ssl.create_default_context()
+                    sock = context.wrap_socket(sock, server_hostname=host)
+                sock.sendall(request)
+            except BaseException:
+                sock.close()
+                raise
+        except OSError as exc:  # ssl's errors are OSErrors too
+            raise TransportError(f"cannot reach {url}: {exc}") from exc
+        with sock, sock.makefile("rb") as stream:
+            return _read_reply(stream, url)
+
+
+# http.client's caps: bytes in one line of the head, and lines of headers,
+# the blank one that ends them included
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.[0-9] ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
+
+
+def _read_reply(stream, url: str) -> TransportReply:
+    """The status and body of the HTTP/1.x reply that ``stream``, a binary
+    file, holds.
+
+    The body is ``Content-Length`` bytes, read with one ``read`` so that
+    it is held once, or, without that header, all that comes before EOF.
+    A reply with a bad, negative or repeated ``Content-Length``, with a
+    ``Transfer-Encoding``, with a head over http.client's caps or cut
+    before its body ends raises TransportError, and so does an OSError
+    while reading.
+    """
+
+    def unreadable(reason: str) -> TransportError:
+        return TransportError(f"cannot read the reply from {url}: {reason}")
+
+    try:
+        line = stream.readline(_MAX_LINE + 1)
+        status = _STATUS_LINE.fullmatch(line)
+        if status is None:
+            raise unreadable(f"bad status line {line[:80]!r}")
+        length = None
+        for _ in range(_MAX_HEADERS):
+            line = stream.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise unreadable(f"a header line is longer than {_MAX_LINE} bytes")
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line.endswith(b"\n"):
+                raise unreadable("the reply ends in its headers")
+            name, _, value = line.partition(b":")
+            name = name.lower()
+            if name == b"transfer-encoding":
+                raise unreadable(f"Transfer-Encoding is not supported: {value.strip()!r}")
+            if name == b"content-length":
+                value = value.strip(b" \t\r\n")
+                if length is not None:
+                    raise unreadable("repeated Content-Length")
+                # more digits than fit a file offset are no length either
+                if not value.isdigit() or len(value) > 18:
+                    raise unreadable(f"bad Content-Length {value[:80]!r}")
+                length = int(value)
+        else:
+            raise unreadable(f"more than {_MAX_HEADERS} header lines")
+        if length is None:
+            body = stream.read()
+        else:
+            try:
+                body = stream.read(length)
+            except MemoryError:  # the buffer for a length no page comes near
+                raise unreadable(f"no memory for a body of {length} bytes") from None
+            if len(body) < length:
+                got = len(body)
+                raise unreadable(f"IncompleteRead({got} bytes read, {length - got} more expected)")
+    except OSError as exc:
+        raise unreadable(str(exc)) from exc
+    return TransportReply(status=int(status[1]), body=body)
 
 
 @dataclass(frozen=True)
@@ -538,13 +630,13 @@ __all__ = [
     "ConcordanceSettings",
     "DecodeError",
     "FetchResult",
+    "HttpTransport",
     "IngestIssue",
     "RequestSpec",
     "ServiceError",
     "Transport",
     "TransportError",
     "TransportReply",
-    "UrllibTransport",
     "build_request",
     "fetch_page",
     "normalize_hits",

@@ -54,10 +54,11 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
     holds a tab is refused with ParseError, naming the comment's line.
 
     Rows fill the sentence's raw columns; no Token is built.  A row is
-    checked as it is read (ParseError, naming its line, for a token id of
-    0, a token heading itself or an empty form, say), a block when it ends
-    (StructureError for gaps in the ids, heads outside the sentence and
-    cycles, its ``line_number`` that of the block's first token row).
+    checked as it is read (ParseError, naming its line and its block's id,
+    for a token id of 0, a token heading itself or an empty form, say), a
+    block when it ends (StructureError for gaps in the ids, heads outside
+    the sentence and cycles, its ``line_number`` that of the block's first
+    token row).
     """
     lines = string_lines(source) if isinstance(source, str) else source
 
@@ -68,6 +69,12 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
 
     def block_id() -> str:
         return sent_id if sent_id is not None else f"s{ordinal}"
+
+    def row_error(line_number: int, message: str) -> ParseError:
+        # the id of the row's block, which is numbered once a first row
+        # passes these checks
+        name = sent_id if sent_id is not None else f"s{ordinal + (not rows)}"
+        return ParseError(line_number, f"sentence {name!r}: {message}")
 
     for line_number, raw_line in enumerate(lines, start=1):
         line = raw_line.rstrip("\r\n")
@@ -86,7 +93,7 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
             continue
         columns = line.split("\t")
         if len(columns) != COLUMN_COUNT:
-            raise ParseError(
+            raise row_error(
                 line_number,
                 f"expected {COLUMN_COUNT} tab-separated columns, got {len(columns)}",
             )
@@ -97,22 +104,20 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
             first, _, last = token_id.replace(".", "-", 1).partition("-")
             if first.isdecimal() and last.isdecimal():
                 continue
-            raise ParseError(line_number, f"unintelligible token id {token_id!r}")
-        if not rows:
-            ordinal += 1
-            first_line = line_number
+            raise row_error(line_number, f"unintelligible token id {token_id!r}")
         head = columns[6]
         if not head.isdecimal():
-            raise ParseError(
-                line_number, f"head must be a non-negative integer, got {head!r}"
-            )
+            raise row_error(line_number, f"head must be a non-negative integer, got {head!r}")
         try:
             index, head = int(token_id), int(head)
         except ValueError as exc:  # more digits than int() converts
-            raise ParseError(line_number, str(exc)) from exc
+            raise row_error(line_number, str(exc)) from exc
         form = columns[1]
         if problem := row_problem(index, head, form):
-            raise ParseError(line_number, problem)
+            raise row_error(line_number, problem)
+        if not rows:
+            ordinal += 1
+            first_line = line_number
         feats = columns[5] if columns[5] != "_" else ""
         rows.append((index, form, columns[2], columns[3], columns[7], head, feats))
 

@@ -241,8 +241,11 @@ class TestEval:
             "--mode", "eval", "--input", "-" if stdin else str(path), "--gold", gold_path,
         )
         assert (code, out) == (1, "")
+        # the bad row starts the block after the fixture's blocks, twice over
+        block = 2 * fixture_text.count("\n\n") + 1
         assert err == (
-            f"error: {name}: line {line}: expected 10 tab-separated columns, got 3\n"
+            f"error: {name}: line {line}: sentence 's{block}': "
+            "expected 10 tab-separated columns, got 3\n"
         )
 
     def test_holds_no_assessment_it_has_counted(
@@ -792,7 +795,7 @@ class TestInputErrorsNameFileAndLine:
     CASES = [
         (CYCLIC_SECOND_SENTENCE,
          "line 7: sentence 'b': cyclic head chain through token 1"),
-        (NINE_COLUMNS, "line 1: expected 10 tab-separated columns, got 9"),
+        (NINE_COLUMNS, "line 1: sentence 's1': expected 10 tab-separated columns, got 9"),
     ]
 
     @pytest.mark.parametrize("text, message", CASES, ids=["cyclic", "nine_columns"])
@@ -830,7 +833,7 @@ class TestInputErrorsNameFileAndLine:
         path.write_text(f"1\tx\tx\tNN\t_\t_\t{LONG_DIGITS}\tROOT\t_\t_\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "--mode", "assess", "--input", str(path))
         assert code == 1
-        assert err == f"error: {path}: line 1: {int_error(LONG_DIGITS)}\n"
+        assert err == f"error: {path}: line 1: sentence 's1': {int_error(LONG_DIGITS)}\n"
 
 
 def _assert_one_line_utf8_error(capsys, path, code, *argv):
@@ -1328,7 +1331,7 @@ def test_readers_build_no_token(monkeypatch, capsys, tmp_path):
                                "--input", str(fixtures.joinpath(name)))
         assert code == 0 and out
     transport = PagedTransport(FETCH_DIGEST_PAGES)
-    monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+    monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
     code, out, _ = run_cli(capsys, "--mode", "fetch", "--config", _write_paged_config(tmp_path))
     assert code == 0 and out.count("# sent_id") == 2
     assert built == []
@@ -1393,7 +1396,7 @@ class TestFetch:
 
     def test_fetch_writes_conllu(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         target = tmp_path / "fetched.conllu"
         code, _, err = run_cli(
             capsys,
@@ -1411,7 +1414,7 @@ class TestFetch:
 
     def test_fetched_output_assessable(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         target = tmp_path / "fetched.conllu"
         run_cli(
             capsys,
@@ -1433,7 +1436,7 @@ class TestFetch:
         and eval reads the fetched file."""
         hit = {key: value for key, value in FETCH_PAGE["kwic"][0].items() if key != "match"}
         transport = PagedTransport([{"kwic": [hit]}, {"kwic": [hit]}])
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         conf = tmp_path / "korp.conf"
         conf.write_text(
             "fetch.endpoint = https://example.invalid/korp\n"
@@ -1463,7 +1466,7 @@ class TestFetch:
         from solosent import profiles
 
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         calls = []
         for module in (profiles, concordance):
             monkeypatch.setattr(module, "apply_profile", lambda *args: calls.append(args))
@@ -1480,7 +1483,7 @@ class TestFetch:
 
     def test_fetch_does_not_load_lexicons(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         broken = tmp_path / "lexicons"
         broken.mkdir()
         (broken / "weather_verbs.txt").write_text("regna\tväder\n", encoding="utf-8")
@@ -1506,7 +1509,7 @@ class TestFetch:
 
     def test_negative_pages_is_a_config_error(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         conf = self.write_config(tmp_path)
         with open(conf, "a", encoding="utf-8") as f:
             f.write("fetch.pages = -2\n")
@@ -1531,7 +1534,7 @@ class TestFetch:
         """fetch.pages = 0 fetches nothing, but hides no error in the keys a
         request is built from: the run stops as it does with one page."""
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         settings = {
             "fetch.endpoint": "https://example.invalid/korp",
             "fetch.cqp": "[]",
@@ -1548,7 +1551,7 @@ class TestFetch:
 
     def test_malformed_endpoint_in_the_environment(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         monkeypatch.setenv("SOLOSENT_ENDPOINT", "http://127.0.0.1:abc/")
         code, out, err = run_cli(capsys, "--mode", "fetch", "--config", self.write_config(tmp_path))
         assert (code, out) == (2, "")
@@ -1575,7 +1578,7 @@ class TestFetch:
         in it, stops the run before any request; the error names the config
         line the endpoint was read from, and no file for the environment's."""
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         conf = tmp_path / "korp.conf"
         conf.write_text("fetch.cqp = []\nfetch.corpora = SUC3\n", encoding="utf-8")
         where = ""
@@ -1596,7 +1599,7 @@ class TestFetch:
             "tokens": [{"word": ["Det"], "deprel": True, "pos": None, "dephead": 0}],
         }
         page = dict(FETCH_PAGE, kwic=[FETCH_PAGE["kwic"][0], wrong])
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: FakeTransport(page))
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: FakeTransport(page))
         code, out, err = run_cli(
             capsys, "--mode", "fetch", "--config", self.write_config(tmp_path)
         )
@@ -1613,7 +1616,7 @@ class TestFetch:
             dict(good, tokens=[dict(first, word="\ud800"), *rest]),
         ]
         page = dict(FETCH_PAGE, kwic=[good, *unwritable])
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: FakeTransport(page))
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: FakeTransport(page))
         target = tmp_path / "fetched.conllu"
         code, _, err = run_cli(
             capsys,
@@ -1628,7 +1631,7 @@ class TestFetch:
 
     def test_env_endpoint_override(self, capsys, monkeypatch, tmp_path):
         transport = FakeTransport(FETCH_PAGE)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         monkeypatch.setenv("SOLOSENT_ENDPOINT", "https://elsewhere.invalid/api")
         target = tmp_path / "fetched.conllu"
         code, _, _ = run_cli(
@@ -1703,7 +1706,7 @@ class TestFetchStreams:
         stdout = io.StringIO()
         monkeypatch.setattr(sys, "stdout", stdout)
         transport = WatchingTransport(FETCH_DIGEST_PAGES, stdout)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         code = main(["--mode", "fetch", "--config", _write_paged_config(tmp_path)])
         assert code == 0
         # page 1 holds one tree, page 2 none, page 3 one
@@ -1717,7 +1720,7 @@ class TestFetchStreams:
 
     def test_empty_fetch_writes_nothing(self, capsys, monkeypatch, tmp_path):
         empty = [{"kwic": []}] * 3
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: PagedTransport(empty))
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: PagedTransport(empty))
         code, out, err = run_cli(
             capsys, "--mode", "fetch", "--config", _write_paged_config(tmp_path)
         )
@@ -1730,7 +1733,7 @@ class TestFetchFailure:
 
     def fetch(self, capsys, monkeypatch, tmp_path, failure, *argv):
         transport = FailingTransport(FETCH_DIGEST_PAGES, failure)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         code, out, err = run_cli(
             capsys, "--mode", "fetch", "--config", _write_paged_config(tmp_path), *argv
         )
@@ -1765,7 +1768,7 @@ class TestFetchFailure:
 class TestFetchOutputFile:
     def fetch(self, capsys, monkeypatch, tmp_path, target):
         transport = PagedTransport(FETCH_DIGEST_PAGES)
-        monkeypatch.setattr(concordance, "UrllibTransport", lambda: transport)
+        monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         return run_cli(
             capsys,
             "--mode", "fetch", "--config", _write_paged_config(tmp_path),
@@ -1855,26 +1858,44 @@ class TestFetchOutputFile:
 
 
 class TestNetworkStackLoadedOnlyToFetch:
-    """Modes that never fetch do not import urllib.request or http.client."""
+    """Modes that never fetch import none of the network modules below,
+    and neither does a fetch from an http endpoint: it sends its GET over
+    a socket of its own, so no urllib, ssl, hashlib or email is loaded."""
 
-    @pytest.mark.parametrize("run", ["import", "assess"])
-    def test_not_in_sys_modules(self, tmp_path, corpus_path, run):
+    MODULES = (
+        "ssl", "_ssl", "hashlib", "_hashlib", "http.client", "urllib.request",
+        "urllib.error", "email",
+    )
+
+    @pytest.mark.parametrize("run", ["import", "assess", "fetch"])
+    def test_not_in_sys_modules(self, tmp_path, corpus_path, digest_inputs, run):
+        paths, endpoints = digest_inputs
+        env = dict(os.environ)
         call = ""
         if run == "assess":
             argv = ["--mode", "assess", "--input", corpus_path,
                     "--output", str(tmp_path / "out.jsonl")]
             call = f"assert main({argv!r}) == 0"
+        elif run == "fetch":  # three pages from the http server on loopback
+            env["SOLOSENT_ENDPOINT"] = endpoints["fetch_digest_pages"]
+            argv = ["--mode", "fetch", "--config", paths["pages_conf"],
+                    "--output", str(tmp_path / "out.conllu")]
+            call = f"assert main({argv!r}) == 0"
         script = (
             "import sys\n"
             "from solosent.cli import main\n"
             f"{call}\n"
-            "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])\n"
+            f"print([m for m in {self.MODULES!r} if m in sys.modules])\n"
         )
         completed = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == "[]\n"
+        if run == "fetch":
+            written = (tmp_path / "out.conllu").read_text(encoding="utf-8")
+            assert written == _fetched_conllu(FETCH_DIGEST_PAGES)
 
 
 def _solosent_modules_after(script):

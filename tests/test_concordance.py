@@ -1,8 +1,16 @@
+import contextlib
 import gc
+import http.client
+import io
 import json
+import os
 import re
 import runpy
 import socket
+import string
+import subprocess
+import sys
+import sysconfig
 import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -18,11 +26,12 @@ from solosent.concordance import (
     ConcordanceHit,
     ConcordanceQuery,
     DecodeError,
+    HttpTransport,
     IngestIssue,
     ServiceError,
     TransportError,
     TransportReply,
-    UrllibTransport,
+    _read_reply,
     build_request,
     fetch_page,
     normalize_hits,
@@ -430,41 +439,69 @@ class TestFetchPage:
             fetch_page(simple_request(), CannedTransport(body=body))
 
 
-class TestUrllibTransport:
-    """The stdlib transport, which imports the network stack on first use,
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    """/ok and /ok/... answer a page, /moved a redirect to it, /garbage no
+    HTTP at all and anything else 500; a path ending in /short promises
+    more bytes than it sends, then closes."""
+
+    def do_GET(self):  # noqa: N802 - http.server naming
+        path = self.path.partition("?")[0]
+        if path == "/garbage":  # not an HTTP status line
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
+        if path == "/moved":
+            self.send_response(301)
+            self.send_header("Location", "/ok")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        ok = path == "/ok" or path.startswith("/ok/")
+        status, body = (200, b'{"kwic": []}') if ok else (500, b"boom")
+        self.send_response(status)
+        length = 1000 if path.endswith("/short") else len(body)
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _loopback_server(tls=None):
+    """The port of a _LoopbackHandler server on loopback, speaking TLS
+    through the server-side SSLContext ``tls`` when one is given."""
+    server = HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_port
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def _free_port():
+    """A loopback port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestHttpTransport:
+    """The socket transport, which imports the network stack on first use,
     against a server on loopback."""
 
     @pytest.fixture
-    def endpoint(self, monkeypatch):
-        for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
-            monkeypatch.delenv(name, raising=False)
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server naming
-                path = self.path.partition("?")[0]
-                if path == "/garbage":  # not an HTTP status line
-                    self.wfile.write(b"garbage\r\n\r\n")
-                    return
-                ok = path == "/ok" or path.startswith("/ok/")
-                status, body = (200, b'{"kwic": []}') if ok else (500, b"boom")
-                self.send_response(status)
-                # a /short reply promises more bytes than it sends, then closes
-                length = 1000 if path.endswith("/short") else len(body)
-                self.send_header("Content-Length", str(length))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        yield f"http://127.0.0.1:{server.server_port}"
-        server.shutdown()
-        server.server_close()
+    def endpoint(self):
+        with _loopback_server() as port:
+            yield f"http://127.0.0.1:{port}"
 
     def test_replies_with_status_and_body(self, endpoint):
-        transport = UrllibTransport(timeout=10)
+        transport = HttpTransport(timeout=10)
         assert transport.get(endpoint + "/ok") == TransportReply(200, b'{"kwic": []}')
         assert transport.get(endpoint + "/fail") == TransportReply(500, b"boom")
 
@@ -472,7 +509,7 @@ class TestUrllibTransport:
     def test_truncated_reply(self, endpoint, path, read):
         url = endpoint + path
         with pytest.raises(TransportError) as info:
-            UrllibTransport(timeout=10).get(url)
+            HttpTransport(timeout=10).get(url)
         assert str(info.value) == (
             f"cannot read the reply from {url}: "
             f"IncompleteRead({read} bytes read, {1000 - read} more expected)"
@@ -481,7 +518,23 @@ class TestUrllibTransport:
     def test_reply_that_is_not_http(self, endpoint):
         url = endpoint + "/garbage"
         with pytest.raises(TransportError, match=f"cannot read the reply from {url}: "):
-            UrllibTransport(timeout=10).get(url)
+            HttpTransport(timeout=10).get(url)
+
+    def test_redirect_is_not_followed(self, endpoint):
+        request = build_request(ConcordanceQuery("[]", ("SUC3",)), endpoint + "/moved")
+        with pytest.raises(ServiceError) as info:
+            fetch_page(request, HttpTransport(timeout=10))
+        assert info.value.status == 301
+        assert str(info.value) == f"HTTP 301: concordance request failed ({request.url})"
+
+    def test_proxy_variables_are_not_read(self, endpoint, monkeypatch):
+        unreachable = f"http://127.0.0.1:{_free_port()}"
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, unreachable)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        reply = HttpTransport(timeout=10).get(endpoint + "/ok")
+        assert reply == TransportReply(200, b'{"kwic": []}')
 
     def test_truncated_reply_is_one_error_line(self, endpoint, capsys, tmp_path):
         conf = tmp_path / "fetch.conf"
@@ -502,11 +555,169 @@ class TestUrllibTransport:
         assert target.read_bytes() == b"earlier run\n"
 
     def test_unreachable_service(self):
-        with socket.socket() as probe:  # a loopback port nothing listens on
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
         with pytest.raises(TransportError, match="cannot reach"):
-            UrllibTransport(timeout=10).get(f"http://127.0.0.1:{port}/")
+            HttpTransport(timeout=10).get(f"http://127.0.0.1:{_free_port()}/")
+
+    def test_https_to_a_plain_http_port(self, endpoint):
+        url = endpoint.replace("http:", "https:") + "/ok"
+        with pytest.raises(TransportError) as info:
+            HttpTransport(timeout=5).get(url)
+        assert str(info.value).startswith(f"cannot reach {url}: ")
+        assert "\n" not in str(info.value)
+
+
+# a self-signed certificate for localhost that CPython's own test suite ships
+KEYCERT = Path(sysconfig.get_paths()["stdlib"]) / "test" / "certdata" / "keycert.pem"
+
+
+@pytest.mark.skipif(
+    not KEYCERT.is_file(), reason=f"no test certificate at {KEYCERT} in this Python build"
+)
+class TestHttpsIsVerified:
+    """https through HttpTransport checks the certificate and the host name
+    against the trust store: a self-signed certificate is refused unless
+    SSL_CERT_FILE names it."""
+
+    @pytest.fixture
+    def port(self):
+        import ssl
+
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(KEYCERT)
+        with _loopback_server(tls) as port:
+            yield port
+
+    def test_unknown_certificate_is_refused(self, port):
+        url = f"https://localhost:{port}/ok"
+        with pytest.raises(TransportError) as info:
+            HttpTransport(timeout=10).get(url)
+        assert str(info.value).startswith(f"cannot reach {url}: ")
+        assert "certificate verify failed" in str(info.value)
+
+    def test_certificate_in_the_trust_store_is_accepted(self, port):
+        script = (
+            "import sys\n"
+            "from solosent.concordance import HttpTransport\n"
+            "print(HttpTransport(timeout=10).get(sys.argv[1]))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, f"https://localhost:{port}/ok"],
+            env=dict(os.environ, SSL_CERT_FILE=str(KEYCERT)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == repr(TransportReply(200, b'{"kwic": []}')) + "\n"
+
+
+class _OracleSocket:
+    """All http.client.HTTPResponse asks of a socket: a file of its bytes."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def makefile(self, mode):
+        return io.BytesIO(self.raw)
+
+
+def _http_client_reads(raw):
+    response = http.client.HTTPResponse(_OracleSocket(raw))
+    response.begin()
+    return TransportReply(response.status, response.read())
+
+
+_HEADER = st.tuples(
+    st.sampled_from([b"Content-Type", b"Server", b"Date", b"Connection", b"X-Korp-Time"]),
+    st.text(string.ascii_letters + string.digits + " ,.:;=/-", max_size=16).map(str.encode),
+)
+# http.client's caps on one line of the head and on its header lines
+MAX_LINE, MAX_HEADER_LINES = 65536, 100
+
+
+@st.composite
+def http_replies(draw):
+    """The bytes of a reply, and the TransportReply they hold, or None when
+    a reader must refuse them: a Content-Length that is bad, negative,
+    repeated or longer than the body sent, a Transfer-Encoding, a head
+    over http.client's caps or cut before its end.  204 and 304, which
+    carry no body whatever the headers say, are not drawn."""
+    status = draw(st.integers(200, 599).filter(lambda s: s not in (204, 304)))
+    reason = draw(st.none() | st.text(string.ascii_letters + " ", max_size=12))
+    status_line = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"])) + f" {status}"
+    if reason is not None:
+        status_line += " " + reason
+    body = draw(st.binary(max_size=40))
+    lines = [name + b": " + value for name, value in draw(st.lists(_HEADER, max_size=4))]
+    refused = False
+
+    def content_length(value):
+        name = draw(st.sampled_from([b"Content-Length", b"content-length", b"CONTENT-LENGTH"]))
+        space = st.sampled_from([b"", b" ", b"\t", b"  "])
+        return name + b":" + draw(space) + value + draw(space)
+
+    length = None
+    kinds = ["right", "short", "long", "bad", "negative", "repeated", "absent"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "right":
+        length = len(body)
+    elif kind == "short":  # promises more than the body
+        length = len(body) + draw(st.integers(1, 5))
+    elif kind == "long":  # the body runs on past the length
+        length = draw(st.integers(0, len(body)))
+    elif kind == "bad":
+        bad = draw(st.sampled_from([b"", b"x", b"+5", b"5_0", b"0x1", b"1.0", b"1 2", b"\xb2"]))
+        lines.append(content_length(bad))
+        refused = True
+    elif kind == "negative":
+        lines.append(content_length(b"-%d" % draw(st.integers(0, 50))))
+        refused = True
+    elif kind == "repeated":
+        again = draw(st.sampled_from([len(body), 0]))
+        lines += [content_length(b"%d" % len(body)), content_length(b"%d" % again)]
+        refused = True
+    if length is not None:
+        lines.append(content_length(b"%d" % length))
+
+    extra = draw(st.sampled_from([None, "long line", "many lines", "chunked"]))
+    if extra == "long line":  # the line's bytes, its CRLF included
+        size = draw(st.integers(MAX_LINE - 2, MAX_LINE + 2))
+        lines.append(b"X-Pad: " + b"a" * (size - 9))
+        refused |= size > MAX_LINE
+    elif extra == "many lines":  # header lines, the blank one that ends them included
+        total = draw(st.integers(MAX_HEADER_LINES - 3, MAX_HEADER_LINES + 3))
+        lines += [b"X-Filler: %d" % i for i in range(total - 1 - len(lines))]
+        refused |= max(total, len(lines) + 1) > MAX_HEADER_LINES
+    elif extra == "chunked":
+        lines.append(b"Transfer-Encoding: chunked")
+        refused = True
+
+    headers = b"".join(line + b"\r\n" for line in draw(st.permutations(lines)))
+    head = status_line.encode() + b"\r\n" + headers + b"\r\n"
+    raw = head + body
+    cut = draw(st.none() | st.integers(0, len(raw)))
+    if cut is not None:
+        raw = raw[:cut]
+    sent = raw[len(head):]
+    if len(raw) < len(head) or (length is not None and len(sent) < length):
+        refused = True
+    if refused:
+        return raw, None
+    return raw, TransportReply(status, sent if length is None else sent[:length])
+
+
+class TestReadReply:
+    URL = "http://127.0.0.1/korp?start=0"
+
+    @settings(max_examples=400, deadline=None)
+    @given(http_replies())
+    def test_read_as_http_client_reads_it_or_refused(self, reply):
+        raw, expected = reply
+        if expected is not None:
+            assert _read_reply(io.BytesIO(raw), self.URL) == _http_client_reads(raw) == expected
+        else:
+            with pytest.raises(TransportError) as info:
+                _read_reply(io.BytesIO(raw), self.URL)
+            assert str(info.value).startswith(f"cannot read the reply from {self.URL}: ")
+            assert "\n" not in str(info.value)
 
 
 def column_hit(position, forms, heads):
@@ -597,7 +808,7 @@ class TestToSentences:
         row = f"1\tw\tw\tNN\t_\t_\t{head}\tSS\t_\t_\n"
         with pytest.raises(ParseError) as info:
             list(parse_conllu(row))
-        assert str(info.value) == f"line 1: {issues[0].message}"
+        assert str(info.value) == f"line 1: sentence 's1': {issues[0].message}"
 
     def test_msd_underscore_is_no_features(self):
         """An msd of _ is read as the CoNLL-U reader reads a FEATS of _, so

@@ -106,14 +106,14 @@ class TestParseErrors:
         text = f"{ROW}\n{ROW2}\n\n0\tx\tx\tNN\t_\t_\t0\tROOT\t_\t_\n"
         with pytest.raises(ParseError) as info:
             list(parse_conllu(text))
-        assert str(info.value) == "line 4: token index must be >= 1, got 0"
+        assert str(info.value) == "line 4: sentence 's2': token index must be >= 1, got 0"
         assert info.value.line_number == 4
 
     def test_empty_form(self):
         text = f"{ROW}\n2\t\tkomma\tVB\t_\tPRT|AKT\t0\tROOT\t_\t_\n"
         with pytest.raises(ParseError) as info:
             list(parse_conllu(text))
-        assert str(info.value) == "line 2: token 2 has an empty form"
+        assert str(info.value) == "line 2: sentence 's1': token 2 has an empty form"
         assert info.value.line_number == 2
 
     def test_head_out_of_range_is_reported_from_the_first_row(self):
@@ -129,13 +129,32 @@ class TestParseErrors:
         text = f"{ROW}\n3\tx\tx\tNN\t_\t_\t1\tSS\t_\t_\nbroken\n"
         with pytest.raises(ParseError) as info:
             list(parse_conllu(text))
-        assert str(info.value) == "line 3: expected 10 tab-separated columns, got 1"
+        assert str(info.value) == (
+            "line 3: sentence 's1': expected 10 tab-separated columns, got 1"
+        )
         with pytest.raises(StructureError) as info:
             list(parse_conllu(text.replace("broken\n", "")))
         assert str(info.value) == (
             "sentence 's1': token indices not contiguous: expected 2, got 3"
         )
         assert info.value.line_number == 1
+
+    def test_row_error_names_the_block(self):
+        """A row error names the block's sent_id or, without one, the sN
+        the block takes, even when the row is the block's first."""
+        bad_head = "2\tkom\tkomma\tVB\t_\t_\tx\tROOT\t_\t_"
+        text = f"# sent_id = b1\n{ROW}\n{ROW2}\n\n# sent_id = b2\n{ROW}\n{bad_head}\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == (
+            "line 7: sentence 'b2': head must be a non-negative integer, got 'x'"
+        )
+        text = f"# sent_id = b1\n{ROW}\n{ROW2}\n\n1-2\tkom\t_\t_\t_\t_\t_\t_\t_\t_\nbroken\n"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(text))
+        assert str(info.value) == (
+            "line 6: sentence 's2': expected 10 tab-separated columns, got 1"
+        )
 
     @pytest.mark.parametrize("comment", ["# sent_id = a\tb", "#sent_id=\ta\tb\t"])
     def test_sent_id_with_a_tab(self, comment):
@@ -157,7 +176,7 @@ class TestParseErrors:
     def test_more_digits_than_int_converts(self, row):
         with pytest.raises(ParseError) as info:
             list(parse_conllu(f"{ROW}\n{row}\n"))
-        assert str(info.value) == f"line 2: {int_error(LONG_DIGITS)}"
+        assert str(info.value) == f"line 2: sentence 's1': {int_error(LONG_DIGITS)}"
         assert info.value.line_number == 2
 
 
@@ -223,9 +242,10 @@ def _class_by_regex(token_id, head):
     if _RANGE_ID_RE.match(token_id) or _EMPTY_NODE_ID_RE.match(token_id):
         return "skipped", None
     if not _TOKEN_ID_RE.match(token_id):
-        return "bad id", f"line 1: unintelligible token id {token_id!r}"
+        return "bad id", f"line 1: sentence 's1': unintelligible token id {token_id!r}"
     if not _TOKEN_ID_RE.match(head):
-        return "bad head", f"line 1: head must be a non-negative integer, got {head!r}"
+        message = f"head must be a non-negative integer, got {head!r}"
+        return "bad head", f"line 1: sentence 's1': {message}"
     return "token", None
 
 

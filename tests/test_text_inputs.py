@@ -185,7 +185,7 @@ class TestStdinPipeStopsCleanly:
         )
         assert completed.returncode == 1
         assert completed.stderr == (
-            b"error: stdin: line 3: expected 10 tab-separated columns, got 1\n"
+            b"error: stdin: line 3: sentence 's1': expected 10 tab-separated columns, got 1\n"
         )
 
     def test_closed_stdout(self):
