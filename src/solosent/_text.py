@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 from typing import Callable, Iterator, Optional, TextIO
 
 Error = Callable[[str], Exception]
+
+# The bundled profiles and lexicons, beside this file in the package.
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def string_lines(text: str) -> TextIO:

@@ -81,8 +81,9 @@ class RequestSpec:
 
 def _check_endpoint(endpoint: str) -> None:
     """Refuse an endpoint no request can be sent to: one that is not an
-    absolute http(s) URL, that urllib cannot split, that names no host or
-    that holds a space or a control character."""
+    absolute http(s) URL, that urllib cannot split, that names no host,
+    that holds a space, a control character, a ``?`` or a ``#``, or that
+    has a character outside ASCII in its path."""
     if not endpoint.startswith(("http://", "https://")):
         raise ConfigError(f"endpoint must be an absolute http(s) URL, got {endpoint!r}")
     try:
@@ -90,8 +91,14 @@ def _check_endpoint(endpoint: str) -> None:
         parts.port
     except ValueError as exc:  # an unclosed [IPv6] host, a bad port
         raise ConfigError(f"endpoint {endpoint!r} is not a valid URL ({exc})") from None
-    # urlsplit drops tabs and line ends, and lets spaces through
-    bad = next((c for c in endpoint if c.isspace() or not c.isprintable()), None)
+    # urlsplit drops tabs and line ends, and lets spaces through; the
+    # request adds a query of its own, so the endpoint may hold none, nor a
+    # fragment
+    bad = next(
+        (c for c in endpoint if c.isspace() or not c.isprintable() or c in "?#"), None
+    )
+    if bad is None:  # a request line is ASCII; only a host is sent as IDNA
+        bad = next((c for c in parts.path if not c.isascii()), None)
     if bad is not None:
         reason = f"holds {bad!r}"
     elif not parts.hostname:

@@ -14,9 +14,9 @@ A value read from a file that is refused names the file and its line,
 from __future__ import annotations
 
 import contextlib
+import os
 import re
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Mapping, Optional, Union
 
 from ._text import read_lines
@@ -46,7 +46,7 @@ class ConfigFile(dict):
     """The key-value pairs of one config file, in file order, with the
     file's path and the line each key was read from."""
 
-    def __init__(self, path: Union[str, Path]) -> None:
+    def __init__(self, path: Union[str, os.PathLike[str]]) -> None:
         super().__init__()
         self.path = path
         self.lines: dict[str, int] = {}
@@ -79,7 +79,7 @@ def errors_at(
         raise type(exc)(f"{start}{exc}") from None
 
 
-def read_config_file(path: Union[str, Path]) -> ConfigFile:
+def read_config_file(path: Union[str, os.PathLike[str]]) -> ConfigFile:
     """Read a flat config file into an ordered key-value mapping."""
     mapping = ConfigFile(path)
     for line_number, raw_line in enumerate(read_lines(path, ConfigError), start=1):

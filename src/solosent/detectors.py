@@ -37,6 +37,7 @@ it are rejected, so nobody mistakes silence for a verdict.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from fractions import Fraction
@@ -626,13 +627,12 @@ def detect_discourse_connective(sentence: AnnotatedSentence) -> list[ThemeDetect
 _CONNECTIVE_CATEGORIES = (Category.CONJUNCTION, Category.SUBJUNCTION)
 
 
-def _connective_beside(sentence: AnnotatedSentence, index: int) -> bool:
-    """True when a sibling of the token is a conjunction or subjunction."""
-    categories = sentence.categories
-    return any(
-        sibling != index and categories[sibling - 1] in _CONNECTIVE_CATEGORIES
-        for sibling in sentence.dependents[sentence.heads[index - 1]]
-    )
+def _connective_beside(sentence: AnnotatedSentence, under: Counter, index: int) -> bool:
+    """True when a sibling of the token is a conjunction or subjunction:
+    ``under``, the count of them among each head's dependents, holds one
+    for its head, the token itself not counted."""
+    itself = sentence.categories[index - 1] in _CONNECTIVE_CATEGORIES
+    return under[sentence.heads[index - 1]] > itself
 
 
 def _discourse_connective(
@@ -644,13 +644,20 @@ def _discourse_connective(
         return []
     detections: list[ThemeDetection] = []
     heads = sentence.heads
+    under: Optional[Counter] = None
     for index, relation in enumerate(sentence.relations, start=1):
         if relation is not _CONJUNCTIONAL_ADVERBIAL:
             continue
-        if _connective_beside(sentence, index):
+        if under is None:  # once per sentence, not per adverbial and sibling
+            under = Counter(
+                head
+                for head, category in zip(heads, sentence.categories)
+                if category in _CONNECTIVE_CATEGORIES
+            )
+        if _connective_beside(sentence, under, index):
             continue
         head = heads[index - 1]
-        if head > 0 and _connective_beside(sentence, head):
+        if head > 0 and _connective_beside(sentence, under, head):
             continue
         detections.append(
             ThemeDetection(

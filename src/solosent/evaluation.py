@@ -12,9 +12,9 @@ masquerade as a badly detected one.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 from ._text import open_lines
@@ -26,7 +26,7 @@ class GoldDataError(Exception):
     """A gold file cannot be used, or predictions name one id twice."""
 
 
-def read_gold_file(path: Union[str, Path]) -> dict[str, frozenset[Theme]]:
+def read_gold_file(path: Union[str, os.PathLike[str]]) -> dict[str, frozenset[Theme]]:
     """Read a gold file into one table, sentence id -> frozenset of themes.
 
     Each line is ``sentence_id<TAB>theme[,theme...]``, or ``-`` for no

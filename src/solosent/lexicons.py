@@ -13,13 +13,12 @@ does not exist, and a file in it that cannot be read, are errors.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from importlib import resources
-from pathlib import Path
 from typing import Union
 
-from ._text import read_lines
+from ._text import DATA_DIR, read_lines
 
 
 @unique
@@ -85,7 +84,7 @@ def _simple_set(rows: list[tuple[str, tuple[str, ...]]]) -> frozenset[str]:
     return frozenset(row[0] for _, row in rows)
 
 
-def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
+def load_lexicon_set(directory: Union[str, os.PathLike[str], None] = None) -> LexiconSet:
     """Load a lexicon directory; None loads the bundled Swedish defaults.
 
     Raises LexiconError for a path that is not a directory, and for a file
@@ -93,12 +92,11 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
     are absent load as empty sets, each noted in ``warnings``.
     """
     if directory is None:
-        root = resources.files("solosent").joinpath("data", "lexicons", "sv")
-        label = "bundled sv lexicons"
+        root, label = os.path.join(DATA_DIR, "lexicons", "sv"), "bundled sv lexicons"
     else:
-        root, label = Path(directory), str(directory)
+        root = label = os.fspath(directory)
     try:
-        present = {entry.name for entry in root.iterdir()}
+        present = set(os.listdir(root))
     except OSError as exc:
         reason = _LIST_FAILURES.get(type(exc), f"cannot be read ({exc.strerror})")
         raise LexiconError(f"lexicon directory {label} {reason}") from None
@@ -110,7 +108,7 @@ def load_lexicon_set(directory: Union[str, Path, None] = None) -> LexiconSet:
         if filename not in present:
             warnings.append(f"{label}: {filename} missing, using empty set")
             return []
-        return _read_rows(root.joinpath(filename))
+        return _read_rows(os.path.join(root, filename))
 
     weather = _simple_set(rows_for(WEATHER_VERBS_FILE))
     interjections = _simple_set(rows_for(YES_NO_INTERJECTIONS_FILE))

@@ -29,13 +29,12 @@ completeness report.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from importlib import resources
-from pathlib import Path
 from typing import Optional, Union
 
-from ._text import read_lines
+from ._text import DATA_DIR, read_lines
 from .model import (
     _MAJOR_DELIMITER,
     _MINOR_DELIMITER,
@@ -263,13 +262,11 @@ def _unreadable_path(message: str) -> ProfileError:
     return ProfileError(f"{message} (bundled profiles: {', '.join(BUNDLED_PROFILES)})")
 
 
-def load_profile(name_or_path: Union[str, Path]) -> TagsetProfile:
+def load_profile(name_or_path: Union[str, os.PathLike[str]]) -> TagsetProfile:
     """Load a bundled profile by name, or any profile from a readable path."""
-    text_name = str(name_or_path)
+    text_name = os.fspath(name_or_path)
     if text_name in BUNDLED_PROFILES:
-        source = resources.files("solosent").joinpath(
-            "data", "profiles", f"{text_name}.profile"
-        )
+        source = os.path.join(DATA_DIR, "profiles", f"{text_name}.profile")
         origin, error = f"bundled profile {text_name}", ProfileError
     else:
         source = origin = text_name

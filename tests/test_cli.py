@@ -566,6 +566,22 @@ class TestConfigFlag:
         assert out == ""
         assert err == f"error: lexicon directory {missing} does not exist\n"
 
+    def test_lexicon_file_error_names_the_directory_as_given(
+        self, capsys, monkeypatch, corpus_path, tmp_path
+    ):
+        """The file is named as the directory was typed, not normalized."""
+        (tmp_path / "lx").mkdir()
+        (tmp_path / "lx" / "weather_verbs.txt").write_text("regna\tv\u00e4der\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "--mode", "assess", "--input", corpus_path, "--lexicons", "./lx//"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ./lx//weather_verbs.txt: line 1: expected one lemma per line, "
+            "got ('regna', 'v\u00e4der')\n"
+        )
+
     def test_lexicon_path_not_a_directory(self, capsys, corpus_path):
         code, _, err = run_cli(
             capsys,
@@ -1525,6 +1541,10 @@ class TestFetch:
             ("fetch.endpoint", "ftp://x", "endpoint must be an absolute http(s) URL, got 'ftp://x'"),
             ("fetch.endpoint", "http://[::1", "endpoint 'http://[::1' is not a valid URL "
              "(Invalid IPv6 URL)"),
+            ("fetch.endpoint", "http://h/korp?a=1", "endpoint 'http://h/korp?a=1' is not a "
+             "valid URL (holds '?')"),
+            ("fetch.endpoint", "http://h/korp\u00e9", "endpoint 'http://h/korp\u00e9' is not a "
+             "valid URL (holds '\u00e9')"),
             ("fetch.page_size", "0", "page_size must be between 1 and 1000, got 0"),
         ],
     )
@@ -1569,14 +1589,17 @@ class TestFetch:
             ("http://:80/", "no host"),
             ("http://a b/", "holds ' '"),
             ("http://a\x7fb/", "holds '\\x7f'"),
+            ("http://127.0.0.1:9/korp\u00e9", "holds '\u00e9'"),
+            ("http://h/korp?a=1", "holds '?'"),
         ],
     )
     def test_endpoint_no_request_can_reach_is_a_config_error(
         self, capsys, monkeypatch, tmp_path, source, endpoint, reason
     ):
-        """An endpoint with no host, or with a space or a control character
-        in it, stops the run before any request; the error names the config
-        line the endpoint was read from, and no file for the environment's."""
+        """An endpoint with no host, with a space, a control character or a
+        query in it, or with a path outside ASCII, stops the run before any
+        request; the error names the config line the endpoint was read from,
+        and no file for the environment's."""
         transport = FakeTransport(FETCH_PAGE)
         monkeypatch.setattr(concordance, "HttpTransport", lambda: transport)
         conf = tmp_path / "korp.conf"
@@ -1898,14 +1921,13 @@ class TestNetworkStackLoadedOnlyToFetch:
             assert written == _fetched_conllu(FETCH_DIGEST_PAGES)
 
 
-def _solosent_modules_after(script):
-    """The solosent modules a fresh interpreter holds after ``script``."""
-    script += (
-        "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'solosent']))\n"
-    )
+def _modules_after(script, *options):
+    """The modules a fresh interpreter, started with ``options``, holds
+    after ``script``."""
+    script += "\nimport json, sys\nprint(json.dumps(list(sys.modules)))\n"
     completed = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, *options, "-c", script], capture_output=True, text=True,
+        timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
     return set(json.loads(completed.stdout))
@@ -1913,37 +1935,52 @@ def _solosent_modules_after(script):
 
 class TestSubmodulesLoadedPerMode:
     """Each mode imports only the modules it runs: concordance for fetch,
-    evaluation for eval."""
+    evaluation for eval.  The bundled data is found by a plain path, so
+    with the host's site modules left out (-S) no mode loads pathlib or
+    importlib.resources."""
 
-    def run_main(self, *argv):
-        return _solosent_modules_after(
-            f"from solosent.cli import main\nassert main({list(map(str, argv))!r}) == 0"
+    PATH_MODULES = {"pathlib", "importlib.resources"}
+
+    @pytest.fixture(params=[(), ("-S",)], ids=["site", "no-site"])
+    def options(self, request):
+        return request.param
+
+    def solosent_modules_after(self, options, script):
+        loaded = _modules_after(script, *options)
+        if "-S" in options:
+            assert not loaded & self.PATH_MODULES
+        return {m for m in loaded if m.split(".")[0] == "solosent"}
+
+    def run_main(self, options, *argv):
+        return self.solosent_modules_after(
+            options,
+            f"from solosent.cli import main\nassert main({list(map(str, argv))!r}) == 0",
         )
 
-    def test_import_loads_the_core_only(self):
-        assert _solosent_modules_after("import solosent.cli") == {
+    def test_import_loads_the_core_only(self, options):
+        assert self.solosent_modules_after(options, "import solosent.cli") == {
             "solosent", "solosent._text", "solosent.assessment", "solosent.cli",
             "solosent.config", "solosent.conllu", "solosent.detectors",
             "solosent.lexicons", "solosent.model", "solosent.profiles",
         }
 
     @pytest.mark.parametrize("mode", ["assess", "filter", "rank"])
-    def test_assessing_modes(self, tmp_path, corpus_path, mode):
+    def test_assessing_modes(self, tmp_path, corpus_path, options, mode):
         loaded = self.run_main(
-            "--mode", mode, "--input", corpus_path, "--output", tmp_path / "out"
+            options, "--mode", mode, "--input", corpus_path, "--output", tmp_path / "out"
         )
         assert "solosent.detectors" in loaded
         assert not loaded & {"solosent.concordance", "solosent.evaluation"}
 
-    def test_eval(self, tmp_path, corpus_path, gold_path):
+    def test_eval(self, tmp_path, corpus_path, gold_path, options):
         loaded = self.run_main(
-            "--mode", "eval", "--input", corpus_path, "--gold", gold_path,
+            options, "--mode", "eval", "--input", corpus_path, "--gold", gold_path,
             "--output", tmp_path / "out",
         )
         assert "solosent.evaluation" in loaded
         assert "solosent.concordance" not in loaded
 
-    def test_fetch(self, tmp_path):
+    def test_fetch(self, tmp_path, options):
         conf = tmp_path / "korp.conf"
         conf.write_text(
             "fetch.endpoint = https://example.invalid/korp\n"
@@ -1953,7 +1990,7 @@ class TestSubmodulesLoadedPerMode:
             encoding="utf-8",
         )
         loaded = self.run_main(
-            "--mode", "fetch", "--config", conf, "--output", tmp_path / "out"
+            options, "--mode", "fetch", "--config", conf, "--output", tmp_path / "out"
         )
         assert "solosent.concordance" in loaded
         assert "solosent.evaluation" not in loaded

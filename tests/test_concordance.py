@@ -132,6 +132,12 @@ class TestBuildRequest:
             # a space or a control character, which urlsplit keeps or drops
             "http://a b/", "http://h/a b", "http://h/\tx", "http://h\n/", "http://h/\x00",
             "http://h/\u2028",
+            # the request adds its own query: one in the endpoint would be
+            # garbled, and a fragment would drop it
+            "http://h/korp?a=1", "http://h/korp?", "http://h?x", "http://h/korp#x",
+            "https://h/#",
+            # a request line is ASCII
+            "http://127.0.0.1:9/korp\u00e9", "http://h/\u00e5/api",
         ],
     )
     def test_malformed_endpoint_rejected(self, endpoint):
@@ -139,6 +145,12 @@ class TestBuildRequest:
         message = f"^endpoint {re.escape(repr(endpoint))} is not a valid URL"
         with pytest.raises(ConfigError, match=message):
             build_request(query, endpoint)
+
+    def test_host_outside_ascii_accepted(self):
+        """HttpTransport sends such a host in its IDNA form."""
+        query = ConcordanceQuery(query_expression="[word]", corpora=("SUC3",))
+        spec = build_request(query, "https://b\u00fccher.example/korp")
+        assert spec.url.startswith("https://b\u00fccher.example/korp?corpus=SUC3&")
 
     def test_empty_query_parts_rejected(self):
         with pytest.raises(ConfigError, match="corpora"):
@@ -445,6 +457,7 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
     more bytes than it sends, then closes."""
 
     def do_GET(self):  # noqa: N802 - http.server naming
+        self.server.paths.append(self.path)
         path = self.path.partition("?")[0]
         if path == "/garbage":  # not an HTTP status line
             self.wfile.write(b"garbage\r\n\r\n")
@@ -468,10 +481,12 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def _loopback_server(tls=None):
+def _loopback_server(tls=None, paths=None):
     """The port of a _LoopbackHandler server on loopback, speaking TLS
-    through the server-side SSLContext ``tls`` when one is given."""
+    through the server-side SSLContext ``tls`` when one is given.  The
+    server appends the path of each request it reads to ``paths``."""
     server = HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    server.paths = [] if paths is None else paths
     if tls is not None:
         server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -557,6 +572,44 @@ class TestHttpTransport:
     def test_unreachable_service(self):
         with pytest.raises(TransportError, match="cannot reach"):
             HttpTransport(timeout=10).get(f"http://127.0.0.1:{_free_port()}/")
+
+    @pytest.mark.parametrize("pages", ["0", "1"])
+    @pytest.mark.parametrize(
+        "source, path, bad",
+        [
+            (source, path, bad)
+            for source in ("config", "environment")
+            for path, bad in (("/ok\u00e9", "\u00e9"), ("/ok?a=1", "?"), ("/ok#x", "#"))
+            # in a config file, # starts a comment
+            if (source, bad) != ("config", "#")
+        ],
+    )
+    def test_endpoint_no_request_line_can_carry_sends_nothing(
+        self, capsys, monkeypatch, tmp_path, pages, source, path, bad
+    ):
+        """A query, a fragment or a path outside ASCII in the endpoint is a
+        config error at the endpoint's line, or naming no file for the
+        environment's endpoint, whatever fetch.pages is, and the server on
+        loopback reads no request."""
+        paths = []
+        with _loopback_server(paths=paths) as port:
+            endpoint = f"http://127.0.0.1:{port}{path}"
+            conf = tmp_path / "korp.conf"
+            text = f"fetch.cqp = []\nfetch.corpora = SUC3\nfetch.pages = {pages}\n"
+            where = ""
+            if source == "config":
+                text += f"fetch.endpoint = {endpoint}\n"
+                where = f"{conf}: line 4: "
+            else:
+                monkeypatch.setenv("SOLOSENT_ENDPOINT", endpoint)
+            conf.write_text(text, encoding="utf-8")
+            code = main(["--mode", "fetch", "--config", str(conf)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {where}endpoint {endpoint!r} is not a valid URL (holds {bad!r})\n"
+        )
+        assert paths == []
 
     def test_https_to_a_plain_http_port(self, endpoint):
         url = endpoint.replace("http:", "https:") + "/ok"

@@ -500,6 +500,26 @@ class TestDiscourseConnective:
         )
         assert detect_discourse_connective(s) == []
 
+    def test_a_connective_is_not_beside_itself(self):
+        # men exempts heller, its sibling, but not itself; om, heller's
+        # head, is a subjunction, but no sibling of its own
+        s = annotate(
+            "Hon hon PN UTR|SIN|DEF 2 SS\n"
+            "sover sova VB PRS|AKT 0 ROOT\n"
+            "men men KN _ 2 +A\n"
+            "heller heller AB _ 2 +A\n"
+            ". . MAD _ 2 IP"
+        )
+        assert [d.token_indices for d in detect_discourse_connective(s)] == [(3,)]
+        s = annotate(
+            "Hon hon PN UTR|SIN|DEF 2 SS\n"
+            "sover sova VB PRS|AKT 0 ROOT\n"
+            "om om SN _ 2 UK\n"
+            "heller heller AB _ 3 +A\n"
+            ". . MAD _ 2 IP"
+        )
+        assert [d.token_indices for d in detect_discourse_connective(s)] == [(4,)]
+
     def test_no_conjunctional_adverbial_no_detection(self, by_id):
         assert detect_discourse_connective(by_id["t12"]) == []
 
@@ -1259,10 +1279,19 @@ class _CountingDict(dict):
 
 
 class _CountingTuple(tuple):
-    """A heads column that counts the reads made in it by index."""
+    """A column that counts the reads made in it by index, under its name in
+    ``counts``.  A read past ``limit`` fails at once, so a walk that is not
+    linear fails without running to its end."""
+
+    def __new__(cls, items, name, counts, limit=float("inf")):
+        column = super().__new__(cls, items)
+        column.name, column.counts, column.limit = name, counts, limit
+        return column
 
     def __getitem__(self, key):
-        self.counts["heads"] += 1
+        self.counts[self.name] += 1
+        if self.counts[self.name] > self.limit:
+            raise AssertionError(f"more than {self.limit} reads of {self.name}")
         return super().__getitem__(key)
 
 
@@ -1318,8 +1347,7 @@ class TestWorkPerSentence:
         lookups it made, counted."""
         visits = Counter()
         annotated.__dict__["dependents"] = _CountingDict(annotated.dependents, visits)
-        heads = annotated.__dict__["heads"] = _CountingTuple(annotated.heads)
-        heads.counts = visits
+        annotated.__dict__["heads"] = _CountingTuple(annotated.heads, "heads", visits)
         assessment = detect_all(annotated, lex)
         return assessment, visits
 
@@ -1374,6 +1402,29 @@ class TestWorkPerSentence:
             (i,) for i in range(last_som + 2, size, 2)
         ]
         assert all(d.weight == ONE for d in fired)
+
+    def test_adverbials_under_one_head_read_each_category_a_bounded_number_of_times(
+        self, lex
+    ):
+        """One finite verb with every other token a conjunctional adverbial
+        under it: each adverbial asks whether a conjunction stands beside
+        it, or beside its head, and the categories column is read a fixed
+        number of times per token, not once per adverbial and sibling."""
+        size = 20_000
+        rows = ["Kommer komma VB PRS|AKT 0 ROOT", *["dock dock AB _ 1 +A"] * (size - 1)]
+        annotated = apply_profile(parse_one("\n".join(rows), "star"), SUC)
+        visits = Counter()
+        annotated.__dict__["categories"] = _CountingTuple(
+            annotated.categories, "categories", visits, limit=4 * size
+        )
+        assessment = detect_all(annotated, lex)
+        fired = [
+            d.token_indices
+            for d in assessment.detections
+            if d.theme is Theme.DISCOURSE_CONNECTIVE
+        ]
+        assert fired == [(i,) for i in range(2, size + 1)]
+        assert visits["categories"] > 0
 
     def test_finite_verbs_are_counted_up_to_the_second(self, work, lex):
         sentence = parse_one(

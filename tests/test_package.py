@@ -1,10 +1,18 @@
 """The package's public surface, checked in a fresh interpreter: names
 resolve on first use, so what a test process imported earlier must not
-decide the outcome."""
+decide the outcome.  And the data it opens by path, which an installed
+copy holds only if the package data globs name it."""
 
+import glob
 import json
+import os
 import subprocess
 import sys
+
+import pytest
+
+from solosent import profiles
+from solosent._text import DATA_DIR
 
 # every public name of ``solosent``, by the submodule that defines it
 PUBLIC = {
@@ -100,3 +108,25 @@ def test_unknown_name_is_an_attribute_error():
         "    print(json.dumps(str(exc)))"
     )
     assert message == "module 'solosent' has no attribute 'detect_everything'"
+
+
+def test_bundled_profiles_are_the_profile_files():
+    shipped = os.listdir(os.path.join(DATA_DIR, "profiles"))
+    assert set(profiles.BUNDLED_PROFILES) == {
+        name.removesuffix(".profile") for name in shipped if name.endswith(".profile")
+    }
+
+
+def test_every_data_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        patterns = tomllib.load(f)["tool"]["setuptools"]["package-data"]["solosent"]
+    package = os.path.dirname(DATA_DIR)
+    shipped = {path for pattern in patterns for path in glob.glob(os.path.join(package, pattern))}
+    data = {
+        os.path.join(directory, name)
+        for directory, _, names in os.walk(DATA_DIR)
+        for name in names
+    }
+    assert data and data <= shipped, sorted(data - shipped)

@@ -238,6 +238,22 @@ class TestProfileText:
         with pytest.raises(ProfileError, match="bundled"):
             load_profile("no-such-profile")
 
+    def test_any_path_like_is_read_by_its_path(self, tmp_path):
+        class Located:
+            def __init__(self, path):
+                self.path = path
+
+            def __fspath__(self):
+                return self.path
+
+        path = tmp_path / "tiny.profile"
+        path.write_text(MINIMAL_PROFILE, encoding="utf-8")
+        assert load_profile(Located(str(path))).name == "tiny"
+        assert load_profile(Located("ud")) == load_profile("ud")
+        with pytest.raises(ProfileError) as info:
+            load_profile(Located(str(tmp_path / "none.profile")))
+        assert str(info.value).startswith(f"{tmp_path / 'none.profile'}: no such file")
+
     def test_later_feature_rows_override(self, tmp_path):
         text = MINIMAL_PROFILE + (
             "feat V pres verb_form=imperative\n"  # later row wins for same field
