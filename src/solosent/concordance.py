@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .config import errors_at, where
 from .detectors import ConfigError
-from .model import Sentence, StructureError, raw_columns, row_problem, validate_heads
+from .model import Sentence, StructureError, raw_columns, read_row, validate_heads
 from .profiles import CoverageCounter, TagsetProfile, apply_profile
 
 DEFAULT_PAGE_SIZE = 25
@@ -276,8 +276,10 @@ def _read_reply(stream, url: str) -> TransportReply:
 class ConcordanceHit:
     """One fully annotated match from a concordance page, in RAW_COLUMNS.
 
-    The strings are the service's: ``heads`` are digits, a missing
-    ``lemma`` is ``_`` and a missing ``pos`` or ``msd`` is empty."""
+    The strings are the service's, ``heads`` too, which normalize_hits
+    checks through model's row rule, as the CoNLL-U reader checks its
+    rows; a missing ``lemma`` is ``_`` and a missing ``pos`` or ``msd``
+    is empty."""
 
     corpus: str
     position: str
@@ -505,35 +507,27 @@ def normalize_hits(
 
     Sentence ids are ``corpus:position``, unique per hit.  The sentence
     shares the hit's columns, save the heads and an ``msd`` of ``_``, which
-    is no features, as a FEATS of ``_`` is.  A head is read as the CoNLL-U
-    reader reads one: decimal digits only, so ``"+1"``, ``" 2 "`` and
-    ``"1_0"`` are refused, not read as 1, 2 and 10.  Hits with such a
-    head, a token that heads itself or has no form, or heads that do not
-    form a tree (cycles, out-of-range heads), are excluded and reported,
-    never fatal.  Returns (sentences, issues).
+    is no features, as a FEATS of ``_`` is.  Each row is read by
+    model.read_row, as the CoNLL-U reader reads one: a head of decimal
+    digits only (``"+1"``, ``" 2 "`` and ``"1_0"`` are refused, not read
+    as 1, 2 and 10), no token that heads itself or has no form.  A hit
+    with a row fault, or with heads that do not form a tree (cycles,
+    out-of-range heads), is excluded and reported, never fatal: its issue
+    is the first faulty row's fault, else the tree's, in the words of the
+    CoNLL-U reader's error without its line and sentence.  Returns
+    (sentences, issues).
     """
     sentences: list[Sentence] = []
     issues: list[IngestIssue] = []
     for hit in hits:
         sentence_id = f"{hit.corpus}:{hit.position}"
         forms, lemmas, tags, deprels, heads, feats = raw_columns(hit)
-        if not all(map(str.isdecimal, heads)):
-            bad = next(head for head in heads if not head.isdecimal())
-            issues.append(
-                IngestIssue(sentence_id, f"head must be a non-negative integer, got {bad!r}")
-            )
-            continue
-        # int() and the row checks run row by row, as Token(i, ..., int(head)) ran them
         try:
-            problem = next(filter(None, map(row_problem, count(1), map(int, heads), forms)), None)
-        except ValueError as exc:  # more digits than int() converts
-            problem = str(exc)
-        if problem:
-            issues.append(IngestIssue(sentence_id, problem))
-            continue
-        heads = tuple(map(int, heads))
-        try:
+            heads = tuple(map(read_row, count(1), heads, forms))
             dependents = validate_heads(sentence_id, heads)
+        except ValueError as exc:
+            issues.append(IngestIssue(sentence_id, str(exc)))
+            continue
         except StructureError as exc:
             issues.append(IngestIssue(sentence_id, exc.reason))
             continue

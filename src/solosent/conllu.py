@@ -18,7 +18,7 @@ import re
 from typing import Iterable, Iterator, Union
 
 from ._text import string_lines
-from .model import Sentence, StructureError, raw_columns, row_problem, validate_heads
+from .model import Sentence, StructureError, raw_columns, read_row, validate_heads
 
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S.*?)\s*$")
 
@@ -105,21 +105,16 @@ def parse_conllu(source: Union[str, Iterable[str]]) -> Iterator[Sentence]:
             if first.isdecimal() and last.isdecimal():
                 continue
             raise row_error(line_number, f"unintelligible token id {token_id!r}")
-        head = columns[6]
-        if not head.isdecimal():
-            raise row_error(line_number, f"head must be a non-negative integer, got {head!r}")
-        try:
-            index, head = int(token_id), int(head)
-        except ValueError as exc:  # more digits than int() converts
-            raise row_error(line_number, str(exc)) from exc
         form = columns[1]
-        if problem := row_problem(index, head, form):
-            raise row_error(line_number, problem)
+        try:
+            head = read_row(token_id, columns[6], form)
+        except ValueError as exc:
+            raise row_error(line_number, str(exc)) from exc
         if not rows:
             ordinal += 1
             first_line = line_number
         feats = columns[5] if columns[5] != "_" else ""
-        rows.append((index, form, columns[2], columns[3], columns[7], head, feats))
+        rows.append((int(token_id), form, columns[2], columns[3], columns[7], head, feats))
 
     if rows:
         yield _finish_sentence(block_id(), rows, first_line)

@@ -145,23 +145,38 @@ class Token:
     feats: str = ""
 
     def __post_init__(self) -> None:
-        problem = row_problem(self.index, self.head, self.form)
-        if problem:
-            raise ValueError(problem)
+        check_row(self.index, self.head, self.form)
 
 
-def row_problem(index: int, head: int, form: str) -> Optional[str]:
-    """What Token refuses in one row, in the words of its ValueError, or
-    None.  The readers ask it of every row they read."""
+def check_row(index: int, head: int, form: str) -> None:
+    """Raise ValueError for what Token refuses in one row."""
     if index < 1:
-        return f"token index must be >= 1, got {index}"
+        raise ValueError(f"token index must be >= 1, got {index}")
     if head < 0:
-        return f"token head must be >= 0, got {head}"
+        raise ValueError(f"token head must be >= 0, got {head}")
     if head == index:
-        return f"token {index} may not head itself"
+        raise ValueError(f"token {index} may not head itself")
     if not form:
-        return f"token {index} has an empty form"
-    return None
+        raise ValueError(f"token {index} has an empty form")
+
+
+def read_row(index: int | str, head: str, form: str) -> int:
+    """The head of one row as read from text, after check_row; ValueError
+    when the row is refused.
+
+    ``index`` is the token's id, an int or its digits.  A head is decimal
+    digits only, so ``"+1"``, ``" 2"`` and ``"1_0"`` are refused, not read
+    as 1, 2 and 10.  The faults come in this order: a head that is not
+    digits, then an id or a head with more digits than int() converts
+    (with int()'s message), then check_row's.  Both readers read every
+    token row through it.
+    """
+    # isdecimal() accepts exactly the digits \d matches in a str
+    if not head.isdecimal():
+        raise ValueError(f"head must be a non-negative integer, got {head!r}")
+    index, head = int(index), int(head)
+    check_row(index, head, form)
+    return head
 
 
 def validate_heads(

@@ -92,6 +92,13 @@ _FEATURE_FIELDS = {
 }
 
 
+# Bounds on the two tables a run fills as it meets new strings, far above
+# what any real tagset fills: distinct (POS, FEATS) rows kept by a profile,
+# and distinct unmapped tags of each kind tallied by a CoverageCounter.
+MAX_PROFILE_ROWS = 16_384
+MAX_UNMAPPED_TAGS = 1_000
+
+
 class ProfileError(Exception):
     """A profile file is malformed or incomplete."""
 
@@ -109,7 +116,8 @@ class TagsetProfile:
     file order; ``*`` matches anything and later rows win.  apply_profile
     reads a private table, filled on first sight and taking no part in
     equality, that holds one ``(category, features)`` row per distinct
-    (POS, FEATS) pair, so each pair is decoded once.
+    (POS, FEATS) pair, so each pair is decoded once; past MAX_PROFILE_ROWS
+    rows, a new pair is decoded each time it is met.
     """
 
     name: str
@@ -141,7 +149,8 @@ class TagsetProfile:
         return MorphFeatures(**values)
 
     def _row(self, pos: str, feats: str) -> tuple[object, MorphFeatures]:
-        """Decode a (POS, FEATS) pair the table lacks and add its row.
+        """Decode a (POS, FEATS) pair the table lacks and add its row, while
+        the table holds fewer than MAX_PROFILE_ROWS.
 
         The row's category is a Category, DELIMITER_BY_FORM for a tag
         decided by form, or None for an unknown tag.  Its features carry no
@@ -152,7 +161,9 @@ class TagsetProfile:
         features = self.decode_features(pos, feats)
         if category is not Category.VERB:
             features = replace(features, verb_form=VerbForm.UNSPECIFIED)
-        row = self._rows[pos, feats] = (category, features)
+        row = (category, features)
+        if len(self._rows) < MAX_PROFILE_ROWS:
+            self._rows[pos, feats] = row
         return row
 
 
@@ -276,14 +287,26 @@ def load_profile(name_or_path: Union[str, os.PathLike[str]]) -> TagsetProfile:
 
 @dataclass
 class CoverageCounter:
-    """Tally of raw tags a profile did not recognize."""
+    """Tally of raw tags a profile did not recognize.
+
+    Each kind tallies at most MAX_UNMAPPED_TAGS distinct tags; ``more``
+    counts the tokens whose tag came after those.
+    """
 
     unknown_pos: Counter = field(default_factory=Counter)
     unknown_deprel: Counter = field(default_factory=Counter)
+    more: int = 0
+
+    def add(self, tally: Counter, tag: str) -> None:
+        """Count one token of ``tag`` in ``tally``, one of the two kinds."""
+        if tag in tally or len(tally) < MAX_UNMAPPED_TAGS:
+            tally[tag] += 1
+        else:
+            self.more += 1
 
     @property
     def total(self) -> int:
-        return sum(self.unknown_pos.values()) + sum(self.unknown_deprel.values())
+        return sum(self.unknown_pos.values()) + sum(self.unknown_deprel.values()) + self.more
 
     def summary(self) -> str:
         parts = []
@@ -293,6 +316,8 @@ class CoverageCounter:
         ):
             for tag, count in sorted(counter.items()):
                 parts.append(f"{label} {tag!r} x{count}")
+        if self.more:
+            parts.append(f"and {self.more} more unmapped token(s)")
         return "; ".join(parts) if parts else "full coverage"
 
 
@@ -333,12 +358,12 @@ def apply_profile(
         elif category is None:
             category = _OTHER_CATEGORY
             if coverage is not None:
-                coverage.unknown_pos[tag] += 1
+                coverage.add(coverage.unknown_pos, tag)
         relation = relation_of.get(deprel)
         if relation is None:
             relation = _OTHER_RELATION
             if coverage is not None:
-                coverage.unknown_deprel[deprel] += 1
+                coverage.add(coverage.unknown_deprel, deprel)
         lemma = lemmas[index].lower()
         categories.append(category)
         relations.append(relation)

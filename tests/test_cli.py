@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from helpers import LONG_DIGITS, int_error, needs_int_digit_limit
-from solosent import cli, concordance
+from solosent import cli, concordance, profiles
 from solosent.cli import main
 from solosent.conllu import parse_conllu, serialize_conllu
 from synthcorpus import big_corpus_conllu
@@ -131,6 +131,46 @@ class TestAssess:
         by_id = {r["id"]: r for r in jsonl_records(out)}
         assert by_id["u09"]["context_independent"] is True
         assert by_id["u02"]["score"] == 1.0
+
+    @pytest.mark.parametrize("fresh", ["feats", "tags"])
+    def test_peak_does_not_grow_with_fresh_strings(self, monkeypatch, capsys, tmp_path, fresh):
+        """With a fresh FEATS string, or a fresh unknown POS and deprel, on
+        every token, assess's traced peak does not grow per sentence: the
+        profile's row table and the unmapped-tag tally stop at their caps,
+        set low here.  Unbounded, 6,000 more sentences add 6 MB or more."""
+        monkeypatch.setattr(profiles, "MAX_PROFILE_ROWS", 64)
+        monkeypatch.setattr(profiles, "MAX_UNMAPPED_TAGS", 16)
+        path, output = tmp_path / "in.conllu", tmp_path / "out.jsonl"
+
+        def traced(size):
+            path.write_text(_fresh_strings_corpus(size, fresh), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(["--mode", "assess", "--input", str(path), "--output", str(output)]) == 0
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            return peak
+
+        traced(100)  # loads the profile and the lexicons first
+        small, large = traced(2000), traced(8000)
+        assert large - small < 64 * 1024, (small, large)
+
+
+def _fresh_strings_corpus(size, fresh):
+    """``size`` three-token chains with a fresh FEATS string on every token,
+    or with fresh unknown POS and deprel tags, when ``fresh`` is "tags"."""
+    lines = []
+    for number in range(size):
+        lines.append(f"# sent_id = f{number}")
+        for index in range(1, 4):
+            n = f"{number}.{index}"
+            pos, feats, deprel = ("NN", f"X{n}", "SS") if fresh == "feats" else (f"Z{n}", "_", f"Q{n}")
+            lines.append(f"{index}\tord\tord\t{pos}\t_\t{feats}\t{index - 1}\t{deprel}\t_\t_")
+        lines.append("")
+    return "\n".join(lines)
 
 
 class TestFilterAndRank:

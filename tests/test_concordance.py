@@ -41,7 +41,7 @@ from solosent.concordance import (
 from solosent.config import read_config_file
 from solosent.conllu import ParseError, parse_conllu, serialize_conllu
 from solosent.detectors import ConfigError
-from solosent.model import Category, raw_columns
+from solosent.model import Category, StructureError, raw_columns
 from solosent.profiles import CoverageCounter, apply_profile
 
 ENDPOINT = "https://example.invalid/korp"
@@ -773,12 +773,12 @@ class TestReadReply:
             assert "\n" not in str(info.value)
 
 
-def column_hit(position, forms, heads):
-    """A hit of nouns, each with lemma x and no features."""
+def column_hit(position, forms, heads, feats=None):
+    """A hit of nouns, each with lemma x and, unless given, no features."""
     n = len(forms)
     return ConcordanceHit(
         "SUC3", position, tuple(forms), ("x",) * n, ("NN",) * n, ("SS",) * n,
-        tuple(heads), ("",) * n,
+        tuple(heads), ("",) * n if feats is None else tuple(feats),
     )
 
 
@@ -891,6 +891,9 @@ class TestToSentences:
             ([("a", LONG_DIGITS), ("", "1")], int_error(LONG_DIGITS)),
             ([("", "0"), ("b", LONG_DIGITS)], "token 1 has an empty form"),
         ]),
+        # a head that is not digits in a later row than another fault
+        ([("", "0"), ("b", "x")], "token 1 has an empty form"),
+        ([("a", "1"), ("b", "x")], "token 1 may not head itself"),
     ])
     def test_issue_messages(self, rows, message):
         """Row checks come first, token by token, then the range of the
@@ -913,6 +916,48 @@ class TestToSentences:
         transport = CannedTransport(body=page_body([odd]))
         to_sentences(fetch_page(simple_request(), transport).hits, suc, coverage)
         assert coverage.unknown_pos["ZZ"] == 1
+
+
+@st.composite
+def _token_rows(draw):
+    """1-6 rows of (form, head, feats): heads in range, out of range, the
+    row's own index, or text the CoNLL-U reader refuses as a head."""
+    n = draw(st.integers(1, 6))
+    odd = st.sampled_from(["x", "-1", "+1", " 2", "1_0", "\u0661", LONG_DIGITS])
+    return [
+        (
+            draw(st.sampled_from(["", "a", "b"])),
+            draw(st.integers(0, n).map(str) | st.integers(n + 1, n + 2).map(str)
+                 | st.just(str(index)) | odd),
+            draw(st.sampled_from(["", "_", "X|Y"])),
+        )
+        for index in range(1, n + 1)
+    ]
+
+
+@given(_token_rows())
+def test_a_hit_reads_as_its_conllu_block(rows):
+    """normalize_hits gives the sentence parse_conllu gives for the same
+    rows, or an issue whose message is the reader's without its line and
+    sentence."""
+    forms, heads, feats = zip(*rows)
+    sentences, issues = normalize_hits([column_hit("5", forms, heads, feats)])
+    block = "# sent_id = SUC3:5\n" + "".join(
+        f"{index}\t{form}\tx\tNN\t_\t{feat}\t{head}\tSS\t_\t_\n"
+        for index, (form, head, feat) in enumerate(rows, start=1)
+    )
+    try:
+        (expected,) = parse_conllu(block)
+    except (ParseError, StructureError) as exc:
+        prefix = re.match(r"(line \d+: )?sentence 'SUC3:5': ", str(exc))
+        assert prefix
+        assert (sentences, issues) == ([], [IngestIssue("SUC3:5", str(exc)[prefix.end():])])
+    else:
+        assert issues == []
+        (sentence,) = sentences
+        assert sentence.id == expected.id
+        assert raw_columns(sentence) == raw_columns(expected)
+        assert sentence.dependents == expected.dependents
 
 
 # Korp-shaped pages with arbitrary JSON in place of the kwic list, a hit,

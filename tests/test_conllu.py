@@ -179,6 +179,14 @@ class TestParseErrors:
         assert str(info.value) == f"line 2: sentence 's1': {int_error(LONG_DIGITS)}"
         assert info.value.line_number == 2
 
+    def test_a_bad_head_comes_before_an_overlong_id(self):
+        row = f"{LONG_DIGITS}\tx\tx\tNN\t_\t_\tx\tROOT\t_\t_"
+        with pytest.raises(ParseError) as info:
+            list(parse_conllu(f"{ROW}\n{row}\n"))
+        assert str(info.value) == (
+            "line 2: sentence 's1': head must be a non-negative integer, got 'x'"
+        )
+
 
 class TestSerialize:
     def test_empty_input(self):

@@ -1,3 +1,4 @@
+import io
 import re
 from importlib.resources import files
 from pathlib import Path
@@ -7,7 +8,11 @@ from hypothesis import given, strategies as st
 
 from conftest import FIXTURES
 from helpers import annotate, parse_one
+from solosent import cli, profiles
 from solosent.cli import main
+from solosent.conllu import parse_conllu
+from solosent.detectors import DetectorConfig
+from solosent.lexicons import load_lexicon_set
 from solosent.model import (
     Category,
     Gender,
@@ -349,6 +354,13 @@ class TestApplyProfile:
         assert coverage.total == 2
         assert "ZZ" in coverage.summary()
 
+    def test_unmapped_tags_past_the_cap_are_counted_not_named(self, monkeypatch, suc):
+        monkeypatch.setattr(profiles, "MAX_UNMAPPED_TAGS", 1)
+        coverage = CoverageCounter()
+        apply_profile(parse_one("x x ZZ _ 0 QQ\nx x YY _ 1 QQ\nx x ZZ _ 1 RR"), suc, coverage)
+        assert coverage.total == 6
+        assert coverage.summary() == "POS 'ZZ' x2; deprel 'QQ' x2; and 2 more unmapped token(s)"
+
     def test_verb_form_zeroed_for_non_verbs(self, suc):
         # PRS only decodes for VB rows, but belt and braces: a non-verb
         # category never keeps a verb form
@@ -451,3 +463,64 @@ def test_shared_profile_matches_a_fresh_one(case):
         answers = [_SHARED[name].category_for(*pair) for pair in zip(sentence.tags, sentence.forms)]
         assert shared.categories == tuple(a or Category.OTHER for a in answers)
         assert answers.count(None) == shared_coverage.unknown_pos.total()
+
+
+# the token rows and the FEATS strings of the SUC fixture, plus unknown
+# tags and FEATS no rule reads
+_FIXTURE_TOKENS = [
+    t
+    for s in parse_conllu(FIXTURES.joinpath("sv_examples.conllu").read_text(encoding="utf-8"))
+    for t in s.tokens
+]
+_FIXTURE_ROWS = sorted({(t.form, t.lemma, t.pos, t.deprel) for t in _FIXTURE_TOKENS}) + [
+    ("x", "x", "ZZ", "QQ")
+]
+_FIXTURE_FEATS = sorted({t.feats for t in _FIXTURE_TOKENS} | {"", "Odd=1"})
+_LEXICONS = load_lexicon_set()
+
+
+@st.composite
+def _corpus_split_and_order(draw):
+    """Sentences of fixture rows, each with any fixture FEATS, possibly made
+    fresh, and heads pointing back so that each is a tree; a split point;
+    an order."""
+    sentences = []
+    for number in range(draw(st.integers(1, 6))):
+        tokens = []
+        for index in range(1, draw(st.integers(1, 8)) + 1):
+            form, lemma, pos, deprel = draw(st.sampled_from(_FIXTURE_ROWS))
+            feats = draw(st.sampled_from(_FIXTURE_FEATS))
+            feats = draw(st.sampled_from([feats, f"{feats}|N{number}"]))
+            head = draw(st.integers(0, index - 1))
+            tokens.append(Token(index, form, lemma, pos, deprel, head, feats))
+        sentences.append(Sentence(id=f"c{number}", tokens=tokens))
+    split = draw(st.integers(0, len(sentences)))
+    return sentences, split, draw(st.permutations(range(len(sentences))))
+
+
+def _records(sentences, profile):
+    """The JSONL lines assess --explain writes for ``sentences``."""
+    out = io.StringIO()
+    assessments = cli._assess_sentences(sentences, profile, _LEXICONS, DetectorConfig())
+    cli._write_assessments(assessments, "jsonl", True, out)
+    return out.getvalue().splitlines(keepends=True)
+
+
+@given(_corpus_split_and_order())
+def test_no_sentence_leaks_into_another_through_the_caches(case):
+    """With the row table and the unmapped-tag tally past their caps, set
+    low here: corpus A then corpus B through one profile gives the records
+    of A and of B each through a fresh one, and a shuffled corpus gives the
+    shuffled records."""
+    sentences, split, order = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profiles, "MAX_PROFILE_ROWS", 4)
+        patch.setattr(profiles, "MAX_UNMAPPED_TAGS", 1)
+        first, then = sentences[:split], sentences[split:]
+        alone = _records(first, load_profile("suc-mamba")) + _records(
+            then, load_profile("suc-mamba")
+        )
+        shared = load_profile("suc-mamba")
+        assert _records(first, shared) + _records(then, shared) == alone
+        shuffled = _records([sentences[i] for i in order], load_profile("suc-mamba"))
+        assert shuffled == [alone[i] for i in order]
