@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .config import errors_at, where
 from .detectors import ConfigError
-from .model import Sentence, StructureError, raw_columns, read_row, validate_heads
+from .model import Sentence, StructureError, raw_columns, read_heads, validate_heads
 from .profiles import CoverageCounter, TagsetProfile, apply_profile
 
 DEFAULT_PAGE_SIZE = 25
@@ -277,7 +277,7 @@ class ConcordanceHit:
     """One fully annotated match from a concordance page, in RAW_COLUMNS.
 
     The strings are the service's, ``heads`` too, which normalize_hits
-    checks through model's row rule, as the CoNLL-U reader checks its
+    checks with model.read_heads, as the CoNLL-U reader checks a block's
     rows; a missing ``lemma`` is ``_`` and a missing ``pos`` or ``msd``
     is empty."""
 
@@ -507,10 +507,11 @@ def normalize_hits(
 
     Sentence ids are ``corpus:position``, unique per hit.  The sentence
     shares the hit's columns, save the heads and an ``msd`` of ``_``, which
-    is no features, as a FEATS of ``_`` is.  Each row is read by
-    model.read_row, as the CoNLL-U reader reads one: a head of decimal
-    digits only (``"+1"``, ``" 2 "`` and ``"1_0"`` are refused, not read
-    as 1, 2 and 10), no token that heads itself or has no form.  A hit
+    is no features, as a FEATS of ``_`` is.  A hit's rows are read by
+    model.read_heads, once per hit, as the CoNLL-U reader reads a block's:
+    a head of decimal digits only (``"+1"``, ``" 2 "`` and ``"1_0"`` are
+    refused, not read as 1, 2 and 10), no token that heads itself or has
+    no form.  A hit
     with a row fault, or with heads that do not form a tree (cycles,
     out-of-range heads), is excluded and reported, never fatal: its issue
     is the first faulty row's fault, else the tree's, in the words of the
@@ -523,7 +524,7 @@ def normalize_hits(
         sentence_id = f"{hit.corpus}:{hit.position}"
         forms, lemmas, tags, deprels, heads, feats = raw_columns(hit)
         try:
-            heads = tuple(map(read_row, count(1), heads, forms))
+            _, heads = read_heads(range(1, len(forms) + 1), heads, forms)
             dependents = validate_heads(sentence_id, heads)
         except ValueError as exc:
             issues.append(IngestIssue(sentence_id, str(exc)))

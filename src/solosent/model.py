@@ -168,8 +168,9 @@ def read_row(index: int | str, head: str, form: str) -> int:
     digits only, so ``"+1"``, ``" 2"`` and ``"1_0"`` are refused, not read
     as 1, 2 and 10.  The faults come in this order: a head that is not
     digits, then an id or a head with more digits than int() converts
-    (with int()'s message), then check_row's.  Both readers read every
-    token row through it.
+    (with int()'s message), then check_row's.  It is the rule that
+    read_heads applies to a block's columns, and what names a block's
+    first faulty row.
     """
     # isdecimal() accepts exactly the digits \d matches in a str
     if not head.isdecimal():
@@ -177,6 +178,41 @@ def read_row(index: int | str, head: str, form: str) -> int:
     index, head = int(index), int(head)
     check_row(index, head, form)
     return head
+
+
+def read_heads(
+    ids: Sequence[int | str], heads: Sequence[str], forms: Sequence[str]
+) -> tuple[Sequence[int], tuple[int, ...]]:
+    """A block's ids and heads as ints, each row read by read_row's rule;
+    ValueError for the first faulty row, its position (from 0) in the
+    error's ``row``.
+
+    ``ids`` are the token ids, one per row as ``heads`` and ``forms`` are:
+    digits or non-negative ints, or a range, which is returned as it is.
+    Both readers call it once per block.  A block with no faulty row is
+    read a column at a time, with no Python call per row; only a faulty
+    one is read row by row, through read_row, which names the first fault.
+    """
+    try:
+        if all(map(str.isdecimal, heads)) and all(forms):
+            # through a list, so that each tuple is made at its length:
+            # tuple() of a map starts at 10 items and resizes, so the tuple
+            # is freed to another length's free list than it came from,
+            # and over a run those lists grow to 2,000 tuples each
+            indices = ids if isinstance(ids, range) else tuple([*map(int, ids)])
+            values = tuple([*map(int, heads)])
+            if 0 not in indices and not any(map(operator.eq, values, indices)):
+                return indices, values
+    except ValueError:  # an id or a head with more digits than int() converts
+        pass
+    values = []
+    for position, row in enumerate(zip(ids, heads, forms)):
+        try:
+            values.append(read_row(*row))
+        except ValueError as exc:
+            exc.row = position
+            raise
+    return tuple(map(int, ids)), tuple(values)
 
 
 def validate_heads(

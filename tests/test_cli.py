@@ -891,6 +891,20 @@ class TestInputErrorsNameFileAndLine:
         assert code == 1
         assert err == f"error: {path}: line 1: sentence 's1': {int_error(LONG_DIGITS)}\n"
 
+    def test_a_row_fault_comes_before_a_later_unreadable_line(self, capsys, tmp_path):
+        """Bytes that are not UTF-8 further down the faulty row's block,
+        past the reader's first buffer, do not hide the row's fault."""
+        path = tmp_path / "bad.conllu"
+        rows = "".join(f"{i}\tx\tx\tNN\t_\t_\t{i - 1}\tSS\t_\t_\n" for i in range(3, 2003))
+        path.write_bytes(
+            b"1\tx\tx\tNN\t_\t_\t0\tROOT\t_\t_\n2\tx\tx\tNN\t_\t_\tx\tSS\t_\t_\n"
+            + rows.encode() + b"\xff\n"
+        )
+        code, _, err = run_cli(capsys, "--mode", "assess", "--input", str(path))
+        assert code == 1
+        message = "head must be a non-negative integer, got 'x'"
+        assert err == f"error: {path}: line 2: sentence 's1': {message}\n"
+
 
 def _assert_one_line_utf8_error(capsys, path, code, *argv):
     status, _, err = run_cli(capsys, *argv)

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import LONG_DIGITS, int_error, needs_int_digit_limit
 from solosent.conllu import ParseError, parse_conllu, serialize_conllu
-from solosent.model import Sentence, StructureError, Token
+from solosent.model import Sentence, StructureError, Token, read_row, validate_heads
 
 ROW = "1\tHon\thon\tPN\t_\tUTR|SIN|DEF\t2\tSS\t_\t_"
 ROW2 = "2\tkom\tkomma\tVB\t_\tPRT|AKT\t0\tROOT\t_\t_"
@@ -324,3 +324,130 @@ def test_any_text_raises_only_parse_or_structure_errors(text):
             assert isinstance(sentence, Sentence)
     except (ParseError, StructureError):
         pass
+
+
+# --- row faults: the error a row-by-row reading gives ----------------------
+
+_ROW_FAULTS = ["bad head", "id 0", "self head", "empty form", "long id", "long head"]
+_LATER_LINES = {
+    "broken": "broken",
+    "three columns": "1\tx\tx",
+    "bad id": "x\tx\tx\tNN\t_\t_\t0\tSS\t_\t_",
+    "range": "1-2\tx\t_\t_\t_\t_\t_\t_\t_\t_",
+    "comment": "# text = x",
+    "tabbed sent_id": "# sent_id = a\tb",
+    "renaming sent_id": "# sent_id = renamed",
+}
+
+
+@st.composite
+def _row_blocks(draw):
+    """The lines of one or two blocks: 1-4 token rows, each valid (its
+    heads may still make no tree) or with one row fault, and among them
+    lines that raise or rename the block."""
+    lines = []
+    for block in range(draw(st.integers(1, 2))):
+        if block:
+            lines.append(draw(st.sampled_from(["", "  "])))
+        n = draw(st.integers(1, 4))
+        block_lines = []
+        for index in range(1, n + 1):
+            token_id, head, form = str(index), draw(st.integers(0, n)), "a"
+            head = str(head if head != index else 0)
+            fault = draw(st.sampled_from([None] * 6 + _ROW_FAULTS))
+            if fault == "bad head":
+                head = draw(st.sampled_from(["x", "-1", " 2", "1_0"]))
+            elif fault == "long id":
+                token_id = LONG_DIGITS
+            elif fault == "long head":
+                head = LONG_DIGITS
+            elif fault == "id 0":
+                token_id = "0"
+            elif fault == "self head":
+                head = token_id
+            elif fault == "empty form":
+                form = ""
+            block_lines.append(f"{token_id}\t{form}\tx\tNN\t_\t_\t{head}\tSS\t_\t_")
+        for later in draw(st.lists(st.sampled_from(sorted(_LATER_LINES)), max_size=2)):
+            at = draw(st.integers(0, len(block_lines)))
+            block_lines.insert(at, _LATER_LINES[later])
+        if draw(st.booleans()):
+            block_lines.insert(0, f"# sent_id = b{block}")
+        lines += block_lines
+    return lines
+
+
+def _read_line_by_line(lines):
+    """The test-side reading: each line in file order, a row checked by
+    read_row as it is read, a block's tree when it ends.  Returns the
+    (id, heads) of the sentences read and the error, as class name, line
+    number and message, or None."""
+    sentences, rows, sent_id, ordinal, first_line = [], [], None, 0, 0
+
+    def row_error(number, message):
+        name = sent_id if sent_id is not None else f"s{ordinal + (not rows)}"
+        return "ParseError", number, f"line {number}: sentence {name!r}: {message}"
+
+    def finish():
+        name = sent_id if sent_id is not None else f"s{ordinal}"
+        heads = tuple(head for _, head in rows)
+        try:
+            validate_heads(name, heads, [index for index, _ in rows])
+        except StructureError as exc:
+            return "StructureError", first_line, str(exc)
+        sentences.append((name, heads))
+
+    for number, line in enumerate(lines, start=1):
+        columns = line.split("\t")
+        if not line.strip():
+            if rows:
+                error = finish()
+                if error:
+                    return sentences, error
+                rows, sent_id = [], None
+        elif line.startswith("# sent_id = "):
+            sent_id = line.removeprefix("# sent_id = ")
+            if "\t" in sent_id:
+                message = f"line {number}: sent_id may not hold a tab: {sent_id!r}"
+                return sentences, ("ParseError", number, message)
+        elif line.startswith("#"):
+            pass
+        elif len(columns) != 10:
+            message = f"expected 10 tab-separated columns, got {len(columns)}"
+            return sentences, row_error(number, message)
+        elif "-" in columns[0]:  # a range
+            pass
+        elif not columns[0].isdecimal():
+            message = f"unintelligible token id {columns[0]!r}"
+            return sentences, row_error(number, message)
+        else:
+            token_id, form, head = columns[0], columns[1], columns[6]
+            try:
+                head = read_row(token_id, head, form)
+            except ValueError as exc:
+                return sentences, row_error(number, str(exc))
+            if not rows:
+                ordinal, first_line = ordinal + 1, number
+            rows.append((int(token_id), head))
+    if rows:
+        error = finish()
+        if error:
+            return sentences, error
+    return sentences, None
+
+
+@settings(deadline=None)
+@given(_row_blocks())
+def test_a_row_fault_is_reported_where_a_line_by_line_reading_meets_it(lines):
+    """Wherever the reader checks a block's rows, it yields the sentences
+    and raises the error (class, line and message) that reading each line
+    in file order gives."""
+    sentences = []
+    try:
+        for sentence in parse_conllu("\n".join(lines) + "\n"):
+            sentences.append((sentence.id, sentence.heads))
+    except (ParseError, StructureError) as exc:
+        got = sentences, (type(exc).__name__, exc.line_number, str(exc))
+    else:
+        got = sentences, None
+    assert got == _read_line_by_line(lines)

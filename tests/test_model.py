@@ -4,10 +4,12 @@ import inspect
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import SUC, UD, annotate, parse_one
-from solosent.conllu import parse_conllu
+from helpers import LONG_DIGITS, SUC, UD, annotate, parse_one
+from solosent import concordance, conllu, model
+from solosent.concordance import ConcordanceHit, normalize_hits
+from solosent.conllu import ParseError, parse_conllu
 from solosent.model import (
     FINITE_VERB_FORMS,
     NO_FEATURES,
@@ -22,6 +24,8 @@ from solosent.model import (
     Token,
     VerbForm,
     _first_root,
+    read_heads,
+    read_row,
     validate_heads,
 )
 from solosent.profiles import apply_profile
@@ -692,3 +696,105 @@ def test_empty_sentence_is_refused():
     ):
         with pytest.raises(StructureError, match="^sentence 'e': no tokens$"):
             make()
+
+
+# --- a block's id and head columns, read at once and row by row -----------
+
+_ROW_FAULTS = ["own head", "id 0", "empty form", "odd head", "long id"]
+_ODD_HEADS = ["x", "-1", "+1", " 2", "1_0", "\u0661", LONG_DIGITS]
+
+
+@st.composite
+def _id_head_form_columns(draw):
+    """1-8 rows and up to two row faults.  The ids run contiguous or with
+    a gap, as digits, ints or a range; a fault makes one 0 or longer than
+    int() converts.  A head is in range, out of range, or by a fault the
+    row's own id or text read_row refuses; a form is empty by a fault."""
+    n = draw(st.integers(1, 8))
+    ids = list(range(1, n + 1))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        ids[start:] = [index + draw(st.integers(1, 3)) for index in ids[start:]]
+    heads = [draw(st.integers(0, n + 3).filter(lambda h: h != own)) for own in ids]
+    ids, heads, forms = list(map(str, ids)), list(map(str, heads)), ["a"] * n
+    for _ in range(draw(st.integers(0, 2))):
+        row, fault = draw(st.integers(0, n - 1)), draw(st.sampled_from(_ROW_FAULTS))
+        if fault == "id 0":
+            ids[row] = "0"
+        elif fault == "long id":
+            ids[row] = LONG_DIGITS
+        elif fault == "own head":
+            heads[row] = ids[row]
+        elif fault == "empty form":
+            forms[row] = ""
+        else:
+            heads[row] = draw(st.sampled_from(_ODD_HEADS))
+    if LONG_DIGITS not in ids and draw(st.booleans()):
+        ids = [int(i) for i in ids]
+        if ids == list(range(1, n + 1)) and draw(st.booleans()):
+            ids = range(1, n + 1)
+    return ids, heads, forms
+
+
+def _row_by_row(ids, heads, forms):
+    """What reading each row with read_row gives: the ids and heads, or the
+    first faulty row's position and message."""
+    read = []
+    for position, row in enumerate(zip(ids, heads, forms)):
+        try:
+            read.append(read_row(*row))
+        except ValueError as exc:
+            return position, str(exc)
+    return tuple(map(int, ids)), tuple(read)
+
+
+@settings(max_examples=300)
+@given(_id_head_form_columns())
+def test_read_heads_equals_the_row_rule(columns):
+    """The column pass returns what read_row returns row by row, or raises
+    the first faulty row's message and names that row."""
+    try:
+        indices, heads = read_heads(*columns)
+    except ValueError as exc:
+        got = exc.row, str(exc)
+    else:
+        got = tuple(indices), heads
+    assert got == _row_by_row(*columns)
+
+
+def test_valid_blocks_make_no_call_per_row(monkeypatch):
+    """Neither reader reads a valid block's rows one Python call at a time;
+    a faulty row is named by read_row, read no further than that row."""
+    calls = []
+
+    def counted(*row):
+        calls.append(row)
+        return read_row(*row)
+
+    # wherever a reader could look the name up, so that a reader going
+    # back to its own per-row call is counted too
+    for module in (model, conllu, concordance):
+        monkeypatch.setattr(module, "read_row", counted, raising=False)
+    n = 60
+    heads = [str(index - 1) for index in range(1, n + 1)]
+    block = "".join(
+        f"{index}\tw\tw\tNN\t_\t_\t{head}\tSS\t_\t_\n"
+        for index, head in enumerate(heads, start=1)
+    )
+    words = ("w",) * n
+
+    def hit(heads):
+        return ConcordanceHit("SUC3", "1", words, words, ("NN",) * n, ("SS",) * n,
+                              tuple(heads), ("",) * n)
+
+    assert len(list(parse_conllu(block))) == 1
+    assert len(normalize_hits([hit(heads)])[0]) == 1
+    assert calls == []
+
+    heads[2] = "x"
+    with pytest.raises(ParseError, match="^line 3: "):
+        list(parse_conllu(block.replace("\t2\tSS", "\tx\tSS")))
+    assert 1 <= len(calls) <= 3
+    calls.clear()
+    assert len(normalize_hits([hit(heads)])[1]) == 1
+    assert 1 <= len(calls) <= 3
