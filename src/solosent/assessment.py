@@ -50,13 +50,7 @@ def make_assessment(
     sentence_id: str, detections: Sequence["ThemeDetection"]
 ) -> Assessment:
     detections = tuple(detections)
-    total = score(detections)
-    return Assessment(
-        sentence_id=sentence_id,
-        detections=detections,
-        score=total,
-        context_independent=not detections,
-    )
+    return Assessment(sentence_id, detections, score(detections), not detections)
 
 
 def filter_assessments(assessments: Sequence[Assessment]) -> list[Assessment]:

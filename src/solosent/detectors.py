@@ -105,7 +105,7 @@ IMPLEMENTED_THEMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThemeDetection:
     """One detected indication of context dependence.
 
@@ -113,6 +113,9 @@ class ThemeDetection:
     sorted; it is empty for whole-sentence defects such as a missing verb.
     ``weight`` is an exact rational: 1 by default, 1/2 for pronominal
     anaphora with antecedent candidates, scaled by any config override.
+
+    The rules build these on every sentence, by position, in field order:
+    slots and positional arguments make each construction cheaper.
     """
 
     theme: Theme
@@ -281,16 +284,15 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     forms = sentence.forms
     start = 1 if _is_wrapper_form(forms[0]) else 0
     for index, form in enumerate(forms[start:], start=start + 1):
-        first_char = next((ch for ch in form if ch.isalpha() or ch.isdigit()), None)
-        if first_char is None:
+        for first_char in form:
+            if first_char.isalpha() or first_char.isdigit():
+                break
+        else:  # no letter or digit in this form: look at the next one
             continue
         if first_char.islower():
             detections.append(
                 ThemeDetection(
-                    theme=_INCOMPLETE,
-                    token_indices=(index,),
-                    weight=ONE,
-                    rationale=f"sentence starts with lowercase {form!r}",
+                    _INCOMPLETE, (index,), ONE, f"sentence starts with lowercase {form!r}"
                 )
             )
         break
@@ -298,10 +300,8 @@ def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
     if sentence.categories[-1] is not _MAJOR_DELIMITER:
         detections.append(
             ThemeDetection(
-                theme=_INCOMPLETE,
-                token_indices=(),
-                weight=ONE,
-                rationale=f"sentence does not end in a major delimiter (last token {forms[-1]!r})",
+                _INCOMPLETE, (), ONE,
+                f"sentence does not end in a major delimiter (last token {forms[-1]!r})",
             )
         )
     return detections
@@ -359,14 +359,7 @@ def _implicit_anaphora(
             rationale = f"no finite verb: modal {lone_modal!r} stands alone"
         else:
             rationale = "no finite verb"
-        detections.append(
-            ThemeDetection(
-                theme=_IMPLICIT_ANAPHORA,
-                token_indices=(),
-                weight=ONE,
-                rationale=rationale,
-            )
-        )
+        detections.append(ThemeDetection(_IMPLICIT_ANAPHORA, (), ONE, rationale))
     if _SUBJECT_RELATIONS.isdisjoint(sentence.relations):
         main = _main_verb(sentence)
         if (
@@ -375,10 +368,8 @@ def _implicit_anaphora(
         ):
             detections.append(
                 ThemeDetection(
-                    theme=_IMPLICIT_ANAPHORA,
-                    token_indices=(),
-                    weight=ONE,
-                    rationale="no subject and the main verb is not imperative",
+                    _IMPLICIT_ANAPHORA, (), ONE,
+                    "no subject and the main verb is not imperative",
                 )
             )
     return detections
@@ -496,10 +487,10 @@ def detect_pronominal_anaphora(
     the previous one, so the count costs one pass over the sentence, not
     one per pronoun.
     """
-    categories, relations = sentence.categories, sentence.relations
-    features, lemmas = sentence.features, sentence.lower_lemmas
+    lemmas = sentence.lower_lemmas
     if lexicons.anaphoric_pronouns.isdisjoint(lemmas):
         return []
+    categories, relations, features = sentence.categories, sentence.relations, sentence.features
     # the exemptions that look along the tree need a weather verb or a som
     weather = not lexicons.weather_verbs.isdisjoint(lemmas)
     som = "som" in lemmas
@@ -551,13 +542,9 @@ def detect_pronominal_anaphora(
         weight = HALF if candidates > 0 else ONE
         detections.append(
             ThemeDetection(
-                theme=_PRONOMINAL_ANAPHORA,
-                token_indices=(index,),
-                weight=weight,
-                rationale=(
-                    f"anaphoric pronoun {sentence.forms[index - 1]!r} with "
-                    f"{candidates} antecedent candidate(s) to its left"
-                ),
+                _PRONOMINAL_ANAPHORA, (index,), weight,
+                f"anaphoric pronoun {sentence.forms[index - 1]!r} with "
+                f"{candidates} antecedent candidate(s) to its left",
             )
         )
     return detections
@@ -575,12 +562,12 @@ def detect_adverbial_anaphora(
     determiner construction ("det där huset"), recognized by an adjacent
     determiner before it or by the adverb itself relating as determiner.
     """
+    lemmas, adverbs = sentence.lower_lemmas, lexicons.anaphoric_adverbs
+    if adverbs.keys().isdisjoint(lemmas):
+        return []
     detections: list[ThemeDetection] = []
     categories, relations = sentence.categories, sentence.relations
-    lemmas, dependents = sentence.lower_lemmas, sentence.dependents
-    adverbs = lexicons.anaphoric_adverbs
-    if adverbs.keys().isdisjoint(lemmas):
-        return detections
+    dependents = sentence.dependents
     for index, lemma in enumerate(lemmas, start=1):
         adverb_type = adverbs.get(lemma)
         if adverb_type is None or categories[index - 1] is not _ADVERB:
@@ -601,13 +588,9 @@ def detect_adverbial_anaphora(
             continue
         detections.append(
             ThemeDetection(
-                theme=_ADVERBIAL_ANAPHORA,
-                token_indices=(index,),
-                weight=ONE,
-                rationale=(
-                    f"unspecified {adverb_type.value} adverb "
-                    f"{sentence.forms[index - 1]!r}"
-                ),
+                _ADVERBIAL_ANAPHORA, (index,), ONE,
+                f"unspecified {adverb_type.value} adverb "
+                f"{sentence.forms[index - 1]!r}",
             )
         )
     return detections
@@ -661,13 +644,9 @@ def _discourse_connective(
             continue
         detections.append(
             ThemeDetection(
-                theme=_DISCOURSE_CONNECTIVE,
-                token_indices=(index,),
-                weight=ONE,
-                rationale=(
-                    f"conjunctional adverbial {sentence.forms[index - 1]!r} "
-                    "with no coordination inside the sentence"
-                ),
+                _DISCOURSE_CONNECTIVE, (index,), ONE,
+                f"conjunctional adverbial {sentence.forms[index - 1]!r} "
+                "with no coordination inside the sentence",
             )
         )
     return detections
@@ -703,8 +682,13 @@ def detect_structural_connective(
 def _structural_connective(
     sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
+    """Both checks need a token of category conjunction, the root or the
+    first content token, so a sentence with none returns at once."""
+    categories = sentence.categories
+    if _CONJUNCTION not in categories:
+        return []
     detections: list[ThemeDetection] = []
-    categories, forms = sentence.categories, sentence.forms
+    forms = sentence.forms
     root = _first_root(sentence)
     if (
         categories[root - 1] is _CONJUNCTION
@@ -712,10 +696,8 @@ def _structural_connective(
     ):
         detections.append(
             ThemeDetection(
-                theme=_STRUCTURAL_CONNECTIVE,
-                token_indices=(root,),
-                weight=ONE,
-                rationale=f"conjunction {forms[root - 1]!r} is the dependency root",
+                _STRUCTURAL_CONNECTIVE, (root,), ONE,
+                f"conjunction {forms[root - 1]!r} is the dependency root",
             )
         )
     first = _first_content_index(sentence)
@@ -727,13 +709,9 @@ def _structural_connective(
     ):
         detections.append(
             ThemeDetection(
-                theme=_STRUCTURAL_CONNECTIVE,
-                token_indices=(first,),
-                weight=ONE,
-                rationale=(
-                    f"sentence-initial conjunction {forms[first - 1]!r} with nothing "
-                    "to coordinate inside the sentence"
-                ),
+                _STRUCTURAL_CONNECTIVE, (first,), ONE,
+                f"sentence-initial conjunction {forms[first - 1]!r} with nothing "
+                "to coordinate inside the sentence",
             )
         )
     return detections
@@ -759,13 +737,9 @@ def detect_ceq_answer(
     ):
         return [
             ThemeDetection(
-                theme=_CLOSED_QUESTION_ANSWER,
-                token_indices=(offset + 1,),
-                weight=ONE,
-                rationale=(
-                    "sentence-initial yes/no interjection "
-                    f"{sentence.forms[offset]!r}"
-                ),
+                _CLOSED_QUESTION_ANSWER, (offset + 1,), ONE,
+                "sentence-initial yes/no interjection "
+                f"{sentence.forms[offset]!r}",
             )
         ]
     if (
@@ -776,13 +750,9 @@ def detect_ceq_answer(
     ):
         return [
             ThemeDetection(
-                theme=_CLOSED_QUESTION_ANSWER,
-                token_indices=(offset + 1,),
-                weight=ONE,
-                rationale=(
-                    f"sentence-initial adverb {sentence.forms[offset]!r} "
-                    "enclosed between minor delimiters"
-                ),
+                _CLOSED_QUESTION_ANSWER, (offset + 1,), ONE,
+                f"sentence-initial adverb {sentence.forms[offset]!r} "
+                "enclosed between minor delimiters",
             )
         ]
     return []

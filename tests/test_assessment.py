@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
+import weakref
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -72,6 +77,46 @@ class TestMakeAssessment:
             [detection(ONE), detection(ONE, Theme.CLOSED_QUESTION_ANSWER)],
         )
         assert a.themes == {Theme.INCOMPLETE, Theme.CLOSED_QUESTION_ANSWER}
+
+
+class TestVerdictTypes:
+    """ThemeDetection is slotted, Assessment is not: both still pickle, copy
+    and replace as values, and an Assessment can still be weakly referenced."""
+
+    DETECTION = ThemeDetection(
+        Theme.PRONOMINAL_ANAPHORA, (3,), Fraction(2, 3), "anaphoric pronoun 'det'"
+    )
+    ASSESSMENT = make_assessment(
+        "s7", [DETECTION, ThemeDetection(Theme.INCOMPLETE, (), ONE, "no major delimiter")]
+    )
+
+    def duplicates(self, value):
+        yield copy.copy(value)
+        yield copy.deepcopy(value)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            yield pickle.loads(pickle.dumps(value, protocol))
+
+    @pytest.mark.parametrize("value", [DETECTION, ASSESSMENT], ids=["detection", "assessment"])
+    def test_round_trips_keep_the_value(self, value):
+        for twin in self.duplicates(value):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+    def test_replace_keeps_the_other_fields(self):
+        # detect_all scales a detection's weight with replace
+        scaled = dataclasses.replace(self.DETECTION, weight=Fraction(4, 3))
+        expected = ThemeDetection(
+            Theme.PRONOMINAL_ANAPHORA, (3,), Fraction(4, 3), "anaphoric pronoun 'det'"
+        )
+        assert scaled == expected and hash(scaled) == hash(expected)
+        assert self.DETECTION.weight == Fraction(2, 3)
+
+    def test_detection_has_no_instance_dict(self):
+        assert not hasattr(self.DETECTION, "__dict__")
+
+    def test_assessment_is_weakly_referenced(self):
+        assessment = make_assessment("s8", [self.DETECTION])
+        assert weakref.ref(assessment)() is assessment
 
 
 class TestFilter:

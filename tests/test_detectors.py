@@ -127,6 +127,31 @@ class TestIncomplete:
         )
         assert detect_incomplete(s) == []
 
+    @pytest.mark.parametrize("number", ["½", "Ⅻ"])
+    def test_numeric_sign_is_neither_letter_nor_digit(self, number):
+        # the scan passes over a form whose characters are numeric but
+        # neither letters nor digits, and lands on the next word
+        s = annotate(
+            f"{number} {number} RG _ 2 DT\n"
+            "kilo kilo NN NEU|SIN|IND|NOM 3 SS\n"
+            "räcker räcka VB PRS|AKT 0 ROOT\n"
+            ". . MAD _ 3 IP"
+        )
+        detections = detect_incomplete(s)
+        assert [d.token_indices for d in detections] == [(2,)]
+        assert detections[0].rationale == "sentence starts with lowercase 'kilo'"
+
+    def test_superscript_digit_is_a_digit(self):
+        # '²'.isdigit() holds: the scan stops at it, and a digit is no
+        # lowercase start
+        s = annotate(
+            "² ² RG _ 2 DT\n"
+            "kilo kilo NN NEU|SIN|IND|NOM 3 SS\n"
+            "räcker räcka VB PRS|AKT 0 ROOT\n"
+            ". . MAD _ 3 IP"
+        )
+        assert detect_incomplete(s) == []
+
     def test_single_wrapper_skipped(self):
         s = annotate(
             "( ( PAD _ 3 IP\n"
