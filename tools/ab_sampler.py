@@ -1,120 +1,86 @@
-"""A quick A/B of two checkouts on the benchmark's latency sampler.
+"""A/B pairs of two checkouts on the benchmark: alternating ``bench/run.py`` runs.
 
 Usage, from anywhere::
 
-    python3 tools/ab_sampler.py PARENT CHANGE --workload eval-short-jobs2 --pairs 10
-    python3 tools/ab_sampler.py PARENT CHANGE --workload fetch-korp --pairs 10 --seed 60
+    python3 tools/ab_sampler.py PARENT CHANGE --pairs 10 -- \\
+        --workload eval-short-jobs2 --seed 64 --seconds 35 --trace 0
 
 PARENT and CHANGE are two checkouts of the repository, e.g. made with
-``git archive``.  Each pair runs one child process per side, in turns
-(the parent first in even pairs, the change first in odd ones), and pair
-``i`` uses seed ``--seed + i`` on both sides.  A child imports its own
-checkout's ``bench/run.py`` and ``src/solosent``, builds the workload
-with ``run.prepare`` (the same ``gen`` corpora at the same sizes as the
-benchmark) and takes its ``latency`` sampler: ``_library_latency`` on
-assess-long and eval-short-jobs2, ``_ingest_latency`` on fetch-korp.  It
-runs the sampler's rounds back to back and reports
-``sentence_p50_us``/``sentence_p99_us`` as the sampler computes them.
+``git archive``.  Everything after ``--`` is passed, unchanged, to each
+checkout's own ``bench/run.py``, run from that checkout's root.  Each pair
+runs one side, then the other: the parent first in odd pairs, the change
+first in even ones.  So each run is the benchmark's own measurement,
+latency sampler and output checks included; ``--seconds`` below 35 gives a
+quicker, noisier look.
 
-The tool prints each pair, then each side's median and quartiles of both
-quantiles, and in how many pairs the change read lower.  Nothing under
-``bench/`` is changed.  It runs no CLI, so the sampler's rounds are not
-spread over a window of CLI runs as in ``bench/run.py``: use it to
-decide what is worth measuring, and back any claim with alternating
-``bench/run.py`` pairs.
+The tool prints each run's table (with the reported-only ``wall_s``), then,
+for every metric in the JSON line each run prints last, the pairs, each
+side's median and quartiles and in how many pairs the change read lower.
+It exits with 1 if a run was not ``correct``, and stops at a run that
+failed to report.  Run nothing else on the host meanwhile.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-WORKLOADS = ("assess-long", "eval-short-jobs2", "fetch-korp")
-METRICS = ("sentence_p50_us", "sentence_p99_us")
+SIDES = ("parent", "change")
 
 
-def child(checkout: Path, workload: str, seed: int, rounds: int) -> None:
-    """Build the checkout's own sampler, run it and print its quantiles as JSON."""
-    sys.path[:0] = [str(checkout / "bench"), str(checkout / "src")]
-    import run  # the checkout's bench/run.py
-
-    work = Path(tempfile.mkdtemp(prefix=f"ab-{workload}-"))
-    wl = None
-    try:
-        wl = run.prepare(workload, seed, work)
-        sampler = wl.latency()
-        for _ in range(rounds):
-            sampler.round()
-        p50, p99 = sampler.p50_p99()
-    finally:
-        for close in wl.closers if wl else ():
-            close()
-        shutil.rmtree(work, ignore_errors=True)
-    print(json.dumps({"sentence_p50_us": p50 * 1e6, "sentence_p99_us": p99 * 1e6}))
-
-
-def measure(checkout: Path, workload: str, seed: int, rounds: int) -> dict:
-    """One child on one checkout: its quantiles, in microseconds."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    command = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout),
-               "--workload", workload, "--seed", str(seed), "--rounds", str(rounds)]
-    done = subprocess.run(command, env=env, cwd=checkout, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        sys.exit(f"error: the child on {checkout} failed:\n{done.stderr.strip()}")
-    return json.loads(done.stdout.splitlines()[-1])
+def run_once(checkout: Path, run_args: list[str], tag: str) -> dict:
+    """One ``bench/run.py`` run in one checkout: print its table, return its JSON result."""
+    done = subprocess.run([sys.executable, "bench/run.py", *run_args], cwd=checkout,
+                          capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines or not lines[-1].startswith("{"):
+        sys.exit(f"error: bench/run.py in {checkout} exited with {done.returncode}:\n"
+                 f"{(done.stderr or done.stdout).strip()[-2000:]}")
+    print(tag, *lines[:-1], sep="\n", flush=True)
+    return json.loads(lines[-1])
 
 
 def summary(values: list[float]) -> str:
     if len(values) < 2:
-        return f"median {values[0]:.2f}"
+        return f"median {values[0]:.4g}"
     q1, median, q3 = statistics.quantiles(values, n=4)
-    return f"median {median:.2f}  q1 {q1:.2f}  q3 {q3:.2f}  IQR {q3 - q1:.2f}"
+    return f"median {median:.4g}  q1 {q1:.4g}  q3 {q3:.4g}  IQR {q3 - q1:.3g}"
 
 
 def main() -> int:
+    argv = sys.argv[1:]
+    split = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("checkouts", nargs="*", type=Path, help="PARENT and CHANGE")
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=60, help="the first pair's seed")
-    parser.add_argument("--rounds", type=int, default=40, help="sampler rounds per child")
-    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.rounds < 1 or args.pairs < 1:
-        parser.error("--pairs and --rounds must be at least 1")
-    if args.child:
-        child(args.child.resolve(), args.workload, args.seed, args.rounds)
-        return 0
-    if len(args.checkouts) != 2:
-        parser.error("give two checkouts: PARENT and CHANGE")
-    sides = [path.resolve() for path in args.checkouts]
-    for path in sides:
+    parser.add_argument("checkouts", nargs=2, type=Path, metavar="CHECKOUT", help="PARENT, then CHANGE")
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv[:split])
+    run_args = argv[split + 1:]
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if not run_args:
+        parser.error("give bench/run.py's arguments after --")
+    checkouts = [path.resolve() for path in args.checkouts]
+    for path in checkouts:
         if not (path / "bench" / "run.py").is_file():
             parser.error(f"{path} holds no bench/run.py")
-    results: list[list[dict]] = [[], []]
-    for pair in range(args.pairs):
-        seed = args.seed + pair
-        for side in (0, 1) if pair % 2 == 0 else (1, 0):
-            results[side].append(measure(sides[side], args.workload, seed, args.rounds))
-        parent, change = results[0][-1], results[1][-1]
-        print(f"pair {pair + 1:>2}  seed {seed}  " + "  ".join(
-            f"{name} {parent[name]:.2f} -> {change[name]:.2f}" for name in METRICS), flush=True)
-    for name in METRICS:
-        parent = [r[name] for r in results[0]]
-        change = [r[name] for r in results[1]]
-        wins = sum(c < p for p, c in zip(parent, change))
-        print(f"{name}:")
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for pair in range(1, args.pairs + 1):
+        for side in SIDES if pair % 2 else SIDES[::-1]:
+            results[side].append(run_once(checkouts[SIDES.index(side)], run_args, f"# pair {pair}, {side}"))
+    for name in results["parent"][0]["metrics"]:
+        parent = [r["metrics"][name]["value"] for r in results["parent"]]
+        change = [r["metrics"][name]["value"] for r in results["change"]]
+        lower = sum(c < p for p, c in zip(parent, change))
+        print(f"{name} ({results['parent'][0]['metrics'][name]['unit']}):")
+        print("  pairs   " + "  ".join(f"{p:.4g} -> {c:.4g}" for p, c in zip(parent, change)))
         print(f"  parent  {summary(parent)}")
         print(f"  change  {summary(change)}")
-        print(f"  change lower in {wins} of {args.pairs} pairs")
-    return 0
+        print(f"  change lower in {lower} of {args.pairs} pairs")
+    return 0 if all(r["correct"] for side in SIDES for r in results[side]) else 1
 
 
 if __name__ == "__main__":
