@@ -50,15 +50,7 @@ _EXPORTS = {
         "IMPLEMENTED_THEMES",
         "Theme",
         "ThemeDetection",
-        "count_antecedent_candidates",
-        "detect_adverbial_anaphora",
         "detect_all",
-        "detect_ceq_answer",
-        "detect_discourse_connective",
-        "detect_implicit_anaphora",
-        "detect_incomplete",
-        "detect_pronominal_anaphora",
-        "detect_structural_connective",
     ),
     "evaluation": (
         "EvalReport",

@@ -4,7 +4,8 @@ Each rule targets one theme of context dependence and works purely on the
 abstract annotations of an AnnotatedSentence, so the same rules run on any
 tagset a profile can describe.  All rules are heuristics over parser
 output: they aim for useful precision on well-formed corpus sentences, not
-for linguistic completeness.
+for linguistic completeness.  The rules are private, listed once in
+``_RULES``; ``detect_all`` is the one way to run them, one theme or all.
 
 The implemented themes:
 
@@ -41,8 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Collection, Mapping, NamedTuple, Optional
+from typing import Collection, Mapping, NamedTuple, Optional
 
 from .assessment import Assessment, make_assessment
 from .lexicons import LexiconSet
@@ -140,7 +140,7 @@ class DetectorConfig:
     weights: Mapping[Theme, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # any set will do; the rule plan is cached on the frozen one
+        # any collection will do; a frozenset copy the caller cannot change
         object.__setattr__(self, "enabled", frozenset(self.enabled))
         # the weights checked below are the weights used: a copy the caller cannot change
         object.__setattr__(self, "weights", dict(self.weights))
@@ -272,7 +272,9 @@ def _clause_counts(sentence: AnnotatedSentence) -> _ClauseCounts:
     return _ClauseCounts(finite_verbs, sentence.relations.count(_CONJUNCT))
 
 
-def detect_incomplete(sentence: AnnotatedSentence) -> list[ThemeDetection]:
+def _incomplete(
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
+) -> list[ThemeDetection]:
     """IncompSent: fragments that never were a full sentence.
 
     Two independent checks, each reported separately when it fails: the
@@ -318,16 +320,6 @@ def _main_verb(sentence: AnnotatedSentence) -> Optional[int]:
     return None
 
 
-def detect_implicit_anaphora(sentence: AnnotatedSentence) -> list[ThemeDetection]:
-    """ImpAnaphora: ellipsis that leaves the verb or the subject implicit.
-
-    Fires once when no finite verb exists and once when no subject
-    (ordinary or logical) exists, unless the main verb is an imperative,
-    which needs no subject.
-    """
-    return _implicit_anaphora(sentence, _clause_counts(sentence))
-
-
 # An expletive fills the subject slot just as well: the check hunts for
 # gapped subjects, not for meaningless ones.
 _SUBJECT_RELATIONS = frozenset(
@@ -336,8 +328,14 @@ _SUBJECT_RELATIONS = frozenset(
 
 
 def _implicit_anaphora(
-    sentence: AnnotatedSentence, counts: _ClauseCounts
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
+    """ImpAnaphora: ellipsis that leaves the verb or the subject implicit.
+
+    Fires once when no finite verb exists and once when no subject
+    (ordinary or logical) exists, unless the main verb is an imperative,
+    which needs no subject.
+    """
     detections: list[ThemeDetection] = []
     if counts.finite_verbs == 0:
         lone_modal = next(
@@ -385,40 +383,6 @@ def _features_compatible(pronoun: MorphFeatures, noun: MorphFeatures) -> bool:
     return True
 
 
-def count_antecedent_candidates(
-    sentence: AnnotatedSentence, pronoun_index: int
-) -> int:
-    """Count in-sentence antecedent candidates left of the pronoun.
-
-    Candidates are nouns and proper nouns before the pronoun whose gender
-    and number are compatible with it (unspecified matches anything).  For
-    ``det`` an infinitive marker governed by a verb also counts once: the
-    marked infinitive phrase is a possible neuter referent.  Candidates
-    are counted, not ranked; no referent is ever selected.
-
-    Raises ValueError when the index does not point at a pronoun.
-    """
-    if pronoun_index < 1 or pronoun_index > len(sentence):
-        raise ValueError(f"no token at index {pronoun_index}")
-    categories, features = sentence.categories, sentence.features
-    if categories[pronoun_index - 1] is not _PRONOUN:
-        form = sentence.forms[pronoun_index - 1]
-        raise ValueError(f"token {pronoun_index} ({form!r}) is not a pronoun")
-    pronoun = features[pronoun_index - 1]
-    count = 0
-    for index in range(1, pronoun_index):
-        if categories[index - 1] in (_NOUN, _PROPER_NOUN):
-            if _features_compatible(pronoun, features[index - 1]):
-                count += 1
-    if sentence.lower_lemmas[pronoun_index - 1] == "det":
-        for index in range(1, pronoun_index):
-            if categories[index - 1] is _INFINITIVE_MARKER:
-                if _governed_by_verb(sentence, index):
-                    count += 1
-                    break
-    return count
-
-
 _SOM_RELATIONS = (Relation.RELATIVE_CLAUSE_MARKER, Relation.SUBORDINATOR)
 
 
@@ -464,8 +428,8 @@ def _som_below(sentence: AnnotatedSentence) -> set[int]:
     return below
 
 
-def detect_pronominal_anaphora(
-    sentence: AnnotatedSentence, lexicons: LexiconSet
+def _pronominal_anaphora(
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     """PNAnaphora: den/det and demonstratives used anaphorically.
 
@@ -476,16 +440,21 @@ def detect_pronominal_anaphora(
     subtree.  The weight halves when the sentence itself offers antecedent
     candidates, since the reference may then be resolvable in place.
 
+    Candidates are nouns and proper nouns before the pronoun whose gender
+    and number are compatible with it (unspecified matches anything).  For
+    ``det`` an infinitive marker governed by a verb also counts once: the
+    marked infinitive phrase is a possible neuter referent.  Candidates
+    are counted, not ranked; no referent is ever selected.
+
     The tree is read only for the questions a pronoun asks.  The tokens
     with a som-relative below them are collected when a pronoun first asks,
     by walks up from each som-relative.  A ``det`` in a sentence with a
     weather verb asks for the verb above it, by a walk up its head chain
     that stops where an earlier walk went, so the walks read each head at
-    most once between them.  The candidates are counted as
-    count_antecedent_candidates counts them, from running tallies: the
-    tokens left of each reported pronoun are tallied once, carried on from
-    the previous one, so the count costs one pass over the sentence, not
-    one per pronoun.
+    most once between them.  The candidates are counted from running
+    tallies: the tokens left of each reported pronoun are tallied once,
+    carried on from the previous one, so the count costs one pass over the
+    sentence, not one per pronoun.
     """
     lemmas = sentence.lower_lemmas
     if lexicons.anaphoric_pronouns.isdisjoint(lemmas):
@@ -550,8 +519,8 @@ def detect_pronominal_anaphora(
     return detections
 
 
-def detect_adverbial_anaphora(
-    sentence: AnnotatedSentence, lexicons: LexiconSet
+def _adverbial_anaphora(
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     """AdvAnaphora1: time and place adverbs pointing outside the sentence.
 
@@ -596,17 +565,6 @@ def detect_adverbial_anaphora(
     return detections
 
 
-def detect_discourse_connective(sentence: AnnotatedSentence) -> list[ThemeDetection]:
-    """AdvAnaphora2: conjunctional adverbials linking to prior discourse.
-
-    Relation-based: any token relating as conjunctional adverbial fires,
-    unless the sentence holds at least two coordinate clauses (the
-    adverbial then links those) or an overt conjunction or subjunction
-    stands beside it, as a sibling or as a sibling of its head.
-    """
-    return _discourse_connective(sentence, _clause_counts(sentence))
-
-
 _CONNECTIVE_CATEGORIES = (Category.CONJUNCTION, Category.SUBJUNCTION)
 
 
@@ -619,8 +577,15 @@ def _connective_beside(sentence: AnnotatedSentence, under: Counter, index: int) 
 
 
 def _discourse_connective(
-    sentence: AnnotatedSentence, counts: _ClauseCounts
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
+    """AdvAnaphora2: conjunctional adverbials linking to prior discourse.
+
+    Relation-based: any token relating as conjunctional adverbial fires,
+    unless the sentence holds at least two coordinate clauses (the
+    adverbial then links those) or an overt conjunction or subjunction
+    stands beside it, as a sibling or as a sibling of its head.
+    """
     # Conjunct-relation tokens mark second and later conjuncts, so k of
     # them imply k+1 coordinated units.
     if max(counts.finite_verbs, counts.conjuncts + 1) >= 2:
@@ -666,24 +631,18 @@ def _completed_pair_present(
     )
 
 
-def detect_structural_connective(
-    sentence: AnnotatedSentence, lexicons: LexiconSet
+def _structural_connective(
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     """StructConn: conjunctions that bind the sentence to surrounding text.
 
     Fires for a conjunction as dependency root, unless it belongs to a
     correlative pair whose both members are present in order (antingen ...
     eller), and for a sentence-initial conjunction, unless the sentence
-    carries at least two clauses or conjuncts for it to join.
+    carries at least two clauses or conjuncts for it to join.  Both checks
+    need a token of category conjunction, the root or the first content
+    token, so a sentence with none returns at once.
     """
-    return _structural_connective(sentence, lexicons, _clause_counts(sentence))
-
-
-def _structural_connective(
-    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
-) -> list[ThemeDetection]:
-    """Both checks need a token of category conjunction, the root or the
-    first content token, so a sentence with none returns at once."""
     categories = sentence.categories
     if _CONJUNCTION not in categories:
         return []
@@ -717,8 +676,8 @@ def _structural_connective(
     return detections
 
 
-def detect_ceq_answer(
-    sentence: AnnotatedSentence, lexicons: LexiconSet
+def _ceq_answer(
+    sentence: AnnotatedSentence, lexicons: LexiconSet, counts: _ClauseCounts
 ) -> list[ThemeDetection]:
     """CEQAnswer: the sentence answers a closed question asked elsewhere.
 
@@ -758,25 +717,20 @@ def detect_ceq_answer(
     return []
 
 
-# Each implemented theme's rule, called as rule(sentence, lexicons, counts).
-_RULES = {
-    Theme.INCOMPLETE: lambda s, lex, counts: detect_incomplete(s),
-    Theme.IMPLICIT_ANAPHORA: lambda s, lex, counts: _implicit_anaphora(s, counts),
-    Theme.PRONOMINAL_ANAPHORA: lambda s, lex, counts: detect_pronominal_anaphora(s, lex),
-    Theme.ADVERBIAL_ANAPHORA: lambda s, lex, counts: detect_adverbial_anaphora(s, lex),
-    Theme.DISCOURSE_CONNECTIVE: lambda s, lex, counts: _discourse_connective(s, counts),
-    Theme.STRUCTURAL_CONNECTIVE: _structural_connective,
-    Theme.CLOSED_QUESTION_ANSWER: lambda s, lex, counts: detect_ceq_answer(s, lex),
-}
+# Each implemented theme's rule, in the order of IMPLEMENTED_THEMES.  A
+# rule is called as rule(sentence, lexicons, counts): the lexicons and the
+# clause counts, taken once per sentence, go to every rule, used or not.
+_RULES = (
+    (_INCOMPLETE, _incomplete),
+    (_IMPLICIT_ANAPHORA, _implicit_anaphora),
+    (_PRONOMINAL_ANAPHORA, _pronominal_anaphora),
+    (_ADVERBIAL_ANAPHORA, _adverbial_anaphora),
+    (_DISCOURSE_CONNECTIVE, _discourse_connective),
+    (_STRUCTURAL_CONNECTIVE, _structural_connective),
+    (_CLOSED_QUESTION_ANSWER, _ceq_answer),
+)
 
 _DEFAULT_CONFIG = DetectorConfig()
-
-
-# one entry per subset of the implemented themes
-@lru_cache(maxsize=2 ** len(IMPLEMENTED_THEMES))
-def _rule_plan(enabled: frozenset[Theme]) -> tuple[tuple[Theme, Callable], ...]:
-    """The enabled themes' rules, in theme order."""
-    return tuple((theme, _RULES[theme]) for theme in IMPLEMENTED_THEMES if theme in enabled)
 
 
 def detect_all(
@@ -789,13 +743,18 @@ def detect_all(
     Detections come out in fixed theme order and, within a theme, in token
     order, so equal inputs always produce byte-equal reports.  Weight
     overrides from the config scale each detection's default weight.
+
+    Each rule is reached through here alone: one theme's detections are
+    ``detect_all(sentence, lexicons, DetectorConfig(enabled={theme})).detections``.
     """
     if config is None:
         config = _DEFAULT_CONFIG
-    weights = config.weights
+    enabled, weights = config.enabled, config.weights
     counts = _clause_counts(sentence)
     detections: list[ThemeDetection] = []
-    for theme, rule in _rule_plan(config.enabled):
+    for theme, rule in _RULES:
+        if theme not in enabled:
+            continue
         found = rule(sentence, lexicons, counts)
         if found:
             override = weights.get(theme) if weights else None
@@ -811,13 +770,5 @@ __all__ = [
     "IMPLEMENTED_THEMES",
     "Theme",
     "ThemeDetection",
-    "count_antecedent_candidates",
-    "detect_adverbial_anaphora",
     "detect_all",
-    "detect_ceq_answer",
-    "detect_discourse_connective",
-    "detect_implicit_anaphora",
-    "detect_incomplete",
-    "detect_pronominal_anaphora",
-    "detect_structural_connective",
 ]

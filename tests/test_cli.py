@@ -84,6 +84,19 @@ class TestAssess:
         assert detections
         assert all("rationale" in d and d["rationale"] for d in detections)
 
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "assess", "--format", "tsv"),
+        ("--mode", "rank", "--format", "tsv"),
+        ("--mode", "eval", "--format", "jsonl"),
+        ("--mode", "eval", "--format", "tsv"),
+    ])
+    def test_explain_changes_only_jsonl_records(self, capsys, corpus_path, gold_path, argv):
+        if "eval" in argv:
+            argv += ("--gold", gold_path)
+        plain = run_cli(capsys, *argv, "--input", corpus_path)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--input", corpus_path, "--explain") == plain
+
     def test_tsv_format(self, capsys, corpus_path):
         _, out, _ = run_cli(
             capsys, "--mode", "assess", "--input", corpus_path, "--format", "tsv"

@@ -13,6 +13,14 @@ first in even ones.  So each run is the benchmark's own measurement,
 latency sampler and output checks included; ``--seconds`` below 35 gives a
 quicker, noisier look.
 
+Both sides run solosent from source: each child gets
+``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, and a
+checkout that holds a ``__pycache__`` directory under ``src/`` is refused
+(exit 2), since its ``.pyc`` files would be loaded instead.  Whether the
+program runs from bytecode moves ``peak_rss_mb`` and ``setup_s`` by as
+much as a change may claim.  Make the checkouts with ``git archive`` or
+``git clone``, not by copying a working tree.
+
 The tool prints each run's table (with the reported-only ``wall_s``), then,
 for every metric in the JSON line each run prints last, the pairs, each
 side's median and quartiles and in how many pairs the change read lower.
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -32,10 +41,18 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
+def child_environment() -> dict[str, str]:
+    """This process's environment, set so that a child writes no bytecode
+    and looks for none outside the checkout."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
 def run_once(checkout: Path, run_args: list[str], tag: str) -> dict:
     """One ``bench/run.py`` run in one checkout: print its table, return its JSON result."""
     done = subprocess.run([sys.executable, "bench/run.py", *run_args], cwd=checkout,
-                          capture_output=True, text=True, check=False)
+                          env=child_environment(), capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines or not lines[-1].startswith("{"):
         sys.exit(f"error: bench/run.py in {checkout} exited with {done.returncode}:\n"
@@ -67,6 +84,11 @@ def main() -> int:
     for path in checkouts:
         if not (path / "bench" / "run.py").is_file():
             parser.error(f"{path} holds no bench/run.py")
+        cache = next((path / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            parser.error(f"{cache} holds bytecode: make the checkout with git archive or git clone")
+    print("# both sides run from source: PYTHONDONTWRITEBYTECODE=1, no PYTHONPYCACHEPREFIX,"
+          " no __pycache__ under src/", flush=True)
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pair in range(1, args.pairs + 1):
         for side in SIDES if pair % 2 else SIDES[::-1]:
